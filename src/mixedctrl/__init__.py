@@ -18,6 +18,7 @@ from .core import (
     MixedControlError,
     MixedSolution,
     PureCandidate,
+    SolverLimitError,
     lagrangian_value,
     mix_costs,
     wilson_ci_99,
@@ -25,10 +26,8 @@ from .core import (
 from .dual import (
     OptimalityReport,
     ScalarDualResult,
-    ScalarSolveConfig,
     check_optimality,
     recover_mixture_scalar,
-    solve_dual_scalar,
     solve_mixed_scalar,
 )
 
@@ -44,12 +43,11 @@ __all__ = [
     "OptimalityReport",
     "PureCandidate",
     "ScalarDualResult",
-    "ScalarSolveConfig",
+    "SolverLimitError",
     "check_optimality",
     "lagrangian_value",
     "mix_costs",
     "recover_mixture_scalar",
-    "solve_dual_scalar",
     "solve_mixed_scalar",
     "wilson_ci_99",
 ]

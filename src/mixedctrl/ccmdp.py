@@ -164,8 +164,6 @@ class Mdp:
     stage_costs: tuple[np.ndarray, ...]
     failure_masks: tuple[np.ndarray, ...]
     initial: np.ndarray
-    state_labels: tuple | None = None
-    action_labels: tuple | None = None
 
     def __post_init__(self):
         t = self.horizon
@@ -424,6 +422,4 @@ def from_tables(
         stage_costs=tuple(stage_costs),
         failure_masks=tuple(masks),
         initial=init,
-        state_labels=tuple(tuple(level) for level in states),
-        action_labels=tuple(tuple(level) for level in actions),
     )

@@ -7,17 +7,18 @@ re-evaluates the saved components from their dumped files, and re-runs
 the optimality checks and Monte Carlo. ``sweep`` samples the dual
 function on a multiplier grid for plotting.
 
-Exit codes: 0 success, 1 infeasible problem or failed validation,
-2 invalid config or usage. Reports are byte-identical across repeated
-runs with the same config and seed; the measured wall time would break
-that, so it goes to stderr and the report carries a null placeholder.
+Exit codes: 0 success, 1 infeasible problem, solver limit or failed
+validation, 2 invalid config or usage. Reports are byte-identical across
+repeated runs with the same config and seed; the measured wall time
+would break that, so it goes to stderr and the report carries a null
+placeholder.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from .core import (
     mix_costs,
     wilson_ci_99,
 )
-from .dual import ScalarSolveConfig, check_optimality, solve_mixed_scalar
+from .dual import check_optimality, solve_mixed_scalar
 from .scenarios import (
     EdlScenario,
     FiniteSetOracle,
@@ -102,6 +103,14 @@ def load_config(path: Path) -> dict:
     missing = [key for key in _REQUIRED_KEYS[kind] if key not in config]
     if missing:
         raise InvalidInputError(f"{kind} config is missing: {', '.join(missing)}")
+    bound = config["risk_bound"]
+    if (
+        isinstance(bound, bool)
+        or not isinstance(bound, (int, float))
+        or not math.isfinite(bound)
+        or not 0.0 <= bound <= 1.0
+    ):
+        raise InvalidInputError(f"risk_bound must be a number in [0, 1], got {bound!r}")
     return config
 
 
@@ -266,18 +275,23 @@ class _TracingOracle(LagrangianOracle):
         return self.inner.evaluate(policy)
 
 
-def _solver_config(config: dict, args: argparse.Namespace) -> ScalarSolveConfig:
-    section = dict(config.get("solver", {}))
-    unknown = set(section) - {"lambda_max", "tol_lambda", "tol_risk", "max_iter"}
+# Bisection settings from schema 1; the chord search needs none of them.
+_DEPRECATED_SOLVER_KEYS = {"lambda_max", "tol_lambda", "tol_risk", "max_iter"}
+
+
+def _check_solver_section(config: dict) -> None:
+    section = config.get("solver", {})
+    if not isinstance(section, dict):
+        raise InvalidInputError("solver must be a JSON object")
+    unknown = set(section) - _DEPRECATED_SOLVER_KEYS
     if unknown:
         raise InvalidInputError(f"unknown solver options: {', '.join(sorted(unknown))}")
-    if args.tol_lambda is not None:
-        section["tol_lambda"] = args.tol_lambda
-    if args.tol_risk is not None:
-        section["tol_risk"] = args.tol_risk
-    if "max_iter" in section:
-        section["max_iter"] = int(section["max_iter"])
-    return ScalarSolveConfig(**{k: float(v) if k != "max_iter" else v for k, v in section.items()})
+    if section:
+        print(
+            f"warning: solver options {', '.join(sorted(section))} are deprecated "
+            "and ignored; the dual search stops on an exact tie",
+            file=sys.stderr,
+        )
 
 
 def _mc_settings(config: dict, args: argparse.Namespace) -> tuple[int, int]:
@@ -412,12 +426,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     config = load_config(config_path)
     setup = build_setup(config, config_path.parent)
-    solver_cfg = _solver_config(config, args)
+    _check_solver_section(config)
     seed, n_rollouts = _mc_settings(config, args)
 
     started = time.perf_counter()
     tracer = _TracingOracle(setup.oracle, setup.bounds)
-    result, solution = solve_mixed_scalar(tracer, setup.bounds, solver_cfg)
+    result, solution = solve_mixed_scalar(tracer, setup.bounds)
     optimality = check_optimality(solution, setup.bounds, setup.oracle, tol=1e-6)
     monte_carlo = _run_monte_carlo(setup, solution, seed, n_rollouts)
     wall = time.perf_counter() - started
@@ -451,7 +465,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             }
         )
     if pure_ref is None:
-        # The safe bisection endpoint did not survive into the mixture;
+        # The safe endpoint did not survive into the mixture;
         # dump it separately so the report's pure solution stays loadable.
         if setup.kind == "toy":
             pure_ref = int(result.upper.policy)
@@ -477,7 +491,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "lambda_star": result.lambda_star,
             "q_star": result.q_star,
             "iterations": result.iterations,
-            "converged": result.converged,
+            # a search that stops short raises instead of writing a report
+            "converged": True,
         },
         "optimality": {
             "overall": optimality.overall,
@@ -617,22 +632,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_thread_cap() -> None:
-    raw = os.environ.get("MIXEDCTRL_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise InvalidInputError(
-            f"MIXEDCTRL_THREADS must be a positive integer, got {raw!r}"
-        )
-    # Every solver in this package runs sequentially, so any positive cap
-    # is honored as-is.
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixedctrl",
@@ -649,12 +648,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to a JSON run config")
         p.add_argument("--out", default="out", help="artifact directory (default: out)")
         p.add_argument("--seed", type=int, default=None, help="override the Monte Carlo seed")
-        p.add_argument(
-            "--tol-lambda", type=float, default=None, help="bisection width tolerance"
-        )
-        p.add_argument(
-            "--tol-risk", type=float, default=None, help="risk slack tolerance"
-        )
         p.set_defaults(func=func)
     return parser
 
@@ -666,7 +659,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        _check_thread_cap()
         return args.func(args)
     except InfeasibleProblemError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

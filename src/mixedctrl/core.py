@@ -3,9 +3,10 @@
 A problem backend exposes a Lagrangian oracle: given a nonnegative
 multiplier vector it returns one pure policy that minimizes
 ``cost + lambda . (risk - bound)`` over the backend's policy class.
-Everything downstream (bisection, subgradient ascent, mixture recovery,
-optimality checking) is written against that interface, so the structured
-types here are deliberately small and immutable.
+Everything downstream (the chord dual search, subgradient ascent,
+mixture recovery, optimality checking) is written against that
+interface, so the structured types here are deliberately small and
+immutable.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ class InfeasibleProblemError(MixedControlError):
 
 class NonMonotoneOracleError(MixedControlError):
     """Oracle returned risks that increase with the multiplier."""
+
+
+class SolverLimitError(MixedControlError):
+    """A solver stopped at a work limit before it could certify its answer."""
 
 
 class InvalidPolicyError(MixedControlError):

@@ -2,16 +2,18 @@
 
 The pure-policy problem is relaxed through nonnegative multipliers on the
 expectation constraints; a backend oracle returns the pointwise minimizer
-for any multiplier. For one constraint the optimal multiplier is found by
-bisection on the monotone risk curve; for several, by projected
-subgradient ascent. The final mixture randomizes over the candidates at
-the optimal multiplier so the aggregate meets the bounds exactly.
+for any multiplier. For one constraint the policy class is finite, so the
+dual function is concave and piecewise linear, and chord steps between a
+risky and a safe candidate land on its optimal breakpoint exactly; the
+two are then mixed so the aggregate meets the bound exactly. For several
+constraints, projected subgradient ascent collects a candidate pool and
+a small LP mixes it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,27 +28,36 @@ from .core import (
     MixtureRecoveryError,
     NonMonotoneOracleError,
     PureCandidate,
+    SolverLimitError,
     lagrangian_value,
     mix_costs,
 )
 from .lpsolve import LpProblem, solve_lp
 
 
-@dataclass(frozen=True)
-class ScalarSolveConfig:
-    lambda_max: float = 1e9
-    tol_lambda: float = 1e-6
-    tol_risk: float = 1e-9
-    max_iter: int = 200
+# Doubling gives up at this multiplier: a risk still above the bound there
+# means no policy meets it.
+LAMBDA_MAX = 1e9
+# Rounding slack when checking that risk never rises with the multiplier.
+MONOTONE_TOL = 1e-9
+# An answer whose Lagrangian undercuts the chord endpoints' by no more than
+# this fraction of their costs ties them; anything below is a new vertex.
+TIE_RTOL = 1e-12
+# A finite, exact policy class ties within a few dozen queries; reaching
+# this many means the oracle is neither.
+MAX_QUERIES = 200
 
 
 @dataclass(frozen=True)
 class ScalarDualResult:
-    """Bisection output: optimal multiplier plus the two bracketing candidates.
+    """Dual search output: optimal multiplier plus the two bracketing candidates.
 
-    ``lower`` is the endpoint whose risk is >= the bound (cheap, risky);
-    ``upper`` the endpoint with risk <= the bound (costly, safe).
-    ``iterations`` counts oracle queries.
+    ``lower`` is the endpoint whose risk is above the bound (cheap, risky);
+    ``upper`` the endpoint with risk at or below it (costly, safe). Both
+    minimize the Lagrangian at ``lambda_star``, the slope of the chord
+    between them. When the bound is inactive ``lambda_star`` is zero and
+    both endpoints are the unconstrained minimizer. ``q_star`` is the
+    dual value at ``lambda_star``; ``iterations`` counts oracle queries.
     """
 
     lambda_star: float
@@ -54,7 +65,6 @@ class ScalarDualResult:
     upper: PureCandidate
     q_star: float
     iterations: int
-    converged: bool
 
 
 def _require_scalar(oracle: LagrangianOracle, bounds: Bounds):
@@ -62,81 +72,6 @@ def _require_scalar(oracle: LagrangianOracle, bounds: Bounds):
         raise InvalidInputError(
             f"scalar solver needs K=1, got oracle K={oracle.k_constraints}, bounds K={bounds.k}"
         )
-
-
-def solve_dual_scalar(
-    oracle: LagrangianOracle,
-    bounds: Bounds,
-    config: ScalarSolveConfig | None = None,
-) -> ScalarDualResult:
-    """Maximize the dual function for a single constraint by bisection.
-
-    The risk returned by the oracle is non-increasing in the multiplier,
-    so the bracket [lam_lo, lam_hi] with risk(lam_lo) >= V >= risk(lam_hi)
-    shrinks geometrically. Stops once the bracket is narrower than
-    ``tol_lambda`` or an endpoint risk is within ``tol_risk`` of the bound.
-    """
-    cfg = config or ScalarSolveConfig()
-    _require_scalar(oracle, bounds)
-    v = bounds.values[0]
-    queries = 0
-
-    def ask(lam: float) -> PureCandidate:
-        nonlocal queries
-        queries += 1
-        return oracle.query(DualVector((lam,)))
-
-    mono_tol = max(cfg.tol_risk, 1e-12)
-    cand0 = ask(0.0)
-    if cand0.cost.c1 <= v:
-        q0 = lagrangian_value(cand0.cost, DualVector((0.0,)), bounds)
-        return ScalarDualResult(0.0, cand0, cand0, q0, queries, True)
-
-    lam_lo, cand_lo = 0.0, cand0
-    lam_hi = 1.0
-    cand_hi = ask(lam_hi)
-    while cand_hi.cost.c1 > v:
-        if cand_hi.cost.c1 > cand_lo.cost.c1 + mono_tol:
-            raise NonMonotoneOracleError(
-                f"risk rose from {cand_lo.cost.c1} to {cand_hi.cost.c1} "
-                f"as the multiplier grew from {lam_lo} to {lam_hi}"
-            )
-        if lam_hi >= cfg.lambda_max:
-            raise InfeasibleProblemError(
-                f"risk {cand_hi.cost.c1} still above the bound {v} at the "
-                f"multiplier cap {cfg.lambda_max}; no policy meets the bound"
-            )
-        lam_lo, cand_lo = lam_hi, cand_hi
-        lam_hi = min(lam_hi * 2.0, cfg.lambda_max)
-        cand_hi = ask(lam_hi)
-
-    converged = False
-    while queries < cfg.max_iter:
-        if lam_hi - lam_lo <= cfg.tol_lambda:
-            converged = True
-            break
-        if cand_lo.cost.c1 - v <= cfg.tol_risk or v - cand_hi.cost.c1 <= cfg.tol_risk:
-            converged = True
-            break
-        mid = 0.5 * (lam_lo + lam_hi)
-        cand_mid = ask(mid)
-        if (
-            cand_mid.cost.c1 > cand_lo.cost.c1 + mono_tol
-            or cand_mid.cost.c1 < cand_hi.cost.c1 - mono_tol
-        ):
-            raise NonMonotoneOracleError(
-                f"risk at multiplier {mid} ({cand_mid.cost.c1}) leaves the bracket "
-                f"[{cand_hi.cost.c1}, {cand_lo.cost.c1}]"
-            )
-        if cand_mid.cost.c1 > v:
-            lam_lo, cand_lo = mid, cand_mid
-        else:
-            lam_hi, cand_hi = mid, cand_mid
-
-    lambda_star = 0.5 * (lam_lo + lam_hi)
-    cand_star = ask(lambda_star)
-    q_star = lagrangian_value(cand_star.cost, DualVector((lambda_star,)), bounds)
-    return ScalarDualResult(lambda_star, cand_lo, cand_hi, q_star, queries, converged)
 
 
 def recover_mixture_scalar(
@@ -147,7 +82,7 @@ def recover_mixture_scalar(
     The implied multiplier is the slope between the endpoint cost pairs,
     which is exactly where both are Lagrangian-minimal. ``gap_estimate``
     is the saving of the mixture over the safe endpoint (the best feasible
-    pure candidate the bisection saw).
+    pure candidate the search saw).
     """
     if lower.cost.k != 1 or upper.cost.k != 1 or bounds.k != 1:
         raise InvalidInputError("scalar recovery needs K=1 candidates and bounds")
@@ -170,25 +105,85 @@ def recover_mixture_scalar(
 
 
 def solve_mixed_scalar(
-    oracle: LagrangianOracle,
-    bounds: Bounds,
-    config: ScalarSolveConfig | None = None,
+    oracle: LagrangianOracle, bounds: Bounds
 ) -> tuple[ScalarDualResult, MixedSolution]:
-    """End-to-end single-constraint pipeline: bisection then recovery.
+    """Single-constraint pipeline: exact dual search, then two-point recovery.
 
-    With an inactive constraint the mixture degenerates to the pure
-    minimizer with probability one.
+    An answer at lam = 0 that meets the bound is returned pure. Otherwise
+    lam doubles from 1 until the risk falls to the bound, and chord steps
+    follow (Kelley's cutting plane in one dimension): each query is the
+    slope of the chord between the bracketing candidates, where both have
+    the same Lagrangian. An answer below them is a new vertex of the lower
+    hull of the (c1, c0) points and replaces the endpoint on its side of
+    V; an answer that ties them certifies the chord slope as the optimal
+    multiplier. Raises InfeasibleProblemError when the risk is still above
+    V at LAMBDA_MAX, NonMonotoneOracleError when it rises with lam, and
+    SolverLimitError after MAX_QUERIES queries without a tie.
     """
-    result = solve_dual_scalar(oracle, bounds, config)
-    if result.lambda_star == 0.0:
-        cand = result.upper
-        solution = MixedSolution(((cand, 1.0),), cand.cost, DualVector((0.0,)), 0.0)
-    else:
-        solution = recover_mixture_scalar(result.lower, result.upper, bounds)
-        if result.lower.cost.c1 == result.upper.cost.c1:
-            # endpoints tied at the bound; the chord slope is undefined, so
-            # carry the bisection multiplier instead
-            solution = replace(solution, dual=DualVector((result.lambda_star,)))
+    _require_scalar(oracle, bounds)
+    v = bounds.values[0]
+    queries = 0
+
+    def ask(lam: float) -> PureCandidate:
+        nonlocal queries
+        if queries >= MAX_QUERIES:
+            raise SolverLimitError(
+                f"dual search made {MAX_QUERIES} oracle queries without a tie; "
+                "the oracle is not an exact minimizer over a finite policy class"
+            )
+        queries += 1
+        return oracle.query(DualVector((lam,)))
+
+    cand0 = ask(0.0)
+    if cand0.cost.c1 <= v:
+        zero = DualVector((0.0,))
+        q0 = lagrangian_value(cand0.cost, zero, bounds)
+        solution = MixedSolution(((cand0, 1.0),), cand0.cost, zero, 0.0)
+        return ScalarDualResult(0.0, cand0, cand0, q0, queries), solution
+
+    lam_lo, cand_lo = 0.0, cand0
+    lam_hi = 1.0
+    cand_hi = ask(lam_hi)
+    while cand_hi.cost.c1 > v:
+        if cand_hi.cost.c1 > cand_lo.cost.c1 + MONOTONE_TOL:
+            raise NonMonotoneOracleError(
+                f"risk rose from {cand_lo.cost.c1} to {cand_hi.cost.c1} "
+                f"as the multiplier grew from {lam_lo} to {lam_hi}"
+            )
+        if lam_hi >= LAMBDA_MAX:
+            raise InfeasibleProblemError(
+                f"risk {cand_hi.cost.c1} still above the bound {v} at the "
+                f"multiplier cap {LAMBDA_MAX}; no policy meets the bound"
+            )
+        lam_lo, cand_lo = lam_hi, cand_hi
+        lam_hi = min(lam_hi * 2.0, LAMBDA_MAX)
+        cand_hi = ask(lam_hi)
+
+    while True:
+        lo, hi = cand_lo.cost, cand_hi.cost
+        lam = min(max((hi.c0 - lo.c0) / (lo.c1 - hi.c1), lam_lo), lam_hi)
+        cand = ask(lam)
+        cost = cand.cost
+        if cost.c1 > lo.c1 + MONOTONE_TOL or cost.c1 < hi.c1 - MONOTONE_TOL:
+            raise NonMonotoneOracleError(
+                f"risk at multiplier {lam} ({cost.c1}) leaves the bracket "
+                f"[{hi.c1}, {lo.c1}]"
+            )
+        if cost == lo or cost == hi:
+            break
+        dual = DualVector((lam,))
+        chord = min(lagrangian_value(lo, dual, bounds), lagrangian_value(hi, dual, bounds))
+        tie = TIE_RTOL * (abs(lo.c0) + abs(hi.c0))
+        if lagrangian_value(cost, dual, bounds) >= chord - tie:
+            break
+        if cost.c1 > v:
+            lam_lo, cand_lo = lam, cand
+        else:
+            lam_hi, cand_hi = lam, cand
+
+    solution = recover_mixture_scalar(cand_lo, cand_hi, bounds)
+    q_star = lagrangian_value(cost, solution.dual, bounds)
+    result = ScalarDualResult(solution.dual.values[0], cand_lo, cand_hi, q_star, queries)
     return result, solution
 
 

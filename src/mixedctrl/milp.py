@@ -36,7 +36,7 @@ class MilpProblem:
 
 @dataclass
 class MilpSolution:
-    status: str  # optimal | infeasible | unbounded | suboptimal | bounded
+    status: str  # optimal | infeasible | unbounded | suboptimal
     x: np.ndarray | None = None
     objective: float | None = None
     node_count: int = 0
@@ -60,18 +60,11 @@ def solve_milp(
     problem: MilpProblem,
     abs_gap: float = 1e-6,
     max_nodes: int = 100_000,
-    incumbent_objective: float | None = None,
 ) -> MilpSolution:
     """Minimize (or maximize) with binaries integral to INT_TOL.
 
     ``node_count`` reports how many relaxations were solved. When the node
     budget runs out the best incumbent is returned flagged 'suboptimal'.
-
-    ``incumbent_objective`` is an objective value the caller already knows
-    to be achievable (in the problem's own sense). It prunes every node
-    whose relaxation cannot beat it by more than ``abs_gap``; when the
-    whole tree is pruned that way the result has status 'bounded' and no
-    point, certifying the caller's value as optimal to the gap.
     """
     lp = problem.lp
     maximize = lp.sense == "max"
@@ -95,8 +88,6 @@ def solve_milp(
 
     best_x: np.ndarray | None = None
     best_obj = np.inf
-    if incumbent_objective is not None:
-        best_obj = -incumbent_objective if maximize else incumbent_objective
     nodes = 0
     pivots = 0
     seq = 0
@@ -141,12 +132,7 @@ def solve_milp(
             heapq.heappush(heap, (rel.objective, seq, lo2, hi2))
 
     if best_x is None:
-        if exhausted:
-            status = "suboptimal"
-        elif incumbent_objective is not None:
-            status = "bounded"
-        else:
-            status = "infeasible"
+        status = "suboptimal" if exhausted else "infeasible"
         return MilpSolution(status, node_count=nodes, pivots=pivots)
     status = "suboptimal" if exhausted else "optimal"
     obj = -best_obj if maximize else best_obj

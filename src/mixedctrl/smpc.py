@@ -8,7 +8,10 @@ collision probability is over-approximated by (1) picking one separating
 face per obstacle and step via binaries, (2) bounding the Gaussian tail
 across that face with a piecewise-linear majorant of the normal CDF, and
 (3) summing the pieces with a union bound. That makes the multiplier
-oracle one mixed-binary linear program per query.
+oracle one mixed-binary linear program per query, solved from scratch,
+so each answer depends on the multiplier alone. A program that runs out
+of its node budget raises SolverLimitError; only a program with no
+feasible point is reported as infeasible.
 
 Control effort is the L1 norm of the input sequence, linearized with the
 usual pair of slack inequalities per entry.
@@ -32,6 +35,7 @@ from .core import (
     MixedControlError,
     MixedSolution,
     PureCandidate,
+    SolverLimitError,
     wilson_ci_99,
 )
 from .lpsolve import EQ, GE, LE, LpProblem, solve_lp
@@ -449,13 +453,10 @@ def _risk_terms(model: SmpcModel, covs, pwl: PwlCdf, path: np.ndarray):
 class SmpcOracle(LagrangianOracle):
     """Multiplier oracle solving one mixed-binary program per query.
 
-    Reported costs are recomputed from the extracted control sequence
-    rather than read off the solver objective, so `evaluate` reproduces
-    them exactly. Plans found at earlier multipliers are kept: re-pricing
-    them gives each new solve an achievable incumbent, and when the tree
-    proves nothing beats it the cached plan is returned without a fresh
-    extraction. Bisection queries cluster around the optimal multiplier,
-    so most solves end that way.
+    Each answer is a function of the multiplier alone: every query solves
+    its program from scratch. Reported costs are recomputed from the
+    extracted control sequence rather than read off the solver objective,
+    so `evaluate` reproduces them exactly.
     """
 
     def __init__(
@@ -470,8 +471,6 @@ class SmpcOracle(LagrangianOracle):
         self.milp_gap = milp_gap
         self.max_nodes = max_nodes
         self._covs = propagate_covariance(model)
-        self._plans: list[ControlPlan] = []
-        self._plan_keys: set[bytes] = set()
 
     @property
     def k_constraints(self) -> int:
@@ -482,33 +481,19 @@ class SmpcOracle(LagrangianOracle):
             raise InvalidInputError("this oracle has a single risk channel")
         weight = max(lam.values[0], _RISK_WEIGHT_FLOOR)
         problem, layout = build_inner_milp(self.model, weight, self.pwl)
-        cached: ControlPlan | None = None
-        incumbent = None
-        if self._plans:
-            vals = [p.control_cost + weight * p.risk_bound for p in self._plans]
-            cached = self._plans[int(np.argmin(vals))]
-            incumbent = min(vals) + 1e-10
-        sol = solve_milp(
-            problem,
-            abs_gap=self.milp_gap,
-            max_nodes=self.max_nodes,
-            incumbent_objective=incumbent,
-        )
-        if sol.status == "bounded":
-            assert cached is not None
-            plan = cached
-        elif sol.status == "optimal":
-            big_n, m = self.model.horizon, self.model.dim_u
-            controls = sol.x[layout.u_off : layout.u_off + big_n * m].reshape(big_n, m)
-            plan = self._make_plan(controls)
-            key = plan.controls.tobytes()
-            if key not in self._plan_keys:
-                self._plan_keys.add(key)
-                self._plans.append(plan)
-        else:
+        sol = solve_milp(problem, abs_gap=self.milp_gap, max_nodes=self.max_nodes)
+        if sol.status == "suboptimal":
+            raise SolverLimitError(
+                f"inner problem at multiplier {lam.values[0]:g} used its node budget "
+                f"(max_nodes={self.max_nodes}) before proving a plan optimal"
+            )
+        if sol.status != "optimal":
             raise InfeasibleProblemError(
                 f"inner problem ended {sol.status}: {diagnose_infeasible(self.model)}"
             )
+        big_n, m = self.model.horizon, self.model.dim_u
+        controls = sol.x[layout.u_off : layout.u_off + big_n * m].reshape(big_n, m)
+        plan = self._make_plan(controls)
         return PureCandidate(plan, CostVector(plan.control_cost, (plan.risk_bound,)))
 
     def _make_plan(self, controls: np.ndarray) -> ControlPlan:

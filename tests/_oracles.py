@@ -2,11 +2,14 @@
 
 These deliberately avoid the production code paths: LPs are solved by
 enumerating basis vertices, mixed-binary programs by enumerating binary
-assignments, so agreement with the package solvers is meaningful.
+assignments, and the K=1 dual and mixture optima come from exact
+envelopes and hulls, so agreement with the package solvers is meaningful.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -162,29 +165,46 @@ def random_milp(rng: np.random.Generator, nbin: int = 5, ncont: int = 3, nrow: i
     return lp, tuple(range(nbin))
 
 
+def _crosses_before(a, b, c) -> bool:
+    """For lines a, b, c of strictly falling slope: c meets a no later than b does.
+
+    Lines are exact (slope, intercept) pairs; cross-multiplying keeps the
+    comparison exact.
+    """
+    return (c[1] - a[1]) * (a[0] - b[0]) <= (b[1] - a[1]) * (a[0] - c[0])
+
+
 def brute_scalar_dual(costs, v: float):
     """Exact dual optimum for a finite K=1 candidate set.
 
-    The dual function is piecewise linear and concave in the multiplier,
-    so its maximum sits at zero or at a crossing of two candidate lines.
-    Enumerating those crossings gives the exact value, unlike a fixed grid.
+    The dual function q(lam) = min c0 + lam * (c1 - v) is the lower
+    envelope of one line per candidate: concave and piecewise linear, so
+    its maximum over lam >= 0 sits at zero or at a breakpoint of the
+    envelope. The envelope comes from sorting the lines by slope and
+    keeping each line that beats its neighbours somewhere, O(n log n), in
+    exact rational arithmetic. Returns (q*, lam*) with the smallest
+    maximizing lam*, or (inf, inf) when every candidate is above v.
     """
-    import math
-
-    def q(lam: float) -> float:
-        return min(c.c0 + lam * (c.c1 - v) for c in costs)
-
-    lambdas = [0.0]
-    n = len(costs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = costs[i].c1 - costs[j].c1
-            if d != 0.0:
-                lam = (costs[j].c0 - costs[i].c0) / d
-                if lam > 0.0 and math.isfinite(lam):
-                    lambdas.append(lam)
-    best = max(lambdas, key=q)
-    return q(best), best
+    lines = sorted(
+        {(Fraction(c.c1) - Fraction(v), Fraction(c.c0)) for c in costs},
+        key=lambda line: (-line[0], line[1]),
+    )
+    hull = []  # envelope lines in order of growing lam, so falling slope
+    for line in lines:
+        if hull and hull[-1][0] == line[0]:
+            continue  # same slope, higher intercept: never below
+        while len(hull) >= 2 and _crosses_before(hull[-2], hull[-1], line):
+            hull.pop()
+        hull.append(line)
+    if hull[-1][0] > 0:
+        return math.inf, math.inf
+    best_q, best_lam = min(b for _, b in hull), Fraction(0)
+    for a, b in zip(hull, hull[1:]):
+        lam = (b[1] - a[1]) / (a[0] - b[0])
+        q = a[1] + lam * a[0]
+        if lam > 0 and q > best_q:
+            best_q, best_lam = q, lam
+    return float(best_q), float(best_lam)
 
 
 def brute_pure_best(costs, v: float):
@@ -194,22 +214,33 @@ def brute_pure_best(costs, v: float):
 
 
 def brute_mixed_lp(costs, v: float):
-    """Optimal mixture cost over all candidates via one LP."""
-    import numpy as np
+    """Optimal mixture cost over all candidates, or None when none meets v.
 
-    from mixedctrl.lpsolve import LpProblem, solve_lp
-
-    n = len(costs)
-    lp = LpProblem(
-        objective=np.array([c.c0 for c in costs]),
-        lhs=np.vstack([[c.c1 for c in costs], np.ones(n)]),
-        senses=("<=", "="),
-        rhs=np.array([v, 1.0]),
-        lower=np.zeros(n),
-        upper=np.full(n, np.inf),
-    )
-    sol = solve_lp(lp)
-    return sol.objective if sol.status == "optimal" else None
+    The mixtures of the candidates reach exactly the convex hull of their
+    (c1, c0) points, so the cheapest mixture with risk at most v lies on
+    the lower hull: at v while the hull still falls there, else at the
+    cheapest point. The lower hull is a monotone chain in exact rational
+    arithmetic, so no LP solver is involved.
+    """
+    points = sorted({(Fraction(c.c1), Fraction(c.c0)) for c in costs})
+    v = Fraction(v)
+    if v < points[0][0]:
+        return None
+    hull = []
+    for p in points:
+        while len(hull) >= 2 and (
+            (hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+            <= (hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append(p)
+    cheapest = min(hull, key=lambda p: (p[1], p[0]))
+    if v >= cheapest[0]:
+        return float(cheapest[1])
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
+        if x0 <= v <= x1:
+            return float(y0 + (y1 - y0) * (v - x0) / (x1 - x0))
+    raise AssertionError("v lies left of the cheapest hull point, so a segment holds it")
 
 
 def random_tiny_mdp(rng: np.random.Generator, max_policies: int = 1500):

@@ -72,6 +72,13 @@ def test_config_validation_failures_exit_2(tmp_path, capsys):
         _toy_config(policies=[[1.0]]),
         {"schema": 1, "kind": "grid", "map": "missing.map", "horizon": 3,
          "max_step": 2, "sigma": 0.5, "risk_bound": 0.1},
+        _toy_config(risk_bound=-0.01),
+        _toy_config(risk_bound=1.5),
+        _toy_config(risk_bound=float("nan")),
+        _toy_config(risk_bound=float("inf")),
+        _toy_config(risk_bound="0.01"),
+        _toy_config(risk_bound=True),
+        _toy_config(solver={"tol_lambda": 1e-6, "max_depth": 3}),
     ]
     for i, config in enumerate(cases):
         path = _write(tmp_path, f"bad_{i}.json", config)
@@ -204,13 +211,32 @@ def test_sweep_samples_the_dual_function(tmp_path):
     assert values[0] == pytest.approx(10.0)
 
 
-def test_thread_cap_env_is_validated(tmp_path, capsys, monkeypatch):
-    config = _write(tmp_path, "toy.json", _toy_config())
-    monkeypatch.setenv("MIXEDCTRL_THREADS", "0")
-    assert main(["solve", str(config), "--out", str(tmp_path / "a")]) == 2
-    assert "MIXEDCTRL_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("MIXEDCTRL_THREADS", "4")
-    assert main(["solve", str(config), "--out", str(tmp_path / "b")]) == 0
+def test_deprecated_solver_section_is_ignored_with_one_warning(tmp_path, capsys):
+    legacy = {"lambda_max": 1e6, "tol_lambda": 1e-3, "tol_risk": 1e-4, "max_iter": 5}
+    plain = _write(tmp_path, "plain.json", _toy_config())
+    old = _write(tmp_path, "old.json", _toy_config(solver=legacy))
+    assert main(["solve", str(plain), "--out", str(tmp_path / "plain")]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(old), "--out", str(tmp_path / "old")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    warnings = [line for line in err if line.startswith("warning:")]
+    assert len(warnings) == 1 and "deprecated" in warnings[0]
+    for artifact in ("report.json", "dual_trace.csv"):
+        assert (tmp_path / "plain" / artifact).read_bytes() == (
+            tmp_path / "old" / artifact
+        ).read_bytes()
+
+
+def test_smpc_node_budget_exits_1_naming_max_nodes(tmp_path, capsys):
+    config = json.loads((CONFIGS / "corridor.json").read_text(encoding="utf-8"))
+    config["max_nodes"] = 3
+    path = _write(tmp_path, "corridor.json", config)
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "max_nodes=3" in err
+    assert "infeasible" not in err and "obstacle" not in err
+    assert not out.exists()
 
 
 def test_seed_flag_overrides_the_config(tmp_path):

@@ -17,12 +17,10 @@ from mixedctrl.core import (
     mix_costs,
 )
 from mixedctrl.dual import (
-    ScalarSolveConfig,
     SubgradientConfig,
     check_optimality,
     recover_mixture_general,
     recover_mixture_scalar,
-    solve_dual_scalar,
     solve_dual_subgradient,
     solve_mixed_scalar,
 )
@@ -57,8 +55,9 @@ def _finite(points, v):
 def test_toy_pipeline_exact():
     oracle = toy_oracle()
     result, solution = solve_mixed_scalar(oracle, oracle.bounds)
-    assert result.converged
-    assert result.lambda_star == pytest.approx(1000.0, abs=1e-3)
+    # the chord slope between (10, 0.015) and (20, 0.005)
+    assert result.lambda_star == pytest.approx(1000.0, rel=1e-12)
+    assert result.lambda_star == solution.dual.values[0]
     assert solution.probabilities == pytest.approx((0.5, 0.5), abs=1e-9)
     assert solution.aggregate.c0 == pytest.approx(15.0, abs=1e-9)
     assert solution.aggregate.c1 == pytest.approx(0.01, abs=1e-9)
@@ -72,8 +71,8 @@ def test_three_point_kink():
     q_ref, lam_ref = brute_scalar_dual(oracle.costs, 0.01)
     assert lam_ref == pytest.approx(300.0, abs=1e-9)
     assert q_ref == pytest.approx(9.0, abs=1e-12)
-    assert result.lambda_star == pytest.approx(300.0, abs=1e-3)
-    assert result.q_star == pytest.approx(9.0, abs=1e-3)
+    assert result.lambda_star == pytest.approx(300.0, rel=1e-12)
+    assert result.q_star == pytest.approx(9.0, rel=1e-12)
     # mixture spans the middle and safe candidates
     assert solution.probabilities == pytest.approx((0.5, 0.5), abs=1e-9)
     assert solution.aggregate.c0 == pytest.approx(9.0, abs=1e-9)
@@ -94,7 +93,7 @@ def test_inactive_bound_returns_pure():
 def test_infeasible_bound_raises():
     oracle = _finite([(5.0, 0.05), (9.0, 0.02)], 0.001)
     with pytest.raises(InfeasibleProblemError):
-        solve_dual_scalar(oracle, oracle.bounds, ScalarSolveConfig(lambda_max=1e6))
+        solve_mixed_scalar(oracle, oracle.bounds)
 
 
 def test_non_monotone_oracle_detected():
@@ -107,12 +106,12 @@ def test_non_monotone_oracle_detected():
             return PureCandidate(None, CostVector(1.0, (risk,)))
 
     with pytest.raises(NonMonotoneOracleError):
-        solve_dual_scalar(Lying(), Bounds((0.01,)))
+        solve_mixed_scalar(Lying(), Bounds((0.01,)))
 
 
 def test_bisection_bracket_invariant():
     traced = _Tracing(_finite([(3.0, 0.04), (6.0, 0.02), (12.0, 0.0)], 0.01))
-    solve_dual_scalar(traced, traced.inner.bounds)
+    solve_mixed_scalar(traced, traced.inner.bounds)
     by_lambda = sorted(traced.trace)
     risks = [r for _, r in by_lambda]
     assert all(a >= b - 1e-12 for a, b in zip(risks, risks[1:]))

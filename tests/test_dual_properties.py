@@ -1,0 +1,130 @@
+"""Property tests of the K=1 dual search against exact references.
+
+Finite candidate sets are drawn on small integer grids so that ties at
+the bound, duplicate cost vectors, equal risks and bounds on a vertex
+come up often; a cost offset of 1e6 checks that the tie test scales with
+the costs. The references in ``_oracles`` share no code with the solver.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from _oracles import brute_mixed_lp, brute_scalar_dual
+from mixedctrl.core import (
+    Bounds,
+    CostVector,
+    DualVector,
+    InfeasibleProblemError,
+    PureCandidate,
+    SolverLimitError,
+)
+from mixedctrl.dual import MAX_QUERIES, check_optimality, solve_mixed_scalar
+from mixedctrl.scenarios import FiniteSetOracle
+from mixedctrl.smpc import Obstacle, SmpcModel, SmpcOracle, build_pwl_cdf
+
+# (cost offset, cost step): unit costs, and costs around 1e6 with coarse
+# and fine differences
+_SCALES = ((0.0, 1.0), (1e6, 1.0), (1e6, 1e-3))
+
+
+@st.composite
+def finite_sets(draw):
+    offset, step = draw(st.sampled_from(_SCALES))
+    grid = draw(
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 8)), min_size=1, max_size=8)
+    )
+    costs = [CostVector(offset + i * step, (j / 100,)) for i, j in grid]
+    # on a vertex risk, or between grid risks
+    v = draw(st.sampled_from([c.c1 for c in costs])) + draw(st.sampled_from((0.0, 0.0037)))
+    return costs, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_sets())
+def test_mixture_matches_exact_references(case):
+    costs, v = case
+    bounds = Bounds((v,))
+    oracle = FiniteSetOracle(costs, bounds)
+    result, solution = solve_mixed_scalar(oracle, bounds)
+
+    q_ref, _ = brute_scalar_dual(costs, v)
+    mixed_ref = brute_mixed_lp(costs, v)
+    tol = 1e-9 * max(1.0, abs(q_ref))
+    assert solution.aggregate.c0 == pytest.approx(q_ref, abs=tol)
+    assert solution.aggregate.c0 == pytest.approx(mixed_ref, abs=tol)
+    assert solution.aggregate.c1 <= v + 1e-12
+    assert len(solution.components) <= 2
+    # the reported multiplier is the certificate's, and it is dual optimal
+    assert result.lambda_star == solution.dual.values[0]
+    lam = result.lambda_star
+    assert min(c.c0 + lam * (c.c1 - v) for c in costs) == pytest.approx(q_ref, abs=tol)
+    assert result.q_star == pytest.approx(q_ref, abs=tol)
+    assert check_optimality(solution, bounds, oracle, tol=tol).overall
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_sets(), st.integers(1, 5))
+def test_bound_below_every_risk_is_infeasible(case, below):
+    costs, _ = case
+    v = min(c.c1 for c in costs) - below / 1000
+    bounds = Bounds((v,))
+    with pytest.raises(InfeasibleProblemError):
+        solve_mixed_scalar(FiniteSetOracle(costs, bounds), bounds)
+
+
+class _NeverTies:
+    """Risk falls with the multiplier, but each answer costs ten times less
+    than the one before, so its Lagrangian undercuts every earlier answer
+    and no query at a chord slope ever ties the endpoints."""
+
+    k_constraints = 1
+
+    def __init__(self):
+        self.queries = 0
+
+    def query(self, lam):
+        self.queries += 1
+        risk = 1.0 / (1.0 + lam.values[0])
+        return PureCandidate(None, CostVector(-(10.0**self.queries), (risk,)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.01, 0.5))
+def test_oracle_that_never_ties_hits_the_query_cap(v):
+    oracle = _NeverTies()
+    with pytest.raises(SolverLimitError):
+        solve_mixed_scalar(oracle, Bounds((v,)))
+    assert oracle.queries == MAX_QUERIES
+
+
+def _line_oracle() -> SmpcOracle:
+    model = SmpcModel(
+        a_mat=[[1.0]],
+        b_mat=[[1.0]],
+        sigma_w=[[0.0004]],
+        horizon=3,
+        x_init=[0.0],
+        x_goal=[2.0],
+        u_lower=[-1.5],
+        u_upper=[1.5],
+        obstacles=(Obstacle([[1.0]], [1.2]),),
+    )
+    return SmpcOracle(model, build_pwl_cdf(8))
+
+
+_multipliers = st.floats(0.0, 200.0, allow_nan=False)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_multipliers, max_size=4), _multipliers)
+def test_smpc_answer_depends_on_the_multiplier_alone(history, lam):
+    warmed = _line_oracle()
+    for earlier in history:
+        warmed.query(DualVector((earlier,)))
+    warm = warmed.query(DualVector((lam,)))
+    fresh = _line_oracle().query(DualVector((lam,)))
+    assert warm.policy.controls.tobytes() == fresh.policy.controls.tobytes()
+    assert warm.cost == fresh.cost

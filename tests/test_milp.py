@@ -83,27 +83,3 @@ def test_deterministic_resolve():
     assert a.node_count == b.node_count
     assert a.x.tobytes() == b.x.tobytes()
 
-
-def test_known_incumbent_bounds_the_search():
-    problem = _knapsack()
-    # the optimum itself as incumbent: nothing can beat it, so the
-    # search only certifies and hands back no point
-    certified = solve_milp(problem, incumbent_objective=9.0)
-    assert certified.status == "bounded"
-    assert certified.x is None
-    # a loose incumbent still lets the true optimum through
-    loose = solve_milp(problem, incumbent_objective=7.5)
-    assert loose.status == "optimal"
-    assert loose.objective == pytest.approx(9.0, abs=1e-9)
-    # certifying prunes at least as hard as solving cold
-    assert certified.node_count <= solve_milp(problem).node_count
-
-
-def test_incumbent_bound_respects_abs_gap():
-    problem = _knapsack()
-    sol = solve_milp(problem, abs_gap=0.5, incumbent_objective=8.8)
-    # 9.0 beats 8.8 by less than the gap, so it is not worth returning
-    assert sol.status == "bounded"
-    sol = solve_milp(problem, abs_gap=1e-9, incumbent_objective=8.8)
-    assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(9.0, abs=1e-9)
