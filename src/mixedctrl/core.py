@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
+
+from scipy.special import bdtr, bdtrc
 
 # Default tolerances. Probability-style sums are checked at PROB_TOL;
 # mixture identities (weighted-sum bookkeeping) at MIX_TOL.
@@ -253,3 +256,20 @@ def wilson_ci_99(successes: int, n: int) -> tuple[float, float]:
     center = (ph + z2 / (2 * n)) / denom
     half = _Z99 * math.sqrt(ph * (1 - ph) / n + z2 / (4 * n * n)) / denom
     return max(0.0, center - half), min(1.0, center + half)
+
+
+def binomial_acceptance(rate: float, n: int, false_alarm: float) -> tuple[int, int]:
+    """Failure counts (lo, hi) that n draws at ``rate`` leave with
+    probability at most ``false_alarm``, at most half of it on each side.
+
+    The tails are exact binomial sums, so the stated rate holds for any n
+    and rate; a normal-approximation interval misses it by orders of
+    magnitude when few failures are expected.
+    """
+    if n <= 0 or not 0.0 <= rate <= 1.0:
+        raise InvalidInputError(f"need n >= 1 draws at a rate in [0, 1], got {n} at {rate}")
+    half = false_alarm / 2
+    counts = range(n + 1)  # both tail tests below are monotone and hold at n
+    lo = bisect_left(counts, True, key=lambda k: bdtr(k, n, rate) > half)
+    hi = bisect_left(counts, True, key=lambda k: bdtrc(k, n, rate) <= half)
+    return lo, hi

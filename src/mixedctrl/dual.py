@@ -269,8 +269,9 @@ def recover_mixture_general(
     Keeps candidates within ``tol`` of the pool's minimal penalized cost,
     then solves a small LP for mixing weights: weights sum to one, every
     aggregate channel respects its bound, and channels whose multiplier
-    exceeds ``tol`` are forced to equality. The simplex vertex keeps the
-    support at K+1 points or fewer. Raises MixtureRecoveryError (carrying
+    exceeds ``tol`` are forced to equality. `solve_lp` returns a basic
+    solution of that LP (HiGHS's dual simplex), which keeps the support at
+    K+1 points or fewer. Raises MixtureRecoveryError (carrying
     the pool) when no feasible weights exist; the caller should re-query
     the oracle near ``lam`` and retry with the enlarged pool.
     """

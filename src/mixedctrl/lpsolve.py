@@ -1,11 +1,11 @@
-"""Dense linear-programming solver: two-phase primal simplex.
+"""Linear programs on HiGHS's dual revised simplex (Huangfu & Hall 2018).
 
-Instances here are small (hundreds of rows), so a plain dense tableau is
-simpler to verify than a revised method and fast enough. General bounds,
-equalities and a max/min switch are normalized to standard form
-``min c.y, Ay = b, y >= 0`` before pivoting. Pricing is most-negative
-reduced cost with a fallback to Bland's rule on degenerate stalls, so the
-pivot sequence is deterministic and provably cycle-free.
+`solve_lp` hands an `LpProblem` to ``scipy.optimize.linprog`` with
+``method="highs-ds"``, the copy of HiGHS (https://highs.dev) that ships
+with scipy, and gets back a basic solution. `HIGHS_TOLERANCES`, shared
+with `milp.solve_milp`, tightens HiGHS's default feasibility tolerance of
+1e-7, at which a risk term of the SMPC inner program can undercut its
+chord rows enough to make the risk rise with the multiplier.
 """
 
 from __future__ import annotations
@@ -13,12 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .core import InvalidInputError, MixedControlError
 
-PIVOT_TOL = 1e-9
-FEAS_TOL = 1e-7
-_MAX_PIVOTS = 500_000
+HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# scipy folds HiGHS's model statuses into five codes: 0 optimal, 1 time or
+# iteration limit, 2 infeasible, 3 unbounded, 4 anything else (a numerical
+# failure, "infeasible or unbounded", and for a MILP the node limit)
+SCIPY_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -77,224 +80,28 @@ class LpSolution:
     status: str  # optimal | infeasible | unbounded
     x: np.ndarray | None = None
     objective: float | None = None
-    pivots: int = field(default=0, repr=False)
-
-
-def _to_standard_form(p: LpProblem):
-    """Shift/mirror/split variables so every standard column is >= 0.
-
-    Returns (cost, rows, senses, rhs, const, recipes) where recipes map
-    standard columns back onto the original variables.
-    """
-    n = p.num_vars
-    cost_in = p.objective if p.sense == "min" else -p.objective
-    cols: list[np.ndarray] = []
-    cost: list[float] = []
-    recipes: list[tuple] = []
-    extra_rows: list[np.ndarray] = []
-    extra_rhs: list[float] = []
-    rhs_shift = np.zeros(p.num_rows)
-    const = 0.0
-
-    for j in range(n):
-        lo, hi, a_j, c_j = p.lower[j], p.upper[j], p.lhs[:, j], cost_in[j]
-        if np.isfinite(lo) and np.isfinite(hi) and lo == hi:
-            rhs_shift += a_j * lo
-            const += c_j * lo
-            recipes.append(("fixed", lo))
-        elif np.isfinite(lo):
-            col = len(cols)
-            cols.append(a_j)
-            cost.append(c_j)
-            rhs_shift += a_j * lo
-            const += c_j * lo
-            recipes.append(("shift", col, lo))
-            if np.isfinite(hi):
-                extra_rows.append((col, 1.0))
-                extra_rhs.append(hi - lo)
-        elif np.isfinite(hi):
-            col = len(cols)
-            cols.append(-a_j)
-            cost.append(-c_j)
-            rhs_shift += a_j * hi
-            const += c_j * hi
-            recipes.append(("mirror", col, hi))
-        else:
-            cp, cn = len(cols), len(cols) + 1
-            cols.append(a_j)
-            cols.append(-a_j)
-            cost.append(c_j)
-            cost.append(-c_j)
-            recipes.append(("split", cp, cn))
-
-    ncols = len(cols)
-    rows = np.column_stack(cols) if ncols else np.zeros((p.num_rows, 0))
-    rhs = p.rhs - rhs_shift
-    senses = list(p.senses)
-    for (col, coef), ub in zip(extra_rows, extra_rhs):
-        r = np.zeros(ncols)
-        r[col] = coef
-        rows = np.vstack([rows, r])
-        rhs = np.append(rhs, ub)
-        senses.append(LE)
-    return np.array(cost), rows, senses, rhs, const, recipes
-
-
-def _pivot(tab: np.ndarray, row: int, col: int):
-    tab[row] /= tab[row, col]
-    factors = tab[:, col].copy()
-    factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
-    # keep the pivot column numerically clean
-    tab[:, col] = 0.0
-    tab[row, col] = 1.0
-
-
-_STALL_LIMIT = 64
-
-
-def _run_simplex(tab: np.ndarray, basis: np.ndarray, num_cols: int, budget: list[int]):
-    """Minimize the objective in the last tableau row over columns < num_cols.
-
-    Returns 'optimal' or 'unbounded'. The entering column is picked by the
-    most-negative reduced cost; after _STALL_LIMIT consecutive degenerate
-    pivots the choice drops to Bland's rule, which guarantees escape from
-    cycling, and reverts once the objective strictly improves. The leaving
-    row always breaks ratio ties by lowest basis index, so every pivot is
-    deterministic.
-    """
-    m = tab.shape[0] - 1
-    stalled = 0
-    while True:
-        red = tab[-1, :num_cols]
-        eligible = np.flatnonzero(red < -PIVOT_TOL)
-        if eligible.size == 0:
-            return "optimal"
-        if stalled >= _STALL_LIMIT:
-            enter = int(eligible[0])
-        else:
-            enter = int(eligible[np.argmin(red[eligible])])
-        col = tab[:m, enter]
-        pos = np.flatnonzero(col > PIVOT_TOL)
-        if pos.size == 0:
-            return "unbounded"
-        ratios = tab[pos, -1] / col[pos]
-        rmin = ratios.min()
-        near = pos[ratios <= rmin + 1e-12 * (1.0 + abs(rmin))]
-        leave = int(near[np.argmin(basis[near])])
-        _pivot(tab, leave, enter)
-        basis[leave] = enter
-        stalled = stalled + 1 if rmin <= 1e-12 else 0
-        budget[0] += 1
-        if budget[0] > _MAX_PIVOTS:
-            raise MixedControlError("simplex exceeded the pivot budget")
+    pivots: int = field(default=0, repr=False)  # HiGHS simplex iterations
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve an LP exactly (to tableau arithmetic) with two-phase simplex.
-
-    Infeasibility is decided by a strictly positive phase-one optimum
-    (> FEAS_TOL); unboundedness by an entering column with no positive
-    pivot entry in phase two.
-    """
-    cost, rows, senses, rhs, const, recipes = _to_standard_form(problem)
-    m, nstruct = rows.shape
-
-    # orient every row with a nonnegative right-hand side
-    rows = rows.copy()
-    rhs = rhs.copy()
-    flip = {LE: GE, GE: LE, EQ: EQ}
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = -rows[i]
-            rhs[i] = -rhs[i]
-            senses[i] = flip[senses[i]]
-
-    # slack / surplus / artificial bookkeeping
-    slack_cols = []
-    art_rows = []
-    for i, s in enumerate(senses):
-        if s == LE:
-            slack_cols.append((i, 1.0))
-        elif s == GE:
-            slack_cols.append((i, -1.0))
-            art_rows.append(i)
-        else:
-            art_rows.append(i)
-    nslack = len(slack_cols)
-    nart = len(art_rows)
-    ncols = nstruct + nslack + nart
-
-    tab = np.zeros((m + 1, ncols + 1))
-    tab[:m, :nstruct] = rows
-    tab[:m, -1] = rhs
-    basis = np.full(m, -1, dtype=int)
-    for idx, (i, sign) in enumerate(slack_cols):
-        tab[i, nstruct + idx] = sign
-        if sign > 0:
-            basis[i] = nstruct + idx
-    for idx, i in enumerate(art_rows):
-        tab[i, nstruct + nslack + idx] = 1.0
-        basis[i] = nstruct + nslack + idx
-
-    budget = [0]
-    if nart:
-        # phase one: minimize the sum of artificials
-        tab[-1, :] = 0.0
-        tab[-1, nstruct + nslack : ncols] = 1.0
-        for i in art_rows:
-            tab[-1] -= tab[i]
-        status = _run_simplex(tab, basis, ncols, budget)
-        if status != "optimal" or -tab[-1, -1] > FEAS_TOL:
-            return LpSolution("infeasible", pivots=budget[0])
-        # drive leftover artificials out of the basis; drop redundant rows
-        art_lo = nstruct + nslack
-        keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= art_lo:
-                pivot_col = -1
-                for j in range(art_lo):
-                    if abs(tab[i, j]) > PIVOT_TOL:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    _pivot(tab, i, pivot_col)
-                    basis[i] = pivot_col
-                else:
-                    keep[i] = False
-        if not keep.all():
-            tab = np.vstack([tab[:m][keep], tab[-1:]])
-            basis = basis[keep]
-            m = int(keep.sum())
-
-    # phase two over structural + slack columns only
-    num_cols = nstruct + nslack
-    tab[-1, :] = 0.0
-    tab[-1, :nstruct] = cost
-    for i in range(m):
-        if basis[i] < nstruct and cost[basis[i]] != 0.0:
-            tab[-1] -= cost[basis[i]] * tab[i]
-    status = _run_simplex(tab, basis, num_cols, budget)
-    if status == "unbounded":
-        return LpSolution("unbounded", pivots=budget[0])
-
-    y = np.zeros(max(num_cols, nstruct))
-    for i in range(m):
-        if basis[i] < num_cols:
-            y[basis[i]] = tab[i, -1]
-
-    x = np.zeros(problem.num_vars)
-    for j, recipe in enumerate(recipes):
-        kind = recipe[0]
-        if kind == "fixed":
-            x[j] = recipe[1]
-        elif kind == "shift":
-            x[j] = y[recipe[1]] + recipe[2]
-        elif kind == "mirror":
-            x[j] = recipe[2] - y[recipe[1]]
-        else:
-            x[j] = y[recipe[1]] - y[recipe[2]]
-    obj = float(cost @ y[:nstruct] + const)
-    if problem.sense == "max":
-        obj = -obj
-    return LpSolution("optimal", x=x, objective=obj, pivots=budget[0])
+    """Solve an LP; any outcome but the three statuses raises MixedControlError."""
+    sign = 1.0 if problem.sense == "min" else -1.0
+    senses = np.array(problem.senses)
+    flip = np.where(senses == GE, -1.0, 1.0)
+    ub = senses != EQ
+    res = linprog(
+        sign * problem.objective,
+        A_ub=(problem.lhs * flip[:, None])[ub],
+        b_ub=(problem.rhs * flip)[ub],
+        A_eq=problem.lhs[~ub],
+        b_eq=problem.rhs[~ub],
+        bounds=np.column_stack([problem.lower, problem.upper]),
+        method="highs-ds",
+        options=HIGHS_TOLERANCES,
+    )
+    status = SCIPY_STATUS.get(res.status)
+    if status is None:
+        raise MixedControlError(f"HiGHS stopped without an answer: {res.message}")
+    if status != "optimal":
+        return LpSolution(status, pivots=res.nit)
+    return LpSolution(status, x=res.x, objective=sign * res.fun, pivots=res.nit)

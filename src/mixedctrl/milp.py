@@ -1,23 +1,22 @@
-"""Branch and bound for mixed-binary linear programs.
+"""Mixed-binary linear programs on HiGHS's branch and cut.
 
-Nodes are explored best-first by relaxation bound; branching picks the
-most fractional binary (ties to the lowest index) and children re-solve
-the relaxation from scratch with tightened bounds. The incumbent is
-accepted once every open node's bound is within ``abs_gap`` of it, so the
-returned objective is optimal to that absolute gap.
+`solve_milp` hands a `MilpProblem` to ``scipy.optimize.milp`` with the
+tolerances of `lpsolve.HIGHS_TOLERANCES`. The search stops once the
+incumbent is within ``abs_gap`` of the best bound (no relative gap) or
+after ``max_nodes`` nodes.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .core import InvalidInputError
-from .lpsolve import LpProblem, LpSolution, solve_lp
-
-INT_TOL = 1e-6
+from .core import InvalidInputError, MixedControlError
+# `solve_lp` is re-exported: tracing wraps `mixedctrl.milp.solve_lp` by name
+from .lpsolve import GE, HIGHS_TOLERANCES, LE, SCIPY_STATUS, LpProblem, solve_lp  # noqa: F401
 
 
 @dataclass(eq=False)
@@ -39,21 +38,7 @@ class MilpSolution:
     status: str  # optimal | infeasible | unbounded | suboptimal
     x: np.ndarray | None = None
     objective: float | None = None
-    node_count: int = 0
-    pivots: int = field(default=0, repr=False)
-
-
-def _relax(lp: LpProblem, lower: np.ndarray, upper: np.ndarray) -> LpSolution:
-    node_lp = LpProblem(
-        objective=lp.objective,
-        lhs=lp.lhs,
-        senses=lp.senses,
-        rhs=lp.rhs,
-        lower=lower,
-        upper=upper,
-        sense="min",
-    )
-    return solve_lp(node_lp)
+    node_count: int = 0  # HiGHS's mip_node_count
 
 
 def solve_milp(
@@ -61,79 +46,50 @@ def solve_milp(
     abs_gap: float = 1e-6,
     max_nodes: int = 100_000,
 ) -> MilpSolution:
-    """Minimize (or maximize) with binaries integral to INT_TOL.
+    """Minimize (or maximize) with the binaries in {0, 1}.
 
-    ``node_count`` reports how many relaxations were solved. When the node
-    budget runs out the best incumbent is returned flagged 'suboptimal'.
+    A node or time limit reports ``suboptimal``, with the incumbent if
+    there is one; any outcome but the four statuses raises
+    MixedControlError.
     """
     lp = problem.lp
-    maximize = lp.sense == "max"
-    work = lp if not maximize else LpProblem(
-        objective=-lp.objective,
-        lhs=lp.lhs,
-        senses=lp.senses,
-        rhs=lp.rhs,
-        lower=lp.lower,
-        upper=lp.upper,
-        sense="min",
+    sign = 1.0 if lp.sense == "min" else -1.0
+    bins = list(problem.binary)
+    lower, upper = lp.lower.copy(), lp.upper.copy()
+    lower[bins] = np.maximum(lower[bins], 0.0)
+    upper[bins] = np.minimum(upper[bins], 1.0)
+    if np.any(lower > upper):
+        return MilpSolution("infeasible")
+    integrality = np.zeros(lp.num_vars)
+    integrality[bins] = 1
+    senses = np.array(lp.senses)
+    rows = LinearConstraint(
+        lp.lhs, np.where(senses == LE, -np.inf, lp.rhs), np.where(senses == GE, np.inf, lp.rhs)
     )
-    lower = work.lower.copy()
-    upper = work.upper.copy()
-    bins = np.array(problem.binary, dtype=int)
-    if bins.size:
-        lower[bins] = np.maximum(lower[bins], 0.0)
-        upper[bins] = np.minimum(upper[bins], 1.0)
-        if np.any(lower[bins] > upper[bins]):
-            return MilpSolution("infeasible")
-
-    best_x: np.ndarray | None = None
-    best_obj = np.inf
-    nodes = 0
-    pivots = 0
-    seq = 0
-    heap: list[tuple[float, int, np.ndarray, np.ndarray]] = []
-    heapq.heappush(heap, (-np.inf, seq, lower, upper))
-    exhausted = False
-
-    while heap:
-        bound, _, lo, hi = heapq.heappop(heap)
-        if bound >= best_obj - abs_gap:
-            break
-        if nodes >= max_nodes:
-            exhausted = True
-            break
-        rel = _relax(work, lo, hi)
-        nodes += 1
-        pivots += rel.pivots
-        if rel.status == "infeasible":
-            continue
-        if rel.status == "unbounded":
-            return MilpSolution("unbounded", node_count=nodes, pivots=pivots)
-        assert rel.objective is not None and rel.x is not None
-        if rel.objective >= best_obj - abs_gap:
-            continue
-        if bins.size:
-            frac = np.abs(rel.x[bins] - np.round(rel.x[bins]))
-        else:
-            frac = np.zeros(0)
-        if frac.size == 0 or frac.max() <= INT_TOL:
-            if rel.objective < best_obj:
-                best_obj = rel.objective
-                best_x = rel.x
-            continue
-        j = bins[int(np.argmax(frac))]  # argmax ties resolve to the lowest index
-        for fixed in (0.0, 1.0):
-            if not (lo[j] <= fixed <= hi[j]):
-                continue
-            lo2, hi2 = lo.copy(), hi.copy()
-            lo2[j] = fixed
-            hi2[j] = fixed
-            seq += 1
-            heapq.heappush(heap, (rel.objective, seq, lo2, hi2))
-
-    if best_x is None:
-        status = "suboptimal" if exhausted else "infeasible"
-        return MilpSolution(status, node_count=nodes, pivots=pivots)
-    status = "suboptimal" if exhausted else "optimal"
-    obj = -best_obj if maximize else best_obj
-    return MilpSolution(status, x=best_x, objective=obj, node_count=nodes, pivots=pivots)
+    options = {
+        **HIGHS_TOLERANCES,
+        "mip_feasibility_tolerance": HIGHS_TOLERANCES["primal_feasibility_tolerance"],
+        "mip_rel_gap": 0.0,
+        "mip_abs_gap": abs_gap,
+        "node_limit": max_nodes,
+    }
+    with warnings.catch_warnings():
+        # scipy passes the HiGHS option names it does not know through, with a warning
+        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+        res = milp(
+            sign * lp.objective,
+            integrality=integrality,
+            bounds=Bounds(lower, upper),
+            constraints=rows,
+            options=options,
+        )
+    nodes = int(res.mip_node_count or 0)
+    status = {**SCIPY_STATUS, 1: "suboptimal"}.get(res.status)
+    if res.status == 4 and nodes >= max_nodes:
+        # HiGHS's node limit is its "solution limit", which scipy reports as 4
+        status = "suboptimal"
+    if status is None:
+        raise MixedControlError(f"HiGHS stopped without an answer: {res.message}")
+    if res.x is None:
+        return MilpSolution(status, node_count=nodes)
+    return MilpSolution(status, x=res.x, objective=sign * res.fun, node_count=nodes)

@@ -8,10 +8,11 @@ collision probability is over-approximated by (1) picking one separating
 face per obstacle and step via binaries, (2) bounding the Gaussian tail
 across that face with a piecewise-linear majorant of the normal CDF, and
 (3) summing the pieces with a union bound. That makes the multiplier
-oracle one mixed-binary linear program per query, solved from scratch,
-so each answer depends on the multiplier alone. A program that runs out
-of its node budget raises SolverLimitError; only a program with no
-feasible point is reported as infeasible.
+oracle one mixed-binary linear program per query, built and solved from
+scratch by HiGHS (`milp.solve_milp`), so each answer depends on the
+multiplier alone. A program that runs out of its node budget raises
+SolverLimitError; only a program with no feasible point is reported as
+infeasible.
 
 Control effort is the L1 norm of the input sequence, linearized with the
 usual pair of slack inequalities per entry.

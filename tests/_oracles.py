@@ -17,61 +17,56 @@ import numpy as np
 from mixedctrl.lpsolve import LpProblem
 
 
+def _vertex_candidates(problem: LpProblem):
+    """Rows, then each variable's finite lower and upper bound, as planes."""
+    eye = np.eye(problem.num_vars)
+    bounds = [
+        (eye[j], value)
+        for j in range(problem.num_vars)
+        for value in (problem.lower[j], problem.upper[j])
+        if np.isfinite(value)
+    ]
+    normals = np.vstack([problem.lhs] + [e for e, _ in bounds])
+    offsets = np.concatenate([problem.rhs, [value for _, value in bounds]])
+    must_active = [i for i, s in enumerate(problem.senses) if s == "="]
+    return normals, offsets, must_active
+
+
 def brute_lp_solve(problem: LpProblem, tol: float = 1e-7):
     """Enumerate candidate vertices of a bounded LP.
 
     Only meaningful for problems whose optimum sits at a vertex (bounded
-    feasible sets). Returns (status, objective, x).
+    feasible sets). Every choice of n candidate planes (rows and finite
+    bounds, always including the equality rows) is solved in one batched
+    call; a choice whose LU factorization meets an exact zero pivot (zero
+    determinant) has no vertex. Returns (status, objective, x).
     """
     n = problem.num_vars
-    cand: list[tuple[np.ndarray, float]] = []
-    must_active: list[int] = []
-    for i in range(problem.num_rows):
-        if problem.senses[i] == "=":
-            must_active.append(len(cand))
-        cand.append((problem.lhs[i], float(problem.rhs[i])))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        if np.isfinite(problem.lower[j]):
-            cand.append((e, float(problem.lower[j])))
-        if np.isfinite(problem.upper[j]):
-            cand.append((e, float(problem.upper[j])))
-
-    def feasible(x: np.ndarray) -> bool:
-        lhs = problem.lhs @ x
-        for i, s in enumerate(problem.senses):
-            r = problem.rhs[i]
-            if s == "<=" and lhs[i] > r + tol:
-                return False
-            if s == ">=" and lhs[i] < r - tol:
-                return False
-            if s == "=" and abs(lhs[i] - r) > tol:
-                return False
-        if np.any(x < problem.lower - tol) or np.any(x > problem.upper + tol):
-            return False
-        return True
+    normals, offsets, must_active = _vertex_candidates(problem)
+    combos = np.array(list(combinations(range(len(offsets)), n)), dtype=int).reshape(-1, n)
+    if must_active:
+        combos = combos[np.all(np.isin(must_active, combos.T), axis=0)]
+    a, b = normals[combos], offsets[combos]
+    nonsingular = np.linalg.det(a) != 0.0
+    a, b = a[nonsingular], b[nonsingular]
+    x = np.linalg.solve(a, b[..., None])[..., 0]
+    ok = np.all(np.isfinite(x), axis=1)
+    ok &= np.all(np.abs(np.einsum("kij,kj->ki", a, x) - b) <= 1e-8 + 1e-5 * np.abs(b), axis=1)
+    lhs = x @ problem.lhs.T
+    senses = np.array(problem.senses, dtype=object)
+    ok &= np.all(np.where(senses == "<=", lhs <= problem.rhs + tol, True), axis=1)
+    ok &= np.all(np.where(senses == ">=", lhs >= problem.rhs - tol, True), axis=1)
+    ok &= np.all(np.where(senses == "=", np.abs(lhs - problem.rhs) <= tol, True), axis=1)
+    ok &= np.all((x >= problem.lower - tol) & (x <= problem.upper + tol), axis=1)
 
     best_obj = None
     best_x = None
     sign = 1.0 if problem.sense == "min" else -1.0
-    for combo in combinations(range(len(cand)), n):
-        if any(i not in combo for i in must_active):
-            continue
-        a = np.array([cand[i][0] for i in combo])
-        b = np.array([cand[i][1] for i in combo])
-        try:
-            x = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(x)) or not np.allclose(a @ x, b, atol=1e-8):
-            continue
-        if not feasible(x):
-            continue
-        obj = sign * float(problem.objective @ x)
+    for xk in x[ok]:
+        obj = sign * float(problem.objective @ xk)
         if best_obj is None or obj < best_obj - 1e-12:
             best_obj = obj
-            best_x = x
+            best_x = xk
     if best_obj is None:
         return "infeasible", None, None
     return "optimal", sign * best_obj, best_x

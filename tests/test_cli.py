@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from mixedctrl.cli import main
+from mixedctrl.cli import VALIDATE_FALSE_ALARM, main
+from mixedctrl.core import binomial_acceptance, wilson_ci_99
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -147,6 +148,21 @@ def test_validate_round_trip_and_tamper_detection(tmp_path, capsys):
     capsys.readouterr()
     assert main(["validate", str(config), "--out", str(out)]) == 1
     assert "validate:" in capsys.readouterr().err
+
+
+def test_validate_accepts_a_count_outside_the_99_percent_interval(tmp_path, capsys):
+    # at seed 52 the toy mixture (exact risk 0.01) fails 33 of 2000
+    # rollouts: outside the 99% Wilson interval, well inside the range a
+    # correct sampler leaves only once in a million runs
+    config = _write(tmp_path, "toy.json", _toy_config())
+    out = tmp_path / "run"
+    assert main(["solve", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["validate", str(config), "--out", str(out), "--seed", "52"]) == 0
+    assert "33 failures in 2000 rollouts" in capsys.readouterr().err
+    lo, hi = wilson_ci_99(33, 2000)
+    assert not lo <= 0.01 <= hi
+    assert binomial_acceptance(0.01, 2000, VALIDATE_FALSE_ALARM) == (3, 45)
 
 
 def test_validate_without_report_exits_2(tmp_path, capsys):

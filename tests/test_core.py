@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from mixedctrl.core import (
     InvalidInputError,
     MixedSolution,
     PureCandidate,
+    binomial_acceptance,
     lagrangian_value,
     mix_costs,
 )
@@ -120,3 +124,17 @@ def test_mixed_solution_validates_aggregate():
         )
     with pytest.raises(InvalidInputError):  # negative gap
         MixedSolution(((a, 0.5), (b, 0.5)), good, DualVector((1000.0,)), -1.0)
+
+
+def test_binomial_acceptance_tails_are_exact():
+    for n, rate, alarm in ((1, 0.5, 0.1), (40, 0.1, 1e-3), (200, 0.02, 1e-6), (30, 0.0, 1e-6)):
+        p = Fraction(rate)
+        pmf = [comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+        half = Fraction(alarm) / 2
+        lo, hi = binomial_acceptance(rate, n, alarm)
+        # each rejected tail holds at most half the alarm rate, and the
+        # range is as narrow as that allows
+        assert sum(pmf[:lo]) <= half < sum(pmf[: lo + 1])
+        assert sum(pmf[hi + 1 :]) <= half < sum(pmf[hi:])
+    with pytest.raises(InvalidInputError):
+        binomial_acceptance(1.5, 10, 1e-6)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,79 @@ def test_deterministic_resolve():
     b = solve_lp(p)
     assert a.pivots == b.pivots
     assert a.x.tobytes() == b.x.tobytes()
+
+
+def _brute_lp_solve_loop(problem: LpProblem, tol: float = 1e-7):
+    """The one-basis-at-a-time form of `brute_lp_solve`, kept to check it."""
+    n = problem.num_vars
+    cand: list[tuple[np.ndarray, float]] = []
+    must_active: list[int] = []
+    for i in range(problem.num_rows):
+        if problem.senses[i] == "=":
+            must_active.append(len(cand))
+        cand.append((problem.lhs[i], float(problem.rhs[i])))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        if np.isfinite(problem.lower[j]):
+            cand.append((e, float(problem.lower[j])))
+        if np.isfinite(problem.upper[j]):
+            cand.append((e, float(problem.upper[j])))
+
+    def feasible(x: np.ndarray) -> bool:
+        lhs = problem.lhs @ x
+        for i, s in enumerate(problem.senses):
+            r = problem.rhs[i]
+            if s == "<=" and lhs[i] > r + tol:
+                return False
+            if s == ">=" and lhs[i] < r - tol:
+                return False
+            if s == "=" and abs(lhs[i] - r) > tol:
+                return False
+        if np.any(x < problem.lower - tol) or np.any(x > problem.upper + tol):
+            return False
+        return True
+
+    best_obj = None
+    best_x = None
+    sign = 1.0 if problem.sense == "min" else -1.0
+    for combo in combinations(range(len(cand)), n):
+        if any(i not in combo for i in must_active):
+            continue
+        a = np.array([cand[i][0] for i in combo])
+        b = np.array([cand[i][1] for i in combo])
+        try:
+            x = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(x)) or not np.allclose(a @ x, b, atol=1e-8):
+            continue
+        if not feasible(x):
+            continue
+        obj = sign * float(problem.objective @ x)
+        if best_obj is None or obj < best_obj - 1e-12:
+            best_obj = obj
+            best_x = x
+    if best_obj is None:
+        return "infeasible", None, None
+    return "optimal", sign * best_obj, best_x
+
+
+def test_batched_vertex_enumeration_matches_the_loop():
+    rng = np.random.default_rng(20261018)
+    for trial in range(300):
+        p = random_box_lp(rng, nvar=int(rng.integers(1, 5)), nrow=int(rng.integers(1, 6)))
+        kind = trial % 3
+        if kind == 1:
+            # equality rows that must sit in every basis, some infeasible
+            p.senses = tuple(rng.choice(["<=", ">=", "="], size=p.num_rows))
+        elif kind == 2:
+            # free and half-bounded variables, tight rows
+            p.lower[rng.random(p.num_vars) < 0.3] = -np.inf
+            p.rhs = p.rhs - rng.uniform(0.0, 4.0, size=p.num_rows)
+        got = brute_lp_solve(p)
+        want = _brute_lp_solve_loop(p)
+        assert got[0] == want[0], f"trial {trial}"
+        if want[0] == "optimal":
+            assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-12), f"trial {trial}"
+            assert got[2] == pytest.approx(want[2], rel=1e-9, abs=1e-9), f"trial {trial}"

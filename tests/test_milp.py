@@ -1,11 +1,30 @@
 from __future__ import annotations
 
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from _oracles import brute_milp_solve, random_milp
+from mixedctrl import lpsolve, milp
+from mixedctrl.cli import build_setup
+from mixedctrl.core import MixedControlError
 from mixedctrl.lpsolve import LpProblem
 from mixedctrl.milp import MilpProblem, MilpSolution, solve_milp
+from mixedctrl.smpc import build_inner_milp
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _corridor_milp(lam: float) -> MilpProblem:
+    """The shipped corridor's inner program at multiplier ``lam``."""
+    config = json.loads((CONFIGS / "corridor.json").read_text(encoding="utf-8"))
+    oracle = build_setup(config, CONFIGS).oracle
+    problem, _ = build_inner_milp(oracle.model, lam, oracle.pwl)
+    return problem
 
 
 def _knapsack() -> MilpProblem:
@@ -39,8 +58,8 @@ def test_integral_relaxation_short_circuits():
     )
     sol = solve_milp(MilpProblem(lp=lp, binary=(0,)))
     assert sol.status == "optimal"
-    assert sol.node_count == 1
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
+    assert sol.x == pytest.approx([1.0, 0.0], abs=1e-9)
 
 
 def test_infeasible_root():
@@ -58,9 +77,37 @@ def test_infeasible_root():
 
 
 def test_node_budget_flags_suboptimal():
-    lp = _knapsack().lp
-    sol = solve_milp(MilpProblem(lp=lp, binary=(0, 1, 2)), max_nodes=1)
-    assert sol.status == "suboptimal"
+    # HiGHS closes the knapsack at the root; this program needs a few nodes
+    problem = _corridor_milp(1828.7)
+    assert solve_milp(problem, abs_gap=1e-9, max_nodes=1).status == "suboptimal"
+    full = solve_milp(problem, abs_gap=1e-9)
+    assert full.status == "optimal"
+    assert full.node_count > 1
+
+
+@pytest.mark.parametrize("status", [1, 4])
+def test_unmapped_highs_outcomes_raise_with_its_message(monkeypatch, status):
+    # an LP iteration limit, or a MILP status 4 that is not the node
+    # limit, is an error carrying HiGHS's message, never "infeasible"
+    message = "(HiGHS Status 4: Solve error)"
+
+    def fake(*args, **kwargs):
+        return OptimizeResult(status=status, message=message, x=None, nit=0, mip_node_count=0)
+
+    monkeypatch.setattr(lpsolve, "linprog", fake)
+    monkeypatch.setattr(milp, "milp", fake)
+    with pytest.raises(MixedControlError, match="Solve error"):
+        lpsolve.solve_lp(_knapsack().lp)
+    if status == 4:
+        with pytest.raises(MixedControlError, match="Solve error"):
+            solve_milp(_knapsack())
+
+
+def test_solve_emits_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_milp(_knapsack())
+    assert sol.status == "optimal"
 
 
 def test_random_instances_match_assignment_enumeration():

@@ -1,12 +1,16 @@
+import json
 import math
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from mixedctrl.cli import build_setup
 from mixedctrl.core import Bounds, DualVector, InfeasibleProblemError, InvalidInputError
+from mixedctrl.dual import MONOTONE_TOL
 from mixedctrl.lpsolve import LpProblem, solve_lp
 from mixedctrl.milp import solve_milp
 from mixedctrl.smpc import (
@@ -23,6 +27,7 @@ from mixedctrl.smpc import (
 )
 
 PHI_MINUS_3 = 0.0013498980316300933
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def phi_ref(y: float) -> float:
@@ -291,6 +296,16 @@ def test_oracle_sweep_trades_cost_for_risk():
     for a, b in zip(costs, costs[1:]):
         assert b >= a - 1e-9
     assert risks[-1] < risks[0]
+
+
+def test_shipped_corridor_risk_does_not_rise_from_64_to_128():
+    # at HiGHS's default feasibility tolerance (1e-7) the risk terms may
+    # undercut their chord rows, and the risk here rose from 0.00266682
+    # to 0.00266711, which the dual search rejects as non-monotone
+    config = json.loads((CONFIGS / "corridor.json").read_text(encoding="utf-8"))
+    oracle = build_setup(config, CONFIGS).oracle
+    low, high = (oracle.query(DualVector((lam,))).cost.c1 for lam in (64.0, 128.0))
+    assert high <= low + MONOTONE_TOL
 
 
 def test_branch_and_bound_matches_binary_enumeration():
