@@ -256,6 +256,7 @@ class _TracingOracle(LagrangianOracle):
         self.inner = inner
         self.bounds = bounds
         self.rows: list[tuple[int, float, float, float, float]] = []
+        self.last: tuple[DualVector, PureCandidate] | None = None
 
     @property
     def k_constraints(self) -> int:
@@ -272,6 +273,7 @@ class _TracingOracle(LagrangianOracle):
                 lagrangian_value(cand.cost, lam, self.bounds),
             )
         )
+        self.last = (lam, cand)
         return cand
 
     def evaluate(self, policy: object) -> CostVector:
@@ -435,7 +437,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     tracer = _TracingOracle(setup.oracle, setup.bounds)
     result, solution = solve_mixed_scalar(tracer, setup.bounds)
-    optimality = check_optimality(solution, setup.bounds, setup.oracle, tol=1e-6)
+    # lambda* is usually the multiplier of the search's last query
+    reference = tracer.last[1] if tracer.last[0] == solution.dual else None
+    optimality = check_optimality(solution, setup.bounds, setup.oracle, 1e-6, reference)
     monte_carlo = _run_monte_carlo(setup, solution, seed, n_rollouts)
     wall = time.perf_counter() - started
 

@@ -3,11 +3,11 @@
 The pure-policy problem is relaxed through nonnegative multipliers on the
 expectation constraints; a backend oracle returns the pointwise minimizer
 for any multiplier. For one constraint the policy class is finite, so the
-dual function is concave and piecewise linear, and chord steps between a
-risky and a safe candidate land on its optimal breakpoint exactly; the
-two are then mixed so the aggregate meets the bound exactly. For several
-constraints, projected subgradient ascent collects a candidate pool and
-a small LP mixes it.
+dual function is concave and piecewise linear, and chord steps from the
+answers at zero and at the multiplier cap land on its optimal breakpoint
+exactly; the risky and the safe candidate there are mixed so the
+aggregate meets the bound exactly. For several constraints, projected
+subgradient ascent collects a candidate pool and a small LP mixes it.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .core import (
 from .lpsolve import LpProblem, solve_lp
 
 
-# Doubling gives up at this multiplier: a risk still above the bound there
-# means no policy meets it.
+# The search's one probe above zero: its answer is the safest policy, so a
+# risk still above the bound there means no policy meets it.
 LAMBDA_MAX = 1e9
 # Rounding slack when checking that risk never rises with the multiplier.
 MONOTONE_TOL = 1e-9
@@ -65,13 +65,6 @@ class ScalarDualResult:
     upper: PureCandidate
     q_star: float
     iterations: int
-
-
-def _require_scalar(oracle: LagrangianOracle, bounds: Bounds):
-    if oracle.k_constraints != 1 or bounds.k != 1:
-        raise InvalidInputError(
-            f"scalar solver needs K=1, got oracle K={oracle.k_constraints}, bounds K={bounds.k}"
-        )
 
 
 def recover_mixture_scalar(
@@ -110,17 +103,20 @@ def solve_mixed_scalar(
     """Single-constraint pipeline: exact dual search, then two-point recovery.
 
     An answer at lam = 0 that meets the bound is returned pure. Otherwise
-    lam doubles from 1 until the risk falls to the bound, and chord steps
-    follow (Kelley's cutting plane in one dimension): each query is the
-    slope of the chord between the bracketing candidates, where both have
-    the same Lagrangian. An answer below them is a new vertex of the lower
-    hull of the (c1, c0) points and replaces the endpoint on its side of
-    V; an answer that ties them certifies the chord slope as the optimal
-    multiplier. Raises InfeasibleProblemError when the risk is still above
-    V at LAMBDA_MAX, NonMonotoneOracleError when it rises with lam, and
-    SolverLimitError after MAX_QUERIES queries without a tie.
+    one probe at LAMBDA_MAX, the safest policy, closes the bracket and
+    chord steps follow (Kelley's cutting plane in one dimension): each
+    query is the chord slope between the bracketing candidates. An answer
+    below the chord is a new vertex of the lower hull of the (c1, c0)
+    points and replaces the endpoint on its side of V, so a probe answer
+    off that hull is replaced in turn; an answer on the chord certifies
+    its slope as the optimal multiplier. Raises NonMonotoneOracleError
+    when the risk rises with lam, then InfeasibleProblemError when it is
+    above V at LAMBDA_MAX, and SolverLimitError after MAX_QUERIES queries.
     """
-    _require_scalar(oracle, bounds)
+    if oracle.k_constraints != 1 or bounds.k != 1:
+        raise InvalidInputError(
+            f"scalar solver needs K=1, got oracle K={oracle.k_constraints}, bounds K={bounds.k}"
+        )
     v = bounds.values[0]
     queries = 0
 
@@ -142,22 +138,17 @@ def solve_mixed_scalar(
         return ScalarDualResult(0.0, cand0, cand0, q0, queries), solution
 
     lam_lo, cand_lo = 0.0, cand0
-    lam_hi = 1.0
-    cand_hi = ask(lam_hi)
-    while cand_hi.cost.c1 > v:
-        if cand_hi.cost.c1 > cand_lo.cost.c1 + MONOTONE_TOL:
-            raise NonMonotoneOracleError(
-                f"risk rose from {cand_lo.cost.c1} to {cand_hi.cost.c1} "
-                f"as the multiplier grew from {lam_lo} to {lam_hi}"
-            )
-        if lam_hi >= LAMBDA_MAX:
-            raise InfeasibleProblemError(
-                f"risk {cand_hi.cost.c1} still above the bound {v} at the "
-                f"multiplier cap {LAMBDA_MAX}; no policy meets the bound"
-            )
-        lam_lo, cand_lo = lam_hi, cand_hi
-        lam_hi = min(lam_hi * 2.0, LAMBDA_MAX)
-        cand_hi = ask(lam_hi)
+    lam_hi, cand_hi = LAMBDA_MAX, ask(LAMBDA_MAX)
+    safest = cand_hi.cost.c1
+    if safest > cand0.cost.c1 + MONOTONE_TOL:
+        raise NonMonotoneOracleError(
+            f"risk rose from {cand0.cost.c1} at multiplier 0 to {safest} at {lam_hi}"
+        )
+    if safest > v:
+        raise InfeasibleProblemError(
+            f"risk {safest} still above the bound {v} at the multiplier cap {lam_hi}; "
+            "no policy meets the bound"
+        )
 
     while True:
         lo, hi = cand_lo.cost, cand_hi.cost
@@ -351,11 +342,14 @@ def check_optimality(
     bounds: Bounds,
     oracle: LagrangianOracle,
     tol: float = 1e-6,
+    reference: PureCandidate | None = None,
 ) -> OptimalityReport:
+    """Check a) to f); ``reference`` is the oracle's answer at lam, if known."""
     lam = solution.dual
     if bounds.k != lam.k:
         raise InvalidInputError("bounds and solution disagree on K")
-    reference = oracle.query(lam)
+    if reference is None:
+        reference = oracle.query(lam)
     l_min = lagrangian_value(reference.cost, lam, bounds)
 
     res_a = 0.0

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import InvalidInputError, MixedControlError
 
@@ -85,6 +84,7 @@ class LpSolution:
 
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve an LP; any outcome but the three statuses raises MixedControlError."""
+    from scipy.optimize import linprog  # imported here: MDP runs never solve an LP
     sign = 1.0 if problem.sense == "min" else -1.0
     senses = np.array(problem.senses)
     flip = np.where(senses == GE, -1.0, 1.0)

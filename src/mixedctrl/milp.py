@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .core import InvalidInputError, MixedControlError
 # `solve_lp` is re-exported: tracing wraps `mixedctrl.milp.solve_lp` by name
@@ -52,6 +51,7 @@ def solve_milp(
     there is one; any outcome but the four statuses raises
     MixedControlError.
     """
+    from scipy.optimize import Bounds, LinearConstraint, milp  # lazy, as in `lpsolve.solve_lp`
     lp = problem.lp
     sign = 1.0 if lp.sense == "min" else -1.0
     bins = list(problem.binary)

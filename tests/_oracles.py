@@ -43,9 +43,15 @@ def brute_lp_solve(problem: LpProblem, tol: float = 1e-7):
     """
     n = problem.num_vars
     normals, offsets, must_active = _vertex_candidates(problem)
-    combos = np.array(list(combinations(range(len(offsets)), n)), dtype=int).reshape(-1, n)
-    if must_active:
-        combos = combos[np.all(np.isin(must_active, combos.T), axis=0)]
+    # every choice holds all equality rows: pick only the rest, then sort
+    # back into the lexicographic order of all n-subsets
+    free = [i for i in range(len(offsets)) if i not in must_active]
+    r = n - len(must_active)
+    picks = list(combinations(free, r)) if r >= 0 else []
+    picks = np.array(picks, dtype=int).reshape(len(picks), max(r, 0))
+    held = np.broadcast_to(np.array(must_active, dtype=int), (len(picks), len(must_active)))
+    combos = np.sort(np.hstack([held, picks]), axis=1).reshape(-1, n)
+    combos = combos[np.lexsort(combos.T[::-1])]
     a, b = normals[combos], offsets[combos]
     nonsingular = np.linalg.det(a) != 0.0
     a, b = a[nonsingular], b[nonsingular]

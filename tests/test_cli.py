@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from mixedctrl.cli import VALIDATE_FALSE_ALARM, main
+from mixedctrl import cli
+from mixedctrl.cli import VALIDATE_FALSE_ALARM, build_setup, main
 from mixedctrl.core import binomial_acceptance, wilson_ci_99
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def _write(tmp_path: Path, name: str, config: dict) -> Path:
@@ -120,6 +125,58 @@ def test_repeat_solve_is_byte_identical(tmp_path):
         outs.append(out)
     for artifact in ("report.json", "dual_trace.csv"):
         assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+
+
+class _CountingOracle:
+    def __init__(self, inner):
+        self.inner = inner
+        self.queries = 0
+
+    @property
+    def k_constraints(self):
+        return self.inner.k_constraints
+
+    def query(self, lam):
+        self.queries += 1
+        return self.inner.query(lam)
+
+    def evaluate(self, policy):
+        return self.inner.evaluate(policy)
+
+
+@pytest.mark.parametrize("name", ["toy", "corridor"])
+def test_solve_makes_no_query_after_the_search(tmp_path, monkeypatch, name):
+    # the certificate reuses the search's last answer instead of asking again
+    oracles = []
+
+    def counted_setup(config, base_dir):
+        setup = build_setup(config, base_dir)
+        setup.oracle = _CountingOracle(setup.oracle)
+        oracles.append(setup.oracle)
+        return setup
+
+    monkeypatch.setattr(cli, "build_setup", counted_setup)
+    out = tmp_path / name
+    assert main(["solve", str(CONFIGS / f"{name}.json"), "--out", str(out)]) == 0
+    rows = (out / "dual_trace.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [oracle.queries for oracle in oracles] == [len(rows)]
+    optimality = json.loads((out / "report.json").read_text(encoding="utf-8"))["optimality"]
+    assert optimality["overall"] is True
+    assert all(value <= 1e-6 for value in optimality["residuals"].values())
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only the SMPC path solves LPs and MILPs; MDP runs never load the engines
+    code = "import sys, mixedctrl.cli; print('scipy.optimize' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_loose_bound_degenerates_to_one_component(tmp_path):

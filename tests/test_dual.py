@@ -109,6 +109,19 @@ def test_non_monotone_oracle_detected():
         solve_mixed_scalar(Lying(), Bounds((0.01,)))
 
 
+def test_riskier_probe_above_the_bound_is_non_monotone_not_infeasible():
+    class RiskierWithTheMultiplier:
+        k_constraints = 1
+
+        def query(self, lam):
+            risk = 0.05 if lam.values[0] == 0.0 else 0.06
+            return PureCandidate(None, CostVector(1.0, (risk,)))
+
+    # the probe's risk is above V too, but the rise is reported first
+    with pytest.raises(NonMonotoneOracleError):
+        solve_mixed_scalar(RiskierWithTheMultiplier(), Bounds((0.01,)))
+
+
 def test_bisection_bracket_invariant():
     traced = _Tracing(_finite([(3.0, 0.04), (6.0, 0.02), (12.0, 0.0)], 0.01))
     solve_mixed_scalar(traced, traced.inner.bounds)

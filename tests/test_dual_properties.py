@@ -21,7 +21,7 @@ from mixedctrl.core import (
     PureCandidate,
     SolverLimitError,
 )
-from mixedctrl.dual import MAX_QUERIES, check_optimality, solve_mixed_scalar
+from mixedctrl.dual import LAMBDA_MAX, MAX_QUERIES, check_optimality, solve_mixed_scalar
 from mixedctrl.scenarios import FiniteSetOracle
 from mixedctrl.smpc import Obstacle, SmpcModel, SmpcOracle, build_pwl_cdf
 
@@ -61,6 +61,48 @@ def test_mixture_matches_exact_references(case):
     assert result.lambda_star == solution.dual.values[0]
     lam = result.lambda_star
     assert min(c.c0 + lam * (c.c1 - v) for c in costs) == pytest.approx(q_ref, abs=tol)
+    assert result.q_star == pytest.approx(q_ref, abs=tol)
+    assert check_optimality(solution, bounds, oracle, tol=tol).overall
+
+
+class _CostlyProbe:
+    """Exact over a finite set except at LAMBDA_MAX, where it answers the
+    last policy of the set whatever its cost, as a backend's answer at a
+    huge multiplier can be when the risk term swamps the cost."""
+
+    k_constraints = 1
+
+    def __init__(self, costs, bounds):
+        self.exact = FiniteSetOracle(costs, bounds)
+        self.probe = len(costs) - 1
+
+    def query(self, lam):
+        if lam.values[0] == LAMBDA_MAX:
+            return PureCandidate(self.probe, self.exact.costs[self.probe])
+        return self.exact.query(lam)
+
+    def evaluate(self, policy):
+        return self.exact.evaluate(policy)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_sets(), st.integers(1, 5))
+def test_probe_answer_off_the_hull_is_replaced(case, extra):
+    costs, v = case
+    least = min(c.c1 for c in costs)
+    # a costlier twin of the safest policy, the probe's answer: of least
+    # risk, but off the lower hull
+    costs = costs + [CostVector(max(c.c0 for c in costs) + extra / 1000, (least,))]
+    bounds = Bounds((v,))
+    oracle = _CostlyProbe(costs, bounds)
+    result, solution = solve_mixed_scalar(oracle, bounds)
+
+    q_ref, _ = brute_scalar_dual(costs, v)
+    tol = 1e-9 * max(1.0, abs(q_ref))
+    assert solution.aggregate.c0 == pytest.approx(q_ref, abs=tol)
+    assert solution.aggregate.c0 == pytest.approx(brute_mixed_lp(costs, v), abs=tol)
+    assert solution.aggregate.c1 <= v + 1e-12
+    assert oracle.probe not in [cand.policy for cand, _ in solution.components]
     assert result.q_star == pytest.approx(q_ref, abs=tol)
     assert check_optimality(solution, bounds, oracle, tol=tol).overall
 

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import OptimizeResult
 
 from _oracles import brute_milp_solve, random_milp
-from mixedctrl import lpsolve, milp
+from mixedctrl import lpsolve
 from mixedctrl.cli import build_setup
 from mixedctrl.core import MixedControlError
 from mixedctrl.lpsolve import LpProblem
@@ -94,8 +95,9 @@ def test_unmapped_highs_outcomes_raise_with_its_message(monkeypatch, status):
     def fake(*args, **kwargs):
         return OptimizeResult(status=status, message=message, x=None, nit=0, mip_node_count=0)
 
-    monkeypatch.setattr(lpsolve, "linprog", fake)
-    monkeypatch.setattr(milp, "milp", fake)
+    # both engines import their scipy entry point when called
+    monkeypatch.setattr(scipy.optimize, "linprog", fake)
+    monkeypatch.setattr(scipy.optimize, "milp", fake)
     with pytest.raises(MixedControlError, match="Solve error"):
         lpsolve.solve_lp(_knapsack().lp)
     if status == 4:

@@ -1,17 +1,15 @@
 import json
 import math
-from dataclasses import replace
-from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from _oracles import brute_milp_solve
 from mixedctrl.cli import build_setup
 from mixedctrl.core import Bounds, DualVector, InfeasibleProblemError, InvalidInputError
 from mixedctrl.dual import MONOTONE_TOL
-from mixedctrl.lpsolve import LpProblem, solve_lp
 from mixedctrl.milp import solve_milp
 from mixedctrl.smpc import (
     ControlPlan,
@@ -308,27 +306,32 @@ def test_shipped_corridor_risk_does_not_rise_from_64_to_128():
     assert high <= low + MONOTONE_TOL
 
 
+def hop_model():
+    """1-D walk that must hop over the interval [0.8, 1.2] on its way to 2.
+
+    The binaries choose the side of the interval at each step, and the
+    relaxation that lets them be fractional is cheaper than every plan.
+    The continuous part stays small enough for vertex enumeration.
+    """
+    return SmpcModel(
+        a_mat=[[1.0]],
+        b_mat=[[1.0]],
+        sigma_w=[[0.01]],
+        horizon=2,
+        x_init=[0.0],
+        x_goal=[2.0],
+        u_lower=[-1.5],
+        u_upper=[1.5],
+        obstacles=(Obstacle([[1.0], [-1.0]], [1.2, -0.8]),),
+    )
+
+
 def test_branch_and_bound_matches_binary_enumeration():
-    model = gap_model()
-    problem, _ = build_inner_milp(model, 50.0, build_pwl_cdf(4))
+    problem, _ = build_inner_milp(hop_model(), 50.0, build_pwl_cdf(4))
     sol = solve_milp(problem, abs_gap=1e-9)
     assert sol.status == "optimal"
-    best = math.inf
-    bins = problem.binary
-    for assignment in product((0.0, 1.0), repeat=len(bins)):
-        if any(
-            not problem.lp.lower[j] <= val <= problem.lp.upper[j]
-            for j, val in zip(bins, assignment)
-        ):
-            continue
-        lower = problem.lp.lower.copy()
-        upper = problem.lp.upper.copy()
-        for j, val in zip(bins, assignment):
-            lower[j] = upper[j] = val
-        fixed = replace(problem.lp, lower=lower, upper=upper)
-        lp_sol = solve_lp(fixed)
-        if lp_sol.status == "optimal":
-            best = min(best, lp_sol.objective)
+    status, best, _ = brute_milp_solve(problem.lp, problem.binary)
+    assert status == "optimal"
     assert sol.objective == pytest.approx(best, abs=1e-6)
 
 
