@@ -11,6 +11,13 @@ Transitions come in two layouts: explicit per-action sparse matrices for
 small hand-built models, and a shared "spread" matrix composed with
 per-action deterministic target maps for translation-invariant dynamics
 (grid worlds), where one sparse product per step covers every action.
+
+The Monte Carlo check samples how many rollouts occupy each state, not
+where each rollout is: rollouts that share a state and a policy are
+exchangeable, so one multinomial draw per occupied state moves them all
+with the same law as moving each on its own. The failure count and the
+mean cost, which are all the check reports, are therefore exact samples,
+and the work grows with the occupied states instead of the rollouts.
 """
 
 from __future__ import annotations
@@ -316,58 +323,62 @@ def simulate(
 
     Each rollout draws its component policy once up front (that is the
     whole randomization), then follows the policy through sampled
-    transitions. Costs stop accruing at the first failure. The 99%
+    transitions; costs stop accruing at the first failure. The rollouts
+    are simulated as counts per state: one multinomial splits
+    ``n_rollouts`` over the components, one draws each component's initial
+    counts, and at each step one multinomial per occupied state splits its
+    count over that state's transition row. For the failure count and the
+    total cost, the only outputs, this is exactly the law of
+    ``n_rollouts`` independent rollouts (see the module docstring), and
+    the work does not grow with ``n_rollouts``. The 99%
     Wilson interval on the failure rate should cover the exact aggregate
     risk of the solution.
     """
     if n_rollouts < 1:
         raise InvalidInputError("need at least one rollout")
+    if not all(isinstance(cand.policy, Policy) for cand, _ in solution.components):
+        raise InvalidPolicyError("simulation needs MDP policies")
     rng = np.random.default_rng(seed)
     probs = np.array(solution.probabilities)
-    comp = rng.choice(len(probs), size=n_rollouts, p=probs / probs.sum())
-    costs = np.zeros(n_rollouts)
-    failed = np.zeros(n_rollouts, dtype=bool)
-    for ci, (cand, _) in enumerate(solution.components):
-        sel = np.flatnonzero(comp == ci)
-        if sel.size == 0:
-            continue
-        c, f = _rollout(mdp, cand.policy, rng, sel.size)
-        costs[sel] = c
-        failed[sel] = f
-    lo, hi = wilson_ci_99(int(failed.sum()), n_rollouts)
+    shares = rng.multinomial(n_rollouts, probs / probs.sum())
+    failures, cost = 0, 0.0
+    for (cand, _), m in zip(solution.components, shares):
+        if m > 0:
+            f, c = _rollout_counts(mdp, cand.policy, rng, int(m))
+            failures += f
+            cost += c
+    lo, hi = wilson_ci_99(failures, n_rollouts)
     return SimulationSummary(
-        cost_mean=float(costs.mean()),
-        failure_rate=float(failed.mean()),
+        cost_mean=cost / n_rollouts,
+        failure_rate=failures / n_rollouts,
         failure_ci99=(lo, hi),
         n_rollouts=n_rollouts,
     )
 
 
-def _rollout(mdp: Mdp, policy: Policy, rng: np.random.Generator, m: int):
-    if not isinstance(policy, Policy):
-        raise InvalidPolicyError("simulation needs MDP policies")
-    cost = np.zeros(m)
-    states = rng.choice(mdp.state_counts[0], size=m, p=mdp.initial)
-    failed = mdp.failure_masks[0][states]
+def _rollout_counts(mdp: Mdp, policy: Policy, rng: np.random.Generator, m: int):
+    """Failure count and total cost of ``m`` rollouts of one policy."""
+    counts = rng.multinomial(m, mdp.initial)
+    failures = int(counts[mdp.failure_masks[0]].sum())
+    counts[mdp.failure_masks[0]] = 0
+    cost = 0.0
     for k in range(mdp.horizon):
-        alive = np.flatnonzero(~failed)
-        if alive.size == 0:
+        occ = np.flatnonzero(counts)
+        if occ.size == 0:
             break
-        acts = policy.actions[k][states[alive]]
+        acts = policy.actions[k][occ]
         if np.any(acts < 0):
             raise InvalidPolicyError(f"rollout reached an undefined action at step {k}")
-        cost[alive] += mdp.stage_costs[k][states[alive], acts]
-        new_states = states.copy()
-        cur = states[alive]
-        for x in np.unique(cur):
-            rows = alive[cur == x]
-            idxs, pvals = mdp.dynamics[k].row(int(x), int(policy.actions[k][x]))
-            new_states[rows] = rng.choice(idxs, size=rows.size, p=pvals / pvals.sum())
-        states = new_states
-        now_failed = np.zeros(m, dtype=bool)
-        now_failed[alive] = mdp.failure_masks[k + 1][states[alive]]
-        failed |= now_failed
-    return cost, failed
+        cost += float(counts[occ] @ mdp.stage_costs[k][occ, acts])
+        nxt = np.zeros(mdp.state_counts[k + 1], dtype=np.int64)
+        for x, a in zip(occ.tolist(), acts.tolist()):
+            idxs, pvals = mdp.dynamics[k].row(x, a)
+            nxt[idxs] += rng.multinomial(counts[x], pvals / pvals.sum())
+        fail = mdp.failure_masks[k + 1]
+        failures += int(nxt[fail].sum())
+        nxt[fail] = 0
+        counts = nxt
+    return failures, cost
 
 
 def from_tables(

@@ -3,8 +3,8 @@
 A problem backend exposes a Lagrangian oracle: given a nonnegative
 multiplier vector it returns one pure policy that minimizes
 ``cost + lambda . (risk - bound)`` over the backend's policy class.
-Everything downstream (the chord dual search, subgradient ascent,
-mixture recovery, optimality checking) is written against that
+Everything downstream (the chord dual search, mixture recovery,
+optimality checking) is written against that
 interface, so the structured types here are deliberately small and
 immutable.
 """
@@ -47,18 +47,6 @@ class SolverLimitError(MixedControlError):
 
 class InvalidPolicyError(MixedControlError):
     """Policy leaves a reachable state without an admissible action."""
-
-
-class MixtureRecoveryError(MixedControlError):
-    """Candidate pool admits no feasible mixing weights.
-
-    Carries the pool that was tried so the caller can re-query the oracle
-    near the returned multiplier and retry with an enlarged pool.
-    """
-
-    def __init__(self, message: str, pool: Sequence["PureCandidate"]):
-        super().__init__(message)
-        self.pool = tuple(pool)
 
 
 def _as_float_tuple(values: Sequence[float], what: str) -> tuple[float, ...]:

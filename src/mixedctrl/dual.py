@@ -6,8 +6,7 @@ for any multiplier. For one constraint the policy class is finite, so the
 dual function is concave and piecewise linear, and chord steps from the
 answers at zero and at the multiplier cap land on its optimal breakpoint
 exactly; the risky and the safe candidate there are mixed so the
-aggregate meets the bound exactly. For several constraints, projected
-subgradient ascent collects a candidate pool and a small LP mixes it.
+aggregate meets the bound without rounding above it.
 """
 
 from __future__ import annotations
@@ -15,24 +14,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     Bounds,
-    CostVector,
     DualVector,
     InfeasibleProblemError,
     InvalidInputError,
     LagrangianOracle,
     MixedSolution,
-    MixtureRecoveryError,
     NonMonotoneOracleError,
     PureCandidate,
     SolverLimitError,
     lagrangian_value,
     mix_costs,
 )
-from .lpsolve import LpProblem, solve_lp
 
 
 # The search's one probe above zero: its answer is the safest policy, so a
@@ -72,10 +66,15 @@ def recover_mixture_scalar(
 ) -> MixedSolution:
     """Mix the two bracket endpoints so the aggregate risk equals the bound.
 
-    The implied multiplier is the slope between the endpoint cost pairs,
-    which is exactly where both are Lagrangian-minimal. ``gap_estimate``
-    is the saving of the mixture over the safe endpoint (the best feasible
-    pure candidate the search saw).
+    The risky weight p = (V - c_hi) / (c_lo - c_hi) can round so that the
+    computed aggregate risk lands an ulp above V; p is then stepped toward
+    the safe endpoint, by one ulp of p and then by doubling steps, until it
+    does not. The steps double because one ulp of a small p can move the
+    risk by far less than one ulp of V; they end by p = 0 at the latest,
+    where the risk is c_hi <= V. The implied multiplier is the
+    slope between the endpoint cost pairs, which is exactly where both are
+    Lagrangian-minimal. ``gap_estimate`` is the saving of the mixture over
+    the safe endpoint (the best feasible pure candidate the search saw).
     """
     if lower.cost.k != 1 or upper.cost.k != 1 or bounds.k != 1:
         raise InvalidInputError("scalar recovery needs K=1 candidates and bounds")
@@ -91,8 +90,13 @@ def recover_mixture_scalar(
     else:
         p = (v - c_hi) / (c_lo - c_hi)
         lam = max(0.0, (upper.cost.c0 - lower.cost.c0) / (c_lo - c_hi))
-    components = ((lower, p), (upper, 1.0 - p))
     aggregate = mix_costs([(lower.cost, p), (upper.cost, 1.0 - p)])
+    step = math.ulp(p)
+    while aggregate.c1 > v:
+        p = max(0.0, p - step)
+        step *= 2.0
+        aggregate = mix_costs([(lower.cost, p), (upper.cost, 1.0 - p)])
+    components = ((lower, p), (upper, 1.0 - p))
     gap = max(0.0, upper.cost.c0 - aggregate.c0)
     return MixedSolution(components, aggregate, DualVector((lam,)), gap)
 
@@ -176,145 +180,6 @@ def solve_mixed_scalar(
     q_star = lagrangian_value(cost, solution.dual, bounds)
     result = ScalarDualResult(solution.dual.values[0], cand_lo, cand_hi, q_star, queries)
     return result, solution
-
-
-@dataclass(frozen=True)
-class SubgradientConfig:
-    alpha0: float = 1.0
-    max_iter: int = 5000
-    tol: float = 1e-6
-
-
-@dataclass(frozen=True)
-class SubgradientResult:
-    """Best multiplier seen during ascent plus the deduplicated answer pool."""
-
-    dual: DualVector
-    pool: tuple[PureCandidate, ...]
-    q_star: float
-    iterations: int
-    converged: bool
-
-
-def solve_dual_subgradient(
-    oracle: LagrangianOracle,
-    bounds: Bounds,
-    config: SubgradientConfig | None = None,
-) -> SubgradientResult:
-    """Projected subgradient ascent for any number of constraints.
-
-    Steps follow the diminishing schedule alpha0/sqrt(t); the iterate is
-    projected onto the nonnegative orthant. Ascent stops early when the
-    projected step falls below ``tol``; otherwise the best iterate so far
-    is returned flagged unconverged.
-    """
-    cfg = config or SubgradientConfig()
-    k = oracle.k_constraints
-    if bounds.k != k:
-        raise InvalidInputError(f"bounds K={bounds.k} does not match oracle K={k}")
-    if cfg.alpha0 <= 0 or cfg.max_iter < 1:
-        raise InvalidInputError("subgradient config needs alpha0 > 0 and max_iter >= 1")
-    v = np.array(bounds.values)
-    lam = np.zeros(k)
-    pool: list[PureCandidate] = []
-    seen: set[CostVector] = set()
-    best_q = -math.inf
-    best_lam = lam.copy()
-    converged = False
-    iterations = 0
-    for t in range(1, cfg.max_iter + 1):
-        iterations = t
-        cand = oracle.query(DualVector(tuple(lam)))
-        if cand.cost not in seen:
-            seen.add(cand.cost)
-            pool.append(cand)
-        g = np.array(cand.cost.c_rest) - v
-        q_here = lagrangian_value(cand.cost, DualVector(tuple(lam)), bounds)
-        if q_here > best_q:
-            best_q = q_here
-            best_lam = lam.copy()
-        if t == 1 and np.all(g <= 0.0):
-            # already feasible with zero multipliers: dual optimum at zero
-            converged = True
-            break
-        step = cfg.alpha0 / math.sqrt(t)
-        new_lam = np.maximum(0.0, lam + step * g)
-        moved = float(np.max(np.abs(new_lam - lam)))
-        lam = new_lam
-        if moved <= cfg.tol:
-            converged = True
-            break
-    return SubgradientResult(
-        DualVector(tuple(best_lam)), tuple(pool), best_q, iterations, converged
-    )
-
-
-def recover_mixture_general(
-    pool: list[PureCandidate] | tuple[PureCandidate, ...],
-    lam: DualVector,
-    bounds: Bounds,
-    tol: float = 1e-6,
-) -> MixedSolution:
-    """Mix pool candidates near the Lagrangian minimum at ``lam``.
-
-    Keeps candidates within ``tol`` of the pool's minimal penalized cost,
-    then solves a small LP for mixing weights: weights sum to one, every
-    aggregate channel respects its bound, and channels whose multiplier
-    exceeds ``tol`` are forced to equality. `solve_lp` returns a basic
-    solution of that LP (HiGHS's dual simplex), which keeps the support at
-    K+1 points or fewer. Raises MixtureRecoveryError (carrying
-    the pool) when no feasible weights exist; the caller should re-query
-    the oracle near ``lam`` and retry with the enlarged pool.
-    """
-    candidates = list(pool)
-    if not candidates:
-        raise InvalidInputError("empty candidate pool")
-    k = lam.k
-    if bounds.k != k or any(c.cost.k != k for c in candidates):
-        raise InvalidInputError("candidate pool, multiplier and bounds disagree on K")
-    values = [lagrangian_value(c.cost, lam, bounds) for c in candidates]
-    cutoff = min(values) + tol
-    keep = [c for c, val in zip(candidates, values) if val <= cutoff]
-
-    n = len(keep)
-    lhs = np.zeros((k + 1, n))
-    senses: list[str] = []
-    rhs = np.zeros(k + 1)
-    for i in range(k):
-        lhs[i] = [c.cost.c_rest[i] for c in keep]
-        senses.append("=" if lam.values[i] > tol else "<=")
-        rhs[i] = bounds.values[i]
-    lhs[k] = 1.0
-    senses.append("=")
-    rhs[k] = 1.0
-    lp = LpProblem(
-        objective=np.array([c.cost.c0 for c in keep]),
-        lhs=lhs,
-        senses=tuple(senses),
-        rhs=rhs,
-        lower=np.zeros(n),
-        upper=np.full(n, np.inf),
-    )
-    sol = solve_lp(lp)
-    if sol.status != "optimal":
-        raise MixtureRecoveryError(
-            f"no feasible mixing weights over {n} candidates at multiplier "
-            f"{lam.values} (LP {sol.status})",
-            candidates,
-        )
-    weights = np.clip(sol.x, 0.0, None)
-    weights /= weights.sum()
-    components = tuple(
-        (cand, float(w)) for cand, w in zip(keep, weights) if w > 1e-15
-    )
-    aggregate = mix_costs([(cand.cost, w) for cand, w in components])
-    feasible_costs = [
-        c.cost.c0
-        for c in candidates
-        if all(ci <= vi for ci, vi in zip(c.cost.c_rest, bounds.values))
-    ]
-    gap = max(0.0, min(feasible_costs) - aggregate.c0) if feasible_costs else 0.0
-    return MixedSolution(components, aggregate, lam, gap)
 
 
 @dataclass(frozen=True)

@@ -324,3 +324,30 @@ def brute_policy_costs(mdp):
         ev = evaluate_policy(mdp, pol)
         out.append((pol, ev.expected_cost, ev.failure_prob))
     return out
+
+
+def path_moments(horizon: int, transitions: dict, costs: dict, failures, initial: dict, policy: dict):
+    """Exact first-passage risk and cost moments of one policy, by listing every path.
+
+    Takes the tables of ``mixedctrl.ccmdp.from_tables`` plus
+    ``policy[(k, state)]``, the action label taken in ``state`` at step k,
+    and walks each path from the initial distribution until it enters a
+    failure state or reaches the horizon; a path pays the stage costs of
+    the steps it took before failing. Returns (risk, E[cost], E[cost**2]).
+    """
+    risk = mean = square = 0.0
+    paths = [(0, state, p, 0.0) for state, p in initial.items() if p > 0]
+    while paths:
+        k, state, p, cost = paths.pop()
+        failed = state in failures[k]
+        if failed or k == horizon:
+            risk += p if failed else 0.0
+            mean += p * cost
+            square += p * cost * cost
+            continue
+        action = policy[(k, state)]
+        step_cost = cost + costs[(k, state, action)]
+        for nxt, q in transitions[(k, state, action)].items():
+            if q > 0:
+                paths.append((k + 1, nxt, p * q, step_cost))
+    return risk, mean, square

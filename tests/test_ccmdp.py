@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,15 +17,23 @@ from mixedctrl.ccmdp import (
     lagrangian_dp,
     simulate,
 )
+from mixedctrl.cli import build_setup, load_config
 from mixedctrl.core import (
     Bounds,
+    CostVector,
+    DualVector,
     InvalidInputError,
     InvalidPolicyError,
+    MixedSolution,
+    PureCandidate,
+    mix_costs,
     wilson_ci_99,
 )
 from mixedctrl.dual import check_optimality, solve_mixed_scalar
 
-from _oracles import brute_policy_costs, random_tiny_mdp
+from _oracles import brute_policy_costs, path_moments, random_tiny_mdp
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def chain_mdp():
@@ -216,6 +228,111 @@ def test_simulate_deterministic_policy_is_exact():
     assert summary.cost_mean == 3.0
     assert summary.failure_rate == 0.0
     assert summary.failure_ci99[0] == 0.0
+
+
+def _single(policy, cost=CostVector(1.0, (0.5,))):
+    cand = PureCandidate(policy, cost)
+    return MixedSolution(((cand, 1.0),), cost, DualVector((0.0,)), 0.0)
+
+
+def test_simulate_errors():
+    mdp = chain_mdp()
+    with pytest.raises(InvalidPolicyError, match="undefined action at step 0"):
+        simulate(mdp, _single(Policy((np.array([-1]),))), seed=0, n_rollouts=10)
+    with pytest.raises(InvalidPolicyError, match="MDP policies"):
+        simulate(mdp, _single("not a policy"), seed=0, n_rollouts=10)
+    with pytest.raises(InvalidInputError, match="at least one rollout"):
+        simulate(mdp, _single(Policy((np.array([0]),))), seed=0, n_rollouts=0)
+
+
+# Horizon 3, with failure mass at every step including the start. Failure
+# states keep a priced action, which a sampler must never take: a failed
+# rollout stops paying.
+_LAW_STATES = [["s0", "s1", "f0"], ["m0", "m1", "f1"], ["n0", "n1", "f2"], ["g", "h", "f3"]]
+_LAW_FAILURES = [["f0"], ["f1"], ["f2"], ["f3"]]
+_LAW_INITIAL = {"s0": 0.5, "s1": 0.3, "f0": 0.2}
+_LAW_STEPS = {
+    (0, "s0", "a"): ({"m0": 0.7, "m1": 0.2, "f1": 0.1}, 1.0),
+    (0, "s0", "b"): ({"m0": 0.2, "m1": 0.5, "f1": 0.3}, 0.5),
+    (0, "s1", "a"): ({"m1": 0.6, "f1": 0.4}, 2.0),
+    (0, "s1", "b"): ({"m0": 0.9, "f1": 0.1}, 4.0),
+    (1, "m0", "a"): ({"n0": 0.8, "f2": 0.2}, 1.5),
+    (1, "m0", "b"): ({"n0": 0.5, "n1": 0.5}, 3.0),
+    (1, "m1", "a"): ({"n1": 0.7, "f2": 0.3}, 0.5),
+    (1, "m1", "b"): ({"n0": 0.4, "n1": 0.4, "f2": 0.2}, 1.0),
+    (2, "n0", "a"): ({"g": 0.9, "f3": 0.1}, 2.0),
+    (2, "n0", "b"): ({"g": 0.6, "h": 0.4}, 2.5),
+    (2, "n1", "a"): ({"h": 0.5, "f3": 0.5}, 0.2),
+    (2, "n1", "b"): ({"g": 0.3, "h": 0.6, "f3": 0.1}, 1.2),
+    **{
+        (k, f"f{k}", a): ({f"f{k + 1}": 1.0}, 3.0)
+        for k in range(3)
+        for a in ("a", "b")
+    },
+}
+# (weight, action label per state of steps 0 to 2, failure states included)
+_LAW_MIXTURE = (
+    (0.35, ({"s0": "b", "s1": "a", "f0": "a"}, {"m0": "a", "m1": "a", "f1": "a"},
+            {"n0": "a", "n1": "a", "f2": "a"})),
+    (0.65, ({"s0": "a", "s1": "b", "f0": "a"}, {"m0": "b", "m1": "b", "f1": "a"},
+            {"n0": "b", "n1": "b", "f2": "a"})),
+)
+
+
+def test_count_sampler_follows_the_rollout_law():
+    transitions = {key: row for key, (row, _) in _LAW_STEPS.items()}
+    costs = {key: cost for key, (_, cost) in _LAW_STEPS.items()}
+    actions = [["a", "b"]] * 3
+    mdp = from_tables(
+        3, _LAW_STATES, actions, transitions, costs, _LAW_FAILURES, _LAW_INITIAL
+    )
+    components, risk, mean, square = [], 0.0, 0.0, 0.0
+    for weight, labels in _LAW_MIXTURE:
+        table = {(k, s): a for k, step in enumerate(labels) for s, a in step.items()}
+        r, m, m2 = path_moments(3, transitions, costs, _LAW_FAILURES, _LAW_INITIAL, table)
+        policy = Policy(tuple(
+            np.array([actions[k].index(step[s]) for s in _LAW_STATES[k]])
+            for k, step in enumerate(labels)
+        ))
+        ev = evaluate_policy(mdp, policy)
+        assert (ev.failure_prob, ev.expected_cost) == pytest.approx((r, m), abs=1e-12)
+        components.append((PureCandidate(policy, CostVector(m, (r,))), weight))
+        risk, mean, square = risk + weight * r, mean + weight * m, square + weight * m2
+    aggregate = mix_costs([(cand.cost, w) for cand, w in components])
+    solution = MixedSolution(tuple(components), aggregate, DualVector((0.0,)), 0.0)
+
+    n, seeds = 60, range(400)
+    runs = [simulate(mdp, solution, seed, n) for seed in seeds]
+    failures = np.array([round(run.failure_rate * n) for run in runs])
+    total = n * len(seeds)
+    # each seed's count is Binomial(n, risk): its mean, then its spread
+    assert abs(failures.mean() / n - risk) <= 4 * math.sqrt(risk * (1 - risk) / total)
+    assert 0.75 <= failures.var(ddof=1) / (n * risk * (1 - risk)) <= 1.3
+    cost = np.mean([run.cost_mean for run in runs])
+    assert abs(cost - mean) <= 4 * math.sqrt((square - mean**2) / total)
+
+
+def test_simulation_work_does_not_grow_with_the_rollout_count(monkeypatch):
+    setup = build_setup(load_config(CONFIGS / "desk_grid.json"), CONFIGS)
+    _, solution = solve_mixed_scalar(setup.oracle, setup.bounds)
+    calls = []
+    for dyn in {id(d): d for d in setup.mdp.dynamics}.values():
+        def counted(x, a, row=dyn.row):
+            calls.append(x)
+            return row(x, a)
+
+        monkeypatch.setattr(dyn, "row", counted)
+    for n in (1_000, 1_000_000):
+        calls.clear()
+        tracemalloc.start()
+        try:
+            simulate(setup.mdp, solution, seed=11, n_rollouts=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(calls) <= sum(setup.mdp.state_counts), n
+        # one float64 per rollout alone would take 8 MB at n = 1e6
+        assert peak < 2**20, (n, peak)
 
 
 def test_shift_spread_matches_explicit_matrices():

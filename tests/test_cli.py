@@ -235,6 +235,7 @@ def test_shipped_grid_config_solves_and_validates(tmp_path):
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["kind"] == "grid"
     assert report["mixed"]["aggregate"]["risk"] == pytest.approx(0.02, abs=1e-12)
+    assert report["mixed"]["aggregate"]["risk"] <= report["risk_bound"] == 0.02
     assert len(report["mixed"]["components"]) == 2
     for entry in report["mixed"]["components"]:
         table = (out / entry["policy"]).read_text(encoding="utf-8").splitlines()

@@ -11,19 +11,11 @@ from mixedctrl.core import (
     InfeasibleProblemError,
     InvalidInputError,
     MixedSolution,
-    MixtureRecoveryError,
     NonMonotoneOracleError,
     PureCandidate,
     mix_costs,
 )
-from mixedctrl.dual import (
-    SubgradientConfig,
-    check_optimality,
-    recover_mixture_general,
-    recover_mixture_scalar,
-    solve_dual_subgradient,
-    solve_mixed_scalar,
-)
+from mixedctrl.dual import check_optimality, recover_mixture_scalar, solve_mixed_scalar
 from mixedctrl.scenarios import FiniteSetOracle, toy_oracle
 
 
@@ -153,74 +145,6 @@ def test_recover_scalar_degenerate_equal_risks():
     solution = recover_mixture_scalar(lower, upper, Bounds((0.01,)))
     assert solution.probabilities == (1.0, 0.0)
     assert solution.aggregate.c0 == pytest.approx(1.0)
-
-
-def test_subgradient_matches_bisection_on_toy():
-    oracle = toy_oracle()
-    res = solve_dual_subgradient(
-        oracle, oracle.bounds, SubgradientConfig(alpha0=2e5, max_iter=20000, tol=1.0)
-    )
-    assert abs(res.dual.values[0] - 1000.0) <= 10.0
-    assert res.q_star <= 15.0 + 1e-9  # weak duality
-    assert res.q_star >= 14.9
-    assert len(res.pool) == 2
-
-
-def test_subgradient_loose_bound_stays_at_zero():
-    oracle = _finite([(5.0, 0.001)], 0.01)
-    res = solve_dual_subgradient(oracle, oracle.bounds)
-    assert res.converged
-    assert res.iterations == 1
-    assert res.dual.values == (0.0,)
-    assert res.q_star == pytest.approx(5.0)
-
-
-def test_subgradient_two_constraints_and_recovery():
-    costs = (
-        CostVector(0.0, (0.2, 0.0)),
-        CostVector(0.5, (0.0, 0.2)),
-        CostVector(1.0, (0.0, 0.0)),
-    )
-    bounds = Bounds((0.1, 0.1))
-    oracle = FiniteSetOracle(costs, bounds)
-    res = solve_dual_subgradient(
-        oracle, bounds, SubgradientConfig(alpha0=50.0, max_iter=20000, tol=1e-3)
-    )
-    # exact optimum 0.25 on the face lam1 - lam2 = 2.5
-    assert res.q_star <= 0.25 + 1e-9
-    assert res.q_star >= 0.25 - 5e-3
-    solution = recover_mixture_general(res.pool, res.dual, bounds, tol=0.02)
-    assert len(solution.components) <= 3
-    assert solution.aggregate.c0 == pytest.approx(0.25, abs=5e-3)
-    assert all(
-        c <= v + 1e-9 for c, v in zip(solution.aggregate.c_rest, bounds.values)
-    )
-    report = check_optimality(solution, bounds, oracle, tol=0.02)
-    assert report.overall
-
-
-def test_recover_general_toy_pool():
-    oracle = toy_oracle()
-    pool = [PureCandidate(i, c) for i, c in enumerate(oracle.costs)]
-    solution = recover_mixture_general(
-        pool, DualVector((1000.0,)), oracle.bounds, tol=1e-9
-    )
-    assert solution.probabilities == pytest.approx((0.5, 0.5), abs=1e-9)
-    assert solution.aggregate.c1 == pytest.approx(0.01, abs=1e-12)
-
-
-def test_recover_general_single_candidate():
-    cand = PureCandidate(0, CostVector(2.0, (0.005,)))
-    solution = recover_mixture_general([cand], DualVector((0.0,)), Bounds((0.01,)))
-    assert solution.probabilities == (1.0,)
-    assert solution.aggregate.c0 == pytest.approx(2.0)
-
-
-def test_recover_general_infeasible_pool_carries_pool():
-    pool = [PureCandidate(0, CostVector(1.0, (0.5,)))]
-    with pytest.raises(MixtureRecoveryError) as err:
-        recover_mixture_general(pool, DualVector((0.0,)), Bounds((0.01,)))
-    assert err.value.pool == tuple(pool)
 
 
 def test_check_optimality_accepts_solver_output():

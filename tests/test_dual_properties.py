@@ -8,8 +8,11 @@ the costs. The references in ``_oracles`` share no code with the solver.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import brute_mixed_lp, brute_scalar_dual
@@ -21,7 +24,13 @@ from mixedctrl.core import (
     PureCandidate,
     SolverLimitError,
 )
-from mixedctrl.dual import LAMBDA_MAX, MAX_QUERIES, check_optimality, solve_mixed_scalar
+from mixedctrl.dual import (
+    LAMBDA_MAX,
+    MAX_QUERIES,
+    check_optimality,
+    recover_mixture_scalar,
+    solve_mixed_scalar,
+)
 from mixedctrl.scenarios import FiniteSetOracle
 from mixedctrl.smpc import Obstacle, SmpcModel, SmpcOracle, build_pwl_cdf
 
@@ -55,7 +64,7 @@ def test_mixture_matches_exact_references(case):
     tol = 1e-9 * max(1.0, abs(q_ref))
     assert solution.aggregate.c0 == pytest.approx(q_ref, abs=tol)
     assert solution.aggregate.c0 == pytest.approx(mixed_ref, abs=tol)
-    assert solution.aggregate.c1 <= v + 1e-12
+    assert solution.aggregate.c1 <= v
     assert len(solution.components) <= 2
     # the reported multiplier is the certificate's, and it is dual optimal
     assert result.lambda_star == solution.dual.values[0]
@@ -63,6 +72,31 @@ def test_mixture_matches_exact_references(case):
     assert min(c.c0 + lam * (c.c1 - v) for c in costs) == pytest.approx(q_ref, abs=tol)
     assert result.q_star == pytest.approx(q_ref, abs=tol)
     assert check_optimality(solution, bounds, oracle, tol=tol).overall
+
+
+_unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_unit, _unit, _unit, st.floats(0.0, 1e6), st.floats(0.0, 1e6))
+# p = (V - c_hi) / (c_lo - c_hi) lands the risk one ulp above V
+@example(0.916963832133691, 0.6412204768160114, 0.375, 0.0, 0.0)
+# a small p, whose ulp moves the risk far less than V's ulp does
+@example(1.0, 0.2391455407084258, 1.192092896e-07, 0.0, 0.0)
+def test_recovered_risk_never_rounds_above_the_bound(a, b, t, cost_a, cost_b):
+    c_hi, c_lo = sorted((a, b))
+    v = min(max(c_hi + t * (c_lo - c_hi), c_hi), c_lo)
+    # the multiplier, the cost difference over the risk difference, stays finite
+    assume(c_lo == c_hi or c_lo - c_hi > 1e-290)
+    lower = PureCandidate("risky", CostVector(min(cost_a, cost_b), (c_lo,)))
+    upper = PureCandidate("safe", CostVector(max(cost_a, cost_b), (c_hi,)))
+    solution = recover_mixture_scalar(lower, upper, Bounds((v,)))
+    assert solution.aggregate.c1 <= v
+    # the weight moves off the exact mixing weight only by rounding steps
+    if c_lo > c_hi:
+        exact = (Fraction(v) - Fraction(c_hi)) / (Fraction(c_lo) - Fraction(c_hi))
+        assert abs(Fraction(solution.probabilities[0]) - exact) <= 1e-9
+        assert v - solution.aggregate.c1 <= 4 * math.ulp(c_lo)
 
 
 class _CostlyProbe:
@@ -101,7 +135,7 @@ def test_probe_answer_off_the_hull_is_replaced(case, extra):
     tol = 1e-9 * max(1.0, abs(q_ref))
     assert solution.aggregate.c0 == pytest.approx(q_ref, abs=tol)
     assert solution.aggregate.c0 == pytest.approx(brute_mixed_lp(costs, v), abs=tol)
-    assert solution.aggregate.c1 <= v + 1e-12
+    assert solution.aggregate.c1 <= v
     assert oracle.probe not in [cand.policy for cand, _ in solution.components]
     assert result.q_star == pytest.approx(q_ref, abs=tol)
     assert check_optimality(solution, bounds, oracle, tol=tol).overall
