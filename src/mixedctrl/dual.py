@@ -73,8 +73,10 @@ def recover_mixture_scalar(
     risk by far less than one ulp of V; they end by p = 0 at the latest,
     where the risk is c_hi <= V. The implied multiplier is the
     slope between the endpoint cost pairs, which is exactly where both are
-    Lagrangian-minimal. ``gap_estimate`` is the saving of the mixture over
-    the safe endpoint (the best feasible pure candidate the search saw).
+    Lagrangian-minimal; a risk gap so small that this slope overflows
+    raises InvalidInputError. ``gap_estimate`` is the saving of the
+    mixture over the safe endpoint (the best feasible pure candidate the
+    search saw).
     """
     if lower.cost.k != 1 or upper.cost.k != 1 or bounds.k != 1:
         raise InvalidInputError("scalar recovery needs K=1 candidates and bounds")
@@ -88,8 +90,14 @@ def recover_mixture_scalar(
         p = 1.0
         lam = 0.0
     else:
+        slope = (upper.cost.c0 - lower.cost.c0) / (c_lo - c_hi)
+        if not math.isfinite(slope):
+            raise InvalidInputError(
+                f"endpoint risks {c_lo} and {c_hi} differ by {c_lo - c_hi}, "
+                "a gap that gives no finite multiplier"
+            )
         p = (v - c_hi) / (c_lo - c_hi)
-        lam = max(0.0, (upper.cost.c0 - lower.cost.c0) / (c_lo - c_hi))
+        lam = max(0.0, slope)
     aggregate = mix_costs([(lower.cost, p), (upper.cost, 1.0 - p)])
     step = math.ulp(p)
     while aggregate.c1 > v:

@@ -383,94 +383,3 @@ def edl_scenario(scn: EdlScenario):
 
 def edl_oracle(scn: EdlScenario) -> MdpOracle:
     return MdpOracle(edl_scenario(scn), Bounds((scn.risk_bound,)))
-
-
-def default_grid_scenario() -> GridScenario:
-    """Desk-scale navigation map: two wall blocks, a narrow middle passage,
-    and a wider detour corridor along the bottom edge."""
-    obstacles = set()
-    for x in range(12, 18):
-        for y in range(0, 12):
-            obstacles.add((x, y))
-        for y in range(15, 26):
-            obstacles.add((x, y))
-    return GridScenario(
-        width=30,
-        height=30,
-        horizon=15,
-        start=(2, 13),
-        goal=(27, 13),
-        obstacles=frozenset(obstacles),
-        max_step=6,
-        sigma=1.0,
-        risk_bound=0.02,
-    )
-
-
-def default_edl_scenario(seed: int = 7) -> EdlScenario:
-    """Desk-scale landing map: seeded hazard blobs around two science sites."""
-    width = height = 36
-    rng = np.random.default_rng(seed)
-    feasible = np.ones((width, height), dtype=bool)
-    for _ in range(40):
-        cx = int(rng.integers(0, width))
-        cy = int(rng.integers(0, height))
-        r = int(rng.integers(1, 4))
-        xs, ys = np.meshgrid(np.arange(width), np.arange(height), indexing="ij")
-        feasible &= (xs - cx) ** 2 + (ys - cy) ** 2 > r * r
-    sites = ((6, 28), (30, 8))
-    for sx, sy in sites:
-        xs, ys = np.meshgrid(np.arange(width), np.arange(height), indexing="ij")
-        feasible |= (xs - sx) ** 2 + (ys - sy) ** 2 <= 4
-    return EdlScenario(
-        width=width,
-        height=height,
-        stages=3,
-        start=(18, 18),
-        feasible=feasible,
-        ellipsoids=((np.eye(2), 10.0), (np.eye(2), 6.0), (np.eye(2), 3.0)),
-        sigmas=((2.0, 2.0), (1.2, 1.2), (0.7, 0.7)),
-        sites=sites,
-        risk_bound=0.001,
-    )
-
-
-@dataclass(eq=False)
-class CorridorScenario:
-    """Default chance-constrained corridor instance for the MPC backend."""
-
-    model: object
-    bounds: Bounds
-    pwl_segments: int
-
-
-def corridor_scenario() -> CorridorScenario:
-    """Two walls with a narrow slot between them, start and goal on axis.
-
-    Per-step moves are capped at 1.0 while the walls are 1.0 wide, so a
-    mean path cannot jump the band: it must thread the slot (short but
-    close to both walls) or climb over the upper wall (longer, far from
-    everything). The lower wall runs deeper, so going under never pays.
-    """
-    from .smpc import Obstacle, SmpcModel
-
-    upper = Obstacle(
-        [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
-        [3.5, -2.5, 2.0, -0.6],
-    )
-    lower = Obstacle(
-        [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
-        [3.5, -2.5, -0.2, 3.0],
-    )
-    model = SmpcModel(
-        a_mat=np.eye(2),
-        b_mat=np.eye(2),
-        sigma_w=0.005 * np.eye(2),
-        horizon=7,
-        x_init=[0.0, 0.0],
-        x_goal=[6.0, 0.0],
-        u_lower=[-1.0, -1.0],
-        u_upper=[1.0, 1.0],
-        obstacles=(upper, lower),
-    )
-    return CorridorScenario(model=model, bounds=Bounds((0.001,)), pwl_segments=6)

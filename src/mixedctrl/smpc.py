@@ -47,6 +47,9 @@ _SIGMA_FLOOR = 1e-12
 # objective weight on risk terms when the multiplier is zero, keeps the
 # inner solve deterministic instead of leaving risk ties to pivot order
 _RISK_WEIGHT_FLOOR = 1e-9
+# Monte Carlo rollouts simulated per block. The block size decides which
+# normal draw goes to which rollout, so changing it changes every estimate.
+_MC_CHUNK = 100_000
 
 
 @dataclass(frozen=True)
@@ -73,11 +76,6 @@ class Obstacle:
     @property
     def num_faces(self) -> int:
         return self.face_normals.shape[0]
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask over points (last axis is the state dimension)."""
-        vals = points @ self.face_normals.T - self.face_offsets
-        return np.all(vals <= 0.0, axis=-1)
 
 
 @dataclass(eq=False)
@@ -581,34 +579,47 @@ def _noise_sqrt(sigma: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
 
-def estimate_risk_mc(
-    model: SmpcModel,
-    controls: np.ndarray,
-    n_rollouts: int,
-    seed: int,
-    chunk: int = 100_000,
-) -> RiskEstimate:
-    """Empirical collision probability of one control sequence."""
-    if n_rollouts < 1:
-        raise InvalidInputError("need at least one rollout")
+def _count_failures(
+    model: SmpcModel, controls: np.ndarray, n_rollouts: int, seed: int
+) -> int:
+    """Number of rollouts of one control sequence that enter an obstacle.
+
+    The state is held with one column per rollout, so each obstacle's
+    face test is one (faces, rollouts) product: a rollout is inside when
+    it is on the inner side of every face.
+    """
     rng = np.random.default_rng(seed)
     root = _noise_sqrt(model.sigma_w)
     controls = np.asarray(controls, dtype=float)
     failures = 0
-    done = 0
-    while done < n_rollouts:
-        size = min(chunk, n_rollouts - done)
-        x = np.tile(model.x_init, (size, 1))
+    for done in range(0, n_rollouts, _MC_CHUNK):
+        size = min(_MC_CHUNK, n_rollouts - done)
+        x = np.repeat(model.x_init[:, None], size, axis=1)
         failed = np.zeros(size, dtype=bool)
         for k in range(model.horizon):
-            noise = rng.standard_normal((size, model.dim_x)) @ root.T
-            x = x @ model.a_mat.T + model.b_mat @ controls[k] + noise
+            z = rng.standard_normal((size, model.dim_x))
+            x = model.a_mat @ x
+            x += (model.b_mat @ controls[k])[:, None]
+            x += root @ z.T
             for obs in model.obstacles:
-                failed |= obs.contains(x)
-        failures += int(failed.sum())
-        done += size
+                outside = obs.face_normals @ x > obs.face_offsets[:, None]
+                failed |= ~np.logical_or.reduce(outside, axis=0)
+        failures += int(np.count_nonzero(failed))
+    return failures
+
+
+def _estimate(failures: int, n_rollouts: int) -> RiskEstimate:
     lo, hi = wilson_ci_99(failures, n_rollouts)
     return RiskEstimate(failures / n_rollouts, (lo, hi), n_rollouts)
+
+
+def estimate_risk_mc(
+    model: SmpcModel, controls: np.ndarray, n_rollouts: int, seed: int
+) -> RiskEstimate:
+    """Empirical collision probability of one control sequence."""
+    if n_rollouts < 1:
+        raise InvalidInputError("need at least one rollout")
+    return _estimate(_count_failures(model, controls, n_rollouts, seed), n_rollouts)
 
 
 def estimate_mixture_risk_mc(
@@ -625,9 +636,7 @@ def estimate_mixture_risk_mc(
     for (cand, _), cnt in zip(solution.components, counts):
         if cnt == 0:
             continue
-        sub = estimate_risk_mc(
+        failures += _count_failures(
             model, cand.policy.controls, int(cnt), int(rng.integers(2**63))
         )
-        failures += round(sub.rate * cnt)
-    lo, hi = wilson_ci_99(failures, n_rollouts)
-    return RiskEstimate(failures / n_rollouts, (lo, hi), n_rollouts)
+    return _estimate(failures, n_rollouts)

@@ -351,3 +351,34 @@ def path_moments(horizon: int, transitions: dict, costs: dict, failures, initial
             if q > 0:
                 paths.append((k + 1, nxt, p * q, step_cost))
     return risk, mean, square
+
+
+def mc_failures_rowmajor(a_mat, b_mat, sigma_w, x_init, controls, obstacles, n_rollouts, seed):
+    """Collision count of one control sequence, one rollout per row.
+
+    A transcription of the straightforward sampler on raw arrays:
+    ``obstacles`` is a list of (normals, offsets) pairs, and a rollout
+    fails when some step puts it on the inner side of every face of one
+    of them. It draws the same normals in the same order as
+    ``mixedctrl.smpc`` (blocks of 100,000 rollouts, one (block, dim_x)
+    draw per step, noise root from the eigendecomposition of sigma_w), so
+    the two counts agree exactly.
+    """
+    a_mat, b_mat = np.asarray(a_mat, dtype=float), np.asarray(b_mat, dtype=float)
+    controls = np.asarray(controls, dtype=float)
+    vals, vecs = np.linalg.eigh(np.asarray(sigma_w, dtype=float))
+    root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
+    rng = np.random.default_rng(seed)
+    failures = done = 0
+    while done < n_rollouts:
+        size = min(100_000, n_rollouts - done)
+        x = np.tile(np.asarray(x_init, dtype=float), (size, 1))
+        failed = np.zeros(size, dtype=bool)
+        for k in range(len(controls)):
+            noise = rng.standard_normal((size, len(x_init))) @ root.T
+            x = x @ a_mat.T + b_mat @ controls[k] + noise
+            for normals, offsets in obstacles:
+                failed |= np.all(x @ np.asarray(normals).T <= np.asarray(offsets), axis=-1)
+        failures += int(failed.sum())
+        done += size
+    return failures

@@ -34,21 +34,14 @@ from _oracles import (
     random_tiny_mdp,
 )
 from mixedctrl.ccmdp import lagrangian_dp, mdp_oracle, simulate
+from mixedctrl.cli import build_setup, load_config
 from mixedctrl.cli import main as cli_main
 from mixedctrl.core import Bounds, CostVector, PureCandidate
 from mixedctrl.dual import check_optimality, recover_mixture_scalar, solve_mixed_scalar
 from mixedctrl.lpsolve import solve_lp
 from mixedctrl.milp import MilpProblem, solve_milp
-from mixedctrl.scenarios import (
-    FiniteSetOracle,
-    corridor_scenario,
-    default_edl_scenario,
-    default_grid_scenario,
-    edl_oracle,
-    grid_oracle,
-    toy_oracle,
-)
-from mixedctrl.smpc import SmpcOracle, build_pwl_cdf, estimate_mixture_risk_mc
+from mixedctrl.scenarios import FiniteSetOracle, parse_grid_map, toy_oracle
+from mixedctrl.smpc import build_pwl_cdf, estimate_mixture_risk_mc
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -57,13 +50,17 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
+def _shipped(name: str):
+    """Oracle, bounds and backend objects of a shipped config."""
+    return build_setup(load_config(CONFIGS / f"{name}.json"), CONFIGS)
+
+
 @pytest.fixture(scope="module")
 def corridor_run():
-    scn = corridor_scenario()
-    oracle = SmpcOracle(scn.model, build_pwl_cdf(scn.pwl_segments))
+    setup = _shipped("corridor")
     started = time.perf_counter()
-    result, solution = solve_mixed_scalar(oracle, scn.bounds)
-    return scn, oracle, result, solution, time.perf_counter() - started
+    result, solution = solve_mixed_scalar(setup.oracle, setup.bounds)
+    return setup, result, solution, time.perf_counter() - started
 
 
 def test_criterion_1_toy_pipeline():
@@ -184,16 +181,16 @@ def test_criterion_3_mixed_equals_dual_equals_pure_minus_gap():
 
 
 def test_criterion_4_active_constraint_risk_is_exact(corridor_run):
-    scn, _, corridor_result, corridor_solution, _ = corridor_run
+    setup, corridor_result, corridor_solution, _ = corridor_run
     runs = []
 
     toy = toy_oracle()
     runs.append(("toy", *solve_mixed_scalar(toy, toy.bounds), toy.bounds))
-    grid = grid_oracle(default_grid_scenario())
+    grid = _shipped("desk_grid").oracle
     runs.append(("grid", *solve_mixed_scalar(grid, grid.bounds), grid.bounds))
-    edl = edl_oracle(default_edl_scenario(7))
+    edl = _shipped("landing").oracle
     runs.append(("edl", *solve_mixed_scalar(edl, edl.bounds), edl.bounds))
-    runs.append(("smpc", corridor_result, corridor_solution, scn.bounds))
+    runs.append(("smpc", corridor_result, corridor_solution, setup.bounds))
 
     details = []
     ok = True
@@ -222,7 +219,7 @@ def test_criterion_5_dp_matches_policy_enumeration():
 
 
 def test_criterion_6_smpc_conservatism_and_two_modes(corridor_run):
-    scn, oracle, result, solution, solve_seconds = corridor_run
+    setup, result, solution, solve_seconds = corridor_run
     started = time.perf_counter()
 
     assert len(solution.components) == 2
@@ -231,12 +228,12 @@ def test_criterion_6_smpc_conservatism_and_two_modes(corridor_run):
     assert short_risky.cost.c1 > long_safe.cost.c1, "modes should trade length for risk"
     assert min(w for _, w in solution.components) > 0.05
 
-    est = estimate_mixture_risk_mc(scn.model, solution, 1_000_000, seed=42)
+    est = estimate_mixture_risk_mc(setup.model, solution, 1_000_000, seed=42)
     bound = solution.aggregate.c1
     assert est.rate <= bound, (est, bound)
     assert est.ci99[0] <= bound
 
-    for pwl in (oracle.pwl, build_pwl_cdf()):
+    for pwl in (setup.oracle.pwl, build_pwl_cdf()):
         ys = np.linspace(pwl.y_min, 0.0, 10_000)
         worst = min(pwl.value(float(y)) - ndtr(y) for y in ys)
         assert worst >= -1e-12, f"chord dips {worst:.2e} below the normal CDF"
@@ -274,9 +271,13 @@ def test_criterion_7_lp_and_milp_match_brute_force():
 
 
 def test_criterion_8_desk_grid_scenario():
-    scn = default_grid_scenario()
-    assert (scn.width, scn.height, scn.horizon, scn.risk_bound) == (30, 30, 15, 0.02)
-    oracle = grid_oracle(scn)
+    config = load_config(CONFIGS / "desk_grid.json")
+    setup = build_setup(config, CONFIGS)
+    feasible, _ = parse_grid_map((CONFIGS / config["map"]).read_text(encoding="utf-8"))
+    width, height = feasible.shape
+    risk_bound = setup.bounds.values[0]
+    assert (width, height, setup.mdp.horizon, risk_bound) == (30, 30, 15, 0.02)
+    oracle = setup.oracle
     started = time.perf_counter()
     result, solution = solve_mixed_scalar(oracle, oracle.bounds)
     elapsed = time.perf_counter() - started
@@ -287,7 +288,7 @@ def test_criterion_8_desk_grid_scenario():
     assert len(solution.components) in (1, 2)
     if len(solution.components) == 2:
         risks = sorted(cand.cost.c1 for cand, _ in solution.components)
-        assert risks[0] <= scn.risk_bound <= risks[1]
+        assert risks[0] <= risk_bound <= risks[1]
 
     summary = simulate(oracle.mdp, solution, seed=11, n_rollouts=100_000)
     lo, hi = summary.failure_ci99

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import brute_mixed_lp, brute_scalar_dual
@@ -21,6 +21,7 @@ from mixedctrl.core import (
     CostVector,
     DualVector,
     InfeasibleProblemError,
+    InvalidInputError,
     PureCandidate,
     SolverLimitError,
 )
@@ -83,13 +84,24 @@ _unit = st.floats(0.0, 1.0, allow_nan=False)
 @example(0.916963832133691, 0.6412204768160114, 0.375, 0.0, 0.0)
 # a small p, whose ulp moves the risk far less than V's ulp does
 @example(1.0, 0.2391455407084258, 1.192092896e-07, 0.0, 0.0)
+# a risk gap of the smallest normal float: the multiplier 4 / gap
+# overflows, while 1 / gap does not
+@example(2.2250738585072014e-308, 0.0, 0.0, 0.0, 4.0)
+@example(2.2250738585072014e-308, 0.0, 0.5, 0.0, 1.0)
 def test_recovered_risk_never_rounds_above_the_bound(a, b, t, cost_a, cost_b):
     c_hi, c_lo = sorted((a, b))
     v = min(max(c_hi + t * (c_lo - c_hi), c_hi), c_lo)
-    # the multiplier, the cost difference over the risk difference, stays finite
-    assume(c_lo == c_hi or c_lo - c_hi > 1e-290)
     lower = PureCandidate("risky", CostVector(min(cost_a, cost_b), (c_lo,)))
     upper = PureCandidate("safe", CostVector(max(cost_a, cost_b), (c_hi,)))
+    # the multiplier, the float cost difference over the risk difference,
+    # rounds to infinity when its exact value reaches halfway past the
+    # largest float
+    if c_lo > c_hi:
+        exact_slope = Fraction(abs(cost_a - cost_b)) / (Fraction(c_lo) - Fraction(c_hi))
+        if exact_slope >= 2**1024 - 2**970:
+            with pytest.raises(InvalidInputError, match="gives no finite multiplier"):
+                recover_mixture_scalar(lower, upper, Bounds((v,)))
+            return
     solution = recover_mixture_scalar(lower, upper, Bounds((v,)))
     assert solution.aggregate.c1 <= v
     # the weight moves off the exact mixing weight only by rounding steps

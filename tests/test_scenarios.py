@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mixedctrl.cli import build_setup, load_config
 from mixedctrl.core import (
     Bounds,
     CostVector,
@@ -15,9 +17,6 @@ from mixedctrl.scenarios import (
     EdlScenario,
     FiniteSetOracle,
     GridScenario,
-    corridor_scenario,
-    default_edl_scenario,
-    default_grid_scenario,
     edl_oracle,
     edl_scenario,
     ellipsoid_offsets,
@@ -31,6 +30,12 @@ from mixedctrl.scenarios import (
 )
 
 SQRT2 = math.sqrt(2.0)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _shipped(name: str):
+    """Oracle, bounds and backend objects of a shipped config."""
+    return build_setup(load_config(CONFIGS / f"{name}.json"), CONFIGS)
 
 
 def test_toy_oracle_endpoints_and_mixture():
@@ -118,14 +123,14 @@ def test_grid_rejects_cells_off_grid_or_on_obstacles():
 
 
 def test_desk_grid_mixes_two_routes_at_the_risk_bound():
-    scn = default_grid_scenario()
-    oracle = grid_oracle(scn)
+    oracle = _shipped("desk_grid").oracle
+    risk_bound = oracle.bounds.values[0]
     dual, sol = solve_mixed_scalar(oracle, oracle.bounds)
     assert dual.lambda_star > 1.0
     assert len(sol.components) == 2
-    assert sol.aggregate.c1 == pytest.approx(scn.risk_bound, abs=1e-12)
+    assert sol.aggregate.c1 == pytest.approx(risk_bound, abs=1e-12)
     risks = sorted(c.cost.c1 for c, _ in sol.components)
-    assert risks[0] < scn.risk_bound < risks[1]
+    assert risks[0] < risk_bound < risks[1]
     assert sol.aggregate.c0 == pytest.approx(244.38, abs=0.05)
     report = check_optimality(sol, oracle.bounds, oracle)
     assert report.overall, report.conditions
@@ -199,12 +204,11 @@ def test_landing_validation():
 
 
 def test_default_landing_mixes_at_the_risk_bound():
-    scn = default_edl_scenario()
-    oracle = edl_oracle(scn)
+    oracle = _shipped("landing").oracle
     dual, sol = solve_mixed_scalar(oracle, oracle.bounds)
     assert dual.lambda_star > 1.0
     assert len(sol.components) == 2
-    assert sol.aggregate.c1 == pytest.approx(scn.risk_bound, abs=1e-12)
+    assert sol.aggregate.c1 == pytest.approx(oracle.bounds.values[0], abs=1e-12)
     assert sol.aggregate.c0 == pytest.approx(45.05, abs=0.05)
     report = check_optimality(sol, oracle.bounds, oracle)
     assert report.overall, report.conditions
@@ -223,14 +227,12 @@ def test_two_point_landing_replay_weights():
 
 
 def test_corridor_scenario_shape_and_cheapest_route():
-    scn = corridor_scenario()
-    assert scn.model.horizon == 7
-    assert len(scn.model.obstacles) == 2
-    assert scn.bounds.values == (0.001,)
-    from mixedctrl.smpc import SmpcOracle, build_pwl_cdf
-
-    oracle = SmpcOracle(scn.model, pwl=build_pwl_cdf(scn.pwl_segments))
-    cand = oracle.query(DualVector((0.0,)))
+    setup = _shipped("corridor")
+    assert setup.model.horizon == 7
+    assert len(setup.model.obstacles) == 2
+    assert setup.bounds.values == (0.001,)
+    assert len(setup.oracle.pwl.slopes) == 6
+    cand = setup.oracle.query(DualVector((0.0,)))
     # unconstrained by risk, the plan runs straight down the axis
     assert cand.cost.c0 == pytest.approx(6.0, abs=1e-6)
     assert 0.0 < cand.cost.c1 < 0.2

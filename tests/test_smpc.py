@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from _oracles import brute_milp_solve
+from _oracles import brute_milp_solve, mc_failures_rowmajor
 from mixedctrl.cli import build_setup
 from mixedctrl.core import Bounds, DualVector, InfeasibleProblemError, InvalidInputError
 from mixedctrl.dual import MONOTONE_TOL
@@ -346,7 +347,9 @@ def test_query_and_evaluate_agree_exactly():
     # steps, so the optimum is the minimum L1 effort to reach the goal
     assert cand.cost.c0 == pytest.approx(2.0, abs=1e-6)
     assert cand.cost.c1 < 1e-4
-    assert not model.obstacles[0].contains(cand.policy.mean[1:]).any()
+    box = model.obstacles[0]
+    inside = np.all(cand.policy.mean[1:] @ box.face_normals.T <= box.face_offsets, axis=-1)
+    assert not inside.any()
 
 
 def test_mean_inside_obstacle_counts_as_certain_failure():
@@ -461,3 +464,96 @@ def test_mixture_risk_mc_is_deterministic():
     exact_far = phi_ref(-4.0)
     expected = 0.5 * exact_near + 0.5 * exact_far
     assert a.ci99[0] <= expected <= a.ci99[1]
+
+
+@pytest.fixture(scope="module")
+def corridor_plans():
+    """The shipped corridor's raw config and its plans at multipliers 0 and 100."""
+    config = json.loads((CONFIGS / "corridor.json").read_text(encoding="utf-8"))
+    setup = build_setup(config, CONFIGS)
+    plans = [setup.oracle.query(DualVector((lam,))).policy.controls for lam in (0.0, 100.0)]
+    return config, setup.model, plans
+
+
+# 1-D walk with identity dynamics and diagonal noise, past the interval
+# [0.8, 1.2] and towards the half-line x >= 2
+_WALK = dict(
+    a=[[1.0]],
+    b=[[1.0]],
+    sigma_w=[[0.09]],
+    x_init=[0.0],
+    obstacles=[([[1.0], [-1.0]], [1.2, -0.8]), ([[-1.0]], [-2.0])],
+)
+
+
+@pytest.mark.parametrize("n", [1, 100_000, 100_001, 250_000])
+def test_sampler_counts_match_the_row_major_reference(corridor_plans, n):
+    config, model, plans = corridor_plans
+    shipped = dict(
+        a=config["a"],
+        b=config["b"],
+        sigma_w=config["sigma_w"],
+        x_init=config["x_init"],
+        obstacles=[(o["normals"], o["offsets"]) for o in config["obstacles"]],
+    )
+    walk = SmpcModel(
+        a_mat=_WALK["a"],
+        b_mat=_WALK["b"],
+        sigma_w=_WALK["sigma_w"],
+        horizon=3,
+        x_init=_WALK["x_init"],
+        x_goal=[1.8],
+        u_lower=[-1.0],
+        u_upper=[1.0],
+        obstacles=tuple(Obstacle(*faces) for faces in _WALK["obstacles"]),
+    )
+    cases = [(shipped, model, controls) for controls in plans]
+    cases.append((_WALK, walk, np.array([[0.5], [0.6], [0.7]])))
+    for seed, (raw, smpc_model, controls) in enumerate(cases, start=n):
+        want = mc_failures_rowmajor(
+            raw["a"], raw["b"], raw["sigma_w"], raw["x_init"], controls,
+            raw["obstacles"], n, seed,
+        )
+        got = estimate_risk_mc(smpc_model, controls, n, seed)
+        assert got.rate == want / n, (seed, got.rate * n, want)
+
+
+def test_sampler_counts_follow_the_binomial_law():
+    # one step of non-identity dynamics with correlated noise; the
+    # obstacle is the half-plane normal @ x <= offset
+    a_mat = np.array([[0.5, 0.2], [0.1, 0.9]])
+    sigma = np.array([[1.0, 0.6], [0.6, 0.5]])
+    x_init, u = np.array([1.0, 0.5]), np.array([0.3, -0.2])
+    normal, offset = np.array([1.0, -2.0]), -0.3
+    model = SmpcModel(
+        a_mat=a_mat,
+        b_mat=np.eye(2),
+        sigma_w=sigma,
+        horizon=1,
+        x_init=x_init,
+        x_goal=[0.0, 0.0],
+        u_lower=[-1.0, -1.0],
+        u_upper=[1.0, 1.0],
+        obstacles=(Obstacle([normal], [offset]),),
+    )
+    mean = a_mat @ x_init + u
+    p = float(ndtr((offset - normal @ mean) / math.sqrt(normal @ sigma @ normal)))
+    n, seeds = 2_000, 200
+    counts = np.array(
+        [round(estimate_risk_mc(model, u[None, :], n, seed).rate * n) for seed in range(seeds)]
+    )
+    var = n * p * (1.0 - p)
+    assert abs(counts.mean() - n * p) <= 4.0 * math.sqrt(var / seeds), (counts.mean(), n * p)
+    assert 0.75 <= counts.var(ddof=1) / var <= 1.3, counts.var(ddof=1) / var
+
+
+def test_corridor_monte_carlo_memory_stays_small(corridor_plans):
+    _, model, plans = corridor_plans
+    tracemalloc.start()
+    try:
+        estimate_risk_mc(model, plans[0], 1_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 100,000-rollout block of states alone takes 1.5 MiB
+    assert peak < 8 * 2**20, peak
