@@ -7,10 +7,11 @@ by assigning failure states the constant value ``lam``; the forward pass
 splits probability mass into an alive distribution and an absorbed
 failure mass, which keeps policy evaluation exact rather than sampled.
 
-Transitions come in two layouts: explicit per-action sparse matrices for
-small hand-built models, and a shared "spread" matrix composed with
-per-action deterministic target maps for translation-invariant dynamics
-(grid worlds), where one sparse product per step covers every action.
+Transitions have one layout: each admissible (state, action) pair points
+at a row of a shared row-stochastic "spread" matrix, so one sparse
+product per step covers every action. Translation-invariant dynamics
+(grid worlds) give the rows to cells and let every action that aims at a
+cell share its noise row; a hand-built table gives each pair its own row.
 
 The Monte Carlo check samples how many rollouts occupy each state, not
 where each rollout is: rollouts that share a state and a policy are
@@ -44,60 +45,14 @@ from .core import (
 _MASS_TOL = 1e-12
 
 
-class ActionTransitions:
-    """One sparse row-stochastic matrix per action."""
-
-    def __init__(self, mats):
-        self.mats = [sp.csr_matrix(m, dtype=float) for m in mats]
-        if not self.mats:
-            raise InvalidInputError("step needs at least one action")
-        shape = self.mats[0].shape
-        if any(m.shape != shape for m in self.mats):
-            raise InvalidInputError("per-action transition shapes differ")
-        self.num_states, self.num_next = shape
-
-    @property
-    def num_actions(self) -> int:
-        return len(self.mats)
-
-    def expected_next(self, j_next: np.ndarray) -> np.ndarray:
-        return np.column_stack([m @ j_next for m in self.mats])
-
-    def push_forward(self, dist: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.num_next)
-        used = np.unique(actions[dist > 0])
-        for a in used:
-            mask = (actions == a) & (dist > 0)
-            out += self.mats[a].T @ (dist * mask)
-        return out
-
-    def row(self, state: int, action: int):
-        m = self.mats[action]
-        sl = slice(m.indptr[state], m.indptr[state + 1])
-        return m.indices[sl], m.data[sl]
-
-    def check_rows(self, admissible: np.ndarray):
-        for a, m in enumerate(self.mats):
-            sums = np.asarray(m.sum(axis=1)).ravel()
-            bad = admissible[:, a] & (np.abs(sums - 1.0) > _MASS_TOL)
-            if np.any(bad):
-                x = int(np.flatnonzero(bad)[0])
-                raise InvalidInputError(
-                    f"transition row for state {x}, action {a} sums to {sums[x]}"
-                )
-            if (m.data < 0).any():
-                raise InvalidInputError(f"negative transition probability in action {a}")
-
-
 class ShiftSpread:
-    """Deterministic per-action target map composed with a shared noise spread.
+    """Per-action target map into the rows of a shared row-stochastic spread.
 
-    ``targets[a][x]`` is the pre-noise destination cell (-1 marks an
-    inadmissible pair); ``spread`` is one row-stochastic matrix applying
-    the disturbance. The step kernel is then row ``targets[a][x]`` of the
-    spread, so a sweep needs a single sparse product shared by all actions.
-    The spread may carry extra rows beyond the next-state count, e.g. a
-    deterministic parking row for an absorbing cell.
+    The next-state distribution of state ``x`` under action ``a`` is row
+    ``targets[a][x]`` of ``spread`` (-1 marks an inadmissible pair), so a
+    sweep needs a single sparse product shared by all actions. The rows
+    may be pre-noise destination cells, extra rows (a deterministic
+    parking row for an absorbing cell), or one row per pair.
     """
 
     def __init__(self, targets: np.ndarray, spread):
@@ -115,10 +70,8 @@ class ShiftSpread:
         return self.targets.shape[0]
 
     def expected_next(self, j_next: np.ndarray) -> np.ndarray:
-        y = self.spread @ j_next
-        safe = np.where(self.targets >= 0, self.targets, 0)
-        q = y[safe].T  # (states, actions)
-        return np.where(self.targets.T >= 0, q, 0.0)
+        # the appended zero is what target -1 (an inadmissible pair) reads
+        return np.append(self.spread @ j_next, 0.0)[self.targets].T  # (states, actions)
 
     def push_forward(self, dist: np.ndarray, actions: np.ndarray) -> np.ndarray:
         inter = np.zeros(self.spread.shape[0])
@@ -304,10 +257,6 @@ class MdpOracle(LagrangianOracle):
         return CostVector(ev.expected_cost, (ev.failure_prob,))
 
 
-def mdp_oracle(mdp: Mdp, bounds: Bounds) -> MdpOracle:
-    return MdpOracle(mdp, bounds)
-
-
 @dataclass(frozen=True)
 class SimulationSummary:
     cost_mean: float
@@ -394,6 +343,7 @@ def from_tables(
 
     ``transitions[(k, state, action)]`` maps next-state labels to
     probabilities; pairs missing from ``transitions`` are inadmissible.
+    Each admissible pair gets its own spread row.
     """
     t = horizon
     if len(states) != t + 1 or len(actions) != t or len(failures) != t + 1:
@@ -405,17 +355,17 @@ def from_tables(
     for k in range(t):
         n_k, n_next = counts[k], counts[k + 1]
         a_k = len(actions[k])
-        mats = [sp.lil_matrix((n_k, n_next)) for _ in range(a_k)]
+        pairs = [(key, row) for key, row in transitions.items() if key[0] == k]
+        targets = np.full((a_k, n_k), -1, dtype=np.int64)
+        spread = sp.lil_matrix((len(pairs), n_next))
         cost = np.full((n_k, a_k), np.inf)
-        for (kk, s, a), row in transitions.items():
-            if kk != k:
-                continue
-            x = index[k][s]
-            ai = actions[k].index(a)
+        for r, ((_, s, a), row) in enumerate(pairs):
+            x, ai = index[k][s], actions[k].index(a)
+            targets[ai, x] = r
             for s_next, p in row.items():
-                mats[ai][x, index[k + 1][s_next]] = p
-            cost[x, ai] = costs[(kk, s, a)]
-        dynamics.append(ActionTransitions([m.tocsr() for m in mats]))
+                spread[r, index[k + 1][s_next]] = p
+            cost[x, ai] = costs[(k, s, a)]
+        dynamics.append(ShiftSpread(targets, spread))
         stage_costs.append(cost)
     masks = []
     for k in range(t + 1):

@@ -44,14 +44,7 @@ from .core import (
     wilson_ci_99,
 )
 from .dual import check_optimality, solve_mixed_scalar
-from .scenarios import (
-    EdlScenario,
-    FiniteSetOracle,
-    GridScenario,
-    edl_oracle,
-    grid_oracle,
-    parse_grid_map,
-)
+from .scenarios import FiniteSetOracle, edl_oracle, grid_oracle, parse_grid_map
 from .smpc import (
     ControlPlan,
     Obstacle,
@@ -66,22 +59,21 @@ TRACE_COLUMNS = ("iteration", "lambda", "c0", "c1", "lagrangian_value")
 # `validate` rejects a correct report's Monte Carlo check at most this often
 VALIDATE_FALSE_ALARM = 1e-6
 
-_REQUIRED_KEYS = {
-    "toy": ("policies", "risk_bound"),
-    "grid": ("map", "horizon", "max_step", "sigma", "risk_bound"),
-    "edl": ("map", "stages", "ellipsoids", "sigmas", "risk_bound"),
+# Required and optional top-level keys per kind; any other key is rejected.
+_KEYS = {
+    "toy": (("policies", "risk_bound"), ()),
+    "grid": (("map", "horizon", "max_step", "sigma", "risk_bound"), ()),
+    "edl": (("map", "stages", "ellipsoids", "sigmas", "risk_bound"), ()),
     "smpc": (
-        "a",
-        "b",
-        "sigma_w",
-        "horizon",
-        "x_init",
-        "x_goal",
-        "u_lower",
-        "u_upper",
-        "obstacles",
-        "risk_bound",
+        ("a", "b", "sigma_w", "horizon", "x_init", "x_goal", "u_lower", "u_upper",
+         "obstacles", "risk_bound"),
+        ("pwl_segments", "max_nodes"),
     ),
+}
+# Optional sections every kind accepts, with the type of each of their keys.
+_SECTIONS = {
+    "monte_carlo": {"seed": int, "n": int},
+    "sweep": {"lambda_min": (int, float), "lambda_max": (int, float), "points": int},
 }
 
 
@@ -101,11 +93,29 @@ def load_config(path: Path) -> dict:
             f"config schema must be {SCHEMA_VERSION}, got {config.get('schema')!r}"
         )
     kind = config.get("kind")
-    if kind not in _REQUIRED_KEYS:
+    if kind not in _KEYS:
         raise InvalidInputError(f"unknown scenario kind {kind!r}")
-    missing = [key for key in _REQUIRED_KEYS[kind] if key not in config]
+    required, optional = _KEYS[kind]
+    missing = [key for key in required if key not in config]
     if missing:
         raise InvalidInputError(f"{kind} config is missing: {', '.join(missing)}")
+    known = {"schema", "kind", *required, *optional, *_SECTIONS}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise InvalidInputError(f"unknown {kind} config keys: {', '.join(unknown)}")
+    for name, types in _SECTIONS.items():
+        section = config.get(name, {})
+        if not isinstance(section, dict):
+            raise InvalidInputError(f"{name} must be a JSON object")
+        for key, value in section.items():
+            if key not in types:
+                raise InvalidInputError(f"unknown {name} key {key!r}")
+            if isinstance(value, bool) or not isinstance(value, types[key]):
+                what = "an integer" if types[key] is int else "a number"
+                raise InvalidInputError(f"{name}.{key} must be {what}, got {value!r}")
+    mc = config.get("monte_carlo", {})
+    if mc.get("seed", 0) < 0 or mc.get("n", 1) < 1:
+        raise InvalidInputError("monte_carlo needs seed >= 0 and n >= 1")
     bound = config["risk_bound"]
     if (
         isinstance(bound, bool)
@@ -164,49 +174,32 @@ def _build_toy(config: dict, base_dir: Path) -> RunSetup:
 
 def _build_grid(config: dict, base_dir: Path) -> RunSetup:
     feasible, markers = _read_map(config, base_dir)
-    width, height = feasible.shape
-    obstacles = frozenset(
-        (x, y) for x in range(width) for y in range(height) if not feasible[x, y]
-    )
-    miss = config.get("miss_penalty")
-    scn = GridScenario(
-        width=width,
-        height=height,
+    oracle = grid_oracle(
+        feasible,
+        _single_marker(markers, "S"),
+        _single_marker(markers, "G"),
         horizon=int(config["horizon"]),
-        start=_single_marker(markers, "S"),
-        goal=_single_marker(markers, "G"),
-        obstacles=obstacles,
         max_step=int(config["max_step"]),
         sigma=float(config["sigma"]),
         risk_bound=float(config["risk_bound"]),
-        miss_penalty=None if miss is None else float(miss),
     )
-    oracle = grid_oracle(scn)
-    return RunSetup("grid", oracle, Bounds((scn.risk_bound,)), mdp=oracle.mdp)
+    return RunSetup("grid", oracle, oracle.bounds, mdp=oracle.mdp)
 
 
 def _build_edl(config: dict, base_dir: Path) -> RunSetup:
     feasible, markers = _read_map(config, base_dir)
-    ellipsoids = tuple(
-        (np.asarray(e["matrix"], dtype=float), float(e["radius"]))
-        for e in config["ellipsoids"]
-    )
-    sigmas = tuple((float(sx), float(sy)) for sx, sy in config["sigmas"])
-    unreachable = config.get("unreachable_cost")
-    scn = EdlScenario(
-        width=feasible.shape[0],
-        height=feasible.shape[1],
+    oracle = edl_oracle(
+        feasible,
+        _single_marker(markers, "S"),
+        (_single_marker(markers, "A"), _single_marker(markers, "B")),
         stages=int(config["stages"]),
-        start=_single_marker(markers, "S"),
-        feasible=feasible,
-        ellipsoids=ellipsoids,
-        sigmas=sigmas,
-        sites=(_single_marker(markers, "A"), _single_marker(markers, "B")),
+        ellipsoids=[
+            (np.asarray(e["matrix"], float), float(e["radius"])) for e in config["ellipsoids"]
+        ],
+        sigmas=[(float(sx), float(sy)) for sx, sy in config["sigmas"]],
         risk_bound=float(config["risk_bound"]),
-        unreachable_cost=None if unreachable is None else float(unreachable),
     )
-    oracle = edl_oracle(scn)
-    return RunSetup("edl", oracle, Bounds((scn.risk_bound,)), mdp=oracle.mdp)
+    return RunSetup("edl", oracle, oracle.bounds, mdp=oracle.mdp)
 
 
 def _build_smpc(config: dict, base_dir: Path) -> RunSetup:
@@ -227,7 +220,6 @@ def _build_smpc(config: dict, base_dir: Path) -> RunSetup:
     oracle = SmpcOracle(
         model,
         build_pwl_cdf(int(config.get("pwl_segments", 24))),
-        milp_gap=float(config.get("milp_gap", 1e-9)),
         max_nodes=int(config.get("max_nodes", 200_000)),
     )
     return RunSetup("smpc", oracle, Bounds((float(config["risk_bound"]),)), model=model)
@@ -280,34 +272,10 @@ class _TracingOracle(LagrangianOracle):
         return self.inner.evaluate(policy)
 
 
-# Bisection settings from schema 1; the chord search needs none of them.
-_DEPRECATED_SOLVER_KEYS = {"lambda_max", "tol_lambda", "tol_risk", "max_iter"}
-
-
-def _check_solver_section(config: dict) -> None:
-    section = config.get("solver", {})
-    if not isinstance(section, dict):
-        raise InvalidInputError("solver must be a JSON object")
-    unknown = set(section) - _DEPRECATED_SOLVER_KEYS
-    if unknown:
-        raise InvalidInputError(f"unknown solver options: {', '.join(sorted(unknown))}")
-    if section:
-        print(
-            f"warning: solver options {', '.join(sorted(section))} are deprecated "
-            "and ignored; the dual search stops on an exact tie",
-            file=sys.stderr,
-        )
-
-
 def _mc_settings(config: dict, args: argparse.Namespace) -> tuple[int, int]:
     section = config.get("monte_carlo", {})
-    seed = int(section.get("seed", 0))
-    n = int(section.get("n", 100_000))
-    if args.seed is not None:
-        seed = args.seed
-    if n < 1:
-        raise InvalidInputError("monte_carlo.n must be at least 1")
-    return seed, n
+    seed = section.get("seed", 0) if args.seed is None else args.seed
+    return seed, section.get("n", 100_000)
 
 
 def _run_monte_carlo(setup: RunSetup, solution: MixedSolution, seed: int, n: int) -> dict:
@@ -431,7 +399,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     config = load_config(config_path)
     setup = build_setup(config, config_path.parent)
-    _check_solver_section(config)
     seed, n_rollouts = _mc_settings(config, args)
 
     started = time.perf_counter()
@@ -536,20 +503,26 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         raise InvalidInputError(f"{report_path} is not valid JSON: {exc}") from exc
 
     try:
-        saved_components = report["mixed"]["components"]
+        saved_components = [
+            (entry["policy"], float(entry["probability"]))
+            for entry in report["mixed"]["components"]
+        ]
         lambda_star = float(report["dual"]["lambda_star"])
         gap = float(report["mixed"]["gap_estimate"])
         saved_cost = float(report["mixed"]["aggregate"]["cost"])
         saved_risk = float(report["mixed"]["aggregate"]["risk"])
-        saved_mc = report["monte_carlo"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError(f"report is missing field {exc}") from exc
+        saved_seed = int(report["monte_carlo"]["seed"])
+        n_rollouts = int(report["monte_carlo"]["n"])
+        saved_rate = float(report["monte_carlo"]["failure_rate"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"report has a missing or malformed field: {exc!r}") from exc
+    if saved_seed < 0 or n_rollouts < 1:
+        raise InvalidInputError("report's monte_carlo needs seed >= 0 and n >= 1")
 
     components = []
-    for entry in saved_components:
-        policy = _load_component(setup, entry["policy"], out_dir)
-        cost = setup.oracle.evaluate(policy)
-        components.append((PureCandidate(policy, cost), float(entry["probability"])))
+    for ref, weight in saved_components:
+        policy = _load_component(setup, ref, out_dir)
+        components.append((PureCandidate(policy, setup.oracle.evaluate(policy)), weight))
     aggregate = mix_costs([(cand.cost, w) for cand, w in components])
     solution = MixedSolution(
         tuple(components), aggregate, DualVector((lambda_star,)), gap
@@ -569,15 +542,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             f"re-evaluated aggregate risk {aggregate.c1!r} differs from saved {saved_risk!r}"
         )
 
-    seed = int(saved_mc["seed"]) if args.seed is None else args.seed
-    n_rollouts = int(saved_mc["n"])
+    seed = saved_seed if args.seed is None else args.seed
     monte_carlo = _run_monte_carlo(setup, solution, seed, n_rollouts)
-    if seed == int(saved_mc["seed"]):
-        if abs(monte_carlo["failure_rate"] - float(saved_mc["failure_rate"])) > 1e-12:
-            failures.append(
-                f"replayed failure rate {monte_carlo['failure_rate']!r} differs "
-                f"from saved {saved_mc['failure_rate']!r}"
-            )
+    if seed == saved_seed and abs(monte_carlo["failure_rate"] - saved_rate) > 1e-12:
+        failures.append(
+            f"replayed failure rate {monte_carlo['failure_rate']!r} differs "
+            f"from saved {saved_rate!r}"
+        )
     count = round(monte_carlo["failure_rate"] * n_rollouts)
     lo, hi = binomial_acceptance(aggregate.c1, n_rollouts, VALIDATE_FALSE_ALARM)
     # The SMPC risk is an upper bound, so only too many failures signal trouble.
@@ -610,29 +581,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if lam_min < 0 or lam_max <= lam_min or points < 2:
         raise InvalidInputError("sweep needs 0 <= lambda_min < lambda_max and points >= 2")
 
-    rows = []
-    for i, lam in enumerate(np.linspace(lam_min, lam_max, points)):
-        vec = DualVector((float(lam),))
-        cand = setup.oracle.query(vec)
-        rows.append(
-            (
-                i,
-                float(lam),
-                cand.cost.c0,
-                cand.cost.c1,
-                lagrangian_value(cand.cost, vec, setup.bounds),
-            )
-        )
+    tracer = _TracingOracle(setup.oracle, setup.bounds)
+    for lam in np.linspace(lam_min, lam_max, points):
+        tracer.query(DualVector((float(lam),)))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_trace(out_dir / "sweep.csv", rows)
-    best = max(rows, key=lambda r: r[4])
+    _write_trace(out_dir / "sweep.csv", tracer.rows)
+    best = max(tracer.rows, key=lambda r: r[4])
     print(
         f"sweep {setup.kind}: {points} samples on [{lam_min:g}, {lam_max:g}], "
         f"best dual value {best[4]:.6g} at lambda={best[1]:g} -> {out_dir}",
         file=sys.stderr,
     )
     return 0
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -650,7 +618,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a JSON run config")
         p.add_argument("--out", default="out", help="artifact directory (default: out)")
-        p.add_argument("--seed", type=int, default=None, help="override the Monte Carlo seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override the Monte Carlo seed")
         p.set_defaults(func=func)
     return parser
 

@@ -182,14 +182,13 @@ class LagrangianOracle(ABC):
     def query(self, lam: DualVector) -> PureCandidate:
         """Return a minimizer of ``c0 + lam . (c_rest - bounds)``."""
 
+    @abstractmethod
     def evaluate(self, policy: object) -> CostVector:
         """Re-evaluate a policy's exact cost vector from scratch.
 
-        Optional hook used by the optimality checker to confirm that a
-        component's claimed cost matches its policy. Backends that cannot
-        re-evaluate may leave this unimplemented.
+        The optimality checker uses it to confirm that each component's
+        claimed cost matches its policy.
         """
-        raise NotImplementedError
 
 
 def mix_costs(components: Sequence[tuple[CostVector, float]]) -> CostVector:

@@ -200,9 +200,7 @@ class OptimalityReport:
     c) weights sum to one;
     d) weights are nonnegative;
     e) the aggregate respects every bound;
-    f) component costs match a backend re-evaluation of their policies
-       (skipped, and reported as passing, when the backend cannot
-       re-evaluate).
+    f) component costs match a backend re-evaluation of their policies.
     """
 
     conditions: dict[str, bool]
@@ -242,10 +240,7 @@ def check_optimality(
 
     res_f = 0.0
     for cand, _ in solution.components:
-        try:
-            fresh = oracle.evaluate(cand.policy)
-        except NotImplementedError:
-            break
+        fresh = oracle.evaluate(cand.policy)
         res_f = max(res_f, abs(fresh.c0 - cand.cost.c0))
         res_f = max(
             res_f, max(abs(a - b) for a, b in zip(fresh.c_rest, cand.cost.c_rest))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,18 +59,6 @@ class FiniteSetOracle(LagrangianOracle):
         return self._costs[int(policy)]
 
 
-def toy_oracle() -> FiniteSetOracle:
-    """Two-point instance: a safe costly policy and a cheap risky one.
-
-    The risk bound 0.01 sits between the two risks, so the optimal
-    strategy mixes them half and half for an aggregate of (15, 0.01).
-    """
-    return FiniteSetOracle(
-        costs=(CostVector(20.0, (0.005,)), CostVector(10.0, (0.015,))),
-        bounds=Bounds((0.01,)),
-    )
-
-
 # --- grid plumbing shared by the MDP scenarios ---
 #
 # Cells are (x, y) with x in [0, width) and y in [0, height); y grows
@@ -100,23 +87,6 @@ def parse_grid_map(text: str):
             elif ch != ".":
                 markers.setdefault(ch, []).append((x, y))
     return feasible, markers
-
-
-def format_grid_map(feasible: np.ndarray, markers: dict | None = None) -> str:
-    cells = {}
-    for ch, pts in (markers or {}).items():
-        for pt in pts:
-            cells[tuple(pt)] = ch
-    width, height = feasible.shape
-    rows = []
-    for y in range(height):
-        rows.append(
-            "".join(
-                cells.get((x, y), "." if feasible[x, y] else "#")
-                for x in range(width)
-            )
-        )
-    return "\n".join(rows) + "\n"
 
 
 def _kernel_1d(sigma: float):
@@ -152,22 +122,6 @@ def _clipped_spread(width: int, height: int, offsets, weights) -> sp.csr_matrix:
     return m
 
 
-@dataclass(frozen=True)
-class GridScenario:
-    """Single-integrator navigation on a W x H grid with crash cells."""
-
-    width: int
-    height: int
-    horizon: int
-    start: tuple[int, int]
-    goal: tuple[int, int]
-    obstacles: frozenset
-    max_step: int = 6
-    sigma: float = 1.0
-    risk_bound: float = 0.02
-    miss_penalty: float | None = None
-
-
 def grid_actions(max_step: int):
     """Integer displacements of Euclidean length at most max_step, in fixed order."""
     d = max_step
@@ -179,31 +133,35 @@ def grid_actions(max_step: int):
     ]
 
 
-def grid_scenario(scn: GridScenario):
+def grid_scenario(
+    feasible: np.ndarray, start, goal, horizon: int, max_step: int, sigma: float
+):
     """Build the navigation Mdp; the goal is enforced by a terminal miss penalty.
 
     Stage cost is the displacement length, so the cost channel is the
     expected path length. Mass that ends the horizon alive anywhere but
-    the goal pays the penalty; mass absorbed by a crash pays only the
+    the goal pays ``10 * horizon * max_step``, ten times the longest
+    path; mass absorbed by a crash (an infeasible cell) pays only the
     risk channel.
     """
-    w, h, t = scn.width, scn.height, scn.horizon
-    if w < 1 or h < 1 or t < 1 or scn.max_step < 1:
-        raise InvalidInputError("grid dimensions, horizon, and step must be positive")
+    w, h = feasible.shape
+    t = horizon
+    if t < 1 or max_step < 1:
+        raise InvalidInputError("horizon and step must be positive")
 
     def check_cell(cell, what):
         x, y = cell
         if not (0 <= x < w and 0 <= y < h):
             raise InvalidInputError(f"{what} {cell} outside the grid")
-        if (x, y) in scn.obstacles:
+        if not feasible[x, y]:
             raise InvalidInputError(f"{what} {cell} sits on an obstacle")
 
-    check_cell(scn.start, "start")
-    check_cell(scn.goal, "goal")
+    check_cell(start, "start")
+    check_cell(goal, "goal")
     n = w * h
-    goal_idx = scn.goal[0] * h + scn.goal[1]
+    goal_idx = goal[0] * h + goal[1]
     xs, ys = np.divmod(np.arange(n), h)
-    actions = grid_actions(scn.max_step)
+    actions = grid_actions(max_step)
     targets = np.full((len(actions), n), -1, dtype=np.int64)
     lengths = np.empty(len(actions))
     for a, (dx, dy) in enumerate(actions):
@@ -211,7 +169,7 @@ def grid_scenario(scn: GridScenario):
         tx, ty = xs + dx, ys + dy
         ok = (tx >= 0) & (tx < w) & (ty >= 0) & (ty < h)
         targets[a, ok] = tx[ok] * h + ty[ok]
-    spread = _clipped_spread(w, h, *_product_kernel(scn.sigma, scn.sigma))
+    spread = _clipped_spread(w, h, *_product_kernel(sigma, sigma))
     # the goal is absorbing: once there the only move is a free noise-free
     # stay, implemented as an extra deterministic spread row
     park = sp.csr_matrix(
@@ -224,21 +182,15 @@ def grid_scenario(scn: GridScenario):
     dyn = ShiftSpread(targets, spread)
 
     base = np.where(targets.T >= 0, lengths[None, :], np.inf)
-    fail = np.zeros(n, dtype=bool)
-    for x, y in scn.obstacles:
-        if 0 <= x < w and 0 <= y < h:
-            fail[x * h + y] = True
-    penalty = scn.miss_penalty
-    if penalty is None:
-        penalty = 10.0 * t * scn.max_step
+    fail = ~feasible.ravel()
     goal_mass = spread[:, goal_idx].toarray().ravel()
     crash_mass = spread @ fail.astype(float)
     miss = np.clip(1.0 - goal_mass - crash_mass, 0.0, 1.0)
     safe_t = np.where(targets >= 0, targets, 0)
-    last = base + penalty * np.where(targets.T >= 0, miss[safe_t].T, 0.0)
+    last = base + 10.0 * t * max_step * np.where(targets.T >= 0, miss[safe_t].T, 0.0)
 
     initial = np.zeros(n)
-    initial[scn.start[0] * h + scn.start[1]] = 1.0
+    initial[start[0] * h + start[1]] = 1.0
     return Mdp(
         horizon=t,
         state_counts=(n,) * (t + 1),
@@ -249,30 +201,9 @@ def grid_scenario(scn: GridScenario):
     )
 
 
-def grid_oracle(scn: GridScenario) -> MdpOracle:
-    return MdpOracle(grid_scenario(scn), Bounds((scn.risk_bound,)))
-
-
-@dataclass(eq=False)
-class EdlScenario:
-    """Multi-stage landing-site targeting over a hazard map.
-
-    Each stage re-aims within an ellipsoid around the current projected
-    point and picks up stage disturbance; the only failure check is the
-    touchdown cell, and the only cost is the surface traverse from the
-    touchdown cell through both science sites in the cheaper order.
-    """
-
-    width: int
-    height: int
-    stages: int
-    start: tuple[int, int]
-    feasible: np.ndarray
-    ellipsoids: tuple  # (matrix, radius) per stage
-    sigmas: tuple  # (sigma_x, sigma_y) per stage
-    sites: tuple
-    risk_bound: float
-    unreachable_cost: float | None = None
+def grid_oracle(feasible, start, goal, horizon, max_step, sigma, risk_bound) -> MdpOracle:
+    mdp = grid_scenario(feasible, start, goal, horizon, max_step, sigma)
+    return MdpOracle(mdp, Bounds((risk_bound,)))
 
 
 def _bfs_distance(feasible: np.ndarray, source) -> np.ndarray:
@@ -326,39 +257,43 @@ def ellipsoid_offsets(matrix, radius: float):
     return out
 
 
-def edl_scenario(scn: EdlScenario):
-    w, h, t = scn.width, scn.height, scn.stages
+def edl_scenario(feasible: np.ndarray, start, sites, stages: int, ellipsoids, sigmas):
+    """Multi-stage landing-site targeting over a hazard map.
+
+    Stage k re-aims within ``ellipsoids[k]`` (a (matrix, radius) pair)
+    around the current projected point and picks up disturbance with
+    standard deviations ``sigmas[k]``. The only failure check is the
+    touchdown cell, and the only cost is the surface traverse from the
+    touchdown cell through both science sites in the cheaper order; a
+    cell with no route to the sites costs ``4 * width * height``.
+    """
+    w, h = feasible.shape
+    t = stages
     if t < 2:
         raise InvalidInputError("landing problem needs at least two stages")
-    feasible = np.asarray(scn.feasible, dtype=bool)
-    if feasible.shape != (w, h):
-        raise InvalidInputError("feasibility map shape mismatch")
     if not feasible.any():
         raise InvalidInputError("feasibility map has no feasible cell")
-    if len(scn.ellipsoids) != t or len(scn.sigmas) != t:
+    if len(ellipsoids) != t or len(sigmas) != t:
         raise InvalidInputError("need one ellipsoid and one noise pair per stage")
-    sx, sy = scn.start
+    sx, sy = start
     if not (0 <= sx < w and 0 <= sy < h):
         raise InvalidInputError("start outside the grid")
 
-    trav = traverse_field(feasible, scn.sites)
-    sentinel = scn.unreachable_cost
-    if sentinel is None:
-        sentinel = 4.0 * w * h
-    landed_cost = np.where(feasible, np.where(np.isfinite(trav), trav, sentinel), 0.0)
+    trav = traverse_field(feasible, sites)
+    landed_cost = np.where(feasible, np.where(np.isfinite(trav), trav, 4.0 * w * h), 0.0)
 
     n = w * h
     xs, ys = np.divmod(np.arange(n), h)
     dynamics = []
     costs = []
     for k in range(t):
-        offsets = ellipsoid_offsets(*scn.ellipsoids[k])
+        offsets = ellipsoid_offsets(*ellipsoids[k])
         targets = np.full((len(offsets), n), -1, dtype=np.int64)
         for a, (dx, dy) in enumerate(offsets):
             tx, ty = xs + dx, ys + dy
             ok = (tx >= 0) & (tx < w) & (ty >= 0) & (ty < h)
             targets[a, ok] = tx[ok] * h + ty[ok]
-        spread = _clipped_spread(w, h, *_product_kernel(*scn.sigmas[k]))
+        spread = _clipped_spread(w, h, *_product_kernel(*sigmas[k]))
         dynamics.append(ShiftSpread(targets, spread))
         admissible = targets.T >= 0
         if k < t - 1:
@@ -381,5 +316,6 @@ def edl_scenario(scn: EdlScenario):
     )
 
 
-def edl_oracle(scn: EdlScenario) -> MdpOracle:
-    return MdpOracle(edl_scenario(scn), Bounds((scn.risk_bound,)))
+def edl_oracle(feasible, start, sites, stages, ellipsoids, sigmas, risk_bound) -> MdpOracle:
+    mdp = edl_scenario(feasible, start, sites, stages, ellipsoids, sigmas)
+    return MdpOracle(mdp, Bounds((risk_bound,)))

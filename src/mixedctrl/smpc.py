@@ -27,7 +27,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from .core import (
-    Bounds,
     CostVector,
     DualVector,
     InfeasibleProblemError,
@@ -47,6 +46,8 @@ _SIGMA_FLOOR = 1e-12
 # objective weight on risk terms when the multiplier is zero, keeps the
 # inner solve deterministic instead of leaving risk ties to pivot order
 _RISK_WEIGHT_FLOOR = 1e-9
+# absolute optimality gap at which HiGHS stops each inner program
+MILP_GAP = 1e-9
 # Monte Carlo rollouts simulated per block. The block size decides which
 # normal draw goes to which rollout, so changing it changes every estimate.
 _MC_CHUNK = 100_000
@@ -458,16 +459,9 @@ class SmpcOracle(LagrangianOracle):
     so `evaluate` reproduces them exactly.
     """
 
-    def __init__(
-        self,
-        model: SmpcModel,
-        pwl: PwlCdf | None = None,
-        milp_gap: float = 1e-9,
-        max_nodes: int = 200_000,
-    ):
+    def __init__(self, model: SmpcModel, pwl: PwlCdf | None = None, max_nodes: int = 200_000):
         self.model = model
         self.pwl = pwl if pwl is not None else build_pwl_cdf()
-        self.milp_gap = milp_gap
         self.max_nodes = max_nodes
         self._covs = propagate_covariance(model)
 
@@ -480,7 +474,7 @@ class SmpcOracle(LagrangianOracle):
             raise InvalidInputError("this oracle has a single risk channel")
         weight = max(lam.values[0], _RISK_WEIGHT_FLOOR)
         problem, layout = build_inner_milp(self.model, weight, self.pwl)
-        sol = solve_milp(problem, abs_gap=self.milp_gap, max_nodes=self.max_nodes)
+        sol = solve_milp(problem, abs_gap=MILP_GAP, max_nodes=self.max_nodes)
         if sol.status == "suboptimal":
             raise SolverLimitError(
                 f"inner problem at multiplier {lam.values[0]:g} used its node budget "

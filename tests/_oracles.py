@@ -249,10 +249,9 @@ def random_tiny_mdp(rng: np.random.Generator, max_policies: int = 1500):
 
     Every state-action pair is admissible and at least one state per
     step stays alive, so the instance always has evaluable policies.
+    Pair (x, a) moves by row a * states + x of the stacked transition rows.
     """
-    import scipy.sparse as sp
-
-    from mixedctrl.ccmdp import ActionTransitions, Mdp
+    from mixedctrl.ccmdp import Mdp, ShiftSpread
 
     while True:
         t = int(rng.integers(1, 4))
@@ -273,11 +272,12 @@ def random_tiny_mdp(rng: np.random.Generator, max_policies: int = 1500):
     stage_costs = []
     for k in range(t):
         n_k, n_next, a_k = counts[k], counts[k + 1], n_actions[k]
-        mats = []
+        rows = []
         for _ in range(a_k):
             raw = rng.random((n_k, n_next)) + 1e-3
-            mats.append(sp.csr_matrix(raw / raw.sum(axis=1, keepdims=True)))
-        dynamics.append(ActionTransitions(mats))
+            rows.append(raw / raw.sum(axis=1, keepdims=True))
+        targets = np.arange(a_k * n_k).reshape(a_k, n_k)
+        dynamics.append(ShiftSpread(targets, np.vstack(rows)))
         stage_costs.append(rng.uniform(0.0, 10.0, size=(n_k, a_k)))
     init = rng.random(counts[0]) + 1e-3
     return Mdp(

@@ -33,14 +33,14 @@ from _oracles import (
     random_milp,
     random_tiny_mdp,
 )
-from mixedctrl.ccmdp import lagrangian_dp, mdp_oracle, simulate
+from mixedctrl.ccmdp import MdpOracle, lagrangian_dp, simulate
 from mixedctrl.cli import build_setup, load_config
 from mixedctrl.cli import main as cli_main
 from mixedctrl.core import Bounds, CostVector, PureCandidate
 from mixedctrl.dual import check_optimality, recover_mixture_scalar, solve_mixed_scalar
 from mixedctrl.lpsolve import solve_lp
 from mixedctrl.milp import MilpProblem, solve_milp
-from mixedctrl.scenarios import FiniteSetOracle, parse_grid_map, toy_oracle
+from mixedctrl.scenarios import FiniteSetOracle, parse_grid_map
 from mixedctrl.smpc import build_pwl_cdf, estimate_mixture_risk_mc
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -64,7 +64,7 @@ def corridor_run():
 
 
 def test_criterion_1_toy_pipeline():
-    oracle = toy_oracle()
+    oracle = _shipped("toy").oracle
     started = time.perf_counter()
     result, solution = solve_mixed_scalar(oracle, oracle.bounds)
     elapsed = time.perf_counter() - started
@@ -168,7 +168,7 @@ def test_criterion_3_mixed_equals_dual_equals_pure_minus_gap():
         pure = brute_pure_best(costs, v)
         q_ref, _ = brute_scalar_dual(costs, v)
         mixed_ref = brute_mixed_lp(costs, v)
-        _, solution = solve_mixed_scalar(mdp_oracle(mdp, bounds), bounds)
+        _, solution = solve_mixed_scalar(MdpOracle(mdp, bounds), bounds)
         got = solution.aggregate.c0
         assert got == pytest.approx(q_ref, abs=1e-6)
         assert got == pytest.approx(mixed_ref, abs=1e-6)
@@ -184,7 +184,7 @@ def test_criterion_4_active_constraint_risk_is_exact(corridor_run):
     setup, corridor_result, corridor_solution, _ = corridor_run
     runs = []
 
-    toy = toy_oracle()
+    toy = _shipped("toy").oracle
     runs.append(("toy", *solve_mixed_scalar(toy, toy.bounds), toy.bounds))
     grid = _shipped("desk_grid").oracle
     runs.append(("grid", *solve_mixed_scalar(grid, grid.bounds), grid.bounds))

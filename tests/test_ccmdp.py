@@ -7,7 +7,6 @@ import pytest
 import scipy.sparse as sp
 
 from mixedctrl.ccmdp import (
-    ActionTransitions,
     Mdp,
     MdpOracle,
     Policy,
@@ -170,7 +169,7 @@ def test_validation_requires_admissible_action_for_alive_states():
         Mdp(
             horizon=1,
             state_counts=(2, 1),
-            dynamics=(ActionTransitions([sp.csr_matrix(np.array([[1.0], [1.0]]))]),),
+            dynamics=(ShiftSpread(np.array([[0, 0]]), sp.csr_matrix([[1.0]])),),
             stage_costs=(np.array([[1.0], [np.inf]]),),
             failure_masks=(np.zeros(2, bool), np.zeros(1, bool)),
             initial=np.array([0.5, 0.5]),
@@ -338,44 +337,77 @@ def test_simulation_work_does_not_grow_with_the_rollout_count(monkeypatch):
 def test_shift_spread_matches_explicit_matrices():
     rng = np.random.default_rng(15)
     n = 6
-    spread = rng.random((n, n)) + 0.05
+    spread = rng.random((n + 1, n)) + 0.05
     spread /= spread.sum(axis=1, keepdims=True)
-    targets = rng.integers(0, n, size=(3, n))
+    targets = rng.integers(0, n + 1, size=(3, n))
+    targets[2, 0] = -1  # one inadmissible pair
     compact = ShiftSpread(targets, sp.csr_matrix(spread))
-    explicit = ActionTransitions(
-        [sp.csr_matrix(spread[targets[a]]) for a in range(3)]
-    )
+    # dense kernel of each action; the inadmissible row stays zero
+    kernels = np.zeros((3, n, n))
+    for a in range(3):
+        for x in range(n):
+            if targets[a, x] >= 0:
+                kernels[a, x] = spread[targets[a, x]]
+
     j_next = rng.uniform(0.0, 5.0, size=n)
     np.testing.assert_allclose(
-        compact.expected_next(j_next), explicit.expected_next(j_next), atol=1e-12
+        compact.expected_next(j_next), np.stack([k @ j_next for k in kernels], axis=1),
+        atol=1e-12,
     )
     dist = rng.random(n)
     dist /= dist.sum()
-    acts = rng.integers(0, 3, size=n)
-    np.testing.assert_allclose(
-        compact.push_forward(dist, acts), explicit.push_forward(dist, acts), atol=1e-12
-    )
+    acts = rng.integers(0, 2, size=n)
+    pushed = sum(dist[x] * kernels[acts[x], x] for x in range(n))
+    np.testing.assert_allclose(compact.push_forward(dist, acts), pushed, atol=1e-12)
+
     costs = rng.uniform(0.0, 4.0, size=(n, 3))
+    costs[0, 2] = np.inf
     mask = np.zeros(n, bool)
     mask[4] = True
-    for dyn in (compact, explicit):
-        mdp = Mdp(
-            horizon=1,
-            state_counts=(n, n),
-            dynamics=(dyn,),
-            stage_costs=(costs,),
-            failure_masks=(np.zeros(n, bool), mask),
-            initial=np.full(n, 1.0 / n),
-        )
-        pol, val = lagrangian_dp(mdp, 7.0)
-        ev = evaluate_policy(mdp, pol)
-        if dyn is compact:
-            ref = (tuple(pol.actions[0]), val, ev.expected_cost, ev.failure_prob)
-        else:
-            assert tuple(pol.actions[0]) == ref[0]
-            assert val == pytest.approx(ref[1], abs=1e-12)
-            assert ev.expected_cost == pytest.approx(ref[2], abs=1e-12)
-            assert ev.failure_prob == pytest.approx(ref[3], abs=1e-12)
+    mdp = Mdp(
+        horizon=1,
+        state_counts=(n, n),
+        dynamics=(compact,),
+        stage_costs=(costs,),
+        failure_masks=(np.zeros(n, bool), mask),
+        initial=np.full(n, 1.0 / n),
+    )
+    pol, val = lagrangian_dp(mdp, 7.0)
+    q = costs + 7.0 * kernels[:, :, 4].T
+    best = np.argmin(q, axis=1)
+    assert tuple(pol.actions[0]) == tuple(best)
+    assert val == pytest.approx(q.min(axis=1).mean(), abs=1e-12)
+    ev = evaluate_policy(mdp, pol)
+    rows = np.arange(n)
+    assert ev.expected_cost == pytest.approx(costs[rows, best].mean(), abs=1e-12)
+    assert ev.failure_prob == pytest.approx(kernels[best, rows, 4].mean(), abs=1e-12)
+
+
+def test_step_without_admissible_pairs_carries_no_mass():
+    # every state at step 1 is a failure state, so that step has no row
+    mdp = from_tables(
+        horizon=2,
+        states=[["s"], ["crash"], ["end"]],
+        actions=[["go"], ["stay"]],
+        transitions={(0, "s", "go"): {"crash": 1.0}},
+        costs={(0, "s", "go"): 2.0},
+        failures=[[], ["crash"], []],
+        initial={"s": 1.0},
+    )
+    dyn = mdp.dynamics[1]
+    assert dyn.spread.shape == (0, 1)
+    np.testing.assert_array_equal(dyn.expected_next(np.array([3.0])), [[0.0]])
+    np.testing.assert_array_equal(dyn.push_forward(np.zeros(1), np.zeros(1, int)), [0.0])
+    pol, val = lagrangian_dp(mdp, 5.0)
+    assert val == 7.0
+    ev = evaluate_policy(mdp, pol)
+    assert (ev.expected_cost, ev.failure_prob) == (2.0, 1.0)
+    sol = MixedSolution(
+        ((PureCandidate(pol, CostVector(2.0, (1.0,))), 1.0),),
+        CostVector(2.0, (1.0,)), DualVector((5.0,)), 0.0,
+    )
+    run = simulate(mdp, sol, seed=0, n_rollouts=50)
+    assert (run.failure_rate, run.cost_mean) == (1.0, 2.0)
 
 
 def test_wilson_interval_basics():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mixedctrl import cli
+from mixedctrl import ccmdp, cli, milp, smpc
 from mixedctrl.cli import VALIDATE_FALSE_ALARM, build_setup, main
 from mixedctrl.core import binomial_acceptance, wilson_ci_99
 
@@ -85,12 +86,80 @@ def test_config_validation_failures_exit_2(tmp_path, capsys):
         _toy_config(risk_bound="0.01"),
         _toy_config(risk_bound=True),
         _toy_config(solver={"tol_lambda": 1e-6, "max_depth": 3}),
+        _toy_config(monte_carlo=[1, 2]),
+        _toy_config(monte_carlo={"n": "many"}),
+        _toy_config(monte_carlo={"seed": 1.5}),
+        _toy_config(monte_carlo={"seed": -1}),
+        _toy_config(monte_carlo={"n": 0}),
+        _toy_config(monte_carlo={"rollouts": 10}),
+        _toy_config(sweep="x"),
+        _toy_config(sweep={"points": "5"}),
+        _toy_config(sweep={"lambda_max": 1.0, "steps": 3}),
     ]
     for i, config in enumerate(cases):
         path = _write(tmp_path, f"bad_{i}.json", config)
-        assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2, config
+        for command in ("solve", "validate", "sweep"):
+            code = main([command, str(path), "--out", str(tmp_path / "out")])
+            assert code == 2, (command, config)
+    good = _write(tmp_path, "good.json", _toy_config())
+    assert main(["solve", str(good), "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
     assert (tmp_path / "out").exists() is False
     capsys.readouterr()
+
+
+def test_unknown_and_removed_keys_exit_2_naming_the_key(tmp_path, capsys):
+    legacy = {"lambda_max": 1e6, "tol_lambda": 1e-3, "tol_risk": 1e-4, "max_iter": 5}
+    grid = json.loads((CONFIGS / "desk_grid.json").read_text(encoding="utf-8"))
+    landing = json.loads((CONFIGS / "landing.json").read_text(encoding="utf-8"))
+    cases = [
+        (_toy_config(solver=legacy), "solver"),
+        ({**grid, "miss_penalty": 100.0}, "miss_penalty"),
+        ({**landing, "unreachable_cost": 1e4}, "unreachable_cost"),
+        (_line_smpc_config(milp_gap=1e-9), "milp_gap"),
+        (_toy_config(pwl_segments=8), "pwl_segments"),
+        (_toy_config(monte_carlo={"seed": 0, "n": 10, "chunk": 5}), "chunk"),
+    ]
+    for i, (config, key) in enumerate(cases):
+        path = _write(tmp_path, f"bad_{i}.json", config)
+        capsys.readouterr()
+        assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2, key
+        assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_report_exits_2(tmp_path, capsys):
+    config = _write(tmp_path, "toy.json", _toy_config())
+    out = tmp_path / "run"
+    assert main(["solve", str(config), "--out", str(out)]) == 0
+    saved = json.loads((out / "report.json").read_text(encoding="utf-8"))
+
+    def no_seed(report):
+        del report["monte_carlo"]["seed"]
+
+    def no_policy(report):
+        del report["mixed"]["components"][0]["policy"]
+
+    def bad_probability(report):
+        report["mixed"]["components"][0]["probability"] = "x"
+
+    def no_rollouts(report):
+        report["monte_carlo"]["n"] = 0
+
+    def infinite_seed(report):
+        report["monte_carlo"]["seed"] = float("inf")
+
+    def not_an_object(report):
+        report["mixed"] = [1, 2]
+
+    for tamper in (
+        no_seed, no_policy, bad_probability, no_rollouts, infinite_seed, not_an_object
+    ):
+        report = json.loads(json.dumps(saved))
+        tamper(report)
+        (out / "report.json").write_text(json.dumps(report), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", str(config), "--out", str(out)]) == 2, tamper.__name__
+        assert "report" in capsys.readouterr().err, tamper.__name__
 
 
 def test_toy_solve_writes_contractual_artifacts(tmp_path):
@@ -285,22 +354,6 @@ def test_sweep_samples_the_dual_function(tmp_path):
     assert values[0] == pytest.approx(10.0)
 
 
-def test_deprecated_solver_section_is_ignored_with_one_warning(tmp_path, capsys):
-    legacy = {"lambda_max": 1e6, "tol_lambda": 1e-3, "tol_risk": 1e-4, "max_iter": 5}
-    plain = _write(tmp_path, "plain.json", _toy_config())
-    old = _write(tmp_path, "old.json", _toy_config(solver=legacy))
-    assert main(["solve", str(plain), "--out", str(tmp_path / "plain")]) == 0
-    capsys.readouterr()
-    assert main(["solve", str(old), "--out", str(tmp_path / "old")]) == 0
-    err = capsys.readouterr().err.splitlines()
-    warnings = [line for line in err if line.startswith("warning:")]
-    assert len(warnings) == 1 and "deprecated" in warnings[0]
-    for artifact in ("report.json", "dual_trace.csv"):
-        assert (tmp_path / "plain" / artifact).read_bytes() == (
-            tmp_path / "old" / artifact
-        ).read_bytes()
-
-
 def test_smpc_node_budget_exits_1_naming_max_nodes(tmp_path, capsys):
     config = json.loads((CONFIGS / "corridor.json").read_text(encoding="utf-8"))
     config["max_nodes"] = 3
@@ -319,3 +372,25 @@ def test_seed_flag_overrides_the_config(tmp_path):
     assert main(["solve", str(config), "--out", str(out), "--seed", "123"]) == 0
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["monte_carlo"]["seed"] == 123
+
+
+def test_bench_tracer_hook_points_stay_alive(tmp_path, monkeypatch):
+    # the traced benchmark wraps package functions by name from outside
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_spans", spans)  # its dataclass looks itself up
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer({"cli": cli, "ccmdp": ccmdp, "smpc": smpc, "milp": milp})
+    line = _write(tmp_path, "line.json", _line_smpc_config())
+    tracer.install()
+    try:
+        for config in (CONFIGS / "desk_grid.json", line):
+            assert main(["solve", str(config), "--out", str(tmp_path / config.stem)]) == 0
+    finally:
+        tracer.uninstall()
+    recorded = {span.name for span in tracer.spans}
+    expected = {
+        "dual.solve", "dual.certificate", "scenarios.build", "ccmdp.query", "ccmdp.dp",
+        "ccmdp.eval", "ccmdp.mc", "smpc.query", "smpc.build", "milp.solve", "smpc.mc",
+    }
+    assert expected <= recorded, expected - recorded

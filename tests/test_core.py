@@ -11,6 +11,7 @@ from mixedctrl.core import (
     CostVector,
     DualVector,
     InvalidInputError,
+    LagrangianOracle,
     MixedSolution,
     PureCandidate,
     binomial_acceptance,
@@ -138,3 +139,15 @@ def test_binomial_acceptance_tails_are_exact():
         assert sum(pmf[hi + 1 :]) <= half < sum(pmf[hi:])
     with pytest.raises(InvalidInputError):
         binomial_acceptance(1.5, 10, 1e-6)
+
+
+def test_oracle_without_evaluate_cannot_be_instantiated():
+    # certificate condition f re-evaluates every component, so no oracle may skip it
+    class QueryOnly(LagrangianOracle):
+        k_constraints = 1
+
+        def query(self, lam):
+            return PureCandidate(0, CostVector(1.0, (0.0,)))
+
+    with pytest.raises(TypeError, match="evaluate"):
+        QueryOnly()

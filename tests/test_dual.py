@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from _oracles import brute_mixed_lp, brute_pure_best, brute_scalar_dual
+from mixedctrl.cli import build_setup, load_config
 from mixedctrl.core import (
     Bounds,
     CostVector,
@@ -16,7 +19,14 @@ from mixedctrl.core import (
     mix_costs,
 )
 from mixedctrl.dual import check_optimality, recover_mixture_scalar, solve_mixed_scalar
-from mixedctrl.scenarios import FiniteSetOracle, toy_oracle
+from mixedctrl.scenarios import FiniteSetOracle
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _toy():
+    """The finite-set oracle of the shipped ``configs/toy.json``."""
+    return build_setup(load_config(CONFIGS / "toy.json"), CONFIGS).oracle
 
 
 class _Tracing:
@@ -45,7 +55,7 @@ def _finite(points, v):
 
 
 def test_toy_pipeline_exact():
-    oracle = toy_oracle()
+    oracle = _toy()
     result, solution = solve_mixed_scalar(oracle, oracle.bounds)
     # the chord slope between (10, 0.015) and (20, 0.005)
     assert result.lambda_star == pytest.approx(1000.0, rel=1e-12)
@@ -148,7 +158,7 @@ def test_recover_scalar_degenerate_equal_risks():
 
 
 def test_check_optimality_accepts_solver_output():
-    oracle = toy_oracle()
+    oracle = _toy()
     _, solution = solve_mixed_scalar(oracle, oracle.bounds)
     report = check_optimality(solution, oracle.bounds, oracle, tol=1e-6)
     assert report.overall
@@ -156,7 +166,7 @@ def test_check_optimality_accepts_solver_output():
 
 
 def test_check_optimality_flags_perturbed_weights():
-    oracle = toy_oracle()
+    oracle = _toy()
     a = PureCandidate(0, oracle.costs[0])
     b = PureCandidate(1, oracle.costs[1])
     agg = mix_costs([(a.cost, 0.6), (b.cost, 0.4)])

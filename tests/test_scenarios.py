@@ -14,18 +14,14 @@ from mixedctrl.core import (
 )
 from mixedctrl.dual import check_optimality, solve_mixed_scalar
 from mixedctrl.scenarios import (
-    EdlScenario,
     FiniteSetOracle,
-    GridScenario,
     edl_oracle,
     edl_scenario,
     ellipsoid_offsets,
-    format_grid_map,
     grid_actions,
     grid_oracle,
     grid_scenario,
     parse_grid_map,
-    toy_oracle,
     traverse_field,
 )
 
@@ -39,7 +35,7 @@ def _shipped(name: str):
 
 
 def test_toy_oracle_endpoints_and_mixture():
-    oracle = toy_oracle()
+    oracle = _shipped("toy").oracle
     risky = oracle.query(DualVector((0.0,)))
     assert (risky.cost.c0, risky.cost.c1) == (10.0, 0.015)
     safe = oracle.query(DualVector((2000.0,)))
@@ -81,7 +77,12 @@ def test_grid_map_round_trip():
     assert not feasible[2, 0] and not feasible[4, 1]
     assert feasible[1, 1] and feasible[3, 2]
     assert markers == {"S": [(1, 1)], "G": [(3, 2)]}
-    assert format_grid_map(feasible, markers) == text
+    cells = {pt: ch for ch, pts in markers.items() for pt in pts}
+    rows = (
+        "".join(cells.get((x, y), "." if feasible[x, y] else "#") for x in range(5))
+        for y in range(3)
+    )
+    assert "\n".join(rows) + "\n" == text
 
 
 def test_grid_map_rejects_bad_input():
@@ -98,28 +99,22 @@ def test_grid_actions_order_and_counts():
 
 
 def test_noiseless_grid_recovers_the_geometric_shortest_path():
-    scn = GridScenario(
-        width=8,
-        height=8,
-        horizon=3,
-        start=(0, 0),
-        goal=(7, 7),
-        obstacles=frozenset(),
-        max_step=6,
-        sigma=0.0,
-    )
-    oracle = grid_oracle(scn)
+    feasible = np.ones((8, 8), dtype=bool)
+    oracle = grid_oracle(feasible, (0, 0), (7, 7), horizon=3, max_step=6, sigma=0.0,
+                         risk_bound=0.02)
     cand = oracle.query(DualVector((0.0,)))
     assert cand.cost.c0 == pytest.approx(7.0 * SQRT2, abs=1e-9)
     assert cand.cost.c1 == 0.0
 
 
 def test_grid_rejects_cells_off_grid_or_on_obstacles():
-    base = dict(width=6, height=6, horizon=3, max_step=2, obstacles=frozenset({(2, 2)}))
-    with pytest.raises(InvalidInputError):
-        grid_scenario(GridScenario(start=(2, 2), goal=(5, 5), **base))
-    with pytest.raises(InvalidInputError):
-        grid_scenario(GridScenario(start=(0, 0), goal=(6, 5), **base))
+    feasible = np.ones((6, 6), dtype=bool)
+    feasible[2, 2] = False
+    base = dict(horizon=3, max_step=2, sigma=1.0)
+    with pytest.raises(InvalidInputError, match="obstacle"):
+        grid_scenario(feasible, (2, 2), (5, 5), **base)
+    with pytest.raises(InvalidInputError, match="outside"):
+        grid_scenario(feasible, (0, 0), (6, 5), **base)
 
 
 def test_desk_grid_mixes_two_routes_at_the_risk_bound():
@@ -168,21 +163,19 @@ def test_ellipsoid_offsets_counts_and_validation():
 
 
 def _open_landing(stages=2, width=9, height=9):
-    return EdlScenario(
-        width=width,
-        height=height,
-        stages=stages,
-        start=(4, 4),
+    """Arguments of ``edl_scenario`` for an open map with noiseless stages."""
+    return dict(
         feasible=np.ones((width, height), dtype=bool),
+        start=(4, 4),
+        sites=((1, 1), (7, 7)),
+        stages=stages,
         ellipsoids=((np.eye(2), 5.0),) * stages,
         sigmas=((0.0, 0.0),) * stages,
-        sites=((1, 1), (7, 7)),
-        risk_bound=0.01,
     )
 
 
 def test_noiseless_landing_touches_down_on_a_site():
-    oracle = edl_oracle(_open_landing())
+    oracle = edl_oracle(**_open_landing(), risk_bound=0.01)
     cand = oracle.query(DualVector((0.0,)))
     # landing exactly on either site leaves only the walk between them
     assert cand.cost.c0 == pytest.approx(12.0, abs=1e-9)
@@ -190,17 +183,16 @@ def test_noiseless_landing_touches_down_on_a_site():
 
 
 def test_landing_validation():
-    scn = _open_landing()
-    scn.feasible = np.zeros((9, 9), dtype=bool)
+    args = _open_landing()
+    args["feasible"] = np.zeros((9, 9), dtype=bool)
     with pytest.raises(InvalidInputError):
-        edl_scenario(scn)
-    scn = _open_landing(stages=1)
+        edl_scenario(**args)
     with pytest.raises(InvalidInputError):
-        edl_scenario(scn)
-    scn = _open_landing()
-    scn.sigmas = ((0.0, 0.0),)
+        edl_scenario(**_open_landing(stages=1))
+    args = _open_landing()
+    args["sigmas"] = ((0.0, 0.0),)
     with pytest.raises(InvalidInputError):
-        edl_scenario(scn)
+        edl_scenario(**args)
 
 
 def test_default_landing_mixes_at_the_risk_bound():
