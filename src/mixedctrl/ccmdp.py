@@ -243,10 +243,6 @@ class MdpOracle(LagrangianOracle):
         self.mdp = mdp
         self.bounds = bounds
 
-    @property
-    def k_constraints(self) -> int:
-        return 1
-
     def query(self, lam: DualVector) -> PureCandidate:
         policy, _ = lagrangian_dp(self.mdp, lam.values[0])
         ev = evaluate_policy(self.mdp, policy)

@@ -70,11 +70,23 @@ _KEYS = {
         ("pwl_segments", "max_nodes"),
     ),
 }
-# Optional sections every kind accepts, with the type of each of their keys.
+# The type of each kind-specific number, and of each key of the optional
+# sections that every kind accepts.
+_NUMBERS = {
+    "horizon": int, "max_step": int, "stages": int, "pwl_segments": int, "max_nodes": int,
+    "sigma": (int, float),
+}
 _SECTIONS = {
     "monte_carlo": {"seed": int, "n": int},
     "sweep": {"lambda_min": (int, float), "lambda_max": (int, float), "points": int},
 }
+
+
+def _check_type(label: str, value: object, types) -> None:
+    # bool is a subclass of int, but JSON's true and false are no numbers
+    if isinstance(value, bool) or not isinstance(value, types):
+        what = "an integer" if types is int else "a number"
+        raise InvalidInputError(f"{label} must be {what}, got {value!r}")
 
 
 def load_config(path: Path) -> dict:
@@ -103,6 +115,7 @@ def load_config(path: Path) -> dict:
     unknown = sorted(set(config) - known)
     if unknown:
         raise InvalidInputError(f"unknown {kind} config keys: {', '.join(unknown)}")
+    checks = [(key, config[key], _NUMBERS[key]) for key in config if key in _NUMBERS]
     for name, types in _SECTIONS.items():
         section = config.get(name, {})
         if not isinstance(section, dict):
@@ -110,9 +123,9 @@ def load_config(path: Path) -> dict:
         for key, value in section.items():
             if key not in types:
                 raise InvalidInputError(f"unknown {name} key {key!r}")
-            if isinstance(value, bool) or not isinstance(value, types[key]):
-                what = "an integer" if types[key] is int else "a number"
-                raise InvalidInputError(f"{name}.{key} must be {what}, got {value!r}")
+            checks.append((f"{name}.{key}", value, types[key]))
+    for label, value, types in checks:
+        _check_type(label, value, types)
     mc = config.get("monte_carlo", {})
     if mc.get("seed", 0) < 0 or mc.get("n", 1) < 1:
         raise InvalidInputError("monte_carlo needs seed >= 0 and n >= 1")
@@ -178,9 +191,9 @@ def _build_grid(config: dict, base_dir: Path) -> RunSetup:
         feasible,
         _single_marker(markers, "S"),
         _single_marker(markers, "G"),
-        horizon=int(config["horizon"]),
-        max_step=int(config["max_step"]),
-        sigma=float(config["sigma"]),
+        horizon=config["horizon"],
+        max_step=config["max_step"],
+        sigma=config["sigma"],
         risk_bound=float(config["risk_bound"]),
     )
     return RunSetup("grid", oracle, oracle.bounds, mdp=oracle.mdp)
@@ -192,7 +205,7 @@ def _build_edl(config: dict, base_dir: Path) -> RunSetup:
         feasible,
         _single_marker(markers, "S"),
         (_single_marker(markers, "A"), _single_marker(markers, "B")),
-        stages=int(config["stages"]),
+        stages=config["stages"],
         ellipsoids=[
             (np.asarray(e["matrix"], float), float(e["radius"])) for e in config["ellipsoids"]
         ],
@@ -210,7 +223,7 @@ def _build_smpc(config: dict, base_dir: Path) -> RunSetup:
         a_mat=config["a"],
         b_mat=config["b"],
         sigma_w=config["sigma_w"],
-        horizon=int(config["horizon"]),
+        horizon=config["horizon"],
         x_init=config["x_init"],
         x_goal=config["x_goal"],
         u_lower=config["u_lower"],
@@ -219,8 +232,8 @@ def _build_smpc(config: dict, base_dir: Path) -> RunSetup:
     )
     oracle = SmpcOracle(
         model,
-        build_pwl_cdf(int(config.get("pwl_segments", 24))),
-        max_nodes=int(config.get("max_nodes", 200_000)),
+        build_pwl_cdf(config.get("pwl_segments", 24)),
+        max_nodes=config.get("max_nodes", 200_000),
     )
     return RunSetup("smpc", oracle, Bounds((float(config["risk_bound"]),)), model=model)
 
@@ -249,10 +262,6 @@ class _TracingOracle(LagrangianOracle):
         self.bounds = bounds
         self.rows: list[tuple[int, float, float, float, float]] = []
         self.last: tuple[DualVector, PureCandidate] | None = None
-
-    @property
-    def k_constraints(self) -> int:
-        return self.inner.k_constraints
 
     def query(self, lam: DualVector) -> PureCandidate:
         cand = self.inner.query(lam)
@@ -383,8 +392,7 @@ def _load_component(setup: RunSetup, ref: object, out_dir: Path) -> object:
         raise InvalidInputError(f"component policy reference {ref!r} is not a file name")
     path = out_dir / ref
     if setup.kind == "smpc":
-        controls = _load_plan(path, setup.model)
-        return ControlPlan(controls, None, 0.0, 0.0)
+        return ControlPlan(_load_plan(path, setup.model))
     return _load_policy(path, setup.mdp)
 
 
@@ -511,11 +519,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         gap = float(report["mixed"]["gap_estimate"])
         saved_cost = float(report["mixed"]["aggregate"]["cost"])
         saved_risk = float(report["mixed"]["aggregate"]["risk"])
-        saved_seed = int(report["monte_carlo"]["seed"])
-        n_rollouts = int(report["monte_carlo"]["n"])
+        saved_seed = report["monte_carlo"]["seed"]
+        n_rollouts = report["monte_carlo"]["n"]
         saved_rate = float(report["monte_carlo"]["failure_rate"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"report has a missing or malformed field: {exc!r}") from exc
+    _check_type("report's monte_carlo.seed", saved_seed, int)
+    _check_type("report's monte_carlo.n", n_rollouts, int)
     if saved_seed < 0 or n_rollouts < 1:
         raise InvalidInputError("report's monte_carlo needs seed >= 0 and n >= 1")
 

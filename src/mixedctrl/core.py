@@ -173,11 +173,6 @@ class LagrangianOracle(ABC):
     K=1, monotone: raising the multiplier never raises the returned risk.
     """
 
-    @property
-    @abstractmethod
-    def k_constraints(self) -> int:
-        """Number of constrained expectation channels."""
-
     @abstractmethod
     def query(self, lam: DualVector) -> PureCandidate:
         """Return a minimizer of ``c0 + lam . (c_rest - bounds)``."""

@@ -124,11 +124,10 @@ def solve_mixed_scalar(
     its slope as the optimal multiplier. Raises NonMonotoneOracleError
     when the risk rises with lam, then InfeasibleProblemError when it is
     above V at LAMBDA_MAX, and SolverLimitError after MAX_QUERIES queries.
+    Bounds or answers with K != 1 raise InvalidInputError.
     """
-    if oracle.k_constraints != 1 or bounds.k != 1:
-        raise InvalidInputError(
-            f"scalar solver needs K=1, got oracle K={oracle.k_constraints}, bounds K={bounds.k}"
-        )
+    if bounds.k != 1:
+        raise InvalidInputError(f"scalar solver needs K=1 bounds, got K={bounds.k}")
     v = bounds.values[0]
     queries = 0
 
@@ -140,7 +139,10 @@ def solve_mixed_scalar(
                 "the oracle is not an exact minimizer over a finite policy class"
             )
         queries += 1
-        return oracle.query(DualVector((lam,)))
+        cand = oracle.query(DualVector((lam,)))
+        if cand.cost.k != 1:
+            raise InvalidInputError(f"scalar solver needs K=1 answers, got K={cand.cost.k}")
+        return cand
 
     cand0 = ask(0.0)
     if cand0.cost.c1 <= v:

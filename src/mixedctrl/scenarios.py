@@ -43,10 +43,6 @@ class FiniteSetOracle(LagrangianOracle):
         self.bounds = bounds
 
     @property
-    def k_constraints(self) -> int:
-        return self.bounds.k
-
-    @property
     def costs(self) -> tuple[CostVector, ...]:
         return self._costs
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -224,34 +225,48 @@ def _mean_ranges(model: SmpcModel):
     return [(lo, hi) for lo, hi in out]
 
 
-@dataclass(frozen=True)
-class MilpLayout:
-    """Column offsets of each variable block in the inner problem."""
+def _blocks(*shapes):
+    """Consecutive column-index arrays of the given shapes, and the column count."""
+    blocks, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        blocks.append(np.arange(start, start + size).reshape(shape))
+        start += size
+    return blocks, start
 
-    num_cols: int
-    u_off: int
-    v_off: int
-    x_off: int
-    delta_off: int
-    z_off: int
-    z_bases: tuple[int, ...]
 
-    def u_index(self, step: int, dim: int, dim_u: int) -> int:
-        return self.u_off + step * dim_u + dim
+class Columns(NamedTuple):
+    """Column indices of each variable block of the inner program."""
 
-    def x_index(self, step_block: int, dim: int, dim_x: int) -> int:
-        return self.x_off + step_block * dim_x + dim
+    u: np.ndarray  # (N, m) controls
+    v: np.ndarray  # (N, m) L1 slacks
+    x: np.ndarray  # (N, n) means at steps 2..N+1
+    delta: np.ndarray  # (obstacles, N) risk terms
+    z: tuple[np.ndarray, ...]  # (faces, N) relax binaries, one per obstacle
 
-    def delta_index(self, obs: int, step_block: int, horizon: int) -> int:
-        return self.delta_off + obs * horizon + step_block
 
-    def z_index(self, obs: int, face: int, step_block: int, horizon: int) -> int:
-        return self.z_bases[obs] + face * horizon + step_block
+def _dynamics_rows(model: SmpcModel, u: np.ndarray, x: np.ndarray, num_cols: int):
+    """Rows and right-hand sides of x_{t+1} - A x_t - B u_t = 0, step-major.
+
+    ``u`` and ``x`` are the (N, m) and (N, n) column indices of the
+    controls and of the means at steps 2..N+1; the first step moves
+    A x_init to the right-hand side.
+    """
+    n = model.dim_x
+    rows = np.zeros((model.horizon, n, num_cols))
+    for t in range(model.horizon):
+        rows[t][np.arange(n), x[t]] = 1.0
+        rows[t][:, u[t]] -= model.b_mat
+        if t > 0:
+            rows[t][:, x[t - 1]] -= model.a_mat
+    rhs = np.zeros((model.horizon, n))
+    rhs[0] = [row @ model.x_init for row in model.a_mat]
+    return rows.reshape(-1, num_cols), rhs.ravel()
 
 
 def build_inner_milp(
     model: SmpcModel, risk_weight: float, pwl: PwlCdf
-) -> tuple[MilpProblem, MilpLayout]:
+) -> tuple[MilpProblem, Columns]:
     """Assemble the multiplier subproblem as a mixed-binary LP.
 
     Columns: controls u, L1 slacks v, means for steps 2..N+1, one risk
@@ -261,62 +276,36 @@ def build_inner_milp(
     risk_weight * sum(delta).
     """
     n, m, big_n = model.dim_x, model.dim_u, model.horizon
-    n_obs = len(model.obstacles)
-    u_off, v_off = 0, big_n * m
-    x_off = 2 * big_n * m
-    delta_off = x_off + big_n * n
-    z_off = delta_off + n_obs * big_n
-    z_bases = []
-    z_count = 0
-    for obs in model.obstacles:
-        z_bases.append(z_off + z_count)
-        z_count += obs.num_faces * big_n
-    num_cols = z_off + z_count
-    layout = MilpLayout(
-        num_cols, u_off, v_off, x_off, delta_off, z_off, tuple(z_bases)
+    blocks, num_cols = _blocks(
+        (big_n, m), (big_n, m), (big_n, n), (len(model.obstacles), big_n),
+        *((obs.num_faces, big_n) for obs in model.obstacles),
     )
+    cols = Columns(*blocks[:4], tuple(blocks[4:]))
 
     covs = propagate_covariance(model)
     ranges = _mean_ranges(model)
     rows, senses, rhs = [], [], []
 
-    def add_row(cols, vals, sense, b):
+    def add_row(idx, vals, sense, b):
         row = np.zeros(num_cols)
-        row[cols] = vals
+        row[idx] = vals
         rows.append(row)
         senses.append(sense)
         rhs.append(b)
 
     # |u| linearization: u - v <= 0 and -u - v <= 0
-    for t in range(big_n):
-        for d in range(m):
-            ui = layout.u_index(t, d, m)
-            vi = v_off + t * m + d
-            add_row([ui, vi], [1.0, -1.0], LE, 0.0)
-            add_row([ui, vi], [-1.0, -1.0], LE, 0.0)
+    for ui, vi in zip(cols.u.flat, cols.v.flat):
+        add_row([ui, vi], [1.0, -1.0], LE, 0.0)
+        add_row([ui, vi], [-1.0, -1.0], LE, 0.0)
 
-    # dynamics: x_{t+1} - A x_t - B u_t = (A x_init for the first step)
-    for t in range(big_n):
-        for d in range(n):
-            cols = [layout.x_index(t, d, n)]
-            vals = [1.0]
-            for dd in range(m):
-                if model.b_mat[d, dd] != 0.0:
-                    cols.append(layout.u_index(t, dd, m))
-                    vals.append(-model.b_mat[d, dd])
-            if t == 0:
-                b = float(model.a_mat[d] @ model.x_init)
-            else:
-                for dd in range(n):
-                    if model.a_mat[d, dd] != 0.0:
-                        cols.append(layout.x_index(t - 1, dd, n))
-                        vals.append(-model.a_mat[d, dd])
-                b = 0.0
-            add_row(cols, vals, EQ, b)
+    dyn_rows, dyn_rhs = _dynamics_rows(model, cols.u, cols.x, num_cols)
+    rows.extend(dyn_rows)
+    senses.extend([EQ] * len(dyn_rhs))
+    rhs.extend(dyn_rhs)
 
     # terminal condition on the mean
-    for d in range(n):
-        add_row([layout.x_index(big_n - 1, d, n)], [1.0], EQ, float(model.x_goal[d]))
+    for xi, goal in zip(cols.x[-1], model.x_goal):
+        add_row([xi], [1.0], EQ, float(goal))
 
     # obstacle separation and tail bounds at steps 2..N+1. The binary of
     # face j relaxes that face's rows; the per-group cap makes at least
@@ -331,14 +320,14 @@ def build_inner_milp(
         for t in range(big_n):
             lo_t, hi_t = ranges[t]
             cov = covs[t + 1]
+            zcols = cols.z[i][:, t]
             faces = []
             certificate = None
             for j in range(obs.num_faces):
                 a = obs.face_normals[j]
                 b = float(obs.face_offsets[j])
                 s = math.sqrt(max(float(a @ cov @ a), 0.0))
-                row_lo = float(np.clip(a, 0, None) @ lo_t + np.clip(a, None, 0) @ hi_t)
-                row_hi = float(np.clip(a, 0, None) @ hi_t + np.clip(a, None, 0) @ lo_t)
+                row_lo, row_hi = (float(r) for r in _interval_matvec(a, lo_t, hi_t))
                 always = row_lo >= b - 1e-9
                 never = row_hi < b - 1e-9
                 vacuous = s <= _SIGMA_FLOOR or pwl.value((b - row_lo) / s) == 0.0
@@ -346,50 +335,46 @@ def build_inner_milp(
                     certificate = j
                 faces.append((j, a, b, s, row_lo, always, never, vacuous))
             if certificate is not None:
-                for j, *_ in faces:
-                    zi = layout.z_index(i, j, t, big_n)
+                for j, zi in enumerate(zcols):
                     z_fix[zi] = 0.0 if j == certificate else 1.0
                 continue
             for j, a, b, s, row_lo, always, never, vacuous in faces:
-                zi = layout.z_index(i, j, t, big_n)
+                zi = zcols[j]
                 if never:
                     z_fix[zi] = 1.0  # cannot separate; its rows relax
                     continue  # to vacuity under z = 1, so skip them
-                xcols = [layout.x_index(t, d, n) for d in range(n)]
                 if not always:
                     # face kept (z = 0) forces the mean to its outer side
                     m_out = max(0.0, b - row_lo) + 1.0
-                    add_row(xcols + [zi], list(a) + [m_out], GE, b)
+                    add_row([*cols.x[t], zi], [*a, m_out], GE, b)
                 if vacuous:
                     # the worst reachable margin already sits past the
                     # left end of every chord: delta >= 0 covers them
                     continue
                 y_max = (b - row_lo) / s
-                di = layout.delta_index(i, t, big_n)
                 for alpha, beta in zip(pwl.slopes, pwl.intercepts):
                     # delta >= alpha*(b - a@x)/s + beta unless relaxed
                     m_c = max(0.0, alpha * y_max + beta) + 1e-3
                     add_row(
-                        [di] + xcols + [zi],
-                        [1.0] + list(alpha * a / s) + [m_c],
+                        [cols.delta[i, t], *cols.x[t], zi],
+                        [1.0, *(alpha * a / s), m_c],
                         GE,
                         alpha * b / s + beta,
                     )
             # keep at least one face per obstacle and step
-            zcols = [layout.z_index(i, j, t, big_n) for j in range(obs.num_faces)]
-            add_row(zcols, [1.0] * len(zcols), LE, float(obs.num_faces - 1))
+            add_row(zcols, 1.0, LE, float(obs.num_faces - 1))
 
+    binary = [int(zi) for z in cols.z for zi in z.flat]
     objective = np.zeros(num_cols)
-    objective[v_off : v_off + big_n * m] = 1.0
-    objective[delta_off : delta_off + n_obs * big_n] = risk_weight
+    objective[cols.v] = 1.0
+    objective[cols.delta] = risk_weight
     lower = np.full(num_cols, -np.inf)
     upper = np.full(num_cols, np.inf)
-    lower[u_off : u_off + big_n * m] = np.tile(model.u_lower, big_n)
-    upper[u_off : u_off + big_n * m] = np.tile(model.u_upper, big_n)
-    lower[v_off : v_off + big_n * m] = 0.0
-    lower[delta_off:] = 0.0
-    upper[delta_off : delta_off + n_obs * big_n] = 1.0
-    upper[z_off:] = 1.0
+    lower[cols.u] = model.u_lower
+    upper[cols.u] = model.u_upper
+    lower[cols.v] = 0.0
+    lower[cols.delta] = lower[binary] = 0.0
+    upper[cols.delta] = upper[binary] = 1.0
     for zi, val in z_fix.items():
         lower[zi] = upper[zi] = val
 
@@ -401,18 +386,14 @@ def build_inner_milp(
         lower=lower,
         upper=upper,
     )
-    problem = MilpProblem(lp=lp, binary=tuple(range(z_off, num_cols)))
-    return problem, layout
+    return MilpProblem(lp=lp, binary=tuple(binary)), cols
 
 
 @dataclass(frozen=True, eq=False)
 class ControlPlan:
-    """Open-loop control sequence with its certified cost pair."""
+    """Open-loop control sequence, (N, m)."""
 
     controls: np.ndarray
-    mean: np.ndarray
-    control_cost: float
-    risk_bound: float
 
 
 def _risk_terms(model: SmpcModel, covs, pwl: PwlCdf, path: np.ndarray):
@@ -465,15 +446,11 @@ class SmpcOracle(LagrangianOracle):
         self.max_nodes = max_nodes
         self._covs = propagate_covariance(model)
 
-    @property
-    def k_constraints(self) -> int:
-        return 1
-
     def query(self, lam: DualVector) -> PureCandidate:
         if lam.k != 1:
             raise InvalidInputError("this oracle has a single risk channel")
         weight = max(lam.values[0], _RISK_WEIGHT_FLOOR)
-        problem, layout = build_inner_milp(self.model, weight, self.pwl)
+        problem, cols = build_inner_milp(self.model, weight, self.pwl)
         sol = solve_milp(problem, abs_gap=MILP_GAP, max_nodes=self.max_nodes)
         if sol.status == "suboptimal":
             raise SolverLimitError(
@@ -484,71 +461,50 @@ class SmpcOracle(LagrangianOracle):
             raise InfeasibleProblemError(
                 f"inner problem ended {sol.status}: {diagnose_infeasible(self.model)}"
             )
-        big_n, m = self.model.horizon, self.model.dim_u
-        controls = sol.x[layout.u_off : layout.u_off + big_n * m].reshape(big_n, m)
-        plan = self._make_plan(controls)
-        return PureCandidate(plan, CostVector(plan.control_cost, (plan.risk_bound,)))
-
-    def _make_plan(self, controls: np.ndarray) -> ControlPlan:
-        path = mean_path(self.model, controls)
-        terms, inside = _risk_terms(self.model, self._covs, self.pwl, path)
+        plan = ControlPlan(sol.x[cols.u])
+        cost, inside = self._cost(plan.controls)
         if inside.any():
             i, t = np.argwhere(inside)[0]
             raise MixedControlError(
                 f"solver returned a mean inside obstacle {i} at step {t + 2}"
             )
-        cost = float(np.abs(controls).sum())
-        return ControlPlan(controls, path, cost, float(terms.sum()))
+        return PureCandidate(plan, cost)
+
+    def _cost(self, controls: np.ndarray) -> tuple[CostVector, np.ndarray]:
+        """L1 effort and summed risk bound, plus `_risk_terms`'s inside mask."""
+        path = mean_path(self.model, controls)
+        terms, inside = _risk_terms(self.model, self._covs, self.pwl, path)
+        return CostVector(float(np.abs(controls).sum()), (float(terms.sum()),)), inside
 
     def evaluate(self, policy: object) -> CostVector:
         if not isinstance(policy, ControlPlan):
             raise InvalidInputError("expected a control plan")
-        path = mean_path(self.model, policy.controls)
-        terms, _ = _risk_terms(self.model, self._covs, self.pwl, path)
-        return CostVector(float(np.abs(policy.controls).sum()), (float(terms.sum()),))
+        return self._cost(policy.controls)[0]
 
 
 def diagnose_infeasible(model: SmpcModel) -> str:
     """Distinguish an unreachable goal from unsatisfiable obstacle constraints."""
-    big_n, n, m = model.horizon, model.dim_x, model.dim_u
-    nu = big_n * m
-    nx = big_n * n
-    num = nu + nx + n  # controls, means, miss slacks
-    rows, senses, rhs = [], [], []
-    for t in range(big_n):
-        for d in range(n):
-            row = np.zeros(num)
-            row[nu + t * n + d] = 1.0
-            row[t * m : (t + 1) * m] = -model.b_mat[d]
-            if t == 0:
-                b = float(model.a_mat[d] @ model.x_init)
-            else:
-                row[nu + (t - 1) * n : nu + t * n] -= model.a_mat[d]
-                b = 0.0
-            rows.append(row)
-            senses.append(EQ)
-            rhs.append(b)
+    big_n, n = model.horizon, model.dim_x
+    (u, x, miss), num = _blocks((big_n, model.dim_u), (big_n, n), (n,))
+    rows, rhs = _dynamics_rows(model, u, x, num)
+    # miss slacks: x_{N+1} - goal <= miss and goal - x_{N+1} <= miss
+    bound = np.zeros((n, 2, num))
     for d in range(n):
-        for sign in (1.0, -1.0):
-            row = np.zeros(num)
-            row[nu + (big_n - 1) * n + d] = sign
-            row[nu + nx + d] = -1.0
-            rows.append(row)
-            senses.append(LE)
-            rhs.append(sign * float(model.x_goal[d]))
+        bound[d, :, x[-1, d]] = [1.0, -1.0]
+        bound[d, :, miss[d]] = -1.0
     objective = np.zeros(num)
-    objective[nu + nx :] = 1.0
+    objective[miss] = 1.0
     lower = np.full(num, -np.inf)
     upper = np.full(num, np.inf)
-    lower[:nu] = np.tile(model.u_lower, big_n)
-    upper[:nu] = np.tile(model.u_upper, big_n)
-    lower[nu + nx :] = 0.0
+    lower[u] = model.u_lower
+    upper[u] = model.u_upper
+    lower[miss] = 0.0
     sol = solve_lp(
         LpProblem(
             objective=objective,
-            lhs=np.array(rows),
-            senses=tuple(senses),
-            rhs=np.array(rhs),
+            lhs=np.vstack([rows, bound.reshape(2 * n, num)]),
+            senses=(EQ,) * len(rhs) + (LE,) * (2 * n),
+            rhs=np.concatenate([rhs, np.outer(model.x_goal, [1.0, -1.0]).ravel()]),
             lower=lower,
             upper=upper,
         )

@@ -56,6 +56,28 @@ def _line_smpc_config(**overrides) -> dict:
     return config
 
 
+def _shipped_config(name: str) -> dict:
+    """A shipped config whose map path still resolves when it is written elsewhere."""
+    config = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+    if "map" in config:
+        config["map"] = str(CONFIGS / config["map"])
+    return config
+
+
+# Kind-specific numbers of the wrong type, each with the key it must name.
+_MISTYPED_NUMBERS = [
+    ({**_shipped_config("desk_grid"), "horizon": 12.9}, "horizon"),
+    ({**_shipped_config("desk_grid"), "horizon": True}, "horizon"),
+    ({**_shipped_config("desk_grid"), "horizon": "7"}, "horizon"),
+    ({**_shipped_config("desk_grid"), "max_step": 6.0}, "max_step"),
+    ({**_shipped_config("desk_grid"), "sigma": "1.0"}, "sigma"),
+    ({**_shipped_config("landing"), "stages": 3.0}, "stages"),
+    (_line_smpc_config(horizon=3.0), "horizon"),
+    (_line_smpc_config(pwl_segments=6.7), "pwl_segments"),
+    (_line_smpc_config(max_nodes=2.5), "max_nodes"),
+]
+
+
 def test_unknown_subcommand_exits_2_with_usage(capsys):
     assert main(["frobnicate"]) == 2
     assert "usage:" in capsys.readouterr().err
@@ -103,6 +125,12 @@ def test_config_validation_failures_exit_2(tmp_path, capsys):
             assert code == 2, (command, config)
     good = _write(tmp_path, "good.json", _toy_config())
     assert main(["solve", str(good), "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
+    for i, (config, key) in enumerate(_MISTYPED_NUMBERS):
+        path = _write(tmp_path, f"mistyped_{i}.json", config)
+        for command in ("solve", "validate", "sweep"):
+            capsys.readouterr()
+            assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2, (command, i)
+            assert f"{key} must be" in capsys.readouterr().err, (command, i)
     assert (tmp_path / "out").exists() is False
     capsys.readouterr()
 
@@ -151,8 +179,18 @@ def test_malformed_report_exits_2(tmp_path, capsys):
     def not_an_object(report):
         report["mixed"] = [1, 2]
 
+    def fractional_seed(report):
+        report["monte_carlo"]["seed"] = 0.5
+
+    def boolean_seed(report):
+        report["monte_carlo"]["seed"] = True
+
+    def float_rollouts(report):
+        report["monte_carlo"]["n"] = 2000.0
+
     for tamper in (
-        no_seed, no_policy, bad_probability, no_rollouts, infinite_seed, not_an_object
+        no_seed, no_policy, bad_probability, no_rollouts, infinite_seed, not_an_object,
+        fractional_seed, boolean_seed, float_rollouts,
     ):
         report = json.loads(json.dumps(saved))
         tamper(report)
@@ -200,10 +238,6 @@ class _CountingOracle:
     def __init__(self, inner):
         self.inner = inner
         self.queries = 0
-
-    @property
-    def k_constraints(self):
-        return self.inner.k_constraints
 
     def query(self, lam):
         self.queries += 1
@@ -394,3 +428,17 @@ def test_bench_tracer_hook_points_stay_alive(tmp_path, monkeypatch):
         "ccmdp.eval", "ccmdp.mc", "smpc.query", "smpc.build", "milp.solve", "smpc.mc",
     }
     assert expected <= recorded, expected - recorded
+
+
+def test_benchmark_configs_load_and_build(tmp_path, monkeypatch):
+    # the benchmark's generated inputs must stay valid configs
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_gen", gen)  # its dataclass looks itself up
+    spec.loader.exec_module(gen)
+    kinds = []
+    for workload in ("mdp-solve", "smpc-solve", "validate"):
+        for inst in gen.workload_instances(workload, 1, ROOT):
+            path = gen.write_instance(tmp_path / workload / inst.name, inst.config, inst.map_text)
+            kinds.append(build_setup(cli.load_config(path), path.parent).kind)
+    assert len(kinds) == 14 and set(kinds) == {"grid", "edl", "smpc"}

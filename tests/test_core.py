@@ -144,8 +144,6 @@ def test_binomial_acceptance_tails_are_exact():
 def test_oracle_without_evaluate_cannot_be_instantiated():
     # certificate condition f re-evaluates every component, so no oracle may skip it
     class QueryOnly(LagrangianOracle):
-        k_constraints = 1
-
         def query(self, lam):
             return PureCandidate(0, CostVector(1.0, (0.0,)))
 

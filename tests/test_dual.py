@@ -36,10 +36,6 @@ class _Tracing:
         self.inner = inner
         self.trace = []
 
-    @property
-    def k_constraints(self):
-        return self.inner.k_constraints
-
     def query(self, lam):
         cand = self.inner.query(lam)
         self.trace.append((lam.values[0], cand.cost.c1))
@@ -100,8 +96,6 @@ def test_infeasible_bound_raises():
 
 def test_non_monotone_oracle_detected():
     class Lying:
-        k_constraints = 1
-
         def query(self, lam):
             lam0 = lam.values[0]
             risk = 0.05 if lam0 == 0.0 else 0.05 + lam0
@@ -113,8 +107,6 @@ def test_non_monotone_oracle_detected():
 
 def test_riskier_probe_above_the_bound_is_non_monotone_not_infeasible():
     class RiskierWithTheMultiplier:
-        k_constraints = 1
-
         def query(self, lam):
             risk = 0.05 if lam.values[0] == 0.0 else 0.06
             return PureCandidate(None, CostVector(1.0, (risk,)))
@@ -122,6 +114,15 @@ def test_riskier_probe_above_the_bound_is_non_monotone_not_infeasible():
     # the probe's risk is above V too, but the rise is reported first
     with pytest.raises(NonMonotoneOracleError):
         solve_mixed_scalar(RiskierWithTheMultiplier(), Bounds((0.01,)))
+
+
+@pytest.mark.parametrize("risk", [0.005, 0.05])
+def test_answers_with_two_risks_are_rejected_against_one_bound(risk):
+    # each answer's K is checked as it arrives; at risk 0.05 the search
+    # would otherwise report the problem infeasible after its probe
+    oracle = FiniteSetOracle([CostVector(1.0, (risk, 0.0))], Bounds((0.01, 0.01)))
+    with pytest.raises(InvalidInputError, match="K=2"):
+        solve_mixed_scalar(oracle, Bounds((0.01,)))
 
 
 def test_bisection_bracket_invariant():

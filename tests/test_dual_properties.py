@@ -116,8 +116,6 @@ class _CostlyProbe:
     last policy of the set whatever its cost, as a backend's answer at a
     huge multiplier can be when the risk term swamps the cost."""
 
-    k_constraints = 1
-
     def __init__(self, costs, bounds):
         self.exact = FiniteSetOracle(costs, bounds)
         self.probe = len(costs) - 1
@@ -167,8 +165,6 @@ class _NeverTies:
     """Risk falls with the multiplier, but each answer costs ten times less
     than the one before, so its Lagrangian undercuts every earlier answer
     and no query at a chord slope ever ties the endpoints."""
-
-    k_constraints = 1
 
     def __init__(self):
         self.queries = 0

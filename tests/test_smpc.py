@@ -139,13 +139,13 @@ def test_pwl_is_conservative_and_tightens():
 def test_inner_milp_structure_counts():
     model = gap_model()
     pwl = build_pwl_cdf(3)
-    problem, layout = build_inner_milp(model, 10.0, pwl)
+    problem, cols = build_inner_milp(model, 10.0, pwl)
     # u, v, means, risk terms, face binaries
-    assert layout.u_off == 0
-    assert layout.v_off == 4
-    assert layout.x_off == 8
-    assert layout.delta_off == 12
-    assert layout.z_off == 14
+    assert cols.u[0, 0] == 0
+    assert cols.v[0, 0] == 4
+    assert cols.x[0, 0] == 8
+    assert cols.delta[0, 0] == 12
+    assert cols.z[0][0, 0] == 14
     assert problem.lp.num_vars == 22
     assert problem.binary == tuple(range(14, 22))
     # step 2 has all four faces open: 4 mean-outside + 4*3 chords + 1 cap.
@@ -155,9 +155,9 @@ def test_inner_milp_structure_counts():
     # separating, fixed to 1 with no rows. 1 cap row.
     assert problem.lp.num_rows == 8 + 4 + 2 + (4 + 12 + 1) + (3 + 1)
     for face in (1, 2, 3):
-        zi = layout.z_index(0, face, 1, model.horizon)
+        zi = cols.z[0][face, 1]
         assert problem.lp.lower[zi] == problem.lp.upper[zi] == 1.0
-    z_right = layout.z_index(0, 0, 1, model.horizon)
+    z_right = cols.z[0][0, 1]
     assert problem.lp.lower[z_right] == 0.0 and problem.lp.upper[z_right] == 1.0
 
 
@@ -213,17 +213,17 @@ def test_certified_group_emits_no_rows_and_pins_binaries():
         u_upper=[2.0, 2.0],
         obstacles=gap_model().obstacles,
     )
-    problem, layout = build_inner_milp(model, 10.0, build_pwl_cdf(3))
+    problem, cols = build_inner_milp(model, 10.0, build_pwl_cdf(3))
     # step 2: right face and both y faces open (4 rows each incl. the
     # mean-outside row), left face unreachable, plus the cap row
     assert problem.lp.num_rows == 8 + 4 + 2 + (3 * 4 + 1)
-    assert problem.lp.lower[layout.z_index(0, 0, 1, 2)] == 0.0
-    assert problem.lp.upper[layout.z_index(0, 0, 1, 2)] == 0.0
+    assert problem.lp.lower[cols.z[0][0, 1]] == 0.0
+    assert problem.lp.upper[cols.z[0][0, 1]] == 0.0
     for face in (1, 2, 3):
-        zi = layout.z_index(0, face, 1, 2)
+        zi = cols.z[0][face, 1]
         assert problem.lp.lower[zi] == problem.lp.upper[zi] == 1.0
     # the terminal risk term is bound by nothing
-    di = layout.delta_index(0, 1, 2)
+    di = cols.delta[0, 1]
     assert not problem.lp.lhs[:, di].any()
 
 
@@ -243,15 +243,14 @@ def test_risk_term_follows_the_cheapest_separating_face():
         obstacles=gap_model().obstacles,
     )
     pwl = build_pwl_cdf(3)
-    problem, layout = build_inner_milp(model, 1.0, pwl)
+    problem, cols = build_inner_milp(model, 1.0, pwl)
     sol = solve_milp(problem, abs_gap=1e-9)
     assert sol.status == "optimal"
     from mixedctrl.smpc import _risk_terms
 
-    big_n, m = model.horizon, model.dim_u
-    controls = sol.x[layout.u_off : layout.u_off + big_n * m].reshape(big_n, m)
+    controls = sol.x[cols.u]
     terms, _ = _risk_terms(model, propagate_covariance(model), pwl, mean_path(model, controls))
-    deltas = sol.x[layout.delta_off : layout.delta_off + big_n]
+    deltas = sol.x[cols.delta]
     assert deltas.sum() == pytest.approx(terms.sum(), abs=1e-6)
     # the 1-sigma top face would cost a quarter of the mass
     assert deltas.sum() < 1e-3
@@ -260,9 +259,7 @@ def test_risk_term_follows_the_cheapest_separating_face():
 def test_halfplane_tail_bound_and_monte_carlo():
     model = halfline_model()
     oracle = SmpcOracle(model)
-    plan_cost = oracle.evaluate(
-        ControlPlan(np.zeros((1, 1)), None, 0.0, 0.0)
-    )
+    plan_cost = oracle.evaluate(ControlPlan(np.zeros((1, 1))))
     assert plan_cost.c0 == 0.0
     assert PHI_MINUS_3 <= plan_cost.c1 <= PHI_MINUS_3 + 2e-3
     est = estimate_risk_mc(model, np.zeros((1, 1)), 200_000, seed=123)
@@ -348,14 +345,15 @@ def test_query_and_evaluate_agree_exactly():
     assert cand.cost.c0 == pytest.approx(2.0, abs=1e-6)
     assert cand.cost.c1 < 1e-4
     box = model.obstacles[0]
-    inside = np.all(cand.policy.mean[1:] @ box.face_normals.T <= box.face_offsets, axis=-1)
+    means = mean_path(model, cand.policy.controls)[1:]
+    inside = np.all(means @ box.face_normals.T <= box.face_offsets, axis=-1)
     assert not inside.any()
 
 
 def test_mean_inside_obstacle_counts_as_certain_failure():
     model = gap_model()
     oracle = SmpcOracle(model)
-    plan = ControlPlan(np.array([[1.0, 0.0], [1.0, 0.0]]), None, 0.0, 0.0)
+    plan = ControlPlan(np.array([[1.0, 0.0], [1.0, 0.0]]))
     cost = oracle.evaluate(plan)
     assert cost.c_rest[0] >= 1.0
 
@@ -446,8 +444,8 @@ def test_mixture_risk_mc_is_deterministic():
     model = halfline_model()
     from mixedctrl.core import CostVector, MixedSolution, PureCandidate
 
-    near = ControlPlan(np.array([[2.0]]), None, 2.0, 0.15)
-    far = ControlPlan(np.array([[-1.0]]), None, 1.0, 0.0001)
+    near = ControlPlan(np.array([[2.0]]))
+    far = ControlPlan(np.array([[-1.0]]))
     sol = MixedSolution(
         components=(
             (PureCandidate(near, CostVector(2.0, (0.15,))), 0.5),
@@ -557,3 +555,77 @@ def test_corridor_monte_carlo_memory_stays_small(corridor_plans):
         tracemalloc.stop()
     # a 100,000-rollout block of states alone takes 1.5 MiB
     assert peak < 8 * 2**20, peak
+
+
+def skewed_model(x_goal):
+    """Three states, two inputs, coupled dynamics and a B with zero entries."""
+    return SmpcModel(
+        a_mat=[[0.9, 0.2, 0.0], [-0.1, 1.1, 0.3], [0.0, 0.05, 0.8]],
+        b_mat=[[1.0, 0.0], [0.0, 0.5], [0.3, 0.0]],
+        sigma_w=0.01 * np.eye(3),
+        horizon=4,
+        x_init=[0.3, -0.2, 0.1],
+        x_goal=x_goal,
+        u_lower=[-1.0, -1.0],
+        u_upper=[1.0, 1.5],
+        obstacles=(),
+    )
+
+
+def test_dynamics_rows_hold_on_a_rolled_out_trajectory():
+    from mixedctrl.smpc import _dynamics_rows
+
+    model = skewed_model([0.0, 0.0, 0.0])
+    a, b = model.a_mat, model.b_mat
+    big_n, n, m = 4, 3, 2
+    u_cols = np.arange(big_n * m).reshape(big_n, m)
+    x_cols = big_n * m + np.arange(big_n * n).reshape(big_n, n)
+    lhs, rhs = _dynamics_rows(model, u_cols, x_cols, big_n * (m + n))
+    assert lhs.shape == (big_n * n, big_n * (m + n)) and rhs.shape == (big_n * n,)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        controls = rng.uniform(model.u_lower, model.u_upper, size=(big_n, m))
+        states, rolled = [np.array([0.3, -0.2, 0.1])], [np.array([0.3, -0.2, 0.1])]
+        for k in range(big_n):
+            states.append(a @ states[-1] + b @ controls[k])
+            rolled.append(a.T @ rolled[-1] + b @ controls[k])
+        np.testing.assert_allclose(lhs @ np.concatenate([controls.ravel(), *states[1:]]), rhs,
+                                   atol=1e-12)
+        # a trajectory of the transposed dynamics breaks them
+        wrong = lhs @ np.concatenate([controls.ravel(), *rolled[1:]]) - rhs
+        assert np.abs(wrong).max() > 1e-3
+
+
+def test_unreachable_goal_of_coupled_dynamics_reports_its_miss():
+    # the terminal mean is affine in the stacked controls; the smallest
+    # L1 miss from the goal is a small LP in the controls alone
+    from scipy.optimize import linprog
+
+    from mixedctrl.smpc import diagnose_infeasible
+
+    goal = np.array([6.0, -4.0, 2.0])
+    model = skewed_model(goal)
+    a, b = model.a_mat, model.b_mat
+    big_n, n, m = 4, 3, 2
+    gain = np.hstack([np.linalg.matrix_power(a, big_n - 1 - k) @ b for k in range(big_n)])
+    free = np.linalg.matrix_power(a, big_n) @ model.x_init
+    # variables: controls (N*m) then slacks s >= |gain u + free - goal|
+    cost = np.concatenate([np.zeros(big_n * m), np.ones(n)])
+    a_ub = np.block([[gain, -np.eye(n)], [-gain, -np.eye(n)]])
+    b_ub = np.concatenate([goal - free, free - goal])
+    bounds = [(lo, hi) for lo, hi in zip(np.tile(model.u_lower, big_n),
+                                          np.tile(model.u_upper, big_n))]
+    ref = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds + [(0, None)] * n)
+    assert ref.status == 0 and ref.fun > 1.0
+    message = diagnose_infeasible(model)
+    assert message.startswith("terminal stage 4 cannot reach the goal, best L1 miss ")
+    assert float(message.rsplit(" ", 1)[1]) == pytest.approx(ref.fun, rel=1e-5)
+    with pytest.raises(InfeasibleProblemError, match="terminal stage 4"):
+        SmpcOracle(model).query(DualVector((1.0,)))
+
+    # a rolled-out endpoint is reachable, so no miss is reported
+    state = model.x_init
+    for k in range(big_n):
+        state = a @ state + b @ np.array([0.5, -0.5])
+    reachable = diagnose_infeasible(skewed_model(state))
+    assert reachable == "goal reachable but obstacle constraints cannot all be met"
