@@ -19,12 +19,16 @@ exchangeable, so one multinomial draw per occupied state moves them all
 with the same law as moving each on its own. The failure count and the
 mean cost, which are all the check reports, are therefore exact samples,
 and the work grows with the occupied states instead of the rollouts.
+
+A saved mixture component is a ``policy_<stem>.csv`` table with one
+``step,state,action`` row per defined action.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,6 +43,7 @@ from .core import (
     MixedControlError,
     MixedSolution,
     PureCandidate,
+    read_component,
     wilson_ci_99,
 )
 
@@ -245,12 +250,39 @@ class MdpOracle(LagrangianOracle):
 
     def query(self, lam: DualVector) -> PureCandidate:
         policy, _ = lagrangian_dp(self.mdp, lam.values[0])
-        ev = evaluate_policy(self.mdp, policy)
-        return PureCandidate(policy, CostVector(ev.expected_cost, (ev.failure_prob,)))
+        return PureCandidate(policy, self.evaluate(policy))
 
     def evaluate(self, policy: object) -> CostVector:
         ev = evaluate_policy(self.mdp, policy)
         return CostVector(ev.expected_cost, (ev.failure_prob,))
+
+    def save(self, policy: Policy, stem: str, out_dir: Path) -> str:
+        """Write ``policy_<stem>.csv`` into ``out_dir`` and return its name."""
+        name = f"policy_{stem}.csv"
+        lines = ["step,state,action"]
+        for step, actions in enumerate(policy.actions):
+            for state in np.flatnonzero(actions >= 0):
+                lines.append(f"{step},{int(state)},{int(actions[state])}")
+        (out_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return name
+
+    def load(self, ref: object, out_dir: Path) -> Policy:
+        """Read back the policy table that `save` named ``ref``."""
+        path, lines = read_component(ref, out_dir)
+        actions = [np.full(count, -1, dtype=int) for count in self.mdp.state_counts[:-1]]
+        if not lines or lines[0] != "step,state,action":
+            raise InvalidInputError(f"{path} is not a policy table")
+        for line in lines[1:]:
+            try:
+                step, state, action = (int(v) for v in line.split(","))
+            except ValueError as exc:
+                raise InvalidInputError(f"{path} has a bad row {line!r}") from exc
+            if not 0 <= step < self.mdp.horizon or not 0 <= state < self.mdp.state_counts[step]:
+                raise InvalidInputError(f"{path} references step {step}, state {state}")
+            if not 0 <= action < self.mdp.stage_costs[step].shape[1]:
+                raise InvalidInputError(f"{path} references action {action} at step {step}")
+            actions[step][state] = action
+        return Policy(tuple(actions))
 
 
 @dataclass(frozen=True)

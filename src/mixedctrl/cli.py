@@ -1,11 +1,12 @@
 """Command-line front end: JSON configs in, deterministic artifacts out.
 
 ``solve`` runs the full pipeline for one scenario and writes
-``report.json``, ``dual_trace.csv``, and one policy or plan file per
-mixture component. ``validate`` rebuilds the problem from the config,
-re-evaluates the saved components from their dumped files, and re-runs
-the optimality checks and Monte Carlo. ``sweep`` samples the dual
-function on a multiplier grid for plotting.
+``report.json``, ``dual_trace.csv``, and whatever file the backend saves
+per mixture component. ``validate`` rebuilds the oracle from the config,
+has it load and re-evaluate the saved components, and re-runs the
+optimality checks and Monte Carlo. ``sweep`` samples the dual function
+on a multiplier grid for plotting. Past the config, each command talks
+only to the oracle that `build_setup` returns.
 
 Exit codes: 0 success, 1 infeasible problem, solver limit or failed
 validation, 2 invalid config or usage. Reports are byte-identical across
@@ -21,13 +22,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .ccmdp import Mdp, Policy, simulate
+from .ccmdp import MdpOracle, simulate
 from .core import (
     Bounds,
     CostVector,
@@ -45,14 +45,7 @@ from .core import (
 )
 from .dual import check_optimality, solve_mixed_scalar
 from .scenarios import FiniteSetOracle, edl_oracle, grid_oracle, parse_grid_map
-from .smpc import (
-    ControlPlan,
-    Obstacle,
-    SmpcModel,
-    SmpcOracle,
-    build_pwl_cdf,
-    estimate_mixture_risk_mc,
-)
+from .smpc import Obstacle, SmpcModel, SmpcOracle, build_pwl_cdf, estimate_mixture_risk_mc
 
 SCHEMA_VERSION = 1
 TRACE_COLUMNS = ("iteration", "lambda", "c0", "c1", "lagrangian_value")
@@ -70,11 +63,11 @@ _KEYS = {
         ("pwl_segments", "max_nodes"),
     ),
 }
-# The type of each kind-specific number, and of each key of the optional
-# sections that every kind accepts.
+# Each key that holds a single number, with its type, at the top level and in the
+# optional sections that every kind accepts.
 _NUMBERS = {
     "horizon": int, "max_step": int, "stages": int, "pwl_segments": int, "max_nodes": int,
-    "sigma": (int, float),
+    "sigma": (int, float), "risk_bound": (int, float),
 }
 _SECTIONS = {
     "monte_carlo": {"seed": int, "n": int},
@@ -87,6 +80,19 @@ def _check_type(label: str, value: object, types) -> None:
     if isinstance(value, bool) or not isinstance(value, types):
         what = "an integer" if types is int else "a number"
         raise InvalidInputError(f"{label} must be {what}, got {value!r}")
+
+
+def _first_non_number(value) -> tuple[str, object] | None:
+    """Key path (".a[0].b") and value of the first leaf that is no number, or None."""
+    kind = type(value)  # JSON's true and false are bool, no number
+    if kind is not dict and kind is not list:
+        return None if kind is float or kind is int else ("", value)
+    for key, item in value.items() if kind is dict else enumerate(value):
+        if type(item) is not float and type(item) is not int:
+            found = _first_non_number(item)
+            if found is not None:
+                return (f".{key}" if kind is dict else f"[{key}]") + found[0], found[1]
+    return None
 
 
 def load_config(path: Path) -> dict:
@@ -124,31 +130,19 @@ def load_config(path: Path) -> dict:
             if key not in types:
                 raise InvalidInputError(f"unknown {name} key {key!r}")
             checks.append((f"{name}.{key}", value, types[key]))
+    # every value but the kind and the map path is a number, or lists and objects of them
+    found = _first_non_number({k: v for k, v in config.items() if k not in ("kind", "map")})
+    if found is not None:
+        raise InvalidInputError(f"{found[0][1:]} must be a number, got {found[1]!r}")
     for label, value, types in checks:
         _check_type(label, value, types)
     mc = config.get("monte_carlo", {})
     if mc.get("seed", 0) < 0 or mc.get("n", 1) < 1:
         raise InvalidInputError("monte_carlo needs seed >= 0 and n >= 1")
     bound = config["risk_bound"]
-    if (
-        isinstance(bound, bool)
-        or not isinstance(bound, (int, float))
-        or not math.isfinite(bound)
-        or not 0.0 <= bound <= 1.0
-    ):
+    if not math.isfinite(bound) or not 0.0 <= bound <= 1.0:
         raise InvalidInputError(f"risk_bound must be a number in [0, 1], got {bound!r}")
     return config
-
-
-@dataclass
-class RunSetup:
-    """Oracle plus whatever backend objects the reporting code needs."""
-
-    kind: str
-    oracle: LagrangianOracle
-    bounds: Bounds
-    mdp: Mdp | None = None
-    model: SmpcModel | None = None
 
 
 def _read_map(config: dict, base_dir: Path):
@@ -172,7 +166,7 @@ def _single_marker(markers: dict, char: str) -> tuple[int, int]:
     return cells[0]
 
 
-def _build_toy(config: dict, base_dir: Path) -> RunSetup:
+def _build_toy(config: dict, base_dir: Path) -> FiniteSetOracle:
     policies = config["policies"]
     if not isinstance(policies, list) or not policies:
         raise InvalidInputError("policies must be a non-empty list of [cost, risk] pairs")
@@ -181,13 +175,12 @@ def _build_toy(config: dict, base_dir: Path) -> RunSetup:
         if not isinstance(entry, list) or len(entry) != 2:
             raise InvalidInputError(f"policy entry {entry!r} is not a [cost, risk] pair")
         costs.append(CostVector(float(entry[0]), (float(entry[1]),)))
-    bounds = Bounds((float(config["risk_bound"]),))
-    return RunSetup("toy", FiniteSetOracle(costs, bounds), bounds)
+    return FiniteSetOracle(costs, Bounds((float(config["risk_bound"]),)))
 
 
-def _build_grid(config: dict, base_dir: Path) -> RunSetup:
+def _build_grid(config: dict, base_dir: Path) -> MdpOracle:
     feasible, markers = _read_map(config, base_dir)
-    oracle = grid_oracle(
+    return grid_oracle(
         feasible,
         _single_marker(markers, "S"),
         _single_marker(markers, "G"),
@@ -196,12 +189,11 @@ def _build_grid(config: dict, base_dir: Path) -> RunSetup:
         sigma=config["sigma"],
         risk_bound=float(config["risk_bound"]),
     )
-    return RunSetup("grid", oracle, oracle.bounds, mdp=oracle.mdp)
 
 
-def _build_edl(config: dict, base_dir: Path) -> RunSetup:
+def _build_edl(config: dict, base_dir: Path) -> MdpOracle:
     feasible, markers = _read_map(config, base_dir)
-    oracle = edl_oracle(
+    return edl_oracle(
         feasible,
         _single_marker(markers, "S"),
         (_single_marker(markers, "A"), _single_marker(markers, "B")),
@@ -212,10 +204,9 @@ def _build_edl(config: dict, base_dir: Path) -> RunSetup:
         sigmas=[(float(sx), float(sy)) for sx, sy in config["sigmas"]],
         risk_bound=float(config["risk_bound"]),
     )
-    return RunSetup("edl", oracle, oracle.bounds, mdp=oracle.mdp)
 
 
-def _build_smpc(config: dict, base_dir: Path) -> RunSetup:
+def _build_smpc(config: dict, base_dir: Path) -> SmpcOracle:
     obstacles = tuple(
         Obstacle(entry["normals"], entry["offsets"]) for entry in config["obstacles"]
     )
@@ -230,14 +221,18 @@ def _build_smpc(config: dict, base_dir: Path) -> RunSetup:
         u_upper=config["u_upper"],
         obstacles=obstacles,
     )
-    oracle = SmpcOracle(
+    return SmpcOracle(
         model,
+        Bounds((float(config["risk_bound"]),)),
         build_pwl_cdf(config.get("pwl_segments", 24)),
         max_nodes=config.get("max_nodes", 200_000),
     )
-    return RunSetup("smpc", oracle, Bounds((float(config["risk_bound"]),)), model=model)
 
 
+# The builders and `_run_monte_carlo` stay here, not on the backends,
+# because the traced benchmark (bench/spans.py) wraps `grid_oracle`,
+# `edl_oracle`, `simulate` and `estimate_mixture_risk_mc` by their names
+# in this module.
 _BUILDERS = {
     "toy": _build_toy,
     "grid": _build_grid,
@@ -246,7 +241,8 @@ _BUILDERS = {
 }
 
 
-def build_setup(config: dict, base_dir: Path) -> RunSetup:
+def build_setup(config: dict, base_dir: Path) -> LagrangianOracle:
+    """The oracle of a loaded config; ``base_dir`` resolves its map path."""
     builder = _BUILDERS[config["kind"]]
     try:
         return builder(config, base_dir)
@@ -257,9 +253,9 @@ def build_setup(config: dict, base_dir: Path) -> RunSetup:
 class _TracingOracle(LagrangianOracle):
     """Pass-through wrapper recording one trace row per multiplier query."""
 
-    def __init__(self, inner: LagrangianOracle, bounds: Bounds):
+    def __init__(self, inner: LagrangianOracle):
         self.inner = inner
-        self.bounds = bounds
+        self.bounds = inner.bounds
         self.rows: list[tuple[int, float, float, float, float]] = []
         self.last: tuple[DualVector, PureCandidate] | None = None
 
@@ -281,15 +277,11 @@ class _TracingOracle(LagrangianOracle):
         return self.inner.evaluate(policy)
 
 
-def _mc_settings(config: dict, args: argparse.Namespace) -> tuple[int, int]:
-    section = config.get("monte_carlo", {})
-    seed = section.get("seed", 0) if args.seed is None else args.seed
-    return seed, section.get("n", 100_000)
-
-
-def _run_monte_carlo(setup: RunSetup, solution: MixedSolution, seed: int, n: int) -> dict:
-    if setup.kind in ("grid", "edl"):
-        summary = simulate(setup.mdp, solution, seed, n)
+def _run_monte_carlo(
+    oracle: LagrangianOracle, solution: MixedSolution, seed: int, n: int
+) -> dict:
+    if isinstance(oracle, MdpOracle):
+        summary = simulate(oracle.mdp, solution, seed, n)
         return {
             "seed": seed,
             "n": summary.n_rollouts,
@@ -297,8 +289,8 @@ def _run_monte_carlo(setup: RunSetup, solution: MixedSolution, seed: int, n: int
             "failure_rate": summary.failure_rate,
             "ci99": list(summary.failure_ci99),
         }
-    if setup.kind == "smpc":
-        est = estimate_mixture_risk_mc(setup.model, solution, n, seed)
+    if isinstance(oracle, SmpcOracle):
+        est = estimate_mixture_risk_mc(oracle.model, solution, n, seed)
         return {
             "seed": seed,
             "n": est.n_rollouts,
@@ -323,79 +315,6 @@ def _run_monte_carlo(setup: RunSetup, solution: MixedSolution, seed: int, n: int
     }
 
 
-def _component_file(kind: str, index: int) -> str:
-    return f"plan_{index}.csv" if kind == "smpc" else f"policy_{index}.csv"
-
-
-def _dump_policy(policy: Policy, path: Path) -> None:
-    lines = ["step,state,action"]
-    for step, actions in enumerate(policy.actions):
-        for state in np.flatnonzero(actions >= 0):
-            lines.append(f"{step},{int(state)},{int(actions[state])}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _load_policy(path: Path, mdp: Mdp) -> Policy:
-    actions = [np.full(count, -1, dtype=int) for count in mdp.state_counts[:-1]]
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "step,state,action":
-        raise InvalidInputError(f"{path} is not a policy table")
-    for line in lines[1:]:
-        try:
-            step, state, action = (int(v) for v in line.split(","))
-        except ValueError as exc:
-            raise InvalidInputError(f"{path} has a bad row {line!r}") from exc
-        if not 0 <= step < mdp.horizon or not 0 <= state < mdp.state_counts[step]:
-            raise InvalidInputError(f"{path} references step {step}, state {state}")
-        if not 0 <= action < mdp.stage_costs[step].shape[1]:
-            raise InvalidInputError(f"{path} references action {action} at step {step}")
-        actions[step][state] = action
-    return Policy(tuple(actions))
-
-
-def _dump_plan(controls: np.ndarray, path: Path) -> None:
-    header = ",".join(f"u{j}" for j in range(controls.shape[1]))
-    lines = [header]
-    for row in controls:
-        lines.append(",".join(repr(float(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _load_plan(path: Path, model: SmpcModel) -> np.ndarray:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    try:
-        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-        controls = np.array(rows, dtype=float)
-    except ValueError as exc:
-        raise InvalidInputError(f"{path} is not a control plan table") from exc
-    if controls.shape != (model.horizon, model.dim_u):
-        raise InvalidInputError(
-            f"{path} has shape {controls.shape}, expected {(model.horizon, model.dim_u)}"
-        )
-    return controls
-
-
-def _dump_component(setup: RunSetup, policy: object, path: Path) -> None:
-    if setup.kind == "smpc":
-        _dump_plan(policy.controls, path)
-    else:
-        _dump_policy(policy, path)
-
-
-def _load_component(setup: RunSetup, ref: object, out_dir: Path) -> object:
-    if setup.kind == "toy":
-        try:
-            return int(ref)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"bad policy index {ref!r} in report") from exc
-    if not isinstance(ref, str):
-        raise InvalidInputError(f"component policy reference {ref!r} is not a file name")
-    path = out_dir / ref
-    if setup.kind == "smpc":
-        return ControlPlan(_load_plan(path, setup.model))
-    return _load_policy(path, setup.mdp)
-
-
 def _write_trace(path: Path, rows: Sequence[tuple[int, float, float, float, float]]) -> None:
     lines = [",".join(TRACE_COLUMNS)]
     for it, lam, c0, c1, value in rows:
@@ -406,16 +325,18 @@ def _write_trace(path: Path, rows: Sequence[tuple[int, float, float, float, floa
 def _cmd_solve(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     config = load_config(config_path)
-    setup = build_setup(config, config_path.parent)
-    seed, n_rollouts = _mc_settings(config, args)
+    oracle = build_setup(config, config_path.parent)
+    section = config.get("monte_carlo", {})
+    seed = section.get("seed", 0) if args.seed is None else args.seed
+    n_rollouts = section.get("n", 100_000)
 
     started = time.perf_counter()
-    tracer = _TracingOracle(setup.oracle, setup.bounds)
-    result, solution = solve_mixed_scalar(tracer, setup.bounds)
+    tracer = _TracingOracle(oracle)
+    result, solution = solve_mixed_scalar(tracer, oracle.bounds)
     # lambda* is usually the multiplier of the search's last query
     reference = tracer.last[1] if tracer.last[0] == solution.dual else None
-    optimality = check_optimality(solution, setup.bounds, setup.oracle, 1e-6, reference)
-    monte_carlo = _run_monte_carlo(setup, solution, seed, n_rollouts)
+    optimality = check_optimality(solution, oracle.bounds, oracle, 1e-6, reference)
+    monte_carlo = _run_monte_carlo(oracle, solution, seed, n_rollouts)
     wall = time.perf_counter() - started
 
     # Output gate: randomizing can only help, so a mixture costlier than
@@ -429,13 +350,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     components = []
-    pure_ref: object = None
+    pure_ref = None  # the search's safe endpoint is always one of the components
     for i, (cand, weight) in enumerate(solution.components):
-        if setup.kind == "toy":
-            ref: object = int(cand.policy)
-        else:
-            ref = _component_file(setup.kind, i)
-            _dump_component(setup, cand.policy, out_dir / ref)
+        ref = oracle.save(cand.policy, str(i), out_dir)
         if cand.cost == result.upper.cost:
             pure_ref = ref
         components.append(
@@ -446,19 +363,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 "risk": cand.cost.c1,
             }
         )
-    if pure_ref is None:
-        # The safe endpoint did not survive into the mixture;
-        # dump it separately so the report's pure solution stays loadable.
-        if setup.kind == "toy":
-            pure_ref = int(result.upper.policy)
-        else:
-            pure_ref = "policy_pure.csv" if setup.kind != "smpc" else "plan_pure.csv"
-            _dump_component(setup, result.upper.policy, out_dir / pure_ref)
 
     report = {
         "schema": SCHEMA_VERSION,
-        "kind": setup.kind,
-        "risk_bound": setup.bounds.values[0],
+        "kind": config["kind"],
+        "risk_bound": oracle.bounds.values[0],
         "pure": {
             "policy": pure_ref,
             "cost": result.upper.cost.c0,
@@ -489,7 +398,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     )
     _write_trace(out_dir / "dual_trace.csv", tracer.rows)
     print(
-        f"solve {setup.kind}: lambda*={result.lambda_star:.6g} "
+        f"solve {config['kind']}: lambda*={result.lambda_star:.6g} "
         f"aggregate=({solution.aggregate.c0:.6g}, {solution.aggregate.c1:.6g}) "
         f"components={len(components)} wall={wall:.3f}s -> {out_dir}",
         file=sys.stderr,
@@ -500,7 +409,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     config = load_config(config_path)
-    setup = build_setup(config, config_path.parent)
+    oracle = build_setup(config, config_path.parent)
     out_dir = Path(args.out)
     report_path = out_dir / "report.json"
     try:
@@ -531,15 +440,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     components = []
     for ref, weight in saved_components:
-        policy = _load_component(setup, ref, out_dir)
-        components.append((PureCandidate(policy, setup.oracle.evaluate(policy)), weight))
+        policy = oracle.load(ref, out_dir)
+        components.append((PureCandidate(policy, oracle.evaluate(policy)), weight))
     aggregate = mix_costs([(cand.cost, w) for cand, w in components])
     solution = MixedSolution(
         tuple(components), aggregate, DualVector((lambda_star,)), gap
     )
 
     failures = []
-    optimality = check_optimality(solution, setup.bounds, setup.oracle, tol=1e-6)
+    optimality = check_optimality(solution, oracle.bounds, oracle, tol=1e-6)
     if not optimality.overall:
         failed = sorted(k for k, ok in optimality.conditions.items() if not ok)
         failures.append(f"optimality conditions failed: {', '.join(failed)}")
@@ -553,7 +462,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         )
 
     seed = saved_seed if args.seed is None else args.seed
-    monte_carlo = _run_monte_carlo(setup, solution, seed, n_rollouts)
+    monte_carlo = _run_monte_carlo(oracle, solution, seed, n_rollouts)
     if seed == saved_seed and abs(monte_carlo["failure_rate"] - saved_rate) > 1e-12:
         failures.append(
             f"replayed failure rate {monte_carlo['failure_rate']!r} differs "
@@ -561,8 +470,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         )
     count = round(monte_carlo["failure_rate"] * n_rollouts)
     lo, hi = binomial_acceptance(aggregate.c1, n_rollouts, VALIDATE_FALSE_ALARM)
-    # The SMPC risk is an upper bound, so only too many failures signal trouble.
-    if count > hi or (count < lo and setup.kind != "smpc"):
+    # Against a risk that is only an upper bound, only too many failures count.
+    if count > hi or (count < lo and not oracle.risk_is_upper_bound):
         failures.append(
             f"{count} failures in {n_rollouts} rollouts lie outside [{lo}, {hi}], the "
             f"range for the risk {aggregate.c1:.6g} at false-alarm rate {VALIDATE_FALSE_ALARM:g}"
@@ -573,7 +482,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             print(f"validate: {line}", file=sys.stderr)
         return 1
     print(
-        f"validate {setup.kind}: optimality ok, aggregate matches, "
+        f"validate {config['kind']}: optimality ok, aggregate matches, "
         f"{count} failures in {n_rollouts} rollouts within [{lo}, {hi}]",
         file=sys.stderr,
     )
@@ -583,7 +492,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     config = load_config(config_path)
-    setup = build_setup(config, config_path.parent)
+    oracle = build_setup(config, config_path.parent)
     section = config.get("sweep", {})
     lam_min = float(section.get("lambda_min", 0.0))
     lam_max = float(section.get("lambda_max", 2000.0))
@@ -591,7 +500,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if lam_min < 0 or lam_max <= lam_min or points < 2:
         raise InvalidInputError("sweep needs 0 <= lambda_min < lambda_max and points >= 2")
 
-    tracer = _TracingOracle(setup.oracle, setup.bounds)
+    tracer = _TracingOracle(oracle)
     for lam in np.linspace(lam_min, lam_max, points):
         tracer.query(DualVector((float(lam),)))
     out_dir = Path(args.out)
@@ -599,7 +508,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _write_trace(out_dir / "sweep.csv", tracer.rows)
     best = max(tracer.rows, key=lambda r: r[4])
     print(
-        f"sweep {setup.kind}: {points} samples on [{lam_min:g}, {lam_max:g}], "
+        f"sweep {config['kind']}: {points} samples on [{lam_min:g}, {lam_max:g}], "
         f"best dual value {best[4]:.6g} at lambda={best[1]:g} -> {out_dir}",
         file=sys.stderr,
     )

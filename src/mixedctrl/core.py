@@ -15,6 +15,7 @@ import math
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 from scipy.special import bdtr, bdtrc
@@ -173,6 +174,9 @@ class LagrangianOracle(ABC):
     K=1, monotone: raising the multiplier never raises the returned risk.
     """
 
+    # True when an answer's risk only bounds its failure probability from above
+    risk_is_upper_bound = False
+
     @abstractmethod
     def query(self, lam: DualVector) -> PureCandidate:
         """Return a minimizer of ``c0 + lam . (c_rest - bounds)``."""
@@ -184,6 +188,17 @@ class LagrangianOracle(ABC):
         The optimality checker uses it to confirm that each component's
         claimed cost matches its policy.
         """
+
+
+def read_component(ref: object, out_dir: Path) -> tuple[Path, list[str]]:
+    """Path and lines of the component file that a report names by ``ref``."""
+    if not isinstance(ref, str):
+        raise InvalidInputError(f"component policy reference {ref!r} is not a file name")
+    path = out_dir / ref
+    try:
+        return path, path.read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read component {path}: {exc}") from exc
 
 
 def mix_costs(components: Sequence[tuple[CostVector, float]]) -> CostVector:

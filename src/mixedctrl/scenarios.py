@@ -1,14 +1,17 @@
 """Problem backends packaged as Lagrangian oracles.
 
 The finite-set oracle answers queries by scanning an explicit candidate
-list; it doubles as the reference backend in tests. Grid and landing
-scenarios build finite MDPs for the dynamic-programming backend.
+list; it doubles as the reference backend in tests. Its policies are
+candidate indices, so it saves no component file: a report names each
+component by its index. Grid and landing scenarios build finite MDPs for
+the dynamic-programming backend.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -34,25 +37,29 @@ class FiniteSetOracle(LagrangianOracle):
     """
 
     def __init__(self, costs: Sequence[CostVector], bounds: Bounds):
-        costs = tuple(costs)
-        if not costs:
+        self.costs = tuple(costs)
+        if not self.costs:
             raise InvalidInputError("finite oracle needs at least one cost vector")
-        if any(c.k != bounds.k for c in costs):
+        if any(c.k != bounds.k for c in self.costs):
             raise InvalidInputError("cost vectors and bounds disagree on K")
-        self._costs = costs
         self.bounds = bounds
 
-    @property
-    def costs(self) -> tuple[CostVector, ...]:
-        return self._costs
-
     def query(self, lam: DualVector) -> PureCandidate:
-        values = [lagrangian_value(c, lam, self.bounds) for c in self._costs]
+        values = [lagrangian_value(c, lam, self.bounds) for c in self.costs]
         best = values.index(min(values))
-        return PureCandidate(best, self._costs[best])
+        return PureCandidate(best, self.costs[best])
 
     def evaluate(self, policy: object) -> CostVector:
-        return self._costs[int(policy)]
+        return self.costs[int(policy)]
+
+    def save(self, policy: object, stem: str, out_dir: Path) -> int:
+        """Write nothing: the candidate index is its own reference."""
+        return int(policy)
+
+    def load(self, ref: object, out_dir: Path) -> int:
+        if type(ref) is not int or not 0 <= ref < len(self.costs):
+            raise InvalidInputError(f"bad policy index {ref!r} in report")
+        return ref
 
 
 # --- grid plumbing shared by the MDP scenarios ---

@@ -16,18 +16,23 @@ infeasible.
 
 Control effort is the L1 norm of the input sequence, linearized with the
 usual pair of slack inequalities per entry.
+
+A saved mixture component is a ``plan_<stem>.csv`` table: a
+``u0,...,u{m-1}`` header, then one row of controls per step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
 
 from .core import (
+    Bounds,
     CostVector,
     DualVector,
     InfeasibleProblemError,
@@ -37,6 +42,7 @@ from .core import (
     MixedSolution,
     PureCandidate,
     SolverLimitError,
+    read_component,
     wilson_ci_99,
 )
 from .lpsolve import EQ, GE, LE, LpProblem, solve_lp
@@ -440,8 +446,13 @@ class SmpcOracle(LagrangianOracle):
     so `evaluate` reproduces them exactly.
     """
 
-    def __init__(self, model: SmpcModel, pwl: PwlCdf | None = None, max_nodes: int = 200_000):
+    risk_is_upper_bound = True  # a union bound over chord majorants
+
+    def __init__(
+        self, model: SmpcModel, bounds: Bounds, pwl: PwlCdf | None = None, max_nodes: int = 200_000
+    ):
         self.model = model
+        self.bounds = bounds
         self.pwl = pwl if pwl is not None else build_pwl_cdf()
         self.max_nodes = max_nodes
         self._covs = propagate_covariance(model)
@@ -480,6 +491,28 @@ class SmpcOracle(LagrangianOracle):
         if not isinstance(policy, ControlPlan):
             raise InvalidInputError("expected a control plan")
         return self._cost(policy.controls)[0]
+
+    def save(self, policy: ControlPlan, stem: str, out_dir: Path) -> str:
+        """Write ``plan_<stem>.csv`` into ``out_dir`` and return its name."""
+        name = f"plan_{stem}.csv"
+        lines = [",".join(f"u{j}" for j in range(policy.controls.shape[1]))]
+        lines += [",".join(repr(float(v)) for v in row) for row in policy.controls]
+        (out_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return name
+
+    def load(self, ref: object, out_dir: Path) -> ControlPlan:
+        """Read back the control plan that `save` named ``ref``."""
+        path, lines = read_component(ref, out_dir)
+        if not lines or lines[0] != ",".join(f"u{j}" for j in range(self.model.dim_u)):
+            raise InvalidInputError(f"{path} is not a control plan table")
+        try:
+            controls = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        except ValueError as exc:
+            raise InvalidInputError(f"{path} is not a control plan table") from exc
+        expected = (self.model.horizon, self.model.dim_u)
+        if controls.shape != expected:
+            raise InvalidInputError(f"{path} has shape {controls.shape}, expected {expected}")
+        return ControlPlan(controls)
 
 
 def diagnose_infeasible(model: SmpcModel) -> str:

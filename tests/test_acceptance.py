@@ -51,7 +51,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 
 def _shipped(name: str):
-    """Oracle, bounds and backend objects of a shipped config."""
+    """The oracle of a shipped config."""
     return build_setup(load_config(CONFIGS / f"{name}.json"), CONFIGS)
 
 
@@ -59,12 +59,12 @@ def _shipped(name: str):
 def corridor_run():
     setup = _shipped("corridor")
     started = time.perf_counter()
-    result, solution = solve_mixed_scalar(setup.oracle, setup.bounds)
+    result, solution = solve_mixed_scalar(setup, setup.bounds)
     return setup, result, solution, time.perf_counter() - started
 
 
 def test_criterion_1_toy_pipeline():
-    oracle = _shipped("toy").oracle
+    oracle = _shipped("toy")
     started = time.perf_counter()
     result, solution = solve_mixed_scalar(oracle, oracle.bounds)
     elapsed = time.perf_counter() - started
@@ -184,11 +184,11 @@ def test_criterion_4_active_constraint_risk_is_exact(corridor_run):
     setup, corridor_result, corridor_solution, _ = corridor_run
     runs = []
 
-    toy = _shipped("toy").oracle
+    toy = _shipped("toy")
     runs.append(("toy", *solve_mixed_scalar(toy, toy.bounds), toy.bounds))
-    grid = _shipped("desk_grid").oracle
+    grid = _shipped("desk_grid")
     runs.append(("grid", *solve_mixed_scalar(grid, grid.bounds), grid.bounds))
-    edl = _shipped("landing").oracle
+    edl = _shipped("landing")
     runs.append(("edl", *solve_mixed_scalar(edl, edl.bounds), edl.bounds))
     runs.append(("smpc", corridor_result, corridor_solution, setup.bounds))
 
@@ -233,7 +233,7 @@ def test_criterion_6_smpc_conservatism_and_two_modes(corridor_run):
     assert est.rate <= bound, (est, bound)
     assert est.ci99[0] <= bound
 
-    for pwl in (setup.oracle.pwl, build_pwl_cdf()):
+    for pwl in (setup.pwl, build_pwl_cdf()):
         ys = np.linspace(pwl.y_min, 0.0, 10_000)
         worst = min(pwl.value(float(y)) - ndtr(y) for y in ys)
         assert worst >= -1e-12, f"chord dips {worst:.2e} below the normal CDF"
@@ -277,7 +277,7 @@ def test_criterion_8_desk_grid_scenario():
     width, height = feasible.shape
     risk_bound = setup.bounds.values[0]
     assert (width, height, setup.mdp.horizon, risk_bound) == (30, 30, 15, 0.02)
-    oracle = setup.oracle
+    oracle = setup
     started = time.perf_counter()
     result, solution = solve_mixed_scalar(oracle, oracle.bounds)
     elapsed = time.perf_counter() - started

@@ -313,7 +313,7 @@ def test_count_sampler_follows_the_rollout_law():
 
 def test_simulation_work_does_not_grow_with_the_rollout_count(monkeypatch):
     setup = build_setup(load_config(CONFIGS / "desk_grid.json"), CONFIGS)
-    _, solution = solve_mixed_scalar(setup.oracle, setup.bounds)
+    _, solution = solve_mixed_scalar(setup, setup.bounds)
     calls = []
     for dyn in {id(d): d for d in setup.mdp.dynamics}.values():
         def counted(x, a, row=dyn.row):

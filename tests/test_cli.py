@@ -11,7 +11,7 @@ import pytest
 
 from mixedctrl import ccmdp, cli, milp, smpc
 from mixedctrl.cli import VALIDATE_FALSE_ALARM, build_setup, main
-from mixedctrl.core import binomial_acceptance, wilson_ci_99
+from mixedctrl.core import DualVector, binomial_acceptance, wilson_ci_99
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -64,7 +64,17 @@ def _shipped_config(name: str) -> dict:
     return config
 
 
-# Kind-specific numbers of the wrong type, each with the key it must name.
+def _replace(config: dict, path: tuple, value) -> dict:
+    """A copy of ``config`` whose value at the key path ``path`` is ``value``."""
+    config = json.loads(json.dumps(config))
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return config
+
+
+# Numbers of the wrong type, each with the key it must name.
 _MISTYPED_NUMBERS = [
     ({**_shipped_config("desk_grid"), "horizon": 12.9}, "horizon"),
     ({**_shipped_config("desk_grid"), "horizon": True}, "horizon"),
@@ -75,6 +85,20 @@ _MISTYPED_NUMBERS = [
     (_line_smpc_config(horizon=3.0), "horizon"),
     (_line_smpc_config(pwl_segments=6.7), "pwl_segments"),
     (_line_smpc_config(max_nodes=2.5), "max_nodes"),
+    # every nested value other than the map path is a number too
+    (_replace(_shipped_config("landing"), ("ellipsoids", 0, "radius"), "10.0"),
+     "ellipsoids[0].radius"),
+    (_replace(_shipped_config("landing"), ("sigmas", 0), ["2.0", True]), "sigmas[0][0]"),
+    ({**_shipped_config("corridor"), "a": [[True, False], [False, "1"]]}, "a[0][0]"),
+    ({**_shipped_config("corridor"), "x_goal": ["6", 0.0]}, "x_goal[0]"),
+    (_line_smpc_config(u_upper=[None]), "u_upper[0]"),
+    (_replace(_line_smpc_config(), ("obstacles", 0, "offsets", 0), False),
+     "obstacles[0].offsets[0]"),
+    (_replace(_toy_config(), ("policies", 0), ["1.0", True]), "policies[0][0]"),
+    (_toy_config(schema=True), "schema"),
+    # a key that holds one number rejects a list of numbers
+    ({**_shipped_config("desk_grid"), "sigma": [1.0]}, "sigma"),
+    (_toy_config(risk_bound=[0.01]), "risk_bound"),
 ]
 
 
@@ -188,9 +212,25 @@ def test_malformed_report_exits_2(tmp_path, capsys):
     def float_rollouts(report):
         report["monte_carlo"]["n"] = 2000.0
 
+    def policy_out_of_range(report):
+        report["mixed"]["components"][0]["policy"] = 5
+
+    def negative_policy(report):
+        report["mixed"]["components"][0]["policy"] = -1
+
+    def fractional_policy(report):
+        report["mixed"]["components"][0]["policy"] = 1.7
+
+    def boolean_policy(report):
+        report["mixed"]["components"][0]["policy"] = True
+
+    def string_policy(report):
+        report["mixed"]["components"][0]["policy"] = "1"
+
     for tamper in (
         no_seed, no_policy, bad_probability, no_rollouts, infinite_seed, not_an_object,
-        fractional_seed, boolean_seed, float_rollouts,
+        fractional_seed, boolean_seed, float_rollouts, policy_out_of_range, negative_policy,
+        fractional_policy, boolean_policy, string_policy,
     ):
         report = json.loads(json.dumps(saved))
         tamper(report)
@@ -198,6 +238,24 @@ def test_malformed_report_exits_2(tmp_path, capsys):
         capsys.readouterr()
         assert main(["validate", str(config), "--out", str(out)]) == 2, tamper.__name__
         assert "report" in capsys.readouterr().err, tamper.__name__
+
+    # a control plan file must carry its u0,...,u{m-1} header and exist
+    line = _write(tmp_path, "line.json", _line_smpc_config())
+    out = tmp_path / "line"
+    assert main(["solve", str(line), "--out", str(out)]) == 0
+    report_text = (out / "report.json").read_text(encoding="utf-8")
+    plan_text = (out / "plan_0.csv").read_text(encoding="utf-8")
+    assert plan_text.startswith("u0\n")
+    (out / "plan_0.csv").write_text("x0" + plan_text[2:], encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", str(line), "--out", str(out)]) == 2
+    assert "plan_0.csv is not a control plan table" in capsys.readouterr().err
+    (out / "plan_0.csv").write_text(plan_text, encoding="utf-8")
+    (out / "report.json").write_text(
+        report_text.replace("plan_0.csv", "plan_9.csv"), encoding="utf-8"
+    )
+    assert main(["validate", str(line), "--out", str(out)]) == 2
+    assert "cannot read component" in capsys.readouterr().err
 
 
 def test_toy_solve_writes_contractual_artifacts(tmp_path):
@@ -235,16 +293,16 @@ def test_repeat_solve_is_byte_identical(tmp_path):
 
 
 class _CountingOracle:
-    def __init__(self, inner):
-        self.inner = inner
+    """Counts an oracle's queries by replacing its instance's `query`."""
+
+    def __init__(self, oracle):
+        self.inner_query = oracle.query
         self.queries = 0
+        oracle.query = self.query
 
     def query(self, lam):
         self.queries += 1
-        return self.inner.query(lam)
-
-    def evaluate(self, policy):
-        return self.inner.evaluate(policy)
+        return self.inner_query(lam)
 
 
 @pytest.mark.parametrize("name", ["toy", "corridor"])
@@ -253,10 +311,9 @@ def test_solve_makes_no_query_after_the_search(tmp_path, monkeypatch, name):
     oracles = []
 
     def counted_setup(config, base_dir):
-        setup = build_setup(config, base_dir)
-        setup.oracle = _CountingOracle(setup.oracle)
-        oracles.append(setup.oracle)
-        return setup
+        oracle = build_setup(config, base_dir)
+        oracles.append(_CountingOracle(oracle))
+        return oracle
 
     monkeypatch.setattr(cli, "build_setup", counted_setup)
     out = tmp_path / name
@@ -440,5 +497,19 @@ def test_benchmark_configs_load_and_build(tmp_path, monkeypatch):
     for workload in ("mdp-solve", "smpc-solve", "validate"):
         for inst in gen.workload_instances(workload, 1, ROOT):
             path = gen.write_instance(tmp_path / workload / inst.name, inst.config, inst.map_text)
-            kinds.append(build_setup(cli.load_config(path), path.parent).kind)
+            config = cli.load_config(path)
+            build_setup(config, path.parent)
+            kinds.append(config["kind"])
     assert len(kinds) == 14 and set(kinds) == {"grid", "edl", "smpc"}
+
+
+@pytest.mark.parametrize("name", ["toy", "desk_grid", "landing", "corridor"])
+def test_each_backend_loads_what_it_saves(tmp_path, name):
+    oracle = build_setup(cli.load_config(CONFIGS / f"{name}.json"), CONFIGS)
+    policy = oracle.query(DualVector((0.0,))).policy
+    ref = oracle.save(policy, "x", tmp_path)
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == ([] if name == "toy" else [ref])
+    assert ref == {"toy": policy, "corridor": "plan_x.csv"}.get(name, "policy_x.csv")
+    assert oracle.evaluate(oracle.load(ref, tmp_path)) == oracle.evaluate(policy)
+    assert oracle.risk_is_upper_bound is (name == "corridor")

@@ -26,7 +26,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def _toy():
     """The finite-set oracle of the shipped ``configs/toy.json``."""
-    return build_setup(load_config(CONFIGS / "toy.json"), CONFIGS).oracle
+    return build_setup(load_config(CONFIGS / "toy.json"), CONFIGS)
 
 
 class _Tracing:

@@ -196,7 +196,7 @@ def _line_oracle() -> SmpcOracle:
         u_upper=[1.5],
         obstacles=(Obstacle([[1.0]], [1.2]),),
     )
-    return SmpcOracle(model, build_pwl_cdf(8))
+    return SmpcOracle(model, Bounds((0.01,)), build_pwl_cdf(8))
 
 
 _multipliers = st.floats(0.0, 200.0, allow_nan=False)

@@ -23,7 +23,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 def _corridor_milp(lam: float) -> MilpProblem:
     """The shipped corridor's inner program at multiplier ``lam``."""
     config = json.loads((CONFIGS / "corridor.json").read_text(encoding="utf-8"))
-    oracle = build_setup(config, CONFIGS).oracle
+    oracle = build_setup(config, CONFIGS)
     problem, _ = build_inner_milp(oracle.model, lam, oracle.pwl)
     return problem
 

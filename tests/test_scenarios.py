@@ -30,12 +30,12 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _shipped(name: str):
-    """Oracle, bounds and backend objects of a shipped config."""
+    """The oracle of a shipped config."""
     return build_setup(load_config(CONFIGS / f"{name}.json"), CONFIGS)
 
 
 def test_toy_oracle_endpoints_and_mixture():
-    oracle = _shipped("toy").oracle
+    oracle = _shipped("toy")
     risky = oracle.query(DualVector((0.0,)))
     assert (risky.cost.c0, risky.cost.c1) == (10.0, 0.015)
     safe = oracle.query(DualVector((2000.0,)))
@@ -118,7 +118,7 @@ def test_grid_rejects_cells_off_grid_or_on_obstacles():
 
 
 def test_desk_grid_mixes_two_routes_at_the_risk_bound():
-    oracle = _shipped("desk_grid").oracle
+    oracle = _shipped("desk_grid")
     risk_bound = oracle.bounds.values[0]
     dual, sol = solve_mixed_scalar(oracle, oracle.bounds)
     assert dual.lambda_star > 1.0
@@ -196,7 +196,7 @@ def test_landing_validation():
 
 
 def test_default_landing_mixes_at_the_risk_bound():
-    oracle = _shipped("landing").oracle
+    oracle = _shipped("landing")
     dual, sol = solve_mixed_scalar(oracle, oracle.bounds)
     assert dual.lambda_star > 1.0
     assert len(sol.components) == 2
@@ -223,8 +223,8 @@ def test_corridor_scenario_shape_and_cheapest_route():
     assert setup.model.horizon == 7
     assert len(setup.model.obstacles) == 2
     assert setup.bounds.values == (0.001,)
-    assert len(setup.oracle.pwl.slopes) == 6
-    cand = setup.oracle.query(DualVector((0.0,)))
+    assert len(setup.pwl.slopes) == 6
+    cand = setup.query(DualVector((0.0,)))
     # unconstrained by risk, the plan runs straight down the axis
     assert cand.cost.c0 == pytest.approx(6.0, abs=1e-6)
     assert 0.0 < cand.cost.c1 < 0.2

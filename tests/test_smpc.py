@@ -258,7 +258,7 @@ def test_risk_term_follows_the_cheapest_separating_face():
 
 def test_halfplane_tail_bound_and_monte_carlo():
     model = halfline_model()
-    oracle = SmpcOracle(model)
+    oracle = SmpcOracle(model, Bounds((0.01,)))
     plan_cost = oracle.evaluate(ControlPlan(np.zeros((1, 1))))
     assert plan_cost.c0 == 0.0
     assert PHI_MINUS_3 <= plan_cost.c1 <= PHI_MINUS_3 + 2e-3
@@ -281,7 +281,7 @@ def test_oracle_sweep_trades_cost_for_risk():
         u_upper=[5.0],
         obstacles=(Obstacle([[-1.0]], [-2.0]),),
     )
-    oracle = SmpcOracle(model, pwl=build_pwl_cdf(8))
+    oracle = SmpcOracle(model, Bounds((0.01,)), pwl=build_pwl_cdf(8))
     costs, risks = [], []
     for lam in (0.0, 5.0, 20.0, 100.0, 500.0):
         cand = oracle.query(DualVector((lam,)))
@@ -299,7 +299,7 @@ def test_shipped_corridor_risk_does_not_rise_from_64_to_128():
     # undercut their chord rows, and the risk here rose from 0.00266682
     # to 0.00266711, which the dual search rejects as non-monotone
     config = json.loads((CONFIGS / "corridor.json").read_text(encoding="utf-8"))
-    oracle = build_setup(config, CONFIGS).oracle
+    oracle = build_setup(config, CONFIGS)
     low, high = (oracle.query(DualVector((lam,))).cost.c1 for lam in (64.0, 128.0))
     assert high <= low + MONOTONE_TOL
 
@@ -335,7 +335,7 @@ def test_branch_and_bound_matches_binary_enumeration():
 
 def test_query_and_evaluate_agree_exactly():
     model = gap_model()
-    oracle = SmpcOracle(model, pwl=build_pwl_cdf(4))
+    oracle = SmpcOracle(model, Bounds((0.01,)), pwl=build_pwl_cdf(4))
     cand = oracle.query(DualVector((25.0,)))
     again = oracle.evaluate(cand.policy)
     assert again.c0 == cand.cost.c0
@@ -352,7 +352,7 @@ def test_query_and_evaluate_agree_exactly():
 
 def test_mean_inside_obstacle_counts_as_certain_failure():
     model = gap_model()
-    oracle = SmpcOracle(model)
+    oracle = SmpcOracle(model, Bounds((0.01,)))
     plan = ControlPlan(np.array([[1.0, 0.0], [1.0, 0.0]]))
     cost = oracle.evaluate(plan)
     assert cost.c_rest[0] >= 1.0
@@ -370,7 +370,7 @@ def test_infeasible_goal_reports_miss_distance():
         u_upper=[0.1],
         obstacles=(),
     )
-    oracle = SmpcOracle(model)
+    oracle = SmpcOracle(model, Bounds((0.01,)))
     with pytest.raises(InfeasibleProblemError, match="miss"):
         oracle.query(DualVector((1.0,)))
 
@@ -387,7 +387,7 @@ def test_infeasible_obstacle_wall_is_distinguished():
         u_upper=[1.0],
         obstacles=(Obstacle([[1.0], [-1.0]], [10.0, 10.0]),),
     )
-    oracle = SmpcOracle(model)
+    oracle = SmpcOracle(model, Bounds((0.01,)))
     with pytest.raises(InfeasibleProblemError, match="obstacle"):
         oracle.query(DualVector((1.0,)))
 
@@ -469,7 +469,7 @@ def corridor_plans():
     """The shipped corridor's raw config and its plans at multipliers 0 and 100."""
     config = json.loads((CONFIGS / "corridor.json").read_text(encoding="utf-8"))
     setup = build_setup(config, CONFIGS)
-    plans = [setup.oracle.query(DualVector((lam,))).policy.controls for lam in (0.0, 100.0)]
+    plans = [setup.query(DualVector((lam,))).policy.controls for lam in (0.0, 100.0)]
     return config, setup.model, plans
 
 
@@ -621,7 +621,7 @@ def test_unreachable_goal_of_coupled_dynamics_reports_its_miss():
     assert message.startswith("terminal stage 4 cannot reach the goal, best L1 miss ")
     assert float(message.rsplit(" ", 1)[1]) == pytest.approx(ref.fun, rel=1e-5)
     with pytest.raises(InfeasibleProblemError, match="terminal stage 4"):
-        SmpcOracle(model).query(DualVector((1.0,)))
+        SmpcOracle(model, Bounds((0.01,))).query(DualVector((1.0,)))
 
     # a rolled-out endpoint is reachable, so no miss is reported
     state = model.x_init
