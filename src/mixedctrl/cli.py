@@ -51,6 +51,8 @@ SCHEMA_VERSION = 1
 TRACE_COLUMNS = ("iteration", "lambda", "c0", "c1", "lagrangian_value")
 # `validate` rejects a correct report's Monte Carlo check at most this often
 VALIDATE_FALSE_ALARM = 1e-6
+# numpy counts rollouts in 64-bit signed integers
+_MAX_ROLLOUTS = 2**63 - 1
 
 # Required and optional top-level keys per kind; any other key is rejected.
 _KEYS = {
@@ -139,6 +141,8 @@ def load_config(path: Path) -> dict:
     mc = config.get("monte_carlo", {})
     if mc.get("seed", 0) < 0 or mc.get("n", 1) < 1:
         raise InvalidInputError("monte_carlo needs seed >= 0 and n >= 1")
+    if mc.get("n", 1) > _MAX_ROLLOUTS:
+        raise InvalidInputError(f"monte_carlo.n must be at most 2**63 - 1, got {mc['n']}")
     bound = config["risk_bound"]
     if not math.isfinite(bound) or not 0.0 <= bound <= 1.0:
         raise InvalidInputError(f"risk_bound must be a number in [0, 1], got {bound!r}")
@@ -171,10 +175,15 @@ def _build_toy(config: dict, base_dir: Path) -> FiniteSetOracle:
     if not isinstance(policies, list) or not policies:
         raise InvalidInputError("policies must be a non-empty list of [cost, risk] pairs")
     costs = []
-    for entry in policies:
+    for i, entry in enumerate(policies):
         if not isinstance(entry, list) or len(entry) != 2:
             raise InvalidInputError(f"policy entry {entry!r} is not a [cost, risk] pair")
-        costs.append(CostVector(float(entry[0]), (float(entry[1]),)))
+        cost, risk = float(entry[0]), float(entry[1])
+        if not math.isfinite(cost) or not 0.0 <= risk <= 1.0:
+            raise InvalidInputError(
+                f"policies[{i}] needs a finite cost and a risk in [0, 1], got {entry!r}"
+            )
+        costs.append(CostVector(cost, (risk,)))
     return FiniteSetOracle(costs, Bounds((float(config["risk_bound"]),)))
 
 
@@ -207,9 +216,13 @@ def _build_edl(config: dict, base_dir: Path) -> MdpOracle:
 
 
 def _build_smpc(config: dict, base_dir: Path) -> SmpcOracle:
-    obstacles = tuple(
-        Obstacle(entry["normals"], entry["offsets"]) for entry in config["obstacles"]
-    )
+    entries = config["obstacles"]
+    if not isinstance(entries, list) or not all(
+        isinstance(entry, dict) and "normals" in entry and "offsets" in entry
+        for entry in entries
+    ):
+        raise InvalidInputError("obstacles must be a list of objects with normals and offsets")
+    obstacles = tuple(Obstacle(entry["normals"], entry["offsets"]) for entry in entries)
     model = SmpcModel(
         a_mat=config["a"],
         b_mat=config["b"],
@@ -437,6 +450,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     _check_type("report's monte_carlo.n", n_rollouts, int)
     if saved_seed < 0 or n_rollouts < 1:
         raise InvalidInputError("report's monte_carlo needs seed >= 0 and n >= 1")
+    if n_rollouts > _MAX_ROLLOUTS:
+        raise InvalidInputError(
+            f"report's monte_carlo.n must be at most 2**63 - 1, got {n_rollouts}"
+        )
 
     components = []
     for ref, weight in saved_components:

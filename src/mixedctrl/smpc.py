@@ -8,9 +8,11 @@ collision probability is over-approximated by (1) picking one separating
 face per obstacle and step via binaries, (2) bounding the Gaussian tail
 across that face with a piecewise-linear majorant of the normal CDF, and
 (3) summing the pieces with a union bound. That makes the multiplier
-oracle one mixed-binary linear program per query, built and solved from
-scratch by HiGHS (`milp.solve_milp`), so each answer depends on the
-multiplier alone. A program that runs out of its node budget raises
+oracle one mixed-binary linear program per query. Only the objective
+weight on the risk terms depends on the multiplier, so each oracle
+builds the program once and each query hands HiGHS (`milp.solve_milp`)
+a copy with its own weights, solved from scratch; each answer depends on
+the multiplier alone. A program that runs out of its node budget raises
 SolverLimitError; only a program with no feasible point is reported as
 infeasible.
 
@@ -24,7 +26,7 @@ A saved mixture component is a ``plan_<stem>.csv`` table: a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,8 +52,10 @@ from .milp import MilpProblem, solve_milp
 
 # below this the face distance in standard deviations is treated as exact
 _SIGMA_FLOOR = 1e-12
-# objective weight on risk terms when the multiplier is zero, keeps the
-# inner solve deterministic instead of leaving risk ties to pivot order
+# objective weight on risk terms when the multiplier is zero. It only
+# keeps the risk terms in the objective: with MILP_GAP at 1e-9, a risk
+# difference below 1 between plans of equal effort is worth less than the
+# gap, so which of them HiGHS returns at zero is decided by its search.
 _RISK_WEIGHT_FLOOR = 1e-9
 # absolute optimality gap at which HiGHS stops each inner program
 MILP_GAP = 1e-9
@@ -107,9 +111,9 @@ class SmpcModel:
         self.u_lower = np.asarray(self.u_lower, dtype=float)
         self.u_upper = np.asarray(self.u_upper, dtype=float)
         self.obstacles = tuple(self.obstacles)
-        n = self.a_mat.shape[0]
-        if self.a_mat.shape != (n, n):
+        if self.a_mat.ndim != 2 or self.a_mat.shape[0] != self.a_mat.shape[1]:
             raise InvalidInputError("state matrix must be square")
+        n = self.a_mat.shape[0]
         if self.b_mat.ndim != 2 or self.b_mat.shape[0] != n:
             raise InvalidInputError("input matrix rows must match the state dimension")
         m = self.b_mat.shape[1]
@@ -440,10 +444,13 @@ def _risk_terms(model: SmpcModel, covs, pwl: PwlCdf, path: np.ndarray):
 class SmpcOracle(LagrangianOracle):
     """Multiplier oracle solving one mixed-binary program per query.
 
-    Each answer is a function of the multiplier alone: every query solves
-    its program from scratch. Reported costs are recomputed from the
-    extracted control sequence rather than read off the solver objective,
-    so `evaluate` reproduces them exactly.
+    The inner program is built on the first query and kept; only its
+    objective weights on the risk terms change from one query to the
+    next. Each answer is a function of the multiplier alone: every query
+    hands HiGHS a fresh copy of the program, solved from scratch with no
+    warm start. Reported costs are recomputed from the extracted control
+    sequence rather than read off the solver objective, so `evaluate`
+    reproduces them exactly.
     """
 
     risk_is_upper_bound = True  # a union bound over chord majorants
@@ -456,12 +463,18 @@ class SmpcOracle(LagrangianOracle):
         self.pwl = pwl if pwl is not None else build_pwl_cdf()
         self.max_nodes = max_nodes
         self._covs = propagate_covariance(model)
+        self._program: tuple[MilpProblem, Columns] | None = None  # built on the first query
 
     def query(self, lam: DualVector) -> PureCandidate:
         if lam.k != 1:
             raise InvalidInputError("this oracle has a single risk channel")
-        weight = max(lam.values[0], _RISK_WEIGHT_FLOOR)
-        problem, cols = build_inner_milp(self.model, weight, self.pwl)
+        if self._program is None:
+            self._program = build_inner_milp(self.model, _RISK_WEIGHT_FLOOR, self.pwl)
+        base, cols = self._program
+        objective = base.lp.objective.copy()
+        objective[cols.delta] = max(lam.values[0], _RISK_WEIGHT_FLOOR)
+        # replace() runs the LpProblem and MilpProblem checks again
+        problem = replace(base, lp=replace(base.lp, objective=objective))
         sol = solve_milp(problem, abs_gap=MILP_GAP, max_nodes=self.max_nodes)
         if sol.status == "suboptimal":
             raise SolverLimitError(

@@ -101,6 +101,18 @@ _MISTYPED_NUMBERS = [
     (_toy_config(risk_bound=[0.01]), "risk_bound"),
 ]
 
+# Shapes and ranges that pass the type rule, each with what its message must name.
+_BAD_SHAPES_AND_RANGES = [
+    (_line_smpc_config(a=5), "state matrix must be square"),
+    (_toy_config(monte_carlo={"n": 10**30}), "monte_carlo.n"),
+    (_line_smpc_config(obstacles={}), "obstacles"),
+    (_line_smpc_config(obstacles=[[1.0]]), "obstacles"),
+    (_line_smpc_config(obstacles=[{"normals": [[1.0]]}]), "obstacles"),
+    (_toy_config(policies=[[1, -2]]), "policies[0]"),
+    (_toy_config(policies=[[20.0, 0.005], [10.0, 1.5]]), "policies[1]"),
+    (_toy_config(policies=[[float("inf"), 0.005]]), "policies[0]"),
+]
+
 
 def test_unknown_subcommand_exits_2_with_usage(capsys):
     assert main(["frobnicate"]) == 2
@@ -155,6 +167,15 @@ def test_config_validation_failures_exit_2(tmp_path, capsys):
             capsys.readouterr()
             assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2, (command, i)
             assert f"{key} must be" in capsys.readouterr().err, (command, i)
+    for i, (config, text) in enumerate(_BAD_SHAPES_AND_RANGES):
+        path = _write(tmp_path, f"bad_shape_{i}.json", config)
+        for command in ("solve", "validate", "sweep"):
+            capsys.readouterr()
+            assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2, (command, i)
+            assert text in capsys.readouterr().err, (command, i)
+    # the largest rollout count numpy can hold still loads
+    most = _write(tmp_path, "most.json", _toy_config(monte_carlo={"n": 2**63 - 1}))
+    assert cli.load_config(most)["monte_carlo"]["n"] == 2**63 - 1
     assert (tmp_path / "out").exists() is False
     capsys.readouterr()
 
@@ -238,6 +259,11 @@ def test_malformed_report_exits_2(tmp_path, capsys):
         capsys.readouterr()
         assert main(["validate", str(config), "--out", str(out)]) == 2, tamper.__name__
         assert "report" in capsys.readouterr().err, tamper.__name__
+    report = json.loads(json.dumps(saved))
+    report["monte_carlo"]["n"] = 2**63  # one past what numpy can count
+    (out / "report.json").write_text(json.dumps(report), encoding="utf-8")
+    assert main(["validate", str(config), "--out", str(out)]) == 2
+    assert "report's monte_carlo.n must be" in capsys.readouterr().err
 
     # a control plan file must carry its u0,...,u{m-1} header and exist
     line = _write(tmp_path, "line.json", _line_smpc_config())

@@ -8,7 +8,8 @@ import pytest
 from scipy.special import ndtr
 
 from _oracles import brute_milp_solve, mc_failures_rowmajor
-from mixedctrl.cli import build_setup
+from mixedctrl import smpc
+from mixedctrl.cli import build_setup, main
 from mixedctrl.core import Bounds, DualVector, InfeasibleProblemError, InvalidInputError
 from mixedctrl.dual import MONOTONE_TOL
 from mixedctrl.milp import solve_milp
@@ -331,6 +332,53 @@ def test_branch_and_bound_matches_binary_enumeration():
     status, best, _ = brute_milp_solve(problem.lp, problem.binary)
     assert status == "optimal"
     assert sol.objective == pytest.approx(best, abs=1e-6)
+
+
+def _shipped_corridor():
+    config = json.loads((CONFIGS / "corridor.json").read_text(encoding="utf-8"))
+    return build_setup(config, CONFIGS)
+
+
+@pytest.mark.parametrize("which", ["corridor", "hop"])
+def test_only_the_risk_weights_of_the_inner_program_depend_on_the_multiplier(which):
+    # the oracle builds its program once and sets the delta weights per query
+    if which == "corridor":
+        oracle = _shipped_corridor()
+        model, pwl = oracle.model, oracle.pwl
+    else:
+        model, pwl = hop_model(), build_pwl_cdf(4)
+    (low, cols), (high, _) = (build_inner_milp(model, w, pwl) for w in (1e-9, 1800.0))
+    for name in ("lhs", "rhs", "lower", "upper"):
+        assert np.array_equal(getattr(low.lp, name), getattr(high.lp, name)), name
+    assert low.lp.senses == high.lp.senses
+    assert low.binary == high.binary
+    moved = np.flatnonzero(low.lp.objective != high.lp.objective)
+    assert np.array_equal(moved, np.sort(cols.delta.ravel()))
+
+
+def test_corridor_answer_does_not_depend_on_earlier_queries():
+    fresh = _shipped_corridor().query(DualVector((1800.0,)))
+    used = _shipped_corridor()
+    for lam in (0.0, 1e9, 100.0):
+        used.query(DualVector((lam,)))
+    again = used.query(DualVector((1800.0,)))
+    assert fresh.policy.controls.tobytes() == again.policy.controls.tobytes()
+    assert fresh.cost == again.cost
+
+
+def test_corridor_solve_builds_its_inner_program_once(tmp_path, monkeypatch):
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return build_inner_milp(*args)
+
+    monkeypatch.setattr(smpc, "build_inner_milp", counted)
+    out = tmp_path / "corridor"
+    assert main(["solve", str(CONFIGS / "corridor.json"), "--out", str(out)]) == 0
+    queries = (out / "dual_trace.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(queries) > 1
+    assert len(builds) == 1
 
 
 def test_query_and_evaluate_agree_exactly():
