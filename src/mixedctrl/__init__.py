@@ -2,16 +2,16 @@
 
 A pure policy that must respect a risk bound usually leaves slack; this
 package closes the resulting duality gap by randomizing once, at time
-zero, over at most K+1 pure policies found through Lagrangian duality.
-Backends answer multiplier queries (finite candidate sets, finite-horizon
-MDPs via dynamic programming, and linear-Gaussian obstacle avoidance via
-a mixed-binary program); the dual layer is backend-agnostic.
+zero, over at most two pure policies found through Lagrangian duality.
+There is one risk channel: a policy's cost and risk, the bound and the
+multiplier are plain floats. Backends own the bound and answer
+multiplier queries (finite candidate sets, finite-horizon MDPs via
+dynamic programming, and linear-Gaussian obstacle avoidance via a
+mixed-binary program); the dual layer is backend-agnostic.
 """
 
 from .core import (
-    Bounds,
     CostVector,
-    DualVector,
     InfeasibleProblemError,
     InvalidInputError,
     LagrangianOracle,
@@ -32,9 +32,7 @@ from .dual import (
 )
 
 __all__ = [
-    "Bounds",
     "CostVector",
-    "DualVector",
     "InfeasibleProblemError",
     "InvalidInputError",
     "LagrangianOracle",

@@ -34,9 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import (
-    Bounds,
     CostVector,
-    DualVector,
     InvalidInputError,
     InvalidPolicyError,
     LagrangianOracle,
@@ -242,19 +240,17 @@ def evaluate_policy(mdp: Mdp, policy: Policy) -> EvalResult:
 class MdpOracle(LagrangianOracle):
     """Lagrangian oracle backed by the backward sweep, exact costs from the forward pass."""
 
-    def __init__(self, mdp: Mdp, bounds: Bounds):
-        if bounds.k != 1:
-            raise InvalidInputError("MDP backend supports a single risk channel")
+    def __init__(self, mdp: Mdp, risk_bound: float):
         self.mdp = mdp
-        self.bounds = bounds
+        self.risk_bound = risk_bound
 
-    def query(self, lam: DualVector) -> PureCandidate:
-        policy, _ = lagrangian_dp(self.mdp, lam.values[0])
+    def query(self, lam: float) -> PureCandidate:
+        policy, _ = lagrangian_dp(self.mdp, lam)
         return PureCandidate(policy, self.evaluate(policy))
 
     def evaluate(self, policy: object) -> CostVector:
         ev = evaluate_policy(self.mdp, policy)
-        return CostVector(ev.expected_cost, (ev.failure_prob,))
+        return CostVector(ev.expected_cost, ev.failure_prob)
 
     def save(self, policy: Policy, stem: str, out_dir: Path) -> str:
         """Write ``policy_<stem>.csv`` into ``out_dir`` and return its name."""

@@ -29,9 +29,7 @@ import numpy as np
 
 from .ccmdp import MdpOracle, simulate
 from .core import (
-    Bounds,
     CostVector,
-    DualVector,
     InfeasibleProblemError,
     InvalidInputError,
     LagrangianOracle,
@@ -84,28 +82,58 @@ def _check_type(label: str, value: object, types) -> None:
         raise InvalidInputError(f"{label} must be {what}, got {value!r}")
 
 
-def _first_non_number(value) -> tuple[str, object] | None:
-    """Key path (".a[0].b") and value of the first leaf that is no number, or None."""
-    kind = type(value)  # JSON's true and false are bool, no number
+def _first_leaf(value, is_bad) -> tuple[str, object] | None:
+    """Key path (".a[0].b") and value of the first leaf that is no number and
+    for which ``is_bad`` holds, or None."""
+    kind = type(value)
     if kind is not dict and kind is not list:
-        return None if kind is float or kind is int else ("", value)
+        return ("", value) if is_bad(value) else None
     for key, item in value.items() if kind is dict else enumerate(value):
         if type(item) is not float and type(item) is not int:
-            found = _first_non_number(item)
+            found = _first_leaf(item, is_bad)
             if found is not None:
                 return (f".{key}" if kind is dict else f"[{key}]") + found[0], found[1]
     return None
 
 
-def load_config(path: Path) -> dict:
+def _not_a_number(value) -> bool:
+    return type(value) is not float and type(value) is not int  # JSON's true is no number
+
+
+class _NotFinite(str):
+    """A JSON number that no float holds: NaN, Infinity, -Infinity, or one that overflows."""
+
+
+def _read_json(path: Path, what: str):
+    """The JSON document in ``path``; a number in it that is not finite is rejected."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise InvalidInputError(f"cannot read config {path}: {exc}") from exc
+        raise InvalidInputError(f"cannot read {what} {path}: {exc}") from exc
+    seen = []
+
+    def mark(literal: str) -> _NotFinite:
+        seen.append(literal)
+        return _NotFinite(literal)
+
+    def finite(literal: str) -> float | _NotFinite:
+        value = float(literal)  # inf for a literal that overflows, such as 1e999
+        return value if math.isfinite(value) else mark(literal)
+
     try:
-        config = json.loads(text)
+        document = json.loads(text, parse_constant=mark, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
+    if seen:
+        key, literal = _first_leaf(document, lambda value: type(value) is _NotFinite)
+        raise InvalidInputError(
+            f"{what} {path}: {key[1:] or 'its value'} must be a finite number, got {literal:.24}"
+        )
+    return document
+
+
+def load_config(path: Path) -> dict:
+    config = _read_json(path, "config")
     if not isinstance(config, dict):
         raise InvalidInputError("config root must be a JSON object")
     if config.get("schema") != SCHEMA_VERSION:
@@ -133,7 +161,8 @@ def load_config(path: Path) -> dict:
                 raise InvalidInputError(f"unknown {name} key {key!r}")
             checks.append((f"{name}.{key}", value, types[key]))
     # every value but the kind and the map path is a number, or lists and objects of them
-    found = _first_non_number({k: v for k, v in config.items() if k not in ("kind", "map")})
+    numbers = {k: v for k, v in config.items() if k not in ("kind", "map")}
+    found = _first_leaf(numbers, _not_a_number)
     if found is not None:
         raise InvalidInputError(f"{found[0][1:]} must be a number, got {found[1]!r}")
     for label, value, types in checks:
@@ -144,7 +173,7 @@ def load_config(path: Path) -> dict:
     if mc.get("n", 1) > _MAX_ROLLOUTS:
         raise InvalidInputError(f"monte_carlo.n must be at most 2**63 - 1, got {mc['n']}")
     bound = config["risk_bound"]
-    if not math.isfinite(bound) or not 0.0 <= bound <= 1.0:
+    if not 0.0 <= bound <= 1.0:
         raise InvalidInputError(f"risk_bound must be a number in [0, 1], got {bound!r}")
     return config
 
@@ -178,13 +207,10 @@ def _build_toy(config: dict, base_dir: Path) -> FiniteSetOracle:
     for i, entry in enumerate(policies):
         if not isinstance(entry, list) or len(entry) != 2:
             raise InvalidInputError(f"policy entry {entry!r} is not a [cost, risk] pair")
-        cost, risk = float(entry[0]), float(entry[1])
-        if not math.isfinite(cost) or not 0.0 <= risk <= 1.0:
-            raise InvalidInputError(
-                f"policies[{i}] needs a finite cost and a risk in [0, 1], got {entry!r}"
-            )
-        costs.append(CostVector(cost, (risk,)))
-    return FiniteSetOracle(costs, Bounds((float(config["risk_bound"]),)))
+        if not 0.0 <= entry[1] <= 1.0:
+            raise InvalidInputError(f"policies[{i}] needs a risk in [0, 1], got {entry!r}")
+        costs.append(CostVector(*entry))
+    return FiniteSetOracle(costs, float(config["risk_bound"]))
 
 
 def _build_grid(config: dict, base_dir: Path) -> MdpOracle:
@@ -236,7 +262,7 @@ def _build_smpc(config: dict, base_dir: Path) -> SmpcOracle:
     )
     return SmpcOracle(
         model,
-        Bounds((float(config["risk_bound"]),)),
+        float(config["risk_bound"]),
         build_pwl_cdf(config.get("pwl_segments", 24)),
         max_nodes=config.get("max_nodes", 200_000),
     )
@@ -259,7 +285,8 @@ def build_setup(config: dict, base_dir: Path) -> LagrangianOracle:
     builder = _BUILDERS[config["kind"]]
     try:
         return builder(config, base_dir)
-    except (KeyError, TypeError, ValueError) as exc:
+    # OverflowError: an integer too large for a float
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad {config['kind']} config: {exc}") from exc
 
 
@@ -268,21 +295,14 @@ class _TracingOracle(LagrangianOracle):
 
     def __init__(self, inner: LagrangianOracle):
         self.inner = inner
-        self.bounds = inner.bounds
+        self.risk_bound = inner.risk_bound
         self.rows: list[tuple[int, float, float, float, float]] = []
-        self.last: tuple[DualVector, PureCandidate] | None = None
+        self.last: tuple[float, PureCandidate] | None = None
 
-    def query(self, lam: DualVector) -> PureCandidate:
+    def query(self, lam: float) -> PureCandidate:
         cand = self.inner.query(lam)
-        self.rows.append(
-            (
-                len(self.rows),
-                lam.values[0],
-                cand.cost.c0,
-                cand.cost.c1,
-                lagrangian_value(cand.cost, lam, self.bounds),
-            )
-        )
+        value = lagrangian_value(cand.cost, lam, self.risk_bound)
+        self.rows.append((len(self.rows), lam, cand.cost.c0, cand.cost.c1, value))
         self.last = (lam, cand)
         return cand
 
@@ -345,10 +365,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     tracer = _TracingOracle(oracle)
-    result, solution = solve_mixed_scalar(tracer, oracle.bounds)
+    result, solution = solve_mixed_scalar(tracer)
     # lambda* is usually the multiplier of the search's last query
     reference = tracer.last[1] if tracer.last[0] == solution.dual else None
-    optimality = check_optimality(solution, oracle.bounds, oracle, 1e-6, reference)
+    optimality = check_optimality(solution, oracle, 1e-6, reference)
     monte_carlo = _run_monte_carlo(oracle, solution, seed, n_rollouts)
     wall = time.perf_counter() - started
 
@@ -380,7 +400,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     report = {
         "schema": SCHEMA_VERSION,
         "kind": config["kind"],
-        "risk_bound": oracle.bounds.values[0],
+        "risk_bound": oracle.risk_bound,
         "pure": {
             "policy": pure_ref,
             "cost": result.upper.cost.c0,
@@ -424,13 +444,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     config = load_config(config_path)
     oracle = build_setup(config, config_path.parent)
     out_dir = Path(args.out)
-    report_path = out_dir / "report.json"
-    try:
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read report {report_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{report_path} is not valid JSON: {exc}") from exc
+    report = _read_json(out_dir / "report.json", "report")
 
     try:
         saved_components = [
@@ -459,13 +473,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for ref, weight in saved_components:
         policy = oracle.load(ref, out_dir)
         components.append((PureCandidate(policy, oracle.evaluate(policy)), weight))
-    aggregate = mix_costs([(cand.cost, w) for cand, w in components])
-    solution = MixedSolution(
-        tuple(components), aggregate, DualVector((lambda_star,)), gap
-    )
+    try:
+        aggregate = mix_costs([(cand.cost, w) for cand, w in components])
+        solution = MixedSolution(tuple(components), aggregate, lambda_star, gap)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"report holds no valid mixture: {exc}") from exc
 
     failures = []
-    optimality = check_optimality(solution, oracle.bounds, oracle, tol=1e-6)
+    optimality = check_optimality(solution, oracle, tol=1e-6)
     if not optimality.overall:
         failed = sorted(k for k, ok in optimality.conditions.items() if not ok)
         failures.append(f"optimality conditions failed: {', '.join(failed)}")
@@ -519,7 +534,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     tracer = _TracingOracle(oracle)
     for lam in np.linspace(lam_min, lam_max, points):
-        tracer.query(DualVector((float(lam),)))
+        tracer.query(float(lam))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_trace(out_dir / "sweep.csv", tracer.rows)

@@ -1,10 +1,12 @@
 """Shared value types for the mixed-strategy control solver.
 
-A problem backend exposes a Lagrangian oracle: given a nonnegative
-multiplier vector it returns one pure policy that minimizes
-``cost + lambda . (risk - bound)`` over the backend's policy class.
-Everything downstream (the chord dual search, mixture recovery,
-optimality checking) is written against that
+A problem has one risk channel: each policy has a cost c0 and a risk
+c1, and the risk must stay at or below one bound. All three, and the
+multiplier on the risk, are plain floats. A problem backend exposes a
+Lagrangian oracle that owns the bound: given a nonnegative multiplier
+it returns one pure policy that minimizes ``c0 + lam * (c1 - bound)``
+over the backend's policy class. Everything downstream (the chord dual
+search, mixture recovery, optimality checking) is written against that
 interface, so the structured types here are deliberately small and
 immutable.
 """
@@ -50,70 +52,19 @@ class InvalidPolicyError(MixedControlError):
     """Policy leaves a reachable state without an admissible action."""
 
 
-def _as_float_tuple(values: Sequence[float], what: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    if any(math.isnan(v) or math.isinf(v) for v in out):
-        raise InvalidInputError(f"{what} must be finite, got {out}")
-    return out
-
-
 @dataclass(frozen=True)
 class CostVector:
-    """Objective value c0 plus K constrained expectation values."""
+    """Objective value c0 and the risk c1 of one policy or mixture."""
 
     c0: float
-    c_rest: tuple[float, ...]
+    c1: float
 
     def __post_init__(self):
-        object.__setattr__(self, "c0", float(self.c0))
-        object.__setattr__(self, "c_rest", _as_float_tuple(self.c_rest, "c_rest"))
-        if math.isnan(self.c0) or math.isinf(self.c0):
-            raise InvalidInputError(f"c0 must be finite, got {self.c0}")
-        if len(self.c_rest) < 1:
-            raise InvalidInputError("CostVector needs at least one constrained entry")
-
-    @property
-    def k(self) -> int:
-        return len(self.c_rest)
-
-    @property
-    def c1(self) -> float:
-        """First constrained entry; the risk channel for K=1 problems."""
-        return self.c_rest[0]
-
-
-@dataclass(frozen=True)
-class Bounds:
-    """Right-hand sides of the K expectation constraints."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_float_tuple(self.values, "bounds"))
-        if len(self.values) < 1:
-            raise InvalidInputError("Bounds needs at least one entry")
-
-    @property
-    def k(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class DualVector:
-    """Nonnegative multipliers, one per constrained expectation."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_float_tuple(self.values, "multipliers"))
-        if len(self.values) < 1:
-            raise InvalidInputError("DualVector needs at least one entry")
-        if any(v < 0.0 for v in self.values):
-            raise InvalidInputError(f"multipliers must be nonnegative, got {self.values}")
-
-    @property
-    def k(self) -> int:
-        return len(self.values)
+        for name in ("c0", "c1"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,31 +85,26 @@ class MixedSolution:
 
     components: tuple[tuple[PureCandidate, float], ...]
     aggregate: CostVector
-    dual: DualVector
+    dual: float
     gap_estimate: float
 
     def __post_init__(self):
         if not self.components:
             raise InvalidInputError("mixture needs at least one component")
-        k = self.aggregate.k
-        if self.dual.k != k:
-            raise InvalidInputError("dual length does not match aggregate")
-        if len(self.components) > k + 1:
-            raise InvalidInputError(
-                f"{len(self.components)} components exceeds the K+1 bound for K={k}"
-            )
-        probs = [p for _, p in self.components]
-        if any(p < -MIX_TOL for p in probs):
-            raise InvalidInputError(f"negative component probability: {probs}")
-        if abs(math.fsum(probs) - 1.0) > PROB_TOL:
-            raise InvalidInputError(f"component probabilities sum to {math.fsum(probs)}")
+        # one risk bound: an optimal mixture needs at most two pure policies
+        if len(self.components) > 2:
+            raise InvalidInputError(f"{len(self.components)} components, at most 2 allowed")
+        object.__setattr__(self, "dual", float(self.dual))
+        if not math.isfinite(self.dual) or self.dual < 0.0:
+            raise InvalidInputError(f"multiplier must be finite and nonnegative, got {self.dual}")
         if self.gap_estimate < 0.0:
             raise InvalidInputError("gap_estimate must be nonnegative")
+        # mix_costs also rejects negative weights and weights that do not sum to one
         check = mix_costs([(cand.cost, p) for cand, p in self.components])
-        scale = max(1.0, abs(self.aggregate.c0), *(abs(v) for v in self.aggregate.c_rest))
-        if abs(check.c0 - self.aggregate.c0) > MIX_TOL * scale or any(
-            abs(a - b) > MIX_TOL * scale
-            for a, b in zip(check.c_rest, self.aggregate.c_rest)
+        scale = max(1.0, abs(self.aggregate.c0), abs(self.aggregate.c1))
+        if (
+            abs(check.c0 - self.aggregate.c0) > MIX_TOL * scale
+            or abs(check.c1 - self.aggregate.c1) > MIX_TOL * scale
         ):
             raise InvalidInputError("aggregate does not match the weighted component sum")
 
@@ -170,16 +116,17 @@ class MixedSolution:
 class LagrangianOracle(ABC):
     """Backend interface: pointwise minimizer of the penalized cost.
 
-    Implementations must be deterministic (fixed tie-breaking) and, for
-    K=1, monotone: raising the multiplier never raises the returned risk.
+    Implementations must be deterministic (fixed tie-breaking) and
+    monotone: raising the multiplier never raises the returned risk.
     """
 
+    risk_bound: float
     # True when an answer's risk only bounds its failure probability from above
     risk_is_upper_bound = False
 
     @abstractmethod
-    def query(self, lam: DualVector) -> PureCandidate:
-        """Return a minimizer of ``c0 + lam . (c_rest - bounds)``."""
+    def query(self, lam: float) -> PureCandidate:
+        """Return a minimizer of ``c0 + lam * (c1 - risk_bound)``."""
 
     @abstractmethod
     def evaluate(self, policy: object) -> CostVector:
@@ -204,39 +151,24 @@ def read_component(ref: object, out_dir: Path) -> tuple[Path, list[str]]:
 def mix_costs(components: Sequence[tuple[CostVector, float]]) -> CostVector:
     """Probability-weighted sum of cost vectors.
 
-    Weights must be nonnegative and sum to one within PROB_TOL; all cost
-    vectors must share the same K.
+    Weights must be nonnegative and sum to one within PROB_TOL.
     """
     if not components:
         raise InvalidInputError("mix_costs needs at least one component")
-    k = components[0][0].k
-    probs = []
-    for cost, p in components:
-        if cost.k != k:
-            raise InvalidInputError(f"mixed cost vectors with K={cost.k} and K={k}")
-        if p < -MIX_TOL:
-            raise InvalidInputError(f"negative mixing weight {p}")
-        probs.append(float(p))
+    probs = [float(p) for _, p in components]
+    if min(probs) < -MIX_TOL:
+        raise InvalidInputError(f"negative mixing weight in {probs}")
     total = math.fsum(probs)
     if abs(total - 1.0) > PROB_TOL:
         raise InvalidInputError(f"mixing weights sum to {total}, expected 1")
     c0 = math.fsum(cost.c0 * p for (cost, _), p in zip(components, probs))
-    rest = tuple(
-        math.fsum(cost.c_rest[i] * p for (cost, _), p in zip(components, probs))
-        for i in range(k)
-    )
-    return CostVector(c0, rest)
+    c1 = math.fsum(cost.c1 * p for (cost, _), p in zip(components, probs))
+    return CostVector(c0, c1)
 
 
-def lagrangian_value(cost: CostVector, lam: DualVector, bounds: Bounds) -> float:
-    """Penalized cost ``c0 + sum_i lam_i * (c_i - v_i)``."""
-    if not (cost.k == lam.k == bounds.k):
-        raise InvalidInputError(
-            f"dimension mismatch: cost K={cost.k}, dual K={lam.k}, bounds K={bounds.k}"
-        )
-    return cost.c0 + math.fsum(
-        l * (c - v) for l, c, v in zip(lam.values, cost.c_rest, bounds.values)
-    )
+def lagrangian_value(cost: CostVector, lam: float, bound: float) -> float:
+    """Penalized cost ``c0 + lam * (c1 - bound)``."""
+    return cost.c0 + lam * (cost.c1 - bound)
 
 
 # two-sided 99% normal quantile

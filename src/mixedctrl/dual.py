@@ -1,12 +1,12 @@
 """Dual solvers and mixture recovery.
 
-The pure-policy problem is relaxed through nonnegative multipliers on the
-expectation constraints; a backend oracle returns the pointwise minimizer
-for any multiplier. For one constraint the policy class is finite, so the
-dual function is concave and piecewise linear, and chord steps from the
-answers at zero and at the multiplier cap land on its optimal breakpoint
-exactly; the risky and the safe candidate there are mixed so the
-aggregate meets the bound without rounding above it.
+The pure-policy problem is relaxed through one nonnegative multiplier on
+its risk constraint; a backend oracle, which owns the risk bound, returns
+the pointwise minimizer for any multiplier. The policy class is finite,
+so the dual function is concave and piecewise linear, and chord steps
+from the answers at zero and at the multiplier cap land on its optimal
+breakpoint exactly; the risky and the safe candidate there are mixed so
+the aggregate meets the bound without rounding above it.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    Bounds,
-    DualVector,
     InfeasibleProblemError,
     InvalidInputError,
     LagrangianOracle,
@@ -62,9 +60,9 @@ class ScalarDualResult:
 
 
 def recover_mixture_scalar(
-    lower: PureCandidate, upper: PureCandidate, bounds: Bounds
+    lower: PureCandidate, upper: PureCandidate, v: float
 ) -> MixedSolution:
-    """Mix the two bracket endpoints so the aggregate risk equals the bound.
+    """Mix the two bracket endpoints so the aggregate risk equals the bound V.
 
     The risky weight p = (V - c_hi) / (c_lo - c_hi) can round so that the
     computed aggregate risk lands an ulp above V; p is then stepped toward
@@ -78,9 +76,6 @@ def recover_mixture_scalar(
     mixture over the safe endpoint (the best feasible pure candidate the
     search saw).
     """
-    if lower.cost.k != 1 or upper.cost.k != 1 or bounds.k != 1:
-        raise InvalidInputError("scalar recovery needs K=1 candidates and bounds")
-    v = bounds.values[0]
     c_lo, c_hi = lower.cost.c1, upper.cost.c1
     if not (c_lo >= v >= c_hi):
         raise InvalidInputError(
@@ -106,12 +101,10 @@ def recover_mixture_scalar(
         aggregate = mix_costs([(lower.cost, p), (upper.cost, 1.0 - p)])
     components = ((lower, p), (upper, 1.0 - p))
     gap = max(0.0, upper.cost.c0 - aggregate.c0)
-    return MixedSolution(components, aggregate, DualVector((lam,)), gap)
+    return MixedSolution(components, aggregate, lam, gap)
 
 
-def solve_mixed_scalar(
-    oracle: LagrangianOracle, bounds: Bounds
-) -> tuple[ScalarDualResult, MixedSolution]:
+def solve_mixed_scalar(oracle: LagrangianOracle) -> tuple[ScalarDualResult, MixedSolution]:
     """Single-constraint pipeline: exact dual search, then two-point recovery.
 
     An answer at lam = 0 that meets the bound is returned pure. Otherwise
@@ -124,11 +117,9 @@ def solve_mixed_scalar(
     its slope as the optimal multiplier. Raises NonMonotoneOracleError
     when the risk rises with lam, then InfeasibleProblemError when it is
     above V at LAMBDA_MAX, and SolverLimitError after MAX_QUERIES queries.
-    Bounds or answers with K != 1 raise InvalidInputError.
+    V is the oracle's ``risk_bound``.
     """
-    if bounds.k != 1:
-        raise InvalidInputError(f"scalar solver needs K=1 bounds, got K={bounds.k}")
-    v = bounds.values[0]
+    v = oracle.risk_bound
     queries = 0
 
     def ask(lam: float) -> PureCandidate:
@@ -139,16 +130,12 @@ def solve_mixed_scalar(
                 "the oracle is not an exact minimizer over a finite policy class"
             )
         queries += 1
-        cand = oracle.query(DualVector((lam,)))
-        if cand.cost.k != 1:
-            raise InvalidInputError(f"scalar solver needs K=1 answers, got K={cand.cost.k}")
-        return cand
+        return oracle.query(lam)
 
     cand0 = ask(0.0)
     if cand0.cost.c1 <= v:
-        zero = DualVector((0.0,))
-        q0 = lagrangian_value(cand0.cost, zero, bounds)
-        solution = MixedSolution(((cand0, 1.0),), cand0.cost, zero, 0.0)
+        q0 = lagrangian_value(cand0.cost, 0.0, v)
+        solution = MixedSolution(((cand0, 1.0),), cand0.cost, 0.0, 0.0)
         return ScalarDualResult(0.0, cand0, cand0, q0, queries), solution
 
     lam_lo, cand_lo = 0.0, cand0
@@ -176,19 +163,18 @@ def solve_mixed_scalar(
             )
         if cost == lo or cost == hi:
             break
-        dual = DualVector((lam,))
-        chord = min(lagrangian_value(lo, dual, bounds), lagrangian_value(hi, dual, bounds))
+        chord = min(lagrangian_value(lo, lam, v), lagrangian_value(hi, lam, v))
         tie = TIE_RTOL * (abs(lo.c0) + abs(hi.c0))
-        if lagrangian_value(cost, dual, bounds) >= chord - tie:
+        if lagrangian_value(cost, lam, v) >= chord - tie:
             break
         if cost.c1 > v:
             lam_lo, cand_lo = lam, cand
         else:
             lam_hi, cand_hi = lam, cand
 
-    solution = recover_mixture_scalar(cand_lo, cand_hi, bounds)
-    q_star = lagrangian_value(cost, solution.dual, bounds)
-    result = ScalarDualResult(solution.dual.values[0], cand_lo, cand_hi, q_star, queries)
+    solution = recover_mixture_scalar(cand_lo, cand_hi, v)
+    q_star = lagrangian_value(cost, solution.dual, v)
+    result = ScalarDualResult(solution.dual, cand_lo, cand_hi, q_star, queries)
     return result, solution
 
 
@@ -201,7 +187,7 @@ class OptimalityReport:
     b) complementary slackness of the aggregate;
     c) weights sum to one;
     d) weights are nonnegative;
-    e) the aggregate respects every bound;
+    e) the aggregate respects the risk bound;
     f) component costs match a backend re-evaluation of their policies.
     """
 
@@ -212,41 +198,32 @@ class OptimalityReport:
 
 def check_optimality(
     solution: MixedSolution,
-    bounds: Bounds,
     oracle: LagrangianOracle,
     tol: float = 1e-6,
     reference: PureCandidate | None = None,
 ) -> OptimalityReport:
-    """Check a) to f); ``reference`` is the oracle's answer at lam, if known."""
-    lam = solution.dual
-    if bounds.k != lam.k:
-        raise InvalidInputError("bounds and solution disagree on K")
+    """Check a) to f) against the oracle's ``risk_bound``; ``reference``
+    is the oracle's answer at lam, if known."""
+    lam, v = solution.dual, oracle.risk_bound
     if reference is None:
         reference = oracle.query(lam)
-    l_min = lagrangian_value(reference.cost, lam, bounds)
+    l_min = lagrangian_value(reference.cost, lam, v)
 
     res_a = 0.0
     for cand, p in solution.components:
         if p > tol:
-            res_a = max(res_a, lagrangian_value(cand.cost, lam, bounds) - l_min)
+            res_a = max(res_a, lagrangian_value(cand.cost, lam, v) - l_min)
 
     agg = solution.aggregate
-    res_b = abs(
-        math.fsum(
-            l * (c - v) for l, c, v in zip(lam.values, agg.c_rest, bounds.values)
-        )
-    )
+    res_b = abs(lam * (agg.c1 - v))
     res_c = abs(math.fsum(solution.probabilities) - 1.0)
     res_d = max(0.0, -min(solution.probabilities))
-    res_e = max(0.0, max(c - v for c, v in zip(agg.c_rest, bounds.values)))
+    res_e = max(0.0, agg.c1 - v)
 
     res_f = 0.0
     for cand, _ in solution.components:
         fresh = oracle.evaluate(cand.policy)
-        res_f = max(res_f, abs(fresh.c0 - cand.cost.c0))
-        res_f = max(
-            res_f, max(abs(a - b) for a, b in zip(fresh.c_rest, cand.cost.c_rest))
-        )
+        res_f = max(res_f, abs(fresh.c0 - cand.cost.c0), abs(fresh.c1 - cand.cost.c1))
 
     residuals = {"a": res_a, "b": res_b, "c": res_c, "d": res_d, "e": res_e, "f": res_f}
     conditions = {name: r <= tol for name, r in residuals.items()}

@@ -19,9 +19,7 @@ import scipy.sparse as sp
 
 from .ccmdp import Mdp, MdpOracle, ShiftSpread
 from .core import (
-    Bounds,
     CostVector,
-    DualVector,
     InvalidInputError,
     LagrangianOracle,
     PureCandidate,
@@ -36,16 +34,14 @@ class FiniteSetOracle(LagrangianOracle):
     index so queries are deterministic.
     """
 
-    def __init__(self, costs: Sequence[CostVector], bounds: Bounds):
+    def __init__(self, costs: Sequence[CostVector], risk_bound: float):
         self.costs = tuple(costs)
         if not self.costs:
             raise InvalidInputError("finite oracle needs at least one cost vector")
-        if any(c.k != bounds.k for c in self.costs):
-            raise InvalidInputError("cost vectors and bounds disagree on K")
-        self.bounds = bounds
+        self.risk_bound = risk_bound
 
-    def query(self, lam: DualVector) -> PureCandidate:
-        values = [lagrangian_value(c, lam, self.bounds) for c in self.costs]
+    def query(self, lam: float) -> PureCandidate:
+        values = [lagrangian_value(c, lam, self.risk_bound) for c in self.costs]
         best = values.index(min(values))
         return PureCandidate(best, self.costs[best])
 
@@ -206,7 +202,7 @@ def grid_scenario(
 
 def grid_oracle(feasible, start, goal, horizon, max_step, sigma, risk_bound) -> MdpOracle:
     mdp = grid_scenario(feasible, start, goal, horizon, max_step, sigma)
-    return MdpOracle(mdp, Bounds((risk_bound,)))
+    return MdpOracle(mdp, risk_bound)
 
 
 def _bfs_distance(feasible: np.ndarray, source) -> np.ndarray:
@@ -321,4 +317,4 @@ def edl_scenario(feasible: np.ndarray, start, sites, stages: int, ellipsoids, si
 
 def edl_oracle(feasible, start, sites, stages, ellipsoids, sigmas, risk_bound) -> MdpOracle:
     mdp = edl_scenario(feasible, start, sites, stages, ellipsoids, sigmas)
-    return MdpOracle(mdp, Bounds((risk_bound,)))
+    return MdpOracle(mdp, risk_bound)

@@ -34,9 +34,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .core import (
-    Bounds,
     CostVector,
-    DualVector,
     InfeasibleProblemError,
     InvalidInputError,
     LagrangianOracle,
@@ -456,29 +454,31 @@ class SmpcOracle(LagrangianOracle):
     risk_is_upper_bound = True  # a union bound over chord majorants
 
     def __init__(
-        self, model: SmpcModel, bounds: Bounds, pwl: PwlCdf | None = None, max_nodes: int = 200_000
+        self,
+        model: SmpcModel,
+        risk_bound: float,
+        pwl: PwlCdf | None = None,
+        max_nodes: int = 200_000,
     ):
         self.model = model
-        self.bounds = bounds
+        self.risk_bound = risk_bound
         self.pwl = pwl if pwl is not None else build_pwl_cdf()
         self.max_nodes = max_nodes
         self._covs = propagate_covariance(model)
         self._program: tuple[MilpProblem, Columns] | None = None  # built on the first query
 
-    def query(self, lam: DualVector) -> PureCandidate:
-        if lam.k != 1:
-            raise InvalidInputError("this oracle has a single risk channel")
+    def query(self, lam: float) -> PureCandidate:
         if self._program is None:
             self._program = build_inner_milp(self.model, _RISK_WEIGHT_FLOOR, self.pwl)
         base, cols = self._program
         objective = base.lp.objective.copy()
-        objective[cols.delta] = max(lam.values[0], _RISK_WEIGHT_FLOOR)
+        objective[cols.delta] = max(lam, _RISK_WEIGHT_FLOOR)
         # replace() runs the LpProblem and MilpProblem checks again
         problem = replace(base, lp=replace(base.lp, objective=objective))
         sol = solve_milp(problem, abs_gap=MILP_GAP, max_nodes=self.max_nodes)
         if sol.status == "suboptimal":
             raise SolverLimitError(
-                f"inner problem at multiplier {lam.values[0]:g} used its node budget "
+                f"inner problem at multiplier {lam:g} used its node budget "
                 f"(max_nodes={self.max_nodes}) before proving a plan optimal"
             )
         if sol.status != "optimal":
@@ -498,7 +498,7 @@ class SmpcOracle(LagrangianOracle):
         """L1 effort and summed risk bound, plus `_risk_terms`'s inside mask."""
         path = mean_path(self.model, controls)
         terms, inside = _risk_terms(self.model, self._covs, self.pwl, path)
-        return CostVector(float(np.abs(controls).sum()), (float(terms.sum()),)), inside
+        return CostVector(np.abs(controls).sum(), terms.sum()), inside
 
     def evaluate(self, policy: object) -> CostVector:
         if not isinstance(policy, ControlPlan):

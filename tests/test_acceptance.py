@@ -36,7 +36,7 @@ from _oracles import (
 from mixedctrl.ccmdp import MdpOracle, lagrangian_dp, simulate
 from mixedctrl.cli import build_setup, load_config
 from mixedctrl.cli import main as cli_main
-from mixedctrl.core import Bounds, CostVector, PureCandidate
+from mixedctrl.core import CostVector, PureCandidate
 from mixedctrl.dual import check_optimality, recover_mixture_scalar, solve_mixed_scalar
 from mixedctrl.lpsolve import solve_lp
 from mixedctrl.milp import MilpProblem, solve_milp
@@ -59,14 +59,14 @@ def _shipped(name: str):
 def corridor_run():
     setup = _shipped("corridor")
     started = time.perf_counter()
-    result, solution = solve_mixed_scalar(setup, setup.bounds)
+    result, solution = solve_mixed_scalar(setup)
     return setup, result, solution, time.perf_counter() - started
 
 
 def test_criterion_1_toy_pipeline():
     oracle = _shipped("toy")
     started = time.perf_counter()
-    result, solution = solve_mixed_scalar(oracle, oracle.bounds)
+    result, solution = solve_mixed_scalar(oracle)
     elapsed = time.perf_counter() - started
 
     ok = (
@@ -102,9 +102,9 @@ def test_criterion_2_recovery_replays():
     for name, lo, hi, v, probs, ptol, cost, ctol in replays:
 
         def recover(r_lo: float, r_hi: float):
-            lower = PureCandidate(0, CostVector(lo[0], (r_lo,)))
-            upper = PureCandidate(1, CostVector(hi[0], (r_hi,)))
-            return recover_mixture_scalar(lower, upper, Bounds((v,)))
+            lower = PureCandidate(0, CostVector(lo[0], r_lo))
+            upper = PureCandidate(1, CostVector(hi[0], r_hi))
+            return recover_mixture_scalar(lower, upper, v)
 
         # the weights are monotone in each risk, so the corners of the box of
         # inputs that print as published bound every reachable weight
@@ -136,11 +136,10 @@ def test_criterion_3_mixed_equals_dual_equals_pure_minus_gap():
     rng = np.random.default_rng(20240)
 
     def check(costs, v):
-        bounds = Bounds((v,))
         pure = brute_pure_best(costs, v)
         q_ref, _ = brute_scalar_dual(costs, v)
         mixed_ref = brute_mixed_lp(costs, v)
-        _, solution = solve_mixed_scalar(FiniteSetOracle(costs, bounds), bounds)
+        _, solution = solve_mixed_scalar(FiniteSetOracle(costs, v))
         got = solution.aggregate.c0
         assert pure is not None and mixed_ref is not None
         gap = pure - q_ref
@@ -153,7 +152,7 @@ def test_criterion_3_mixed_equals_dual_equals_pure_minus_gap():
     for _ in range(200):
         n = int(rng.integers(1, 9))
         costs = [
-            CostVector(float(c0), (float(c1),))
+            CostVector(float(c0), float(c1))
             for c0, c1 in zip(rng.uniform(0, 10, n), rng.uniform(0, 0.1, n))
         ]
         v = float(costs[int(rng.integers(0, n))].c1 + rng.uniform(0, 0.05))
@@ -162,13 +161,12 @@ def test_criterion_3_mixed_equals_dual_equals_pure_minus_gap():
     for _ in range(50):
         mdp = random_tiny_mdp(rng)
         triples = brute_policy_costs(mdp)
-        costs = [CostVector(c0, (c1,)) for _, c0, c1 in triples]
+        costs = [CostVector(c0, c1) for _, c0, c1 in triples]
         v = float(costs[int(rng.integers(0, len(costs)))].c1 + 1e-9)
-        bounds = Bounds((v,))
         pure = brute_pure_best(costs, v)
         q_ref, _ = brute_scalar_dual(costs, v)
         mixed_ref = brute_mixed_lp(costs, v)
-        _, solution = solve_mixed_scalar(MdpOracle(mdp, bounds), bounds)
+        _, solution = solve_mixed_scalar(MdpOracle(mdp, v))
         got = solution.aggregate.c0
         assert got == pytest.approx(q_ref, abs=1e-6)
         assert got == pytest.approx(mixed_ref, abs=1e-6)
@@ -185,18 +183,18 @@ def test_criterion_4_active_constraint_risk_is_exact(corridor_run):
     runs = []
 
     toy = _shipped("toy")
-    runs.append(("toy", *solve_mixed_scalar(toy, toy.bounds), toy.bounds))
+    runs.append(("toy", *solve_mixed_scalar(toy), toy.risk_bound))
     grid = _shipped("desk_grid")
-    runs.append(("grid", *solve_mixed_scalar(grid, grid.bounds), grid.bounds))
+    runs.append(("grid", *solve_mixed_scalar(grid), grid.risk_bound))
     edl = _shipped("landing")
-    runs.append(("edl", *solve_mixed_scalar(edl, edl.bounds), edl.bounds))
-    runs.append(("smpc", corridor_result, corridor_solution, setup.bounds))
+    runs.append(("edl", *solve_mixed_scalar(edl), edl.risk_bound))
+    runs.append(("smpc", corridor_result, corridor_solution, setup.risk_bound))
 
     details = []
     ok = True
-    for name, result, solution, bounds in runs:
+    for name, result, solution, bound in runs:
         assert result.lambda_star > 1e-6, f"{name} constraint unexpectedly inactive"
-        resid = abs(solution.aggregate.c1 - bounds.values[0])
+        resid = abs(solution.aggregate.c1 - bound)
         details.append(f"{name} |c1-V|={resid:.2e}")
         ok = ok and resid <= 1e-9
     _verdict(4, ok, ", ".join(details))
@@ -275,15 +273,15 @@ def test_criterion_8_desk_grid_scenario():
     setup = build_setup(config, CONFIGS)
     feasible, _ = parse_grid_map((CONFIGS / config["map"]).read_text(encoding="utf-8"))
     width, height = feasible.shape
-    risk_bound = setup.bounds.values[0]
+    risk_bound = setup.risk_bound
     assert (width, height, setup.mdp.horizon, risk_bound) == (30, 30, 15, 0.02)
     oracle = setup
     started = time.perf_counter()
-    result, solution = solve_mixed_scalar(oracle, oracle.bounds)
+    result, solution = solve_mixed_scalar(oracle)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
 
-    certificate = check_optimality(solution, oracle.bounds, oracle)
+    certificate = check_optimality(solution, oracle)
     assert certificate.overall
     assert len(solution.components) in (1, 2)
     if len(solution.components) == 2:

@@ -18,9 +18,7 @@ from mixedctrl.ccmdp import (
 )
 from mixedctrl.cli import build_setup, load_config
 from mixedctrl.core import (
-    Bounds,
     CostVector,
-    DualVector,
     InvalidInputError,
     InvalidPolicyError,
     MixedSolution,
@@ -124,21 +122,15 @@ def test_dp_matches_policy_enumeration():
 def test_lagrangian_sweep_is_monotone():
     rng = np.random.default_rng(8)
     mdp = random_tiny_mdp(rng)
-    oracle = MdpOracle(mdp, Bounds((0.1,)))
+    oracle = MdpOracle(mdp, 0.1)
     grid = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 200.0]
-    cands = [oracle.query(_dv(lam)) for lam in grid]
+    cands = [oracle.query(lam) for lam in grid]
     risks = [c.cost.c1 for c in cands]
     costs = [c.cost.c0 for c in cands]
     for a, b in zip(risks, risks[1:]):
         assert b <= a + 1e-12
     for a, b in zip(costs, costs[1:]):
         assert b >= a - 1e-12
-
-
-def _dv(lam):
-    from mixedctrl.core import DualVector
-
-    return DualVector((float(lam),))
 
 
 def test_validation_rejects_bad_rows():
@@ -186,23 +178,21 @@ def test_policy_errors():
 
 def test_oracle_pipeline_recovers_two_policy_mixture():
     mdp = chain_mdp()
-    bounds = Bounds((0.1,))
-    oracle = MdpOracle(mdp, bounds)
-    dual, sol = solve_mixed_scalar(oracle, bounds)
+    oracle = MdpOracle(mdp, 0.1)
+    dual, sol = solve_mixed_scalar(oracle)
     assert sol.aggregate.c1 == pytest.approx(0.1, abs=1e-9)
     # p*1 + (1-p)*3 with 0.5p = 0.1 gives cost 2.6
     assert sol.aggregate.c0 == pytest.approx(2.6, abs=1e-6)
     probs = sorted(sol.probabilities)
     assert probs == pytest.approx([0.2, 0.8], abs=1e-6)
-    report = check_optimality(sol, bounds, oracle)
+    report = check_optimality(sol, oracle)
     assert report.overall
     assert dual.q_star <= 2.6 + 1e-9
 
 
 def test_simulate_mixture_covers_exact_risk():
     mdp = chain_mdp()
-    bounds = Bounds((0.1,))
-    _, sol = solve_mixed_scalar(MdpOracle(mdp, bounds), bounds)
+    _, sol = solve_mixed_scalar(MdpOracle(mdp, 0.1))
     summary = simulate(mdp, sol, seed=7, n_rollouts=4000)
     lo, hi = summary.failure_ci99
     assert lo <= 0.1 <= hi
@@ -213,14 +203,12 @@ def test_simulate_mixture_covers_exact_risk():
 
 def test_simulate_deterministic_policy_is_exact():
     mdp = chain_mdp()
-    oracle = MdpOracle(mdp, Bounds((0.1,)))
-    cand = oracle.query(_dv(1e6))
-    from mixedctrl.core import DualVector, MixedSolution
-
+    oracle = MdpOracle(mdp, 0.1)
+    cand = oracle.query(1e6)
     sol = MixedSolution(
         components=((cand, 1.0),),
         aggregate=cand.cost,
-        dual=DualVector((0.0,)),
+        dual=0.0,
         gap_estimate=0.0,
     )
     summary = simulate(mdp, sol, seed=3, n_rollouts=200)
@@ -229,9 +217,9 @@ def test_simulate_deterministic_policy_is_exact():
     assert summary.failure_ci99[0] == 0.0
 
 
-def _single(policy, cost=CostVector(1.0, (0.5,))):
+def _single(policy, cost=CostVector(1.0, 0.5)):
     cand = PureCandidate(policy, cost)
-    return MixedSolution(((cand, 1.0),), cost, DualVector((0.0,)), 0.0)
+    return MixedSolution(((cand, 1.0),), cost, 0.0, 0.0)
 
 
 def test_simulate_errors():
@@ -295,10 +283,10 @@ def test_count_sampler_follows_the_rollout_law():
         ))
         ev = evaluate_policy(mdp, policy)
         assert (ev.failure_prob, ev.expected_cost) == pytest.approx((r, m), abs=1e-12)
-        components.append((PureCandidate(policy, CostVector(m, (r,))), weight))
+        components.append((PureCandidate(policy, CostVector(m, r)), weight))
         risk, mean, square = risk + weight * r, mean + weight * m, square + weight * m2
     aggregate = mix_costs([(cand.cost, w) for cand, w in components])
-    solution = MixedSolution(tuple(components), aggregate, DualVector((0.0,)), 0.0)
+    solution = MixedSolution(tuple(components), aggregate, 0.0, 0.0)
 
     n, seeds = 60, range(400)
     runs = [simulate(mdp, solution, seed, n) for seed in seeds]
@@ -313,7 +301,7 @@ def test_count_sampler_follows_the_rollout_law():
 
 def test_simulation_work_does_not_grow_with_the_rollout_count(monkeypatch):
     setup = build_setup(load_config(CONFIGS / "desk_grid.json"), CONFIGS)
-    _, solution = solve_mixed_scalar(setup, setup.bounds)
+    _, solution = solve_mixed_scalar(setup)
     calls = []
     for dyn in {id(d): d for d in setup.mdp.dynamics}.values():
         def counted(x, a, row=dyn.row):
@@ -403,8 +391,8 @@ def test_step_without_admissible_pairs_carries_no_mass():
     ev = evaluate_policy(mdp, pol)
     assert (ev.expected_cost, ev.failure_prob) == (2.0, 1.0)
     sol = MixedSolution(
-        ((PureCandidate(pol, CostVector(2.0, (1.0,))), 1.0),),
-        CostVector(2.0, (1.0,)), DualVector((5.0,)), 0.0,
+        ((PureCandidate(pol, CostVector(2.0, 1.0)), 1.0),),
+        CostVector(2.0, 1.0), 5.0, 0.0,
     )
     run = simulate(mdp, sol, seed=0, n_rollouts=50)
     assert (run.failure_rate, run.cost_mean) == (1.0, 2.0)

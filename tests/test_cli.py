@@ -11,15 +11,16 @@ import pytest
 
 from mixedctrl import ccmdp, cli, milp, smpc
 from mixedctrl.cli import VALIDATE_FALSE_ALARM, build_setup, main
-from mixedctrl.core import DualVector, binomial_acceptance, wilson_ci_99
+from mixedctrl.core import binomial_acceptance, wilson_ci_99
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
 
 
-def _write(tmp_path: Path, name: str, config: dict) -> Path:
+def _write(tmp_path: Path, name: str, config: dict | str) -> Path:
+    """Write ``config`` as JSON, or as given when it is already JSON text."""
     path = tmp_path / name
-    path.write_text(json.dumps(config), encoding="utf-8")
+    path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
     return path
 
 
@@ -111,6 +112,16 @@ _BAD_SHAPES_AND_RANGES = [
     (_toy_config(policies=[[1, -2]]), "policies[0]"),
     (_toy_config(policies=[[20.0, 0.005], [10.0, 1.5]]), "policies[1]"),
     (_toy_config(policies=[[float("inf"), 0.005]]), "policies[0]"),
+    # JSON's NaN and Infinity, and literals that overflow a float, are no finite numbers
+    (_replace(_shipped_config("corridor"), ("sigma_w", 0, 0), float("inf")),
+     "sigma_w[0][0] must be a finite number, got Infinity"),
+    ({**_shipped_config("desk_grid"), "sigma": float("inf")},
+     "sigma must be a finite number, got Infinity"),
+    (json.dumps(_toy_config()).replace('"risk_bound": 0.01', '"risk_bound": 1e999'),
+     "risk_bound must be a finite number, got 1e999"),
+    ({**_shipped_config("desk_grid"), "sigma": 10**400}, "bad grid config"),
+    (_toy_config(sweep={"lambda_max": float("nan")}),
+     "sweep.lambda_max must be a finite number, got NaN"),
 ]
 
 
@@ -248,10 +259,23 @@ def test_malformed_report_exits_2(tmp_path, capsys):
     def string_policy(report):
         report["mixed"]["components"][0]["policy"] = "1"
 
+    def nan_cost(report):
+        report["mixed"]["aggregate"]["cost"] = float("nan")
+
+    def nan_failure_rate(report):
+        report["monte_carlo"]["failure_rate"] = float("nan")
+
+    def nan_multiplier(report):
+        report["dual"]["lambda_star"] = float("nan")
+
+    def negative_multiplier(report):
+        report["dual"]["lambda_star"] = -5.0
+
     for tamper in (
         no_seed, no_policy, bad_probability, no_rollouts, infinite_seed, not_an_object,
         fractional_seed, boolean_seed, float_rollouts, policy_out_of_range, negative_policy,
-        fractional_policy, boolean_policy, string_policy,
+        fractional_policy, boolean_policy, string_policy, nan_cost, nan_failure_rate,
+        nan_multiplier, negative_multiplier,
     ):
         report = json.loads(json.dumps(saved))
         tamper(report)
@@ -499,17 +523,25 @@ def test_bench_tracer_hook_points_stay_alive(tmp_path, monkeypatch):
     spec.loader.exec_module(spans)
     tracer = spans.Tracer({"cli": cli, "ccmdp": ccmdp, "smpc": smpc, "milp": milp})
     line = _write(tmp_path, "line.json", _line_smpc_config())
+    configs = (CONFIGS / "desk_grid.json", line)
     tracer.install()
     try:
-        for config in (CONFIGS / "desk_grid.json", line):
+        for config in configs:
             assert main(["solve", str(config), "--out", str(tmp_path / config.stem)]) == 0
+        solved = len(tracer.spans)
+        for config in configs:
+            assert main(["validate", str(config), "--out", str(tmp_path / config.stem)]) == 0
     finally:
         tracer.uninstall()
-    recorded = {span.name for span in tracer.spans}
+    recorded = {span.name for span in tracer.spans[:solved]}
     expected = {
         "dual.solve", "dual.certificate", "scenarios.build", "ccmdp.query", "ccmdp.dp",
         "ccmdp.eval", "ccmdp.mc", "smpc.query", "smpc.build", "milp.solve", "smpc.mc",
     }
+    assert expected <= recorded, expected - recorded
+    # validate runs no search, but certifies and replays the Monte Carlo check
+    recorded = {span.name for span in tracer.spans[solved:]}
+    expected = {"dual.certificate", "ccmdp.mc", "smpc.mc", "ccmdp.query", "smpc.query"}
     assert expected <= recorded, expected - recorded
 
 
@@ -532,7 +564,7 @@ def test_benchmark_configs_load_and_build(tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", ["toy", "desk_grid", "landing", "corridor"])
 def test_each_backend_loads_what_it_saves(tmp_path, name):
     oracle = build_setup(cli.load_config(CONFIGS / f"{name}.json"), CONFIGS)
-    policy = oracle.query(DualVector((0.0,))).policy
+    policy = oracle.query(0.0).policy
     ref = oracle.save(policy, "x", tmp_path)
     written = sorted(path.name for path in tmp_path.iterdir())
     assert written == ([] if name == "toy" else [ref])

@@ -1,4 +1,4 @@
-"""Property tests of the K=1 dual search against exact references.
+"""Property tests of the scalar dual search against exact references.
 
 Finite candidate sets are drawn on small integer grids so that ties at
 the bound, duplicate cost vectors, equal risks and bounds on a vertex
@@ -17,9 +17,7 @@ from hypothesis import strategies as st
 
 from _oracles import brute_mixed_lp, brute_scalar_dual
 from mixedctrl.core import (
-    Bounds,
     CostVector,
-    DualVector,
     InfeasibleProblemError,
     InvalidInputError,
     PureCandidate,
@@ -46,7 +44,7 @@ def finite_sets(draw):
     grid = draw(
         st.lists(st.tuples(st.integers(0, 12), st.integers(0, 8)), min_size=1, max_size=8)
     )
-    costs = [CostVector(offset + i * step, (j / 100,)) for i, j in grid]
+    costs = [CostVector(offset + i * step, j / 100) for i, j in grid]
     # on a vertex risk, or between grid risks
     v = draw(st.sampled_from([c.c1 for c in costs])) + draw(st.sampled_from((0.0, 0.0037)))
     return costs, v
@@ -56,9 +54,8 @@ def finite_sets(draw):
 @given(finite_sets())
 def test_mixture_matches_exact_references(case):
     costs, v = case
-    bounds = Bounds((v,))
-    oracle = FiniteSetOracle(costs, bounds)
-    result, solution = solve_mixed_scalar(oracle, bounds)
+    oracle = FiniteSetOracle(costs, v)
+    result, solution = solve_mixed_scalar(oracle)
 
     q_ref, _ = brute_scalar_dual(costs, v)
     mixed_ref = brute_mixed_lp(costs, v)
@@ -68,11 +65,11 @@ def test_mixture_matches_exact_references(case):
     assert solution.aggregate.c1 <= v
     assert len(solution.components) <= 2
     # the reported multiplier is the certificate's, and it is dual optimal
-    assert result.lambda_star == solution.dual.values[0]
+    assert result.lambda_star == solution.dual
     lam = result.lambda_star
     assert min(c.c0 + lam * (c.c1 - v) for c in costs) == pytest.approx(q_ref, abs=tol)
     assert result.q_star == pytest.approx(q_ref, abs=tol)
-    assert check_optimality(solution, bounds, oracle, tol=tol).overall
+    assert check_optimality(solution, oracle, tol=tol).overall
 
 
 _unit = st.floats(0.0, 1.0, allow_nan=False)
@@ -91,8 +88,8 @@ _unit = st.floats(0.0, 1.0, allow_nan=False)
 def test_recovered_risk_never_rounds_above_the_bound(a, b, t, cost_a, cost_b):
     c_hi, c_lo = sorted((a, b))
     v = min(max(c_hi + t * (c_lo - c_hi), c_hi), c_lo)
-    lower = PureCandidate("risky", CostVector(min(cost_a, cost_b), (c_lo,)))
-    upper = PureCandidate("safe", CostVector(max(cost_a, cost_b), (c_hi,)))
+    lower = PureCandidate("risky", CostVector(min(cost_a, cost_b), c_lo))
+    upper = PureCandidate("safe", CostVector(max(cost_a, cost_b), c_hi))
     # the multiplier, the float cost difference over the risk difference,
     # rounds to infinity when its exact value reaches halfway past the
     # largest float
@@ -100,9 +97,9 @@ def test_recovered_risk_never_rounds_above_the_bound(a, b, t, cost_a, cost_b):
         exact_slope = Fraction(abs(cost_a - cost_b)) / (Fraction(c_lo) - Fraction(c_hi))
         if exact_slope >= 2**1024 - 2**970:
             with pytest.raises(InvalidInputError, match="gives no finite multiplier"):
-                recover_mixture_scalar(lower, upper, Bounds((v,)))
+                recover_mixture_scalar(lower, upper, v)
             return
-    solution = recover_mixture_scalar(lower, upper, Bounds((v,)))
+    solution = recover_mixture_scalar(lower, upper, v)
     assert solution.aggregate.c1 <= v
     # the weight moves off the exact mixing weight only by rounding steps
     if c_lo > c_hi:
@@ -116,12 +113,13 @@ class _CostlyProbe:
     last policy of the set whatever its cost, as a backend's answer at a
     huge multiplier can be when the risk term swamps the cost."""
 
-    def __init__(self, costs, bounds):
-        self.exact = FiniteSetOracle(costs, bounds)
+    def __init__(self, costs, v):
+        self.exact = FiniteSetOracle(costs, v)
+        self.risk_bound = v
         self.probe = len(costs) - 1
 
     def query(self, lam):
-        if lam.values[0] == LAMBDA_MAX:
+        if lam == LAMBDA_MAX:
             return PureCandidate(self.probe, self.exact.costs[self.probe])
         return self.exact.query(lam)
 
@@ -136,10 +134,9 @@ def test_probe_answer_off_the_hull_is_replaced(case, extra):
     least = min(c.c1 for c in costs)
     # a costlier twin of the safest policy, the probe's answer: of least
     # risk, but off the lower hull
-    costs = costs + [CostVector(max(c.c0 for c in costs) + extra / 1000, (least,))]
-    bounds = Bounds((v,))
-    oracle = _CostlyProbe(costs, bounds)
-    result, solution = solve_mixed_scalar(oracle, bounds)
+    costs = costs + [CostVector(max(c.c0 for c in costs) + extra / 1000, least)]
+    oracle = _CostlyProbe(costs, v)
+    result, solution = solve_mixed_scalar(oracle)
 
     q_ref, _ = brute_scalar_dual(costs, v)
     tol = 1e-9 * max(1.0, abs(q_ref))
@@ -148,7 +145,7 @@ def test_probe_answer_off_the_hull_is_replaced(case, extra):
     assert solution.aggregate.c1 <= v
     assert oracle.probe not in [cand.policy for cand, _ in solution.components]
     assert result.q_star == pytest.approx(q_ref, abs=tol)
-    assert check_optimality(solution, bounds, oracle, tol=tol).overall
+    assert check_optimality(solution, oracle, tol=tol).overall
 
 
 @settings(max_examples=100, deadline=None)
@@ -156,9 +153,8 @@ def test_probe_answer_off_the_hull_is_replaced(case, extra):
 def test_bound_below_every_risk_is_infeasible(case, below):
     costs, _ = case
     v = min(c.c1 for c in costs) - below / 1000
-    bounds = Bounds((v,))
     with pytest.raises(InfeasibleProblemError):
-        solve_mixed_scalar(FiniteSetOracle(costs, bounds), bounds)
+        solve_mixed_scalar(FiniteSetOracle(costs, v))
 
 
 class _NeverTies:
@@ -166,21 +162,22 @@ class _NeverTies:
     than the one before, so its Lagrangian undercuts every earlier answer
     and no query at a chord slope ever ties the endpoints."""
 
-    def __init__(self):
+    def __init__(self, v):
+        self.risk_bound = v
         self.queries = 0
 
     def query(self, lam):
         self.queries += 1
-        risk = 1.0 / (1.0 + lam.values[0])
-        return PureCandidate(None, CostVector(-(10.0**self.queries), (risk,)))
+        risk = 1.0 / (1.0 + lam)
+        return PureCandidate(None, CostVector(-(10.0**self.queries), risk))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.01, 0.5))
 def test_oracle_that_never_ties_hits_the_query_cap(v):
-    oracle = _NeverTies()
+    oracle = _NeverTies(v)
     with pytest.raises(SolverLimitError):
-        solve_mixed_scalar(oracle, Bounds((v,)))
+        solve_mixed_scalar(oracle)
     assert oracle.queries == MAX_QUERIES
 
 
@@ -196,7 +193,7 @@ def _line_oracle() -> SmpcOracle:
         u_upper=[1.5],
         obstacles=(Obstacle([[1.0]], [1.2]),),
     )
-    return SmpcOracle(model, Bounds((0.01,)), build_pwl_cdf(8))
+    return SmpcOracle(model, 0.01, build_pwl_cdf(8))
 
 
 _multipliers = st.floats(0.0, 200.0, allow_nan=False)
@@ -207,8 +204,8 @@ _multipliers = st.floats(0.0, 200.0, allow_nan=False)
 def test_smpc_answer_depends_on_the_multiplier_alone(history, lam):
     warmed = _line_oracle()
     for earlier in history:
-        warmed.query(DualVector((earlier,)))
-    warm = warmed.query(DualVector((lam,)))
-    fresh = _line_oracle().query(DualVector((lam,)))
+        warmed.query(earlier)
+    warm = warmed.query(lam)
+    fresh = _line_oracle().query(lam)
     assert warm.policy.controls.tobytes() == fresh.policy.controls.tobytes()
     assert warm.cost == fresh.cost

@@ -6,9 +6,7 @@ import pytest
 
 from mixedctrl.cli import build_setup, load_config
 from mixedctrl.core import (
-    Bounds,
     CostVector,
-    DualVector,
     InvalidInputError,
     lagrangian_value,
 )
@@ -36,15 +34,15 @@ def _shipped(name: str):
 
 def test_toy_oracle_endpoints_and_mixture():
     oracle = _shipped("toy")
-    risky = oracle.query(DualVector((0.0,)))
+    risky = oracle.query(0.0)
     assert (risky.cost.c0, risky.cost.c1) == (10.0, 0.015)
-    safe = oracle.query(DualVector((2000.0,)))
+    safe = oracle.query(2000.0)
     assert (safe.cost.c0, safe.cost.c1) == (20.0, 0.005)
     # the exact crossover multiplier ties; the lower index wins
-    tie = oracle.query(DualVector((1000.0,)))
+    tie = oracle.query(1000.0)
     assert tie.policy == 0
 
-    dual, sol = solve_mixed_scalar(oracle, oracle.bounds)
+    dual, sol = solve_mixed_scalar(oracle)
     assert dual.lambda_star == pytest.approx(1000.0, abs=1e-3)
     weights = sorted(w for _, w in sol.components)
     assert weights == pytest.approx([0.5, 0.5], abs=1e-9)
@@ -56,16 +54,16 @@ def test_finite_set_oracle_matches_exhaustive_scan():
     rng = np.random.default_rng(5)
     for _ in range(20):
         costs = [
-            CostVector(float(rng.uniform(0, 50)), (float(rng.uniform(0, 0.2)),))
+            CostVector(float(rng.uniform(0, 50)), float(rng.uniform(0, 0.2)))
             for _ in range(int(rng.integers(1, 9)))
         ]
-        bounds = Bounds((float(rng.uniform(0.01, 0.1)),))
-        oracle = FiniteSetOracle(costs, bounds)
+        v = float(rng.uniform(0.01, 0.1))
+        oracle = FiniteSetOracle(costs, v)
         for _ in range(5):
-            lam = DualVector((float(rng.uniform(0, 500)),))
+            lam = float(rng.uniform(0, 500))
             cand = oracle.query(lam)
-            best = min(lagrangian_value(c, lam, bounds) for c in costs)
-            assert lagrangian_value(cand.cost, lam, bounds) == pytest.approx(
+            best = min(lagrangian_value(c, lam, v) for c in costs)
+            assert lagrangian_value(cand.cost, lam, v) == pytest.approx(
                 best, abs=1e-12
             )
 
@@ -102,7 +100,7 @@ def test_noiseless_grid_recovers_the_geometric_shortest_path():
     feasible = np.ones((8, 8), dtype=bool)
     oracle = grid_oracle(feasible, (0, 0), (7, 7), horizon=3, max_step=6, sigma=0.0,
                          risk_bound=0.02)
-    cand = oracle.query(DualVector((0.0,)))
+    cand = oracle.query(0.0)
     assert cand.cost.c0 == pytest.approx(7.0 * SQRT2, abs=1e-9)
     assert cand.cost.c1 == 0.0
 
@@ -119,15 +117,15 @@ def test_grid_rejects_cells_off_grid_or_on_obstacles():
 
 def test_desk_grid_mixes_two_routes_at_the_risk_bound():
     oracle = _shipped("desk_grid")
-    risk_bound = oracle.bounds.values[0]
-    dual, sol = solve_mixed_scalar(oracle, oracle.bounds)
+    risk_bound = oracle.risk_bound
+    dual, sol = solve_mixed_scalar(oracle)
     assert dual.lambda_star > 1.0
     assert len(sol.components) == 2
     assert sol.aggregate.c1 == pytest.approx(risk_bound, abs=1e-12)
     risks = sorted(c.cost.c1 for c, _ in sol.components)
     assert risks[0] < risk_bound < risks[1]
     assert sol.aggregate.c0 == pytest.approx(244.38, abs=0.05)
-    report = check_optimality(sol, oracle.bounds, oracle)
+    report = check_optimality(sol, oracle)
     assert report.overall, report.conditions
 
 
@@ -176,7 +174,7 @@ def _open_landing(stages=2, width=9, height=9):
 
 def test_noiseless_landing_touches_down_on_a_site():
     oracle = edl_oracle(**_open_landing(), risk_bound=0.01)
-    cand = oracle.query(DualVector((0.0,)))
+    cand = oracle.query(0.0)
     # landing exactly on either site leaves only the walk between them
     assert cand.cost.c0 == pytest.approx(12.0, abs=1e-9)
     assert cand.cost.c1 == 0.0
@@ -197,21 +195,21 @@ def test_landing_validation():
 
 def test_default_landing_mixes_at_the_risk_bound():
     oracle = _shipped("landing")
-    dual, sol = solve_mixed_scalar(oracle, oracle.bounds)
+    dual, sol = solve_mixed_scalar(oracle)
     assert dual.lambda_star > 1.0
     assert len(sol.components) == 2
-    assert sol.aggregate.c1 == pytest.approx(oracle.bounds.values[0], abs=1e-12)
+    assert sol.aggregate.c1 == pytest.approx(oracle.risk_bound, abs=1e-12)
     assert sol.aggregate.c0 == pytest.approx(45.05, abs=0.05)
-    report = check_optimality(sol, oracle.bounds, oracle)
+    report = check_optimality(sol, oracle)
     assert report.overall, report.conditions
 
 
 def test_two_point_landing_replay_weights():
     oracle = FiniteSetOracle(
-        costs=(CostVector(45.3, (0.00016,)), CostVector(44.9, (0.00574,))),
-        bounds=Bounds((0.001,)),
+        costs=(CostVector(45.3, 0.00016), CostVector(44.9, 0.00574)),
+        risk_bound=0.001,
     )
-    _, sol = solve_mixed_scalar(oracle, oracle.bounds)
+    _, sol = solve_mixed_scalar(oracle)
     by_risk = {round(c.cost.c1, 5): w for c, w in sol.components}
     assert by_risk[0.00016] == pytest.approx(0.849, abs=0.002)
     assert by_risk[0.00574] == pytest.approx(0.151, abs=0.002)
@@ -222,9 +220,9 @@ def test_corridor_scenario_shape_and_cheapest_route():
     setup = _shipped("corridor")
     assert setup.model.horizon == 7
     assert len(setup.model.obstacles) == 2
-    assert setup.bounds.values == (0.001,)
+    assert setup.risk_bound == 0.001
     assert len(setup.pwl.slopes) == 6
-    cand = setup.query(DualVector((0.0,)))
+    cand = setup.query(0.0)
     # unconstrained by risk, the plan runs straight down the axis
     assert cand.cost.c0 == pytest.approx(6.0, abs=1e-6)
     assert 0.0 < cand.cost.c1 < 0.2

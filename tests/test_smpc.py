@@ -10,7 +10,7 @@ from scipy.special import ndtr
 from _oracles import brute_milp_solve, mc_failures_rowmajor
 from mixedctrl import smpc
 from mixedctrl.cli import build_setup, main
-from mixedctrl.core import Bounds, DualVector, InfeasibleProblemError, InvalidInputError
+from mixedctrl.core import InfeasibleProblemError, InvalidInputError
 from mixedctrl.dual import MONOTONE_TOL
 from mixedctrl.milp import solve_milp
 from mixedctrl.smpc import (
@@ -259,7 +259,7 @@ def test_risk_term_follows_the_cheapest_separating_face():
 
 def test_halfplane_tail_bound_and_monte_carlo():
     model = halfline_model()
-    oracle = SmpcOracle(model, Bounds((0.01,)))
+    oracle = SmpcOracle(model, 0.01)
     plan_cost = oracle.evaluate(ControlPlan(np.zeros((1, 1))))
     assert plan_cost.c0 == 0.0
     assert PHI_MINUS_3 <= plan_cost.c1 <= PHI_MINUS_3 + 2e-3
@@ -282,10 +282,10 @@ def test_oracle_sweep_trades_cost_for_risk():
         u_upper=[5.0],
         obstacles=(Obstacle([[-1.0]], [-2.0]),),
     )
-    oracle = SmpcOracle(model, Bounds((0.01,)), pwl=build_pwl_cdf(8))
+    oracle = SmpcOracle(model, 0.01, pwl=build_pwl_cdf(8))
     costs, risks = [], []
     for lam in (0.0, 5.0, 20.0, 100.0, 500.0):
-        cand = oracle.query(DualVector((lam,)))
+        cand = oracle.query(lam)
         costs.append(cand.cost.c0)
         risks.append(cand.cost.c1)
     for a, b in zip(risks, risks[1:]):
@@ -301,7 +301,7 @@ def test_shipped_corridor_risk_does_not_rise_from_64_to_128():
     # to 0.00266711, which the dual search rejects as non-monotone
     config = json.loads((CONFIGS / "corridor.json").read_text(encoding="utf-8"))
     oracle = build_setup(config, CONFIGS)
-    low, high = (oracle.query(DualVector((lam,))).cost.c1 for lam in (64.0, 128.0))
+    low, high = (oracle.query(lam).cost.c1 for lam in (64.0, 128.0))
     assert high <= low + MONOTONE_TOL
 
 
@@ -357,11 +357,11 @@ def test_only_the_risk_weights_of_the_inner_program_depend_on_the_multiplier(whi
 
 
 def test_corridor_answer_does_not_depend_on_earlier_queries():
-    fresh = _shipped_corridor().query(DualVector((1800.0,)))
+    fresh = _shipped_corridor().query(1800.0)
     used = _shipped_corridor()
     for lam in (0.0, 1e9, 100.0):
-        used.query(DualVector((lam,)))
-    again = used.query(DualVector((1800.0,)))
+        used.query(lam)
+    again = used.query(1800.0)
     assert fresh.policy.controls.tobytes() == again.policy.controls.tobytes()
     assert fresh.cost == again.cost
 
@@ -383,11 +383,11 @@ def test_corridor_solve_builds_its_inner_program_once(tmp_path, monkeypatch):
 
 def test_query_and_evaluate_agree_exactly():
     model = gap_model()
-    oracle = SmpcOracle(model, Bounds((0.01,)), pwl=build_pwl_cdf(4))
-    cand = oracle.query(DualVector((25.0,)))
+    oracle = SmpcOracle(model, 0.01, pwl=build_pwl_cdf(4))
+    cand = oracle.query(25.0)
     again = oracle.evaluate(cand.policy)
     assert again.c0 == cand.cost.c0
-    assert again.c_rest == cand.cost.c_rest
+    assert again.c1 == cand.cost.c1
     # wide control bounds let the mean hop straight over the box between
     # steps, so the optimum is the minimum L1 effort to reach the goal
     assert cand.cost.c0 == pytest.approx(2.0, abs=1e-6)
@@ -400,10 +400,10 @@ def test_query_and_evaluate_agree_exactly():
 
 def test_mean_inside_obstacle_counts_as_certain_failure():
     model = gap_model()
-    oracle = SmpcOracle(model, Bounds((0.01,)))
+    oracle = SmpcOracle(model, 0.01)
     plan = ControlPlan(np.array([[1.0, 0.0], [1.0, 0.0]]))
     cost = oracle.evaluate(plan)
-    assert cost.c_rest[0] >= 1.0
+    assert cost.c1 >= 1.0
 
 
 def test_infeasible_goal_reports_miss_distance():
@@ -418,9 +418,9 @@ def test_infeasible_goal_reports_miss_distance():
         u_upper=[0.1],
         obstacles=(),
     )
-    oracle = SmpcOracle(model, Bounds((0.01,)))
+    oracle = SmpcOracle(model, 0.01)
     with pytest.raises(InfeasibleProblemError, match="miss"):
-        oracle.query(DualVector((1.0,)))
+        oracle.query(1.0)
 
 
 def test_infeasible_obstacle_wall_is_distinguished():
@@ -435,9 +435,9 @@ def test_infeasible_obstacle_wall_is_distinguished():
         u_upper=[1.0],
         obstacles=(Obstacle([[1.0], [-1.0]], [10.0, 10.0]),),
     )
-    oracle = SmpcOracle(model, Bounds((0.01,)))
+    oracle = SmpcOracle(model, 0.01)
     with pytest.raises(InfeasibleProblemError, match="obstacle"):
-        oracle.query(DualVector((1.0,)))
+        oracle.query(1.0)
 
 
 def test_model_validation():
@@ -496,11 +496,11 @@ def test_mixture_risk_mc_is_deterministic():
     far = ControlPlan(np.array([[-1.0]]))
     sol = MixedSolution(
         components=(
-            (PureCandidate(near, CostVector(2.0, (0.15,))), 0.5),
-            (PureCandidate(far, CostVector(1.0, (0.0001,))), 0.5),
+            (PureCandidate(near, CostVector(2.0, 0.15)), 0.5),
+            (PureCandidate(far, CostVector(1.0, 0.0001)), 0.5),
         ),
-        aggregate=CostVector(1.5, (0.07505,)),
-        dual=DualVector((1.0,)),
+        aggregate=CostVector(1.5, 0.07505),
+        dual=1.0,
         gap_estimate=0.0,
     )
     a = estimate_mixture_risk_mc(model, sol, 50_000, seed=9)
@@ -517,7 +517,7 @@ def corridor_plans():
     """The shipped corridor's raw config and its plans at multipliers 0 and 100."""
     config = json.loads((CONFIGS / "corridor.json").read_text(encoding="utf-8"))
     setup = build_setup(config, CONFIGS)
-    plans = [setup.query(DualVector((lam,))).policy.controls for lam in (0.0, 100.0)]
+    plans = [setup.query(lam).policy.controls for lam in (0.0, 100.0)]
     return config, setup.model, plans
 
 
@@ -669,7 +669,7 @@ def test_unreachable_goal_of_coupled_dynamics_reports_its_miss():
     assert message.startswith("terminal stage 4 cannot reach the goal, best L1 miss ")
     assert float(message.rsplit(" ", 1)[1]) == pytest.approx(ref.fun, rel=1e-5)
     with pytest.raises(InfeasibleProblemError, match="terminal stage 4"):
-        SmpcOracle(model, Bounds((0.01,))).query(DualVector((1.0,)))
+        SmpcOracle(model, 0.01).query(1.0)
 
     # a rolled-out endpoint is reachable, so no miss is reported
     state = model.x_init
