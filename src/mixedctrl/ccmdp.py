@@ -26,7 +26,6 @@ A saved mixture component is a ``policy_<stem>.csv`` table with one
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +40,7 @@ from .core import (
     MixedControlError,
     MixedSolution,
     PureCandidate,
+    check_multiplier,
     read_component,
     wilson_ci_99,
 )
@@ -180,8 +180,7 @@ def lagrangian_dp(mdp: Mdp, lam: float) -> tuple[Policy, float]:
     actions break to the lowest index. Returns the greedy policy and the
     initial-distribution value (equal to c0 + lam*c1 of that policy).
     """
-    if lam < 0 or not math.isfinite(lam):
-        raise InvalidInputError(f"multiplier must be finite and nonnegative, got {lam}")
+    lam = check_multiplier(lam)
     t = mdp.horizon
     j_next = np.where(mdp.failure_masks[t], lam, 0.0)
     actions: list[np.ndarray] = [None] * t

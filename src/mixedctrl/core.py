@@ -94,9 +94,7 @@ class MixedSolution:
         # one risk bound: an optimal mixture needs at most two pure policies
         if len(self.components) > 2:
             raise InvalidInputError(f"{len(self.components)} components, at most 2 allowed")
-        object.__setattr__(self, "dual", float(self.dual))
-        if not math.isfinite(self.dual) or self.dual < 0.0:
-            raise InvalidInputError(f"multiplier must be finite and nonnegative, got {self.dual}")
+        object.__setattr__(self, "dual", check_multiplier(self.dual))
         if self.gap_estimate < 0.0:
             raise InvalidInputError("gap_estimate must be nonnegative")
         # mix_costs also rejects negative weights and weights that do not sum to one
@@ -126,7 +124,11 @@ class LagrangianOracle(ABC):
 
     @abstractmethod
     def query(self, lam: float) -> PureCandidate:
-        """Return a minimizer of ``c0 + lam * (c1 - risk_bound)``."""
+        """Return a minimizer of ``c0 + lam * (c1 - risk_bound)``.
+
+        A multiplier that is negative or not finite lies outside the
+        dual's domain and raises InvalidInputError (`check_multiplier`).
+        """
 
     @abstractmethod
     def evaluate(self, policy: object) -> CostVector:
@@ -164,6 +166,14 @@ def mix_costs(components: Sequence[tuple[CostVector, float]]) -> CostVector:
     c0 = math.fsum(cost.c0 * p for (cost, _), p in zip(components, probs))
     c1 = math.fsum(cost.c1 * p for (cost, _), p in zip(components, probs))
     return CostVector(c0, c1)
+
+
+def check_multiplier(lam: float) -> float:
+    """``lam`` as a float; InvalidInputError unless it is finite and nonnegative."""
+    lam = float(lam)
+    if not math.isfinite(lam) or lam < 0.0:
+        raise InvalidInputError(f"multiplier must be finite and nonnegative, got {lam}")
+    return lam
 
 
 def lagrangian_value(cost: CostVector, lam: float, bound: float) -> float:

@@ -23,6 +23,7 @@ from .core import (
     InvalidInputError,
     LagrangianOracle,
     PureCandidate,
+    check_multiplier,
     lagrangian_value,
 )
 
@@ -41,6 +42,7 @@ class FiniteSetOracle(LagrangianOracle):
         self.risk_bound = risk_bound
 
     def query(self, lam: float) -> PureCandidate:
+        lam = check_multiplier(lam)
         values = [lagrangian_value(c, lam, self.risk_bound) for c in self.costs]
         best = values.index(min(values))
         return PureCandidate(best, self.costs[best])

@@ -26,6 +26,9 @@ A saved mixture component is a ``plan_<stem>.csv`` table: a
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -42,6 +45,7 @@ from .core import (
     MixedSolution,
     PureCandidate,
     SolverLimitError,
+    check_multiplier,
     read_component,
     wilson_ci_99,
 )
@@ -57,9 +61,11 @@ _SIGMA_FLOOR = 1e-12
 _RISK_WEIGHT_FLOOR = 1e-9
 # absolute optimality gap at which HiGHS stops each inner program
 MILP_GAP = 1e-9
-# Monte Carlo rollouts simulated per block. The block size decides which
-# normal draw goes to which rollout, so changing it changes every estimate.
-_MC_CHUNK = 100_000
+# Monte Carlo rollouts per block. Block i of a plan draws from child i of
+# the plan's seed, so the block size decides which normal draw goes to
+# which rollout, and changing it changes every estimate. Blocks are the
+# unit of work the sampler hands to its threads.
+_MC_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -468,6 +474,7 @@ class SmpcOracle(LagrangianOracle):
         self._program: tuple[MilpProblem, Columns] | None = None  # built on the first query
 
     def query(self, lam: float) -> PureCandidate:
+        lam = check_multiplier(lam)
         if self._program is None:
             self._program = build_inner_milp(self.model, _RISK_WEIGHT_FLOOR, self.pwl)
         base, cols = self._program
@@ -575,33 +582,116 @@ def _noise_sqrt(sigma: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
 
-def _count_failures(
-    model: SmpcModel, controls: np.ndarray, n_rollouts: int, seed: int
-) -> int:
-    """Number of rollouts of one control sequence that enter an obstacle.
+class _BlockArrays:
+    """The arrays of one block of ``size`` rollouts, reused from block to block.
 
-    The state is held with one column per rollout, so each obstacle's
-    face test is one (faces, rollouts) product: a rollout is inside when
-    it is on the inner side of every face.
+    Fresh arrays of this size come from newly mapped pages, and faulting
+    them in cost about a tenth of the sampler's time.
     """
-    rng = np.random.default_rng(seed)
+
+    def __init__(self, model: SmpcModel, size: int):
+        self.size = size
+        self.z = np.empty((size, model.dim_x))
+        self.x, self.x_next, self.noise = np.empty((3, model.dim_x, size))
+        self.faces = {
+            f: (np.empty((f, size)), np.empty((f, size), dtype=bool))
+            for f in {obs.num_faces for obs in model.obstacles}
+        }
+        self.inside = np.empty(size, dtype=bool)
+        self.failed = np.empty(size, dtype=bool)
+
+
+def _block_failures(
+    model: SmpcModel, root: np.ndarray, controls: np.ndarray, seed: int, index: int,
+    arrays: _BlockArrays,
+) -> int:
+    """Number of rollouts in block ``index`` of one control sequence that enter an obstacle.
+
+    The block has ``arrays.size`` rollouts and draws from child ``index``
+    of ``SeedSequence(seed)``. The state is held with one column per
+    rollout, so each obstacle's face test is one (faces, rollouts)
+    product: a rollout is inside when it is on the inner side of every
+    face.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    x, x_next = arrays.x, arrays.x_next
+    x[...] = model.x_init[:, None]
+    failed = arrays.failed
+    failed[...] = False
+    for k in range(model.horizon):
+        z = rng.standard_normal(out=arrays.z)
+        np.matmul(model.a_mat, x, out=x_next)
+        x, x_next = x_next, x
+        x += (model.b_mat @ controls[k])[:, None]
+        x += np.matmul(root, z.T, out=arrays.noise)
+        for obs in model.obstacles:
+            product, outside = arrays.faces[obs.num_faces]
+            np.matmul(obs.face_normals, x, out=product)
+            np.greater(product, obs.face_offsets[:, None], out=outside)
+            failed |= ~np.logical_or.reduce(outside, axis=0, out=arrays.inside)
+    return int(np.count_nonzero(failed))
+
+
+def _schedule(jobs):
+    """Lazy (controls, size, seed, block index) for each block of each job."""
+    for controls, n_rollouts, seed in jobs:
+        for index, start in enumerate(range(0, n_rollouts, _MC_BLOCK)):
+            yield controls, min(_MC_BLOCK, n_rollouts - start), seed, index
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _count_failures(model: SmpcModel, jobs: list[tuple[np.ndarray, int, int]]) -> int:
+    """Failed rollouts over ``(controls, n_rollouts, seed)`` jobs, on every usable core.
+
+    Each job is cut into blocks of ``_MC_BLOCK`` rollouts, and each block
+    has its own seed, so the count depends on neither the number of
+    workers nor which of them runs a block. The calling thread and a pool
+    opened for this call take the blocks of one schedule in turn, each
+    the next block as soon as it is free, so a worker slowed by a busy
+    core takes fewer. The schedule is walked lazily: at most one block
+    per worker is in flight whatever the rollout count, and a block that
+    raises stops the other workers at their next block.
+    """
     root = _noise_sqrt(model.sigma_w)
-    controls = np.asarray(controls, dtype=float)
-    failures = 0
-    for done in range(0, n_rollouts, _MC_CHUNK):
-        size = min(_MC_CHUNK, n_rollouts - done)
-        x = np.repeat(model.x_init[:, None], size, axis=1)
-        failed = np.zeros(size, dtype=bool)
-        for k in range(model.horizon):
-            z = rng.standard_normal((size, model.dim_x))
-            x = model.a_mat @ x
-            x += (model.b_mat @ controls[k])[:, None]
-            x += root @ z.T
-            for obs in model.obstacles:
-                outside = obs.face_normals @ x > obs.face_offsets[:, None]
-                failed |= ~np.logical_or.reduce(outside, axis=0)
-        failures += int(np.count_nonzero(failed))
-    return failures
+    jobs = [(np.asarray(controls, dtype=float), n, seed) for controls, n, seed in jobs]
+    blocks = sum(-(-n // _MC_BLOCK) for _, n, _ in jobs)
+    workers = min(_usable_cores(), blocks)
+    schedule = _schedule(jobs)
+    taking = threading.Lock()  # a generator must not be advanced by two threads at once
+    stop = threading.Event()
+
+    def work() -> int:
+        failures, arrays = 0, None
+        try:
+            while not stop.is_set():
+                with taking:
+                    block = next(schedule, None)
+                if block is None:
+                    break
+                controls, size, seed, index = block
+                if arrays is None or arrays.size != size:
+                    arrays = None  # free the old arrays before making the new ones
+                    arrays = _BlockArrays(model, size)
+                failures += _block_failures(model, root, controls, seed, index, arrays)
+        except BaseException:
+            stop.set()
+            raise
+        return failures
+
+    if workers <= 1:
+        return work()
+    with ThreadPoolExecutor(workers - 1) as pool:
+        try:
+            others = [pool.submit(work) for _ in range(workers - 1)]
+            return work() + sum(f.result() for f in others)
+        finally:
+            stop.set()  # lets the pool close at once if the caller was interrupted
 
 
 def _estimate(failures: int, n_rollouts: int) -> RiskEstimate:
@@ -615,7 +705,7 @@ def estimate_risk_mc(
     """Empirical collision probability of one control sequence."""
     if n_rollouts < 1:
         raise InvalidInputError("need at least one rollout")
-    return _estimate(_count_failures(model, controls, n_rollouts, seed), n_rollouts)
+    return _estimate(_count_failures(model, [(controls, n_rollouts, seed)]), n_rollouts)
 
 
 def estimate_mixture_risk_mc(
@@ -624,15 +714,19 @@ def estimate_mixture_risk_mc(
     n_rollouts: int,
     seed: int,
 ) -> RiskEstimate:
-    """Empirical collision probability of a mixed strategy over plans."""
+    """Empirical collision probability of a mixed strategy over plans.
+
+    One multinomial draw from ``seed`` splits the rollouts among the
+    components, and each component with rollouts then takes its own seed
+    from the same stream; the blocks of all components share one
+    schedule.
+    """
     rng = np.random.default_rng(seed)
     probs = np.array(solution.probabilities)
     counts = rng.multinomial(n_rollouts, probs / probs.sum())
-    failures = 0
-    for (cand, _), cnt in zip(solution.components, counts):
-        if cnt == 0:
-            continue
-        failures += _count_failures(
-            model, cand.policy.controls, int(cnt), int(rng.integers(2**63))
-        )
-    return _estimate(failures, n_rollouts)
+    jobs = [
+        (cand.policy.controls, int(cnt), int(rng.integers(2**63)))
+        for (cand, _), cnt in zip(solution.components, counts)
+        if cnt > 0
+    ]
+    return _estimate(_count_failures(model, jobs), n_rollouts)

@@ -360,18 +360,21 @@ def mc_failures_rowmajor(a_mat, b_mat, sigma_w, x_init, controls, obstacles, n_r
     ``obstacles`` is a list of (normals, offsets) pairs, and a rollout
     fails when some step puts it on the inner side of every face of one
     of them. It draws the same normals in the same order as
-    ``mixedctrl.smpc`` (blocks of 100,000 rollouts, one (block, dim_x)
-    draw per step, noise root from the eigendecomposition of sigma_w), so
-    the two counts agree exactly.
+    ``mixedctrl.smpc`` (blocks of 2**15 rollouts, block i drawing from
+    child i of ``SeedSequence(seed)``, one (block, dim_x) draw per step,
+    noise root from the eigendecomposition of sigma_w), so the two counts
+    agree exactly.
     """
     a_mat, b_mat = np.asarray(a_mat, dtype=float), np.asarray(b_mat, dtype=float)
     controls = np.asarray(controls, dtype=float)
     vals, vecs = np.linalg.eigh(np.asarray(sigma_w, dtype=float))
     root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
-    rng = np.random.default_rng(seed)
-    failures = done = 0
-    while done < n_rollouts:
-        size = min(100_000, n_rollouts - done)
+    block = 2**15
+    children = np.random.SeedSequence(seed).spawn(-(-n_rollouts // block))
+    failures = 0
+    for i, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        size = min(block, n_rollouts - i * block)
         x = np.tile(np.asarray(x_init, dtype=float), (size, 1))
         failed = np.zeros(size, dtype=bool)
         for k in range(len(controls)):
@@ -380,5 +383,4 @@ def mc_failures_rowmajor(a_mat, b_mat, sigma_w, x_init, controls, obstacles, n_r
             for normals, offsets in obstacles:
                 failed |= np.all(x @ np.asarray(normals).T <= np.asarray(offsets), axis=-1)
         failures += int(failed.sum())
-        done += size
     return failures

@@ -11,7 +11,7 @@ import pytest
 
 from mixedctrl import ccmdp, cli, milp, smpc
 from mixedctrl.cli import VALIDATE_FALSE_ALARM, build_setup, main
-from mixedctrl.core import binomial_acceptance, wilson_ci_99
+from mixedctrl.core import InvalidInputError, binomial_acceptance, wilson_ci_99
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -571,3 +571,11 @@ def test_each_backend_loads_what_it_saves(tmp_path, name):
     assert ref == {"toy": policy, "corridor": "plan_x.csv"}.get(name, "policy_x.csv")
     assert oracle.evaluate(oracle.load(ref, tmp_path)) == oracle.evaluate(policy)
     assert oracle.risk_is_upper_bound is (name == "corridor")
+
+
+@pytest.mark.parametrize("name", ["toy", "desk_grid", "corridor"])
+@pytest.mark.parametrize("lam", [-5.0, float("nan"), float("inf")])
+def test_each_backend_rejects_a_multiplier_outside_the_dual_domain(name, lam):
+    oracle = build_setup(cli.load_config(CONFIGS / f"{name}.json"), CONFIGS)
+    with pytest.raises(InvalidInputError, match="multiplier must be finite and nonnegative"):
+        oracle.query(lam)

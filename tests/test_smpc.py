@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +14,7 @@ from _oracles import brute_milp_solve, mc_failures_rowmajor
 from mixedctrl import smpc
 from mixedctrl.cli import build_setup, main
 from mixedctrl.core import InfeasibleProblemError, InvalidInputError
-from mixedctrl.dual import MONOTONE_TOL
+from mixedctrl.dual import MONOTONE_TOL, solve_mixed_scalar
 from mixedctrl.milp import solve_milp
 from mixedctrl.smpc import (
     ControlPlan,
@@ -532,7 +535,7 @@ _WALK = dict(
 )
 
 
-@pytest.mark.parametrize("n", [1, 100_000, 100_001, 250_000])
+@pytest.mark.parametrize("n", [1, 32_768, 32_769, 250_000])
 def test_sampler_counts_match_the_row_major_reference(corridor_plans, n):
     config, model, plans = corridor_plans
     shipped = dict(
@@ -562,6 +565,100 @@ def test_sampler_counts_match_the_row_major_reference(corridor_plans, n):
         )
         got = estimate_risk_mc(smpc_model, controls, n, seed)
         assert got.rate == want / n, (seed, got.rate * n, want)
+
+
+@pytest.fixture(scope="module")
+def corridor_mixture(corridor_plans):
+    """The shipped corridor's raw config, model and solved two-plan mixture."""
+    config, model, _ = corridor_plans
+    _, solution = solve_mixed_scalar(build_setup(config, CONFIGS))
+    assert len(solution.components) == 2
+    return config, model, solution
+
+
+def test_mixture_counts_match_the_row_major_reference_over_its_split(corridor_mixture):
+    config, model, solution = corridor_mixture
+    n, seed = 250_001, 17
+    # the split: one multinomial draw, then one seed per component with rollouts
+    rng = np.random.default_rng(seed)
+    probs = np.array(solution.probabilities)
+    counts = rng.multinomial(n, probs / probs.sum())
+    want = 0
+    for (cand, _), cnt in zip(solution.components, counts):
+        if cnt > 0:
+            want += mc_failures_rowmajor(
+                config["a"], config["b"], config["sigma_w"], config["x_init"],
+                cand.policy.controls,
+                [(o["normals"], o["offsets"]) for o in config["obstacles"]],
+                int(cnt), int(rng.integers(2**63)),
+            )
+    got = estimate_mixture_risk_mc(model, solution, n, seed)
+    assert got.rate == want / n, (got.rate * n, want)
+
+
+def _pretend_cores(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_parallel_counts_do_not_depend_on_the_worker_count(corridor_mixture, monkeypatch):
+    _, model, solution = corridor_mixture
+    kernel = smpc._block_failures
+    rates = {}
+    for workers in (1, 2, 3):
+        _pretend_cores(monkeypatch, workers)
+        threads = set()
+
+        def recording(*args, threads=threads):
+            threads.add(threading.get_ident())
+            return kernel(*args)
+
+        monkeypatch.setattr(smpc, "_block_failures", recording)
+        before = threading.active_count()
+        rates[workers] = estimate_mixture_risk_mc(model, solution, 250_001, seed=5).rate
+        # the pool is opened and closed inside the call, and its threads take blocks
+        assert threading.active_count() == before
+        assert (len(threads) > 1) == (workers > 1), threads
+    assert rates[1] == rates[2] == rates[3], rates
+
+
+class _BlockFailed(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("in_caller", [True, False])
+def test_an_error_in_one_block_reaches_the_caller(corridor_plans, monkeypatch, in_caller):
+    _, model, plans = corridor_plans
+    _pretend_cores(monkeypatch, 2)
+    kernel = smpc._block_failures
+
+    def failing(*args):
+        # the first block taken by the calling thread, or by the pool's thread
+        if (threading.current_thread() is threading.main_thread()) == in_caller:
+            raise _BlockFailed(args[4])
+        return kernel(*args)
+
+    monkeypatch.setattr(smpc, "_block_failures", failing)
+    before = threading.active_count()
+    with pytest.raises(_BlockFailed):
+        estimate_risk_mc(model, plans[0], 300_000, seed=1)
+    assert threading.active_count() == before
+
+
+def test_a_huge_rollout_count_is_scheduled_lazily(corridor_plans, monkeypatch):
+    _, model, plans = corridor_plans
+    calls = []
+
+    def failing(*args):
+        calls.append(args[4])
+        raise _BlockFailed(args[4])
+
+    monkeypatch.setattr(smpc, "_block_failures", failing)
+    started = time.perf_counter()
+    with pytest.raises(_BlockFailed):
+        estimate_risk_mc(model, plans[0], 2**62, seed=1)
+    assert time.perf_counter() - started < 5.0
+    # one block per worker at most, never a list of 2**47 of them
+    assert 1 <= len(calls) <= smpc._usable_cores()
 
 
 def test_sampler_counts_follow_the_binomial_law():
@@ -601,7 +698,7 @@ def test_corridor_monte_carlo_memory_stays_small(corridor_plans):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a 100,000-rollout block of states alone takes 1.5 MiB
+    # a 2**15-rollout block of states takes 0.5 MiB, and each worker holds one
     assert peak < 8 * 2**20, peak
 
 
