@@ -535,7 +535,7 @@ _WALK = dict(
 )
 
 
-@pytest.mark.parametrize("n", [1, 32_768, 32_769, 250_000])
+@pytest.mark.parametrize("n", [1, 32_768, 32_769, 100_000, 100_001, 250_000])
 def test_sampler_counts_match_the_row_major_reference(corridor_plans, n):
     config, model, plans = corridor_plans
     shipped = dict(
