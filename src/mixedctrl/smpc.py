@@ -66,6 +66,11 @@ MILP_GAP = 1e-9
 # which rollout, and changing it changes every estimate. Blocks are the
 # unit of work the sampler hands to its threads.
 _MC_BLOCK = 2**15
+# bytes the sampler's workers may hold in block arrays together. Each
+# worker holds one block's arrays, so this caps the worker count on
+# machines with many cores; a model whose block alone is larger still
+# gets one worker. The shipped corridor's block takes 2.7 MiB.
+_MC_MEMORY = 7 * 2**20
 
 
 @dataclass(frozen=True)
@@ -582,53 +587,39 @@ def _noise_sqrt(sigma: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
 
-class _BlockArrays:
-    """The arrays of one block of ``size`` rollouts, reused from block to block.
+def _block_bytes(model: SmpcModel) -> int:
+    """Most bytes one block's arrays take at once in ``_block_failures``.
 
-    Fresh arrays of this size come from newly mapped pages, and faulting
-    them in cost about a tenth of the sampler's time.
+    The states, their update, the draws and one obstacle's face
+    products and tests, for ``_MC_BLOCK`` rollouts.
     """
-
-    def __init__(self, model: SmpcModel, size: int):
-        self.size = size
-        self.z = np.empty((size, model.dim_x))
-        self.x, self.x_next, self.noise = np.empty((3, model.dim_x, size))
-        self.faces = {
-            f: (np.empty((f, size)), np.empty((f, size), dtype=bool))
-            for f in {obs.num_faces for obs in model.obstacles}
-        }
-        self.inside = np.empty(size, dtype=bool)
-        self.failed = np.empty(size, dtype=bool)
+    faces = max((obs.num_faces for obs in model.obstacles), default=0)
+    return _MC_BLOCK * (8 * (3 * model.dim_x + faces) + faces + 3)
 
 
 def _block_failures(
     model: SmpcModel, root: np.ndarray, controls: np.ndarray, seed: int, index: int,
-    arrays: _BlockArrays,
+    size: int,
 ) -> int:
     """Number of rollouts in block ``index`` of one control sequence that enter an obstacle.
 
-    The block has ``arrays.size`` rollouts and draws from child ``index``
-    of ``SeedSequence(seed)``. The state is held with one column per
+    The block has ``size`` rollouts and draws from child ``index`` of
+    ``SeedSequence(seed)``. The state is held with one column per
     rollout, so each obstacle's face test is one (faces, rollouts)
     product: a rollout is inside when it is on the inner side of every
     face.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    x, x_next = arrays.x, arrays.x_next
-    x[...] = model.x_init[:, None]
-    failed = arrays.failed
-    failed[...] = False
+    x = np.repeat(model.x_init[:, None], size, axis=1)
+    failed = np.zeros(size, dtype=bool)
     for k in range(model.horizon):
-        z = rng.standard_normal(out=arrays.z)
-        np.matmul(model.a_mat, x, out=x_next)
-        x, x_next = x_next, x
+        z = rng.standard_normal((size, model.dim_x))
+        x = model.a_mat @ x
         x += (model.b_mat @ controls[k])[:, None]
-        x += np.matmul(root, z.T, out=arrays.noise)
+        x += root @ z.T
         for obs in model.obstacles:
-            product, outside = arrays.faces[obs.num_faces]
-            np.matmul(obs.face_normals, x, out=product)
-            np.greater(product, obs.face_offsets[:, None], out=outside)
-            failed |= ~np.logical_or.reduce(outside, axis=0, out=arrays.inside)
+            outside = obs.face_normals @ x > obs.face_offsets[:, None]
+            failed |= ~np.logical_or.reduce(outside, axis=0)
     return int(np.count_nonzero(failed))
 
 
@@ -654,20 +645,23 @@ def _count_failures(model: SmpcModel, jobs: list[tuple[np.ndarray, int, int]]) -
     workers nor which of them runs a block. The calling thread and a pool
     opened for this call take the blocks of one schedule in turn, each
     the next block as soon as it is free, so a worker slowed by a busy
-    core takes fewer. The schedule is walked lazily: at most one block
-    per worker is in flight whatever the rollout count, and a block that
-    raises stops the other workers at their next block.
+    core takes fewer. There are no more workers than usable cores, nor
+    more than ``_MC_MEMORY`` holds the arrays of one block each for. The
+    schedule is walked lazily: at most one block per worker is in flight
+    whatever the rollout count, and a block that raises stops the other
+    workers at their next block.
     """
     root = _noise_sqrt(model.sigma_w)
     jobs = [(np.asarray(controls, dtype=float), n, seed) for controls, n, seed in jobs]
     blocks = sum(-(-n // _MC_BLOCK) for _, n, _ in jobs)
-    workers = min(_usable_cores(), blocks)
+    fits = _MC_MEMORY // _block_bytes(model)
+    workers = max(1, min(_usable_cores(), blocks, fits))
     schedule = _schedule(jobs)
     taking = threading.Lock()  # a generator must not be advanced by two threads at once
     stop = threading.Event()
 
     def work() -> int:
-        failures, arrays = 0, None
+        failures = 0
         try:
             while not stop.is_set():
                 with taking:
@@ -675,10 +669,7 @@ def _count_failures(model: SmpcModel, jobs: list[tuple[np.ndarray, int, int]]) -
                 if block is None:
                     break
                 controls, size, seed, index = block
-                if arrays is None or arrays.size != size:
-                    arrays = None  # free the old arrays before making the new ones
-                    arrays = _BlockArrays(model, size)
-                failures += _block_failures(model, root, controls, seed, index, arrays)
+                failures += _block_failures(model, root, controls, seed, index, size)
         except BaseException:
             stop.set()
             raise

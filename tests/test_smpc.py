@@ -600,8 +600,29 @@ def _pretend_cores(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+def _every_worker_takes_a_block(kernel, workers):
+    """The kernel, with each thread's first block held until ``workers`` threads hold one.
+
+    Which worker takes which block is a matter of timing; this makes every
+    worker take a block however busy the host is. A missing worker breaks
+    the barrier, and the sampler's caller sees ``BrokenBarrierError``.
+    """
+    meeting = threading.Barrier(workers)
+    seen = threading.local()
+
+    def wrapped(*args):
+        if not getattr(seen, "met", False):
+            seen.met = True
+            meeting.wait(timeout=10.0)
+        return kernel(*args)
+
+    return wrapped
+
+
 def test_parallel_counts_do_not_depend_on_the_worker_count(corridor_mixture, monkeypatch):
     _, model, solution = corridor_mixture
+    # room for three workers' block arrays, whatever the model's block takes
+    monkeypatch.setattr(smpc, "_MC_MEMORY", 2**40)
     kernel = smpc._block_failures
     rates = {}
     for workers in (1, 2, 3):
@@ -612,13 +633,36 @@ def test_parallel_counts_do_not_depend_on_the_worker_count(corridor_mixture, mon
             threads.add(threading.get_ident())
             return kernel(*args)
 
-        monkeypatch.setattr(smpc, "_block_failures", recording)
+        wrapped = _every_worker_takes_a_block(recording, workers)
+        monkeypatch.setattr(smpc, "_block_failures", wrapped)
         before = threading.active_count()
         rates[workers] = estimate_mixture_risk_mc(model, solution, 250_001, seed=5).rate
-        # the pool is opened and closed inside the call, and its threads take blocks
+        # the pool is opened and closed inside the call, and each of its threads took blocks
         assert threading.active_count() == before
-        assert (len(threads) > 1) == (workers > 1), threads
+        assert len(threads) == workers, threads
     assert rates[1] == rates[2] == rates[3], rates
+
+
+def test_many_cores_do_not_raise_the_sampler_memory(corridor_plans, monkeypatch):
+    _, model, plans = corridor_plans
+    _pretend_cores(monkeypatch, 64)
+    kernel = smpc._block_failures
+    threads = set()
+
+    def recording(*args):
+        threads.add(threading.get_ident())
+        return kernel(*args)
+
+    monkeypatch.setattr(smpc, "_block_failures", recording)
+    tracemalloc.start()
+    try:
+        estimate_risk_mc(model, plans[0], 1_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the workers' block arrays together stay within _MC_MEMORY
+    assert len(threads) <= smpc._MC_MEMORY // smpc._block_bytes(model)
+    assert peak < 8 * 2**20, peak
 
 
 class _BlockFailed(RuntimeError):
@@ -637,7 +681,7 @@ def test_an_error_in_one_block_reaches_the_caller(corridor_plans, monkeypatch, i
             raise _BlockFailed(args[4])
         return kernel(*args)
 
-    monkeypatch.setattr(smpc, "_block_failures", failing)
+    monkeypatch.setattr(smpc, "_block_failures", _every_worker_takes_a_block(failing, 2))
     before = threading.active_count()
     with pytest.raises(_BlockFailed):
         estimate_risk_mc(model, plans[0], 300_000, seed=1)
@@ -698,7 +742,8 @@ def test_corridor_monte_carlo_memory_stays_small(corridor_plans):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a 2**15-rollout block of states takes 0.5 MiB, and each worker holds one
+    # a 2**15-rollout block of states takes 0.5 MiB; each worker holds one
+    # block's arrays, and _MC_MEMORY caps the workers' arrays together
     assert peak < 8 * 2**20, peak
 
 
