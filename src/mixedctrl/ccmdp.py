@@ -39,10 +39,10 @@ from .core import (
     LagrangianOracle,
     MixedControlError,
     MixedSolution,
+    MonteCarloCheck,
     PureCandidate,
     check_multiplier,
     read_component,
-    wilson_ci_99,
 )
 
 _MASS_TOL = 1e-12
@@ -95,13 +95,10 @@ class ShiftSpread:
             raise InvalidInputError(f"spread row {bad} sums to {sums[bad]}")
         if (self.spread.data < 0).any():
             raise InvalidInputError("negative probability in the spread matrix")
-        for a in range(self.num_actions):
-            bad = admissible[:, a] & (self.targets[a] < 0)
-            if np.any(bad):
-                raise InvalidInputError(
-                    f"action {a} marked admissible but has no target at state "
-                    f"{int(np.flatnonzero(bad)[0])}"
-                )
+        bad = np.argwhere(admissible.T & (self.targets < 0))  # lowest action first
+        if bad.size:
+            a, x = bad[0]
+            raise InvalidInputError(f"action {a} marked admissible but has no target at state {x}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,12 +106,6 @@ class Policy:
     """Per-step action index for every state; -1 where undefined."""
 
     actions: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    expected_cost: float
-    failure_prob: float
 
 
 @dataclass(eq=False)
@@ -195,8 +186,8 @@ def lagrangian_dp(mdp: Mdp, lam: float) -> tuple[Policy, float]:
     return Policy(tuple(actions)), value
 
 
-def evaluate_policy(mdp: Mdp, policy: Policy) -> EvalResult:
-    """Exact expected cost and first-passage failure probability.
+def evaluate_policy(mdp: Mdp, policy: Policy) -> CostVector:
+    """Exact expected cost (c0) and first-passage failure probability (c1).
 
     Mass entering a failure state is moved to an absorbed ledger and the
     trajectory accrues no further cost, matching the backward sweep's
@@ -233,7 +224,7 @@ def evaluate_policy(mdp: Mdp, policy: Policy) -> EvalResult:
                 f"probability mass not conserved at step {k}: "
                 f"{dist.sum() + fail_mass}"
             )
-    return EvalResult(total_cost, min(max(fail_mass, 0.0), 1.0))
+    return CostVector(total_cost, min(max(fail_mass, 0.0), 1.0))
 
 
 class MdpOracle(LagrangianOracle):
@@ -248,8 +239,7 @@ class MdpOracle(LagrangianOracle):
         return PureCandidate(policy, self.evaluate(policy))
 
     def evaluate(self, policy: object) -> CostVector:
-        ev = evaluate_policy(self.mdp, policy)
-        return CostVector(ev.expected_cost, ev.failure_prob)
+        return evaluate_policy(self.mdp, policy)
 
     def save(self, policy: Policy, stem: str, out_dir: Path) -> str:
         """Write ``policy_<stem>.csv`` into ``out_dir`` and return its name."""
@@ -280,18 +270,10 @@ class MdpOracle(LagrangianOracle):
         return Policy(tuple(actions))
 
 
-@dataclass(frozen=True)
-class SimulationSummary:
-    cost_mean: float
-    failure_rate: float
-    failure_ci99: tuple[float, float]
-    n_rollouts: int
-
-
 def simulate(
     mdp: Mdp, solution: MixedSolution, seed: int, n_rollouts: int
-) -> SimulationSummary:
-    """Monte Carlo check of a mixed solution.
+) -> MonteCarloCheck:
+    """Monte Carlo check of a mixed solution: failures and mean cost of the rollouts.
 
     Each rollout draws its component policy once up front (that is the
     whole randomization), then follows the policy through sampled
@@ -302,9 +284,9 @@ def simulate(
     count over that state's transition row. For the failure count and the
     total cost, the only outputs, this is exactly the law of
     ``n_rollouts`` independent rollouts (see the module docstring), and
-    the work does not grow with ``n_rollouts``. The 99%
-    Wilson interval on the failure rate should cover the exact aggregate
-    risk of the solution.
+    the work does not grow with ``n_rollouts``. The check's 99% Wilson
+    interval on the failure rate should cover the exact aggregate risk
+    of the solution.
     """
     if n_rollouts < 1:
         raise InvalidInputError("need at least one rollout")
@@ -319,13 +301,7 @@ def simulate(
             f, c = _rollout_counts(mdp, cand.policy, rng, int(m))
             failures += f
             cost += c
-    lo, hi = wilson_ci_99(failures, n_rollouts)
-    return SimulationSummary(
-        cost_mean=cost / n_rollouts,
-        failure_rate=failures / n_rollouts,
-        failure_ci99=(lo, hi),
-        n_rollouts=n_rollouts,
-    )
+    return MonteCarloCheck(n_rollouts, failures, cost / n_rollouts)
 
 
 def _rollout_counts(mdp: Mdp, policy: Policy, rng: np.random.Generator, m: int):

@@ -35,13 +35,14 @@ from .core import (
     LagrangianOracle,
     MixedControlError,
     MixedSolution,
+    MonteCarloCheck,
     PureCandidate,
     binomial_acceptance,
     lagrangian_value,
     mix_costs,
-    wilson_ci_99,
 )
 from .dual import check_optimality, solve_mixed_scalar
+from .milp import MAX_NODES
 from .scenarios import FiniteSetOracle, edl_oracle, grid_oracle, parse_grid_map
 from .smpc import Obstacle, SmpcModel, SmpcOracle, build_pwl_cdf, estimate_mixture_risk_mc
 
@@ -80,6 +81,16 @@ def _check_type(label: str, value: object, types) -> None:
     if isinstance(value, bool) or not isinstance(value, types):
         what = "an integer" if types is int else "a number"
         raise InvalidInputError(f"{label} must be {what}, got {value!r}")
+
+
+def _check_rollouts(label: str, seed: object, n: object) -> None:
+    """Reject a Monte Carlo ``seed`` or rollout count ``n`` that ``label`` gave."""
+    _check_type(f"{label}.seed", seed, int)
+    _check_type(f"{label}.n", n, int)
+    if seed < 0 or n < 1:
+        raise InvalidInputError(f"{label} needs seed >= 0 and n >= 1")
+    if n > _MAX_ROLLOUTS:
+        raise InvalidInputError(f"{label}.n must be at most 2**63 - 1, got {n}")
 
 
 def _first_leaf(value, is_bad) -> tuple[str, object] | None:
@@ -168,10 +179,7 @@ def load_config(path: Path) -> dict:
     for label, value, types in checks:
         _check_type(label, value, types)
     mc = config.get("monte_carlo", {})
-    if mc.get("seed", 0) < 0 or mc.get("n", 1) < 1:
-        raise InvalidInputError("monte_carlo needs seed >= 0 and n >= 1")
-    if mc.get("n", 1) > _MAX_ROLLOUTS:
-        raise InvalidInputError(f"monte_carlo.n must be at most 2**63 - 1, got {mc['n']}")
+    _check_rollouts("monte_carlo", mc.get("seed", 0), mc.get("n", 1))
     bound = config["risk_bound"]
     if not 0.0 <= bound <= 1.0:
         raise InvalidInputError(f"risk_bound must be a number in [0, 1], got {bound!r}")
@@ -260,11 +268,10 @@ def _build_smpc(config: dict, base_dir: Path) -> SmpcOracle:
         u_upper=config["u_upper"],
         obstacles=obstacles,
     )
+    # without pwl_segments the oracle builds `build_pwl_cdf`'s default majorant
+    pwl = build_pwl_cdf(config["pwl_segments"]) if "pwl_segments" in config else None
     return SmpcOracle(
-        model,
-        float(config["risk_bound"]),
-        build_pwl_cdf(config.get("pwl_segments", 24)),
-        max_nodes=config.get("max_nodes", 200_000),
+        model, float(config["risk_bound"]), pwl, max_nodes=config.get("max_nodes", MAX_NODES)
     )
 
 
@@ -312,24 +319,11 @@ class _TracingOracle(LagrangianOracle):
 
 def _run_monte_carlo(
     oracle: LagrangianOracle, solution: MixedSolution, seed: int, n: int
-) -> dict:
+) -> MonteCarloCheck:
     if isinstance(oracle, MdpOracle):
-        summary = simulate(oracle.mdp, solution, seed, n)
-        return {
-            "seed": seed,
-            "n": summary.n_rollouts,
-            "cost_mean": summary.cost_mean,
-            "failure_rate": summary.failure_rate,
-            "ci99": list(summary.failure_ci99),
-        }
+        return simulate(oracle.mdp, solution, seed, n)
     if isinstance(oracle, SmpcOracle):
-        est = estimate_mixture_risk_mc(oracle.model, solution, n, seed)
-        return {
-            "seed": seed,
-            "n": est.n_rollouts,
-            "failure_rate": est.rate,
-            "ci99": list(est.ci99),
-        }
+        return estimate_mixture_risk_mc(oracle.model, solution, n, seed)
     # Finite-set backend: draw a component per rollout, then a Bernoulli
     # failure at that component's exact risk.
     rng = np.random.default_rng(seed)
@@ -338,14 +332,7 @@ def _run_monte_carlo(
     costs = np.array([cand.cost.c0 for cand, _ in solution.components])
     risks = np.array([cand.cost.c1 for cand, _ in solution.components])
     failures = int((rng.random(n) < risks[comp]).sum())
-    lo, hi = wilson_ci_99(failures, n)
-    return {
-        "seed": seed,
-        "n": n,
-        "cost_mean": float(costs[comp].mean()),
-        "failure_rate": failures / n,
-        "ci99": [lo, hi],
-    }
+    return MonteCarloCheck(n, failures, float(costs[comp].mean()))
 
 
 def _write_trace(path: Path, rows: Sequence[tuple[int, float, float, float, float]]) -> None:
@@ -369,7 +356,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     # lambda* is usually the multiplier of the search's last query
     reference = tracer.last[1] if tracer.last[0] == solution.dual else None
     optimality = check_optimality(solution, oracle, 1e-6, reference)
-    monte_carlo = _run_monte_carlo(oracle, solution, seed, n_rollouts)
+    monte_carlo = _run_monte_carlo(oracle, solution, seed, n_rollouts).report(seed)
     wall = time.perf_counter() - started
 
     # Output gate: randomizing can only help, so a mixture costlier than
@@ -460,14 +447,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         saved_rate = float(report["monte_carlo"]["failure_rate"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"report has a missing or malformed field: {exc!r}") from exc
-    _check_type("report's monte_carlo.seed", saved_seed, int)
-    _check_type("report's monte_carlo.n", n_rollouts, int)
-    if saved_seed < 0 or n_rollouts < 1:
-        raise InvalidInputError("report's monte_carlo needs seed >= 0 and n >= 1")
-    if n_rollouts > _MAX_ROLLOUTS:
-        raise InvalidInputError(
-            f"report's monte_carlo.n must be at most 2**63 - 1, got {n_rollouts}"
-        )
+    _check_rollouts("report's monte_carlo", saved_seed, n_rollouts)
 
     components = []
     for ref, weight in saved_components:
@@ -495,12 +475,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     seed = saved_seed if args.seed is None else args.seed
     monte_carlo = _run_monte_carlo(oracle, solution, seed, n_rollouts)
-    if seed == saved_seed and abs(monte_carlo["failure_rate"] - saved_rate) > 1e-12:
+    if seed == saved_seed and abs(monte_carlo.failure_rate - saved_rate) > 1e-12:
         failures.append(
-            f"replayed failure rate {monte_carlo['failure_rate']!r} differs "
+            f"replayed failure rate {monte_carlo.failure_rate!r} differs "
             f"from saved {saved_rate!r}"
         )
-    count = round(monte_carlo["failure_rate"] * n_rollouts)
+    count = monte_carlo.failures
     lo, hi = binomial_acceptance(aggregate.c1, n_rollouts, VALIDATE_FALSE_ALARM)
     # Against a risk that is only an upper bound, only too many failures count.
     if count > hi or (count < lo and not oracle.risk_is_upper_bound):

@@ -197,6 +197,38 @@ def wilson_ci_99(successes: int, n: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+@dataclass(frozen=True)
+class MonteCarloCheck:
+    """Failures in ``n_rollouts`` sampled rollouts of a policy or mixture.
+
+    ``cost_mean`` is the mean sampled cost where the backend samples one.
+    """
+
+    n_rollouts: int
+    failures: int
+    cost_mean: float | None = None
+
+    @property
+    def failure_rate(self) -> float:
+        return self.failures / self.n_rollouts
+
+    @property
+    def ci99(self) -> tuple[float, float]:
+        return wilson_ci_99(self.failures, self.n_rollouts)
+
+    def report(self, seed: int) -> dict:
+        """The report's ``monte_carlo`` block for a check drawn from ``seed``."""
+        block = {
+            "seed": seed,
+            "n": self.n_rollouts,
+            "failure_rate": self.failure_rate,
+            "ci99": list(self.ci99),
+        }
+        if self.cost_mean is not None:
+            block["cost_mean"] = self.cost_mean
+        return block
+
+
 def binomial_acceptance(rate: float, n: int, false_alarm: float) -> tuple[int, int]:
     """Failure counts (lo, hi) that n draws at ``rate`` leave with
     probability at most ``false_alarm``, at most half of it on each side.

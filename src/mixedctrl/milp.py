@@ -1,9 +1,18 @@
-"""Mixed-binary linear programs on HiGHS's branch and cut.
+"""Linear and mixed-binary linear programs on HiGHS (Huangfu & Hall 2018).
 
-`solve_milp` hands a `MilpProblem` to ``scipy.optimize.milp`` with the
-tolerances of `lpsolve.HIGHS_TOLERANCES`. The search stops once the
-incumbent is within ``abs_gap`` of the best bound (no relative gap) or
-after ``max_nodes`` nodes.
+Every program here minimizes; a caller after a maximum negates the
+objective. `solve_lp` hands an `LpProblem` to ``scipy.optimize.linprog``
+with ``method="highs-ds"``, the dual revised simplex of the copy of HiGHS
+(https://highs.dev) that ships with scipy, and gets back a basic solution
+and its simplex iteration count, which ``scipy.optimize.milp`` would not
+report. `solve_milp` hands a `MilpProblem` to ``scipy.optimize.milp``,
+HiGHS's branch and cut. The search stops once the incumbent is within
+`MILP_GAP` of the best bound (no relative gap) or after ``max_nodes``
+nodes. Both return a `Solution`.
+
+`HIGHS_TOLERANCES` tightens HiGHS's default feasibility tolerance of
+1e-7, at which a risk term of the SMPC inner program can undercut its
+chord rows enough to make the risk rise with the multiplier.
 
 HiGHS's feasibility-jump primal heuristic (Luteberget & Sartor 2023,
 "Feasibility Jump: an LP-free Lagrangian MIP heuristic") is switched
@@ -25,8 +34,64 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InvalidInputError, MixedControlError
-# `solve_lp` is re-exported: tracing wraps `mixedctrl.milp.solve_lp` by name
-from .lpsolve import GE, HIGHS_TOLERANCES, LE, SCIPY_STATUS, LpProblem, solve_lp  # noqa: F401
+
+HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# absolute optimality gap at which HiGHS stops a mixed-binary program
+MILP_GAP = 1e-9
+# branch-and-cut nodes a mixed-binary program may use unless its caller says otherwise
+MAX_NODES = 200_000
+# scipy folds HiGHS's model statuses into five codes: 0 optimal, 1 time or
+# iteration limit, 2 infeasible, 3 unbounded, 4 anything else (a numerical
+# failure, "infeasible or unbounded", and for a MILP the node limit)
+SCIPY_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+LE, EQ, GE = "<=", "=", ">="
+
+
+@dataclass(eq=False)
+class LpProblem:
+    """min objective . x subject to lhs x (senses) rhs, lower <= x <= upper."""
+
+    objective: np.ndarray
+    lhs: np.ndarray
+    senses: tuple[str, ...]
+    rhs: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self):
+        self.objective = np.asarray(self.objective, dtype=float)
+        self.lhs = np.atleast_2d(np.asarray(self.lhs, dtype=float))
+        self.rhs = np.asarray(self.rhs, dtype=float)
+        self.lower = np.asarray(self.lower, dtype=float)
+        self.upper = np.asarray(self.upper, dtype=float)
+        self.senses = tuple(self.senses)
+        n = self.objective.shape[0]
+        m = self.lhs.shape[0] if self.lhs.size else len(self.senses)
+        if self.lhs.size == 0:
+            self.lhs = np.zeros((m, n))
+        if self.lhs.shape != (m, n) or self.rhs.shape != (m,) or len(self.senses) != m:
+            raise InvalidInputError("inconsistent LP dimensions")
+        if self.lower.shape != (n,) or self.upper.shape != (n,):
+            raise InvalidInputError("bound arrays must have one entry per variable")
+        if any(s not in (LE, EQ, GE) for s in self.senses):
+            raise InvalidInputError(f"unknown row sense in {self.senses}")
+        if not np.all(np.isfinite(self.objective)) or not np.all(np.isfinite(self.lhs)):
+            raise InvalidInputError("objective and constraint coefficients must be finite")
+        if not np.all(np.isfinite(self.rhs)):
+            raise InvalidInputError("right-hand sides must be finite")
+        if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
+            raise InvalidInputError("bounds may be infinite but not NaN")
+        if np.any(self.lower > self.upper):
+            raise InvalidInputError("lower bound exceeds upper bound")
+
+    @property
+    def num_vars(self) -> int:
+        return self.objective.shape[0]
+
+    @property
+    def num_rows(self) -> int:
+        return self.lhs.shape[0]
 
 
 @dataclass(eq=False)
@@ -44,33 +109,53 @@ class MilpProblem:
 
 
 @dataclass
-class MilpSolution:
-    status: str  # optimal | infeasible | unbounded | suboptimal
+class Solution:
+    status: str  # optimal | infeasible | unbounded, or suboptimal for a MILP
     x: np.ndarray | None = None
     objective: float | None = None
-    node_count: int = 0  # HiGHS's mip_node_count
+    pivots: int = 0  # HiGHS simplex iterations of an LP
+    node_count: int = 0  # HiGHS's mip_node_count of a MILP
 
 
-def solve_milp(
-    problem: MilpProblem,
-    abs_gap: float = 1e-6,
-    max_nodes: int = 100_000,
-) -> MilpSolution:
-    """Minimize (or maximize) with the binaries in {0, 1}.
+def solve_lp(problem: LpProblem) -> Solution:
+    """Solve an LP; any outcome but the three statuses raises MixedControlError."""
+    from scipy.optimize import linprog  # imported here: MDP runs never solve an LP
+    senses = np.array(problem.senses)
+    flip = np.where(senses == GE, -1.0, 1.0)
+    ub = senses != EQ
+    res = linprog(
+        problem.objective,
+        A_ub=(problem.lhs * flip[:, None])[ub],
+        b_ub=(problem.rhs * flip)[ub],
+        A_eq=problem.lhs[~ub],
+        b_eq=problem.rhs[~ub],
+        bounds=np.column_stack([problem.lower, problem.upper]),
+        method="highs-ds",
+        options=HIGHS_TOLERANCES,
+    )
+    status = SCIPY_STATUS.get(res.status)
+    if status is None:
+        raise MixedControlError(f"HiGHS stopped without an answer: {res.message}")
+    if status != "optimal":
+        return Solution(status, pivots=res.nit)
+    return Solution(status, x=res.x, objective=res.fun, pivots=res.nit)
+
+
+def solve_milp(problem: MilpProblem, max_nodes: int = MAX_NODES) -> Solution:
+    """Minimize with the binaries in {0, 1}.
 
     A node or time limit reports ``suboptimal``, with the incumbent if
     there is one; any outcome but the four statuses raises
     MixedControlError.
     """
-    from scipy.optimize import Bounds, LinearConstraint, milp  # lazy, as in `lpsolve.solve_lp`
+    from scipy.optimize import Bounds, LinearConstraint, milp  # lazy, as in `solve_lp`
     lp = problem.lp
-    sign = 1.0 if lp.sense == "min" else -1.0
     bins = list(problem.binary)
     lower, upper = lp.lower.copy(), lp.upper.copy()
     lower[bins] = np.maximum(lower[bins], 0.0)
     upper[bins] = np.minimum(upper[bins], 1.0)
     if np.any(lower > upper):
-        return MilpSolution("infeasible")
+        return Solution("infeasible")
     integrality = np.zeros(lp.num_vars)
     integrality[bins] = 1
     senses = np.array(lp.senses)
@@ -81,7 +166,7 @@ def solve_milp(
         **HIGHS_TOLERANCES,
         "mip_feasibility_tolerance": HIGHS_TOLERANCES["primal_feasibility_tolerance"],
         "mip_rel_gap": 0.0,
-        "mip_abs_gap": abs_gap,
+        "mip_abs_gap": MILP_GAP,
         "node_limit": max_nodes,
         "mip_heuristic_run_feasibility_jump": False,
     }
@@ -89,7 +174,7 @@ def solve_milp(
         # scipy passes the HiGHS option names it does not know through, with a warning
         warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
         res = milp(
-            sign * lp.objective,
+            lp.objective,
             integrality=integrality,
             bounds=Bounds(lower, upper),
             constraints=rows,
@@ -103,5 +188,5 @@ def solve_milp(
     if status is None:
         raise MixedControlError(f"HiGHS stopped without an answer: {res.message}")
     if res.x is None:
-        return MilpSolution(status, node_count=nodes)
-    return MilpSolution(status, x=res.x, objective=sign * res.fun, node_count=nodes)
+        return Solution(status, node_count=nodes)
+    return Solution(status, x=res.x, objective=res.fun, node_count=nodes)

@@ -43,24 +43,21 @@ from .core import (
     LagrangianOracle,
     MixedControlError,
     MixedSolution,
+    MonteCarloCheck,
     PureCandidate,
     SolverLimitError,
     check_multiplier,
     read_component,
-    wilson_ci_99,
 )
-from .lpsolve import EQ, GE, LE, LpProblem, solve_lp
-from .milp import MilpProblem, solve_milp
+from .milp import EQ, GE, LE, MAX_NODES, LpProblem, MilpProblem, solve_lp, solve_milp
 
 # below this the face distance in standard deviations is treated as exact
 _SIGMA_FLOOR = 1e-12
 # objective weight on risk terms when the multiplier is zero. It only
-# keeps the risk terms in the objective: with MILP_GAP at 1e-9, a risk
-# difference below 1 between plans of equal effort is worth less than the
-# gap, so which of them HiGHS returns at zero is decided by its search.
+# keeps the risk terms in the objective: with `milp.MILP_GAP` at 1e-9, a
+# risk difference below 1 between plans of equal effort is worth less than
+# the gap, so which of them HiGHS returns at zero is decided by its search.
 _RISK_WEIGHT_FLOOR = 1e-9
-# absolute optimality gap at which HiGHS stops each inner program
-MILP_GAP = 1e-9
 # Monte Carlo rollouts per block. Block i of a plan draws from child i of
 # the plan's seed, so the block size decides which normal draw goes to
 # which rollout, and changing it changes every estimate. Blocks are the
@@ -469,7 +466,7 @@ class SmpcOracle(LagrangianOracle):
         model: SmpcModel,
         risk_bound: float,
         pwl: PwlCdf | None = None,
-        max_nodes: int = 200_000,
+        max_nodes: int = MAX_NODES,
     ):
         self.model = model
         self.risk_bound = risk_bound
@@ -487,7 +484,7 @@ class SmpcOracle(LagrangianOracle):
         objective[cols.delta] = max(lam, _RISK_WEIGHT_FLOOR)
         # replace() runs the LpProblem and MilpProblem checks again
         problem = replace(base, lp=replace(base.lp, objective=objective))
-        sol = solve_milp(problem, abs_gap=MILP_GAP, max_nodes=self.max_nodes)
+        sol = solve_milp(problem, max_nodes=self.max_nodes)
         if sol.status == "suboptimal":
             raise SolverLimitError(
                 f"inner problem at multiplier {lam:g} used its node budget "
@@ -573,13 +570,6 @@ def diagnose_infeasible(model: SmpcModel) -> str:
             f"best L1 miss {sol.objective:.6g}"
         )
     return "goal reachable but obstacle constraints cannot all be met"
-
-
-@dataclass(frozen=True)
-class RiskEstimate:
-    rate: float
-    ci99: tuple[float, float]
-    n_rollouts: int
 
 
 def _noise_sqrt(sigma: np.ndarray) -> np.ndarray:
@@ -685,18 +675,13 @@ def _count_failures(model: SmpcModel, jobs: list[tuple[np.ndarray, int, int]]) -
             stop.set()  # lets the pool close at once if the caller was interrupted
 
 
-def _estimate(failures: int, n_rollouts: int) -> RiskEstimate:
-    lo, hi = wilson_ci_99(failures, n_rollouts)
-    return RiskEstimate(failures / n_rollouts, (lo, hi), n_rollouts)
-
-
 def estimate_risk_mc(
     model: SmpcModel, controls: np.ndarray, n_rollouts: int, seed: int
-) -> RiskEstimate:
-    """Empirical collision probability of one control sequence."""
+) -> MonteCarloCheck:
+    """Collisions in ``n_rollouts`` sampled rollouts of one control sequence."""
     if n_rollouts < 1:
         raise InvalidInputError("need at least one rollout")
-    return _estimate(_count_failures(model, [(controls, n_rollouts, seed)]), n_rollouts)
+    return MonteCarloCheck(n_rollouts, _count_failures(model, [(controls, n_rollouts, seed)]))
 
 
 def estimate_mixture_risk_mc(
@@ -704,8 +689,8 @@ def estimate_mixture_risk_mc(
     solution: MixedSolution,
     n_rollouts: int,
     seed: int,
-) -> RiskEstimate:
-    """Empirical collision probability of a mixed strategy over plans.
+) -> MonteCarloCheck:
+    """Collisions in ``n_rollouts`` sampled rollouts of a mixed strategy over plans.
 
     One multinomial draw from ``seed`` splits the rollouts among the
     components, and each component with rollouts then takes its own seed
@@ -720,4 +705,4 @@ def estimate_mixture_risk_mc(
         for (cand, _), cnt in zip(solution.components, counts)
         if cnt > 0
     ]
-    return _estimate(_count_failures(model, jobs), n_rollouts)
+    return MonteCarloCheck(n_rollouts, _count_failures(model, jobs))

@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from mixedctrl.lpsolve import LpProblem
+from mixedctrl.milp import LpProblem
 
 
 def _vertex_candidates(problem: LpProblem):
@@ -67,15 +67,14 @@ def brute_lp_solve(problem: LpProblem, tol: float = 1e-7):
 
     best_obj = None
     best_x = None
-    sign = 1.0 if problem.sense == "min" else -1.0
     for xk in x[ok]:
-        obj = sign * float(problem.objective @ xk)
+        obj = float(problem.objective @ xk)
         if best_obj is None or obj < best_obj - 1e-12:
             best_obj = obj
             best_x = xk
     if best_obj is None:
         return "infeasible", None, None
-    return "optimal", sign * best_obj, best_x
+    return "optimal", best_obj, best_x
 
 
 def brute_milp_solve(lp: LpProblem, binary: tuple[int, ...], tol: float = 1e-7):
@@ -86,7 +85,6 @@ def brute_milp_solve(lp: LpProblem, binary: tuple[int, ...], tol: float = 1e-7):
     """
     best_obj = None
     best_x = None
-    sign = 1.0 if lp.sense == "min" else -1.0
     bins = list(binary)
     cont = [j for j in range(lp.num_vars) if j not in set(bins)]
     for assignment in product((0.0, 1.0), repeat=len(bins)):
@@ -103,7 +101,6 @@ def brute_milp_solve(lp: LpProblem, binary: tuple[int, ...], tol: float = 1e-7):
                 rhs=lp.rhs - fixed_part,
                 lower=lp.lower[cont],
                 upper=lp.upper[cont],
-                sense=lp.sense,
             )
             status, obj, xc = brute_lp_solve(sub, tol=tol)
             if status != "optimal":
@@ -128,7 +125,7 @@ def brute_milp_solve(lp: LpProblem, binary: tuple[int, ...], tol: float = 1e-7):
             obj = obj_const
             x = np.zeros(lp.num_vars)
             x[bins] = vals
-        if best_obj is None or sign * obj < sign * best_obj - 1e-12:
+        if best_obj is None or obj < best_obj - 1e-12:
             best_obj = obj
             best_x = x
     if best_obj is None:
@@ -143,7 +140,8 @@ def random_box_lp(rng: np.random.Generator, nvar: int = 4, nrow: int = 5) -> LpP
     slack = rng.uniform(0.3, 2.0, size=nrow)
     rhs = lhs @ x0 + slack
     objective = rng.integers(-5, 6, size=nvar).astype(float)
-    sense = "min" if rng.random() < 0.5 else "max"
+    if rng.random() >= 0.5:
+        objective = -objective  # the maximization of the objective as drawn
     return LpProblem(
         objective=objective,
         lhs=lhs,
@@ -151,7 +149,6 @@ def random_box_lp(rng: np.random.Generator, nvar: int = 4, nrow: int = 5) -> LpP
         rhs=rhs,
         lower=np.zeros(nvar),
         upper=np.full(nvar, 3.0),
-        sense=sense,
     )
 
 
@@ -322,7 +319,7 @@ def brute_policy_costs(mdp):
     out = []
     for pol in enumerate_policies(mdp):
         ev = evaluate_policy(mdp, pol)
-        out.append((pol, ev.expected_cost, ev.failure_prob))
+        out.append((pol, ev.c0, ev.c1))
     return out
 
 

@@ -38,8 +38,7 @@ from mixedctrl.cli import build_setup, load_config
 from mixedctrl.cli import main as cli_main
 from mixedctrl.core import CostVector, PureCandidate
 from mixedctrl.dual import check_optimality, recover_mixture_scalar, solve_mixed_scalar
-from mixedctrl.lpsolve import solve_lp
-from mixedctrl.milp import MilpProblem, solve_milp
+from mixedctrl.milp import MilpProblem, solve_lp, solve_milp
 from mixedctrl.scenarios import FiniteSetOracle, parse_grid_map
 from mixedctrl.smpc import build_pwl_cdf, estimate_mixture_risk_mc
 
@@ -228,7 +227,7 @@ def test_criterion_6_smpc_conservatism_and_two_modes(corridor_run):
 
     est = estimate_mixture_risk_mc(setup.model, solution, 1_000_000, seed=42)
     bound = solution.aggregate.c1
-    assert est.rate <= bound, (est, bound)
+    assert est.failure_rate <= bound, (est, bound)
     assert est.ci99[0] <= bound
 
     for pwl in (setup.pwl, build_pwl_cdf()):
@@ -241,7 +240,7 @@ def test_criterion_6_smpc_conservatism_and_two_modes(corridor_run):
     _verdict(
         6,
         ok,
-        f"rate {est.rate:.2e} <= bound {bound:.2e}, modes "
+        f"rate {est.failure_rate:.2e} <= bound {bound:.2e}, modes "
         f"({short_risky.cost.c0:.2f}, {short_risky.cost.c1:.1e}) / "
         f"({long_safe.cost.c0:.2f}, {long_safe.cost.c1:.1e}), {elapsed:.0f}s",
     )
@@ -289,7 +288,7 @@ def test_criterion_8_desk_grid_scenario():
         assert risks[0] <= risk_bound <= risks[1]
 
     summary = simulate(oracle.mdp, solution, seed=11, n_rollouts=100_000)
-    lo, hi = summary.failure_ci99
+    lo, hi = summary.ci99
     ok = lo <= solution.aggregate.c1 <= hi
     _verdict(
         8,

@@ -67,11 +67,11 @@ def test_chain_evaluate_frozen_values():
     risky = Policy((np.array([0]),))
     safe = Policy((np.array([1]),))
     ev = evaluate_policy(mdp, risky)
-    assert ev.expected_cost == pytest.approx(1.0, abs=1e-12)
-    assert ev.failure_prob == pytest.approx(0.5, abs=1e-12)
+    assert ev.c0 == pytest.approx(1.0, abs=1e-12)
+    assert ev.c1 == pytest.approx(0.5, abs=1e-12)
     ev = evaluate_policy(mdp, safe)
-    assert ev.expected_cost == pytest.approx(3.0, abs=1e-12)
-    assert ev.failure_prob == 0.0
+    assert ev.c0 == pytest.approx(3.0, abs=1e-12)
+    assert ev.c1 == 0.0
 
 
 def test_first_passage_stops_cost_accrual():
@@ -90,8 +90,8 @@ def test_first_passage_stops_cost_accrual():
     pol = Policy((np.array([0]), np.array([0, -1])))
     ev = evaluate_policy(mdp, pol)
     # the 0.4 absorbed at the middle step pays no second-stage cost
-    assert ev.expected_cost == pytest.approx(2.0 + 0.6 * 1.0, abs=1e-12)
-    assert ev.failure_prob == pytest.approx(0.4 + 0.6 * 0.3, abs=1e-12)
+    assert ev.c0 == pytest.approx(2.0 + 0.6 * 1.0, abs=1e-12)
+    assert ev.c1 == pytest.approx(0.4 + 0.6 * 0.3, abs=1e-12)
     _, val = lagrangian_dp(mdp, 100.0)
     assert val == pytest.approx(2.6 + 100.0 * 0.58, abs=1e-9)
 
@@ -104,7 +104,7 @@ def test_dp_value_matches_forward_evaluation():
             pol, val = lagrangian_dp(mdp, float(lam))
             ev = evaluate_policy(mdp, pol)
             assert val == pytest.approx(
-                ev.expected_cost + lam * ev.failure_prob, abs=1e-9
+                ev.c0 + lam * ev.c1, abs=1e-9
             )
 
 
@@ -168,6 +168,24 @@ def test_validation_requires_admissible_action_for_alive_states():
         )
 
 
+def test_check_rows_names_the_first_bad_row_or_pair():
+    uneven = sp.csr_matrix([[1.0, 0.0], [0.4, 0.5]])
+    with pytest.raises(InvalidInputError, match=r"spread row 1 sums to 0\.9"):
+        ShiftSpread(np.array([[0, 1]]), uneven).check_rows(np.ones((2, 1), bool))
+    negative = sp.csr_matrix([[1.5, -0.5]])
+    with pytest.raises(InvalidInputError, match="negative probability"):
+        ShiftSpread(np.array([[0]]), negative).check_rows(np.ones((1, 1), bool))
+    # action 1 has no target at state 0, action 0 none at state 2: the lower action is named
+    targets = np.array([[0, 0, -1], [-1, 0, 0]])
+    with pytest.raises(
+        InvalidInputError, match="action 0 marked admissible but has no target at state 2"
+    ):
+        ShiftSpread(targets, sp.csr_matrix([[1.0]])).check_rows(np.ones((3, 2), bool))
+    # an inadmissible pair needs no target
+    admissible = np.array([[True, False], [True, True], [False, True]])
+    ShiftSpread(targets, sp.csr_matrix([[1.0]])).check_rows(admissible)
+
+
 def test_policy_errors():
     mdp = chain_mdp()
     with pytest.raises(InvalidPolicyError, match="no action"):
@@ -194,7 +212,7 @@ def test_simulate_mixture_covers_exact_risk():
     mdp = chain_mdp()
     _, sol = solve_mixed_scalar(MdpOracle(mdp, 0.1))
     summary = simulate(mdp, sol, seed=7, n_rollouts=4000)
-    lo, hi = summary.failure_ci99
+    lo, hi = summary.ci99
     assert lo <= 0.1 <= hi
     assert summary.cost_mean == pytest.approx(2.6, abs=0.06)
     again = simulate(mdp, sol, seed=7, n_rollouts=4000)
@@ -214,7 +232,7 @@ def test_simulate_deterministic_policy_is_exact():
     summary = simulate(mdp, sol, seed=3, n_rollouts=200)
     assert summary.cost_mean == 3.0
     assert summary.failure_rate == 0.0
-    assert summary.failure_ci99[0] == 0.0
+    assert summary.ci99[0] == 0.0
 
 
 def _single(policy, cost=CostVector(1.0, 0.5)):
@@ -282,7 +300,7 @@ def test_count_sampler_follows_the_rollout_law():
             for k, step in enumerate(labels)
         ))
         ev = evaluate_policy(mdp, policy)
-        assert (ev.failure_prob, ev.expected_cost) == pytest.approx((r, m), abs=1e-12)
+        assert (ev.c1, ev.c0) == pytest.approx((r, m), abs=1e-12)
         components.append((PureCandidate(policy, CostVector(m, r)), weight))
         risk, mean, square = risk + weight * r, mean + weight * m, square + weight * m2
     aggregate = mix_costs([(cand.cost, w) for cand, w in components])
@@ -367,8 +385,8 @@ def test_shift_spread_matches_explicit_matrices():
     assert val == pytest.approx(q.min(axis=1).mean(), abs=1e-12)
     ev = evaluate_policy(mdp, pol)
     rows = np.arange(n)
-    assert ev.expected_cost == pytest.approx(costs[rows, best].mean(), abs=1e-12)
-    assert ev.failure_prob == pytest.approx(kernels[best, rows, 4].mean(), abs=1e-12)
+    assert ev.c0 == pytest.approx(costs[rows, best].mean(), abs=1e-12)
+    assert ev.c1 == pytest.approx(kernels[best, rows, 4].mean(), abs=1e-12)
 
 
 def test_step_without_admissible_pairs_carries_no_mass():
@@ -389,7 +407,7 @@ def test_step_without_admissible_pairs_carries_no_mass():
     pol, val = lagrangian_dp(mdp, 5.0)
     assert val == 7.0
     ev = evaluate_policy(mdp, pol)
-    assert (ev.expected_cost, ev.failure_prob) == (2.0, 1.0)
+    assert (ev.c0, ev.c1) == (2.0, 1.0)
     sol = MixedSolution(
         ((PureCandidate(pol, CostVector(2.0, 1.0)), 1.0),),
         CostVector(2.0, 1.0), 5.0, 0.0,

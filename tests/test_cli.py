@@ -579,3 +579,29 @@ def test_each_backend_rejects_a_multiplier_outside_the_dual_domain(name, lam):
     oracle = build_setup(cli.load_config(CONFIGS / f"{name}.json"), CONFIGS)
     with pytest.raises(InvalidInputError, match="multiplier must be finite and nonnegative"):
         oracle.query(lam)
+
+
+def test_validate_rejects_a_malformed_component_file_naming_it(tmp_path, capsys):
+    line = _write(tmp_path, "line.json", _line_smpc_config())
+    runs = {"policy_0.csv": CONFIGS / "desk_grid.json", "plan_0.csv": line}
+    for name, config in runs.items():
+        assert main(["solve", str(config), "--out", str(tmp_path / name)]) == 0
+    policy = (tmp_path / "policy_0.csv" / "policy_0.csv").read_text(encoding="utf-8")
+    plan = (tmp_path / "plan_0.csv" / "plan_0.csv").read_text(encoding="utf-8").splitlines()
+    assert len(plan) == 4  # the u0 header and one row per step
+    cases = [
+        ("policy_0.csv", policy.split("\n", 1)[1], "is not a policy table"),
+        ("policy_0.csv", policy + "0,1,x\n", "has a bad row '0,1,x'"),
+        ("policy_0.csv", policy + "99,0,0\n", "references step 99, state 0"),
+        ("policy_0.csv", policy + "0,99999,0\n", "references step 0, state 99999"),
+        ("policy_0.csv", policy + "0,0,99999\n", "references action 99999 at step 0"),
+        ("plan_0.csv", "\n".join([plan[0], "x", *plan[2:]]), "is not a control plan table"),
+        ("plan_0.csv", "\n".join(plan[:-1]), "has shape (2, 1), expected (3, 1)"),
+    ]
+    for name, text, message in cases:
+        out = tmp_path / name
+        (out / name).write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", str(runs[name]), "--out", str(out)]) == 2, message
+        err = capsys.readouterr().err
+        assert f"{out / name}" in err and message in err, (message, err)

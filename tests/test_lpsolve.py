@@ -7,10 +7,10 @@ import pytest
 
 from _oracles import brute_lp_solve, random_box_lp
 from mixedctrl.core import InvalidInputError
-from mixedctrl.lpsolve import LpProblem, solve_lp
+from mixedctrl.milp import LpProblem, solve_lp
 
 
-def _lp(obj, lhs, senses, rhs, lower, upper, sense="min"):
+def _lp(obj, lhs, senses, rhs, lower, upper):
     n = len(obj)
     return LpProblem(
         objective=np.array(obj, float),
@@ -19,15 +19,14 @@ def _lp(obj, lhs, senses, rhs, lower, upper, sense="min"):
         rhs=np.array(rhs, float),
         lower=np.array(lower, float),
         upper=np.array(upper, float),
-        sense=sense,
     )
 
 
 def test_max_single_variable():
-    p = _lp([1.0], [[1.0]], ("<=",), [3.0], [0.0], [np.inf], sense="max")
+    p = _lp([-1.0], [[1.0]], ("<=",), [3.0], [0.0], [np.inf])
     sol = solve_lp(p)
     assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(3.0, abs=1e-9)
+    assert sol.objective == pytest.approx(-3.0, abs=1e-9)
     assert sol.x[0] == pytest.approx(3.0, abs=1e-9)
 
 
@@ -54,7 +53,7 @@ def test_infeasible_rows():
 
 
 def test_unbounded():
-    p = _lp([1.0], [[0.0]], ("<=",), [1.0], [0.0], [np.inf], sense="max")
+    p = _lp([-1.0], [[0.0]], ("<=",), [1.0], [0.0], [np.inf])
     assert solve_lp(p).status == "unbounded"
 
 
@@ -80,7 +79,7 @@ def test_free_and_mirrored_variables():
     assert sol.status == "optimal"
     assert sol.x[0] == pytest.approx(-5.0, abs=1e-9)
     # upper bound only
-    p2 = _lp([1.0], [[0.0]], ("<=",), [1.0], [-np.inf], [3.0], sense="max")
+    p2 = _lp([-1.0], [[0.0]], ("<=",), [1.0], [-np.inf], [3.0])
     sol2 = solve_lp(p2)
     assert sol2.status == "optimal"
     assert sol2.x[0] == pytest.approx(3.0, abs=1e-9)
@@ -176,7 +175,6 @@ def _brute_lp_solve_loop(problem: LpProblem, tol: float = 1e-7):
 
     best_obj = None
     best_x = None
-    sign = 1.0 if problem.sense == "min" else -1.0
     for combo in combinations(range(len(cand)), n):
         if any(i not in combo for i in must_active):
             continue
@@ -190,13 +188,13 @@ def _brute_lp_solve_loop(problem: LpProblem, tol: float = 1e-7):
             continue
         if not feasible(x):
             continue
-        obj = sign * float(problem.objective @ x)
+        obj = float(problem.objective @ x)
         if best_obj is None or obj < best_obj - 1e-12:
             best_obj = obj
             best_x = x
     if best_obj is None:
         return "infeasible", None, None
-    return "optimal", sign * best_obj, best_x
+    return "optimal", best_obj, best_x
 
 
 def test_batched_vertex_enumeration_matches_the_loop():

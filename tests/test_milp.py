@@ -10,11 +10,9 @@ import scipy.optimize
 from scipy.optimize import OptimizeResult
 
 from _oracles import brute_milp_solve, random_milp
-from mixedctrl import lpsolve
 from mixedctrl.cli import build_setup
 from mixedctrl.core import MixedControlError
-from mixedctrl.lpsolve import LpProblem
-from mixedctrl.milp import MilpProblem, MilpSolution, solve_milp
+from mixedctrl.milp import LpProblem, MilpProblem, Solution, solve_lp, solve_milp
 from mixedctrl.smpc import build_inner_milp
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -30,13 +28,12 @@ def _corridor_milp(lam: float) -> MilpProblem:
 
 def _knapsack() -> MilpProblem:
     lp = LpProblem(
-        objective=np.array([5.0, 4.0, 3.0]),
+        objective=np.array([-5.0, -4.0, -3.0]),
         lhs=np.array([[2.0, 3.0, 1.0]]),
         senses=("<=",),
         rhs=np.array([5.0]),
         lower=np.zeros(3),
         upper=np.ones(3),
-        sense="max",
     )
     return MilpProblem(lp=lp, binary=(0, 1, 2))
 
@@ -44,7 +41,7 @@ def _knapsack() -> MilpProblem:
 def test_knapsack_three_binaries():
     sol = solve_milp(_knapsack())
     assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(9.0, abs=1e-9)
+    assert sol.objective == pytest.approx(-9.0, abs=1e-9)
     assert np.round(sol.x) == pytest.approx([1.0, 1.0, 0.0])
 
 
@@ -80,8 +77,8 @@ def test_infeasible_root():
 def test_node_budget_flags_suboptimal():
     # HiGHS closes the knapsack at the root; this program needs a few nodes
     problem = _corridor_milp(1828.7)
-    assert solve_milp(problem, abs_gap=1e-9, max_nodes=1).status == "suboptimal"
-    full = solve_milp(problem, abs_gap=1e-9)
+    assert solve_milp(problem, max_nodes=1).status == "suboptimal"
+    full = solve_milp(problem)
     assert full.status == "optimal"
     assert full.node_count > 1
 
@@ -99,7 +96,7 @@ def test_unmapped_highs_outcomes_raise_with_its_message(monkeypatch, status):
     monkeypatch.setattr(scipy.optimize, "linprog", fake)
     monkeypatch.setattr(scipy.optimize, "milp", fake)
     with pytest.raises(MixedControlError, match="Solve error"):
-        lpsolve.solve_lp(_knapsack().lp)
+        solve_lp(_knapsack().lp)
     if status == 4:
         with pytest.raises(MixedControlError, match="Solve error"):
             solve_milp(_knapsack())
@@ -128,7 +125,7 @@ def test_deterministic_resolve():
     lp, binary = random_milp(rng)
     a = solve_milp(MilpProblem(lp=lp, binary=binary))
     b = solve_milp(MilpProblem(lp=lp, binary=binary))
-    assert isinstance(a, MilpSolution)
+    assert isinstance(a, Solution)
     assert a.node_count == b.node_count
     assert a.x.tobytes() == b.x.tobytes()
 

@@ -248,7 +248,7 @@ def test_risk_term_follows_the_cheapest_separating_face():
     )
     pwl = build_pwl_cdf(3)
     problem, cols = build_inner_milp(model, 1.0, pwl)
-    sol = solve_milp(problem, abs_gap=1e-9)
+    sol = solve_milp(problem)
     assert sol.status == "optimal"
     from mixedctrl.smpc import _risk_terms
 
@@ -268,7 +268,7 @@ def test_halfplane_tail_bound_and_monte_carlo():
     assert PHI_MINUS_3 <= plan_cost.c1 <= PHI_MINUS_3 + 2e-3
     est = estimate_risk_mc(model, np.zeros((1, 1)), 200_000, seed=123)
     assert est.ci99[0] <= PHI_MINUS_3 <= est.ci99[1]
-    assert est.rate == pytest.approx(PHI_MINUS_3, abs=4e-4)
+    assert est.failure_rate == pytest.approx(PHI_MINUS_3, abs=4e-4)
 
 
 def test_oracle_sweep_trades_cost_for_risk():
@@ -330,7 +330,7 @@ def hop_model():
 
 def test_branch_and_bound_matches_binary_enumeration():
     problem, _ = build_inner_milp(hop_model(), 50.0, build_pwl_cdf(4))
-    sol = solve_milp(problem, abs_gap=1e-9)
+    sol = solve_milp(problem)
     assert sol.status == "optimal"
     status, best, _ = brute_milp_solve(problem.lp, problem.binary)
     assert status == "optimal"
@@ -564,7 +564,7 @@ def test_sampler_counts_match_the_row_major_reference(corridor_plans, n):
             raw["obstacles"], n, seed,
         )
         got = estimate_risk_mc(smpc_model, controls, n, seed)
-        assert got.rate == want / n, (seed, got.rate * n, want)
+        assert got.failure_rate == want / n, (seed, got.failure_rate * n, want)
 
 
 @pytest.fixture(scope="module")
@@ -593,7 +593,7 @@ def test_mixture_counts_match_the_row_major_reference_over_its_split(corridor_mi
                 int(cnt), int(rng.integers(2**63)),
             )
     got = estimate_mixture_risk_mc(model, solution, n, seed)
-    assert got.rate == want / n, (got.rate * n, want)
+    assert got.failure_rate == want / n, (got.failure_rate * n, want)
 
 
 def _pretend_cores(monkeypatch, count):
@@ -636,7 +636,7 @@ def test_parallel_counts_do_not_depend_on_the_worker_count(corridor_mixture, mon
         wrapped = _every_worker_takes_a_block(recording, workers)
         monkeypatch.setattr(smpc, "_block_failures", wrapped)
         before = threading.active_count()
-        rates[workers] = estimate_mixture_risk_mc(model, solution, 250_001, seed=5).rate
+        rates[workers] = estimate_mixture_risk_mc(model, solution, 250_001, seed=5).failure_rate
         # the pool is opened and closed inside the call, and each of its threads took blocks
         assert threading.active_count() == before
         assert len(threads) == workers, threads
@@ -726,9 +726,10 @@ def test_sampler_counts_follow_the_binomial_law():
     mean = a_mat @ x_init + u
     p = float(ndtr((offset - normal @ mean) / math.sqrt(normal @ sigma @ normal)))
     n, seeds = 2_000, 200
-    counts = np.array(
-        [round(estimate_risk_mc(model, u[None, :], n, seed).rate * n) for seed in range(seeds)]
-    )
+    counts = np.array([
+        round(estimate_risk_mc(model, u[None, :], n, seed).failure_rate * n)
+        for seed in range(seeds)
+    ])
     var = n * p * (1.0 - p)
     assert abs(counts.mean() - n * p) <= 4.0 * math.sqrt(var / seeds), (counts.mean(), n * p)
     assert 0.75 <= counts.var(ddof=1) / var <= 1.3, counts.var(ddof=1) / var
