@@ -9,24 +9,35 @@ failure mass, which keeps policy evaluation exact rather than sampled.
 
 Transitions have one layout: each admissible (state, action) pair points
 at a row of a shared row-stochastic "spread" matrix, so one sparse
-product per step covers every action. Translation-invariant dynamics
-(grid worlds) give the rows to cells and let every action that aims at a
-cell share its noise row; a hand-built table gives each pair its own row.
+product per step covers every action. The pair-to-row map is one
+contiguous (states, actions) array, so the sweep's table of expected
+values is gathered row by row and minimised along contiguous rows.
+Translation-invariant dynamics (grid worlds) give the rows to cells and
+let every action that aims at a cell share its noise row; a hand-built
+table gives each pair its own row.
 
 The Monte Carlo check samples how many rollouts occupy each state, not
 where each rollout is: rollouts that share a state and a policy are
 exchangeable, so one multinomial draw per occupied state moves them all
 with the same law as moving each on its own. The failure count and the
 mean cost, which are all the check reports, are therefore exact samples,
-and the work grows with the occupied states instead of the rollouts.
+and the work grows with the occupied states instead of the rollouts. All
+occupied states of a step go to numpy in one ``multinomial`` call, one
+row of probabilities each. A row is the state's spread row divided by
+its own sum, padded with zeros in front: numpy draws nothing for a zero
+probability and gives the last entry the remainder, so the draws and
+the random stream are those of one call per state.
 
 A saved mixture component is a ``policy_<stem>.csv`` table with one
-``step,state,action`` row per defined action.
+``step,state,action`` row per defined action. It is written with one
+format operation and read back as one int64 array; a file that names a
+(step, state) twice is rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -49,44 +60,71 @@ _MASS_TOL = 1e-12
 
 
 class ShiftSpread:
-    """Per-action target map into the rows of a shared row-stochastic spread.
+    """Per-pair target map into the rows of a shared row-stochastic spread.
 
     The next-state distribution of state ``x`` under action ``a`` is row
-    ``targets[a][x]`` of ``spread`` (-1 marks an inadmissible pair), so a
+    ``targets[x, a]`` of ``spread`` (-1 marks an inadmissible pair), so a
     sweep needs a single sparse product shared by all actions. The rows
     may be pre-noise destination cells, extra rows (a deterministic
-    parking row for an absorbing cell), or one row per pair.
+    parking row for an absorbing cell), or one row per pair. The
+    constructor takes the map as (actions, states) and keeps it as one
+    contiguous (states, actions) array, the layout of the sweep's table.
     """
 
     def __init__(self, targets: np.ndarray, spread):
-        self.targets = np.asarray(targets, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
         self.spread = sp.csr_matrix(spread, dtype=float)
-        if self.targets.ndim != 2:
+        if targets.ndim != 2:
             raise InvalidInputError("targets must be (actions, states)")
-        self.num_states = self.targets.shape[1]
+        self.targets = np.ascontiguousarray(targets.T)
+        self._spread_t = self.spread.T  # a CSC view of the same arrays, built once
+        self.num_states = self.targets.shape[0]
         self.num_next = self.spread.shape[1]
         if self.targets.max() >= self.spread.shape[0]:
             raise InvalidInputError("target index outside the spread matrix")
 
     @property
     def num_actions(self) -> int:
-        return self.targets.shape[0]
+        return self.targets.shape[1]
 
     def expected_next(self, j_next: np.ndarray) -> np.ndarray:
         # the appended zero is what target -1 (an inadmissible pair) reads
-        return np.append(self.spread @ j_next, 0.0)[self.targets].T  # (states, actions)
+        return np.take(np.append(self.spread @ j_next, 0.0), self.targets)  # (states, actions)
 
     def push_forward(self, dist: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        inter = np.zeros(self.spread.shape[0])
         live = np.flatnonzero(dist > 0)
-        t = self.targets[actions[live], live]
-        np.add.at(inter, t, dist[live])
-        return self.spread.T @ inter
+        inter = np.bincount(
+            self.targets[live, actions[live]], weights=dist[live],
+            minlength=self.spread.shape[0],
+        )
+        return self._spread_t @ inter
 
     def row(self, state: int, action: int):
-        t = int(self.targets[action, state])
+        t = int(self.targets[state, action])
         sl = slice(self.spread.indptr[t], self.spread.indptr[t + 1])
         return self.spread.indices[sl], self.spread.data[sl]
+
+    def padded_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Columns and normalised probabilities of spread ``rows``, right-aligned.
+
+        Row i of both (len(rows), width) arrays ends with spread row
+        ``rows[i]``, each probability divided by the row's sum; the entries
+        in front are column 0 with probability 0. Each sum is the one
+        ``p.sum()`` gives for the row alone: rows of one length are summed
+        together along their contiguous axis, which adds in the same order.
+        """
+        start = self.spread.indptr[rows]
+        length = self.spread.indptr[rows + 1] - start
+        width = int(length.max())
+        cols = np.zeros((rows.size, width), dtype=np.int64)
+        probs = np.zeros((rows.size, width))
+        for n in np.unique(length):
+            which = np.flatnonzero(length == n)
+            src = start[which, None] + np.arange(n)
+            p = self.spread.data[src]
+            cols[which, width - n:] = self.spread.indices[src]
+            probs[which, width - n:] = p / p.sum(axis=1, keepdims=True)
+        return cols, probs
 
     def check_rows(self, admissible: np.ndarray):
         sums = np.asarray(self.spread.sum(axis=1)).ravel()
@@ -95,7 +133,7 @@ class ShiftSpread:
             raise InvalidInputError(f"spread row {bad} sums to {sums[bad]}")
         if (self.spread.data < 0).any():
             raise InvalidInputError("negative probability in the spread matrix")
-        bad = np.argwhere(admissible.T & (self.targets < 0))  # lowest action first
+        bad = np.argwhere((admissible & (self.targets < 0)).T)  # lowest action first
         if bad.size:
             a, x = bad[0]
             raise InvalidInputError(f"action {a} marked admissible but has no target at state {x}")
@@ -143,6 +181,7 @@ class Mdp:
             if mask.shape != (self.state_counts[k],):
                 raise InvalidInputError(f"failure mask at step {k} has wrong length")
         self.stage_costs = tuple(np.asarray(c, dtype=float) for c in self.stage_costs)
+        checked: dict[int, list[np.ndarray]] = {}  # admissible patterns per dynamics object
         for k in range(t):
             dyn = self.dynamics[k]
             cost = self.stage_costs[k]
@@ -160,7 +199,10 @@ class Mdp:
                 raise InvalidInputError(
                     f"alive state {x} at step {k} has no admissible action"
                 )
-            dyn.check_rows(admissible)
+            patterns = checked.setdefault(id(dyn), [])
+            if not any(np.array_equal(admissible, seen) for seen in patterns):
+                dyn.check_rows(admissible)
+                patterns.append(admissible)
 
 
 def lagrangian_dp(mdp: Mdp, lam: float) -> tuple[Policy, float]:
@@ -176,7 +218,8 @@ def lagrangian_dp(mdp: Mdp, lam: float) -> tuple[Policy, float]:
     j_next = np.where(mdp.failure_masks[t], lam, 0.0)
     actions: list[np.ndarray] = [None] * t
     for k in reversed(range(t)):
-        q = mdp.stage_costs[k] + mdp.dynamics[k].expected_next(j_next)
+        q = mdp.dynamics[k].expected_next(j_next)
+        q += mdp.stage_costs[k]
         act = np.argmin(q, axis=1)
         val = q[np.arange(q.shape[0]), act]
         fail_k = mdp.failure_masks[k]
@@ -244,30 +287,82 @@ class MdpOracle(LagrangianOracle):
     def save(self, policy: Policy, stem: str, out_dir: Path) -> str:
         """Write ``policy_<stem>.csv`` into ``out_dir`` and return its name."""
         name = f"policy_{stem}.csv"
-        lines = ["step,state,action"]
-        for step, actions in enumerate(policy.actions):
-            for state in np.flatnonzero(actions >= 0):
-                lines.append(f"{step},{int(state)},{int(actions[state])}")
-        (out_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        acts = np.concatenate(policy.actions)
+        sizes = [len(a) for a in policy.actions]
+        table = np.stack([
+            np.repeat(np.arange(len(sizes)), sizes),
+            np.concatenate([np.arange(n) for n in sizes]),
+            acts,
+        ], axis=1)[acts >= 0]
+        body = "%d,%d,%d\n" * len(table) % tuple(table.ravel().tolist())
+        (out_dir / name).write_text("step,state,action\n" + body, encoding="utf-8")
         return name
 
     def load(self, ref: object, out_dir: Path) -> Policy:
-        """Read back the policy table that `save` named ``ref``."""
+        """Read back the policy table that `save` named ``ref``.
+
+        The rows are parsed as one int64 array and checked together; the
+        first row that fails a check is named in the error.
+        """
         path, lines = read_component(ref, out_dir)
-        actions = [np.full(count, -1, dtype=int) for count in self.mdp.state_counts[:-1]]
         if not lines or lines[0] != "step,state,action":
             raise InvalidInputError(f"{path} is not a policy table")
-        for line in lines[1:]:
-            try:
-                step, state, action = (int(v) for v in line.split(","))
-            except ValueError as exc:
-                raise InvalidInputError(f"{path} has a bad row {line!r}") from exc
-            if not 0 <= step < self.mdp.horizon or not 0 <= state < self.mdp.state_counts[step]:
-                raise InvalidInputError(f"{path} references step {step}, state {state}")
-            if not 0 <= action < self.mdp.stage_costs[step].shape[1]:
-                raise InvalidInputError(f"{path} references action {action} at step {step}")
-            actions[step][state] = action
-        return Policy(tuple(actions))
+        body = lines[1:]
+        table = _int64_rows(body)
+        step, state, action = table.T
+        counts = np.array(self.mdp.state_counts[:-1])
+        n_actions = np.array([cost.shape[1] for cost in self.mdp.stage_costs])
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        ok = (step >= 0) & (step < self.mdp.horizon)
+        k = np.where(ok, step, 0)
+        ok &= (state >= 0) & (state < counts[k]) & (action >= 0) & (action < n_actions[k])
+        flat = offsets[k] + state
+        passed = np.flatnonzero(ok)
+        bad = np.ones(len(table) + 1, dtype=bool)  # the sentinel stands for an unparsed row
+        bad[passed[np.unique(flat[passed], return_index=True)[1]]] = False
+        row = int(np.argmax(bad))  # the first failed or repeated row
+        if row < len(body):
+            raise self._row_error(path, body[row])
+        actions = np.full(offsets[-1], -1, dtype=np.int64)
+        actions[flat] = action
+        return Policy(tuple(np.split(actions, offsets[1:-1])))
+
+    def _row_error(self, path: Path, line: str) -> InvalidInputError:
+        """The error for ``line``, the first bad row of a policy table."""
+        try:
+            step, state, action = (int(v) for v in line.split(","))
+        except ValueError:
+            return InvalidInputError(f"{path} has a bad row {line!r}")
+        if not 0 <= step < self.mdp.horizon or not 0 <= state < self.mdp.state_counts[step]:
+            return InvalidInputError(f"{path} references step {step}, state {state}")
+        if not 0 <= action < self.mdp.stage_costs[step].shape[1]:
+            return InvalidInputError(f"{path} references action {action} at step {step}")
+        return InvalidInputError(f"{path} repeats step {step}, state {state} in row {line!r}")
+
+
+def _int64_rows(lines: list[str]) -> np.ndarray:
+    """(n, 3) int64 table of ``lines`` up to the first that is not three int64 fields."""
+    commas = np.fromiter(map(str.count, lines, repeat(",")), np.int64, len(lines))
+    n = int(np.argmax(np.append(commas != 2, True)))
+    try:
+        return _int64_table(lines[:n])
+    except (ValueError, OverflowError):  # a field is no int64: stop before its line
+        n = next(i for i, line in enumerate(lines) if not _is_int64_row(line))
+        return _int64_table(lines[:n])
+
+
+def _int64_table(lines: list[str]) -> np.ndarray:
+    # numpy parses each field as int() does, so this reads the files the per-row loop read
+    fields = chain.from_iterable(map(str.split, lines, repeat(",")))
+    return np.fromiter(fields, np.int64, 3 * len(lines)).reshape(len(lines), 3)
+
+
+def _is_int64_row(line: str) -> bool:
+    try:
+        _int64_table([line])
+    except (ValueError, OverflowError):
+        return False
+    return True
 
 
 def simulate(
@@ -280,13 +375,13 @@ def simulate(
     transitions; costs stop accruing at the first failure. The rollouts
     are simulated as counts per state: one multinomial splits
     ``n_rollouts`` over the components, one draws each component's initial
-    counts, and at each step one multinomial per occupied state splits its
-    count over that state's transition row. For the failure count and the
-    total cost, the only outputs, this is exactly the law of
-    ``n_rollouts`` independent rollouts (see the module docstring), and
-    the work does not grow with ``n_rollouts``. The check's 99% Wilson
-    interval on the failure rate should cover the exact aggregate risk
-    of the solution.
+    counts, and at each step one multinomial call splits the count of
+    every occupied state over that state's transition row. For the
+    failure count and the total cost, the only outputs, this is exactly
+    the law of ``n_rollouts`` independent rollouts (see the module
+    docstring), and the work does not grow with ``n_rollouts``. The
+    check's 99% Wilson interval on the failure rate should cover the
+    exact aggregate risk of the solution.
     """
     if n_rollouts < 1:
         raise InvalidInputError("need at least one rollout")
@@ -318,10 +413,15 @@ def _rollout_counts(mdp: Mdp, policy: Policy, rng: np.random.Generator, m: int):
         if np.any(acts < 0):
             raise InvalidPolicyError(f"rollout reached an undefined action at step {k}")
         cost += float(counts[occ] @ mdp.stage_costs[k][occ, acts])
-        nxt = np.zeros(mdp.state_counts[k + 1], dtype=np.int64)
-        for x, a in zip(occ.tolist(), acts.tolist()):
-            idxs, pvals = mdp.dynamics[k].row(x, a)
-            nxt[idxs] += rng.multinomial(counts[x], pvals / pvals.sum())
+        dyn = mdp.dynamics[k]
+        rows = dyn.targets[occ, acts]
+        if np.any(rows < 0):
+            raise InvalidPolicyError(f"rollout reached an inadmissible action at step {k}")
+        cols, probs = dyn.padded_rows(rows)
+        drawn = rng.multinomial(counts[occ], probs)
+        nxt = np.bincount(
+            cols.ravel(), weights=drawn.ravel(), minlength=mdp.state_counts[k + 1]
+        ).astype(np.int64)
         fail = mdp.failure_masks[k + 1]
         failures += int(nxt[fail].sum())
         nxt[fail] = 0

@@ -123,6 +123,16 @@ def _clipped_spread(width: int, height: int, offsets, weights) -> sp.csr_matrix:
     return m
 
 
+def _shift_targets(width: int, height: int, offsets) -> np.ndarray:
+    """(cells, offsets) flat index of each cell moved by each offset; -1 off the grid."""
+    xs, ys = np.divmod(np.arange(width * height), height)
+    off = np.asarray(offsets, dtype=np.int64).reshape(-1, 2)
+    tx = xs[:, None] + off[:, 0]
+    ty = ys[:, None] + off[:, 1]
+    ok = (tx >= 0) & (tx < width) & (ty >= 0) & (ty < height)
+    return np.where(ok, tx * height + ty, -1)
+
+
 def grid_actions(max_step: int):
     """Integer displacements of Euclidean length at most max_step, in fixed order."""
     d = max_step
@@ -161,15 +171,9 @@ def grid_scenario(
     check_cell(goal, "goal")
     n = w * h
     goal_idx = goal[0] * h + goal[1]
-    xs, ys = np.divmod(np.arange(n), h)
     actions = grid_actions(max_step)
-    targets = np.full((len(actions), n), -1, dtype=np.int64)
-    lengths = np.empty(len(actions))
-    for a, (dx, dy) in enumerate(actions):
-        lengths[a] = math.hypot(dx, dy)
-        tx, ty = xs + dx, ys + dy
-        ok = (tx >= 0) & (tx < w) & (ty >= 0) & (ty < h)
-        targets[a, ok] = tx[ok] * h + ty[ok]
+    lengths = np.array([math.hypot(dx, dy) for dx, dy in actions])
+    pairs = _shift_targets(w, h, actions)  # (states, actions), as every table below
     spread = _clipped_spread(w, h, *_product_kernel(sigma, sigma))
     # the goal is absorbing: once there the only move is a free noise-free
     # stay, implemented as an extra deterministic spread row
@@ -178,17 +182,17 @@ def grid_scenario(
     )
     spread = sp.vstack([spread, park]).tocsr()
     stay = actions.index((0, 0))
-    targets[:, goal_idx] = -1
-    targets[stay, goal_idx] = n
-    dyn = ShiftSpread(targets, spread)
+    pairs[goal_idx] = -1
+    pairs[goal_idx, stay] = n
+    dyn = ShiftSpread(pairs.T, spread)
 
-    base = np.where(targets.T >= 0, lengths[None, :], np.inf)
+    base = np.where(pairs >= 0, lengths[None, :], np.inf)
     fail = ~feasible.ravel()
     goal_mass = spread[:, goal_idx].toarray().ravel()
     crash_mass = spread @ fail.astype(float)
     miss = np.clip(1.0 - goal_mass - crash_mass, 0.0, 1.0)
-    safe_t = np.where(targets >= 0, targets, 0)
-    last = base + 10.0 * t * max_step * np.where(targets.T >= 0, miss[safe_t].T, 0.0)
+    safe_t = np.where(pairs >= 0, pairs, 0)
+    last = base + 10.0 * t * max_step * np.where(pairs >= 0, miss[safe_t], 0.0)
 
     initial = np.zeros(n)
     initial[start[0] * h + start[1]] = 1.0
@@ -249,13 +253,13 @@ def ellipsoid_offsets(matrix, radius: float):
     if eigs[0] <= 0:
         raise InvalidInputError("ellipsoid matrix must be positive definite")
     reach = int(math.ceil(radius / math.sqrt(eigs[0])))
-    out = []
-    for dx in range(-reach, reach + 1):
-        for dy in range(-reach, reach + 1):
-            v = np.array([dx, dy], dtype=float)
-            if v @ mat @ v <= radius * radius + 1e-12:
-                out.append((dx, dy))
-    return out
+    side = np.arange(-reach, reach + 1)
+    points = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 1, 2)
+    # batched (1, 2) @ (2, 2) and (1, 2) @ (2, 1) products run the kernels that
+    # v @ mat @ v runs for one point, so each value is that point's, bit for bit
+    v = points.astype(float)
+    inside = ((v @ mat) @ v.transpose(0, 2, 1)).ravel() <= radius * radius + 1e-12
+    return [tuple(p) for p in points[inside, 0].tolist()]
 
 
 def edl_scenario(feasible: np.ndarray, start, sites, stages: int, ellipsoids, sigmas):
@@ -284,25 +288,19 @@ def edl_scenario(feasible: np.ndarray, start, sites, stages: int, ellipsoids, si
     landed_cost = np.where(feasible, np.where(np.isfinite(trav), trav, 4.0 * w * h), 0.0)
 
     n = w * h
-    xs, ys = np.divmod(np.arange(n), h)
     dynamics = []
     costs = []
     for k in range(t):
-        offsets = ellipsoid_offsets(*ellipsoids[k])
-        targets = np.full((len(offsets), n), -1, dtype=np.int64)
-        for a, (dx, dy) in enumerate(offsets):
-            tx, ty = xs + dx, ys + dy
-            ok = (tx >= 0) & (tx < w) & (ty >= 0) & (ty < h)
-            targets[a, ok] = tx[ok] * h + ty[ok]
+        pairs = _shift_targets(w, h, ellipsoid_offsets(*ellipsoids[k]))
         spread = _clipped_spread(w, h, *_product_kernel(*sigmas[k]))
-        dynamics.append(ShiftSpread(targets, spread))
-        admissible = targets.T >= 0
+        dynamics.append(ShiftSpread(pairs.T, spread))
+        admissible = pairs >= 0
         if k < t - 1:
             costs.append(np.where(admissible, 0.0, np.inf))
         else:
             expected = spread @ landed_cost.ravel()
-            safe_t = np.where(targets >= 0, targets, 0)
-            costs.append(np.where(admissible, expected[safe_t].T, np.inf))
+            safe_t = np.where(admissible, pairs, 0)
+            costs.append(np.where(admissible, expected[safe_t], np.inf))
     masks = [np.zeros(n, dtype=bool) for _ in range(t)]
     masks.append(~feasible.ravel())
     initial = np.zeros(n)

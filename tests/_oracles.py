@@ -381,3 +381,107 @@ def mc_failures_rowmajor(a_mat, b_mat, sigma_w, x_init, controls, obstacles, n_r
                 failed |= np.all(x @ np.asarray(normals).T <= np.asarray(offsets), axis=-1)
         failures += int(failed.sum())
     return failures
+
+
+def simulate_per_state(mdp, solution, seed: int, n_rollouts: int):
+    """Failure count, total cost and generator of the per-state count sampler.
+
+    A transcription of the straightforward MDP sampler: the same
+    component split and initial draws as ``mixedctrl.ccmdp.simulate``,
+    then, at each step, one ``multinomial`` call per occupied state on
+    that state's spread row (read with ``ShiftSpread.row``) divided by
+    its own sum. Returns the generator too, so a caller can compare the
+    state it is left in.
+    """
+    rng = np.random.default_rng(seed)
+    probs = np.array(solution.probabilities)
+    shares = rng.multinomial(n_rollouts, probs / probs.sum())
+    failures, cost = 0, 0.0
+    for (cand, _), m in zip(solution.components, shares):
+        if m == 0:
+            continue
+        counts = rng.multinomial(int(m), mdp.initial)
+        failures += int(counts[mdp.failure_masks[0]].sum())
+        counts[mdp.failure_masks[0]] = 0
+        part = 0.0  # this component's cost, added to the total once
+        for k in range(mdp.horizon):
+            occ = np.flatnonzero(counts)
+            if occ.size == 0:
+                break
+            acts = cand.policy.actions[k][occ]
+            part += float(counts[occ] @ mdp.stage_costs[k][occ, acts])
+            nxt = np.zeros(mdp.state_counts[k + 1], dtype=np.int64)
+            for x, a in zip(occ.tolist(), acts.tolist()):
+                idxs, pvals = mdp.dynamics[k].row(x, a)
+                nxt[idxs] += rng.multinomial(counts[x], pvals / pvals.sum())
+            fail = mdp.failure_masks[k + 1]
+            failures += int(nxt[fail].sum())
+            nxt[fail] = 0
+            counts = nxt
+        cost += part
+    return failures, cost, rng
+
+
+def policy_csv_per_row(actions) -> str:
+    """The text of a policy table, written one row at a time."""
+    lines = ["step,state,action"]
+    for step, acts in enumerate(actions):
+        for state in np.flatnonzero(acts >= 0):
+            lines.append(f"{step},{int(state)},{int(acts[state])}")
+    return "\n".join(lines) + "\n"
+
+
+def read_policy_csv_per_row(mdp, text: str):
+    """Per-step action arrays of a policy table, read one row at a time.
+
+    Raises ``ValueError`` with the old loader's message on the first bad
+    row; a repeated (step, state) keeps the last row.
+    """
+    lines = text.splitlines()
+    actions = [np.full(count, -1, dtype=int) for count in mdp.state_counts[:-1]]
+    if not lines or lines[0] != "step,state,action":
+        raise ValueError("is not a policy table")
+    for line in lines[1:]:
+        try:
+            step, state, action = (int(v) for v in line.split(","))
+        except ValueError as exc:
+            raise ValueError(f"has a bad row {line!r}") from exc
+        if not 0 <= step < mdp.horizon or not 0 <= state < mdp.state_counts[step]:
+            raise ValueError(f"references step {step}, state {state}")
+        if not 0 <= action < mdp.stage_costs[step].shape[1]:
+            raise ValueError(f"references action {action} at step {step}")
+        actions[step][state] = action
+    return actions
+
+
+def ellipsoid_offsets_per_point(matrix, radius: float):
+    """Integer offsets v with (v @ matrix) @ v <= radius**2 + 1e-12, one point at a time.
+
+    Points run over dx, then dy, from -reach to reach, with reach from
+    the smallest eigenvalue as in ``mixedctrl.scenarios.ellipsoid_offsets``.
+    """
+    mat = np.asarray(matrix, dtype=float)
+    reach = int(math.ceil(radius / math.sqrt(np.linalg.eigvalsh(mat)[0])))
+    out = []
+    for dx in range(-reach, reach + 1):
+        for dy in range(-reach, reach + 1):
+            v = np.array([dx, dy], dtype=float)
+            if v @ mat @ v <= radius * radius + 1e-12:
+                out.append((dx, dy))
+    return out
+
+
+def shift_targets_per_offset(width: int, height: int, offsets):
+    """(offsets, cells) flat index of each cell moved by each offset, -1 off the grid.
+
+    One offset at a time, as the grid and landing builders once filled
+    their target maps.
+    """
+    n = width * height
+    xs, ys = np.divmod(np.arange(n), height)
+    targets = np.full((len(offsets), n), -1, dtype=np.int64)
+    for a, (dx, dy) in enumerate(offsets):
+        tx, ty = xs + dx, ys + dy
+        ok = (tx >= 0) & (tx < width) & (ty >= 0) & (ty < height)
+        targets[a, ok] = tx[ok] * height + ty[ok]
+    return targets

@@ -28,7 +28,14 @@ from mixedctrl.core import (
 )
 from mixedctrl.dual import check_optimality, solve_mixed_scalar
 
-from _oracles import brute_policy_costs, path_moments, random_tiny_mdp
+from _oracles import (
+    brute_policy_costs,
+    path_moments,
+    policy_csv_per_row,
+    random_tiny_mdp,
+    read_policy_csv_per_row,
+    simulate_per_state,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -248,6 +255,12 @@ def test_simulate_errors():
         simulate(mdp, _single("not a policy"), seed=0, n_rollouts=10)
     with pytest.raises(InvalidInputError, match="at least one rollout"):
         simulate(mdp, _single(Policy((np.array([0]),))), seed=0, n_rollouts=0)
+    only_a = from_tables(
+        1, [["s"], ["ok"]], [["a", "b"]], {(0, "s", "a"): {"ok": 1.0}},
+        {(0, "s", "a"): 1.0}, [[], []], {"s": 1.0},
+    )
+    with pytest.raises(InvalidPolicyError, match="inadmissible action at step 0"):
+        simulate(only_a, _single(Policy((np.array([1]),))), seed=0, n_rollouts=10)
 
 
 # Horizon 3, with failure mass at every step including the start. Failure
@@ -320,24 +333,159 @@ def test_count_sampler_follows_the_rollout_law():
 def test_simulation_work_does_not_grow_with_the_rollout_count(monkeypatch):
     setup = build_setup(load_config(CONFIGS / "desk_grid.json"), CONFIGS)
     _, solution = solve_mixed_scalar(setup)
-    calls = []
-    for dyn in {id(d): d for d in setup.mdp.dynamics}.values():
-        def counted(x, a, row=dyn.row):
-            calls.append(x)
-            return row(x, a)
+    rows = []
+    make_rng = np.random.default_rng
 
-        monkeypatch.setattr(dyn, "row", counted)
+    class CountingRng:
+        """A generator that records how many rows of probabilities each draw gets."""
+
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def multinomial(self, n, pvals):
+            rows.append(math.prod(np.shape(pvals)[:-1]))
+            return self.rng.multinomial(n, pvals)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
     for n in (1_000, 1_000_000):
-        calls.clear()
+        rows.clear()
         tracemalloc.start()
         try:
             simulate(setup.mdp, solution, seed=11, n_rollouts=n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 0 < len(calls) <= sum(setup.mdp.state_counts), n
+        assert 0 < sum(rows) <= sum(setup.mdp.state_counts), (n, rows)
         # one float64 per rollout alone would take 8 MB at n = 1e6
         assert peak < 2**20, (n, peak)
+
+
+@pytest.fixture(scope="module")
+def reference_mixtures():
+    """(name, mdp, two-policy mixture): random tiny MDPs and the shipped MDP configs."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for i in range(6):
+        mdp = random_tiny_mdp(rng)
+        oracle = MdpOracle(mdp, 0.1)
+        weight = float(rng.uniform(0.1, 0.9))
+        components = ((oracle.query(0.0), weight), (oracle.query(40.0), 1.0 - weight))
+        aggregate = mix_costs([(cand.cost, w) for cand, w in components])
+        cases.append((f"tiny-{i}", mdp, MixedSolution(components, aggregate, 0.0, 0.0)))
+    for name in ("desk_grid", "landing"):
+        setup = build_setup(load_config(CONFIGS / f"{name}.json"), CONFIGS)
+        cases.append((name, setup.mdp, solve_mixed_scalar(setup)[1]))
+    return cases
+
+
+def test_count_sampler_matches_the_per_state_reference(reference_mixtures, monkeypatch):
+    made = []
+    make_rng = np.random.default_rng
+
+    def recorded_rng(seed):
+        made.append(make_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recorded_rng)
+    for name, mdp, solution in reference_mixtures:
+        for seed, n in ((0, 1), (1, 37), (2, 1000), (3, 100_000)):
+            want_failures, want_cost, want_rng = simulate_per_state(mdp, solution, seed, n)
+            made.clear()
+            got = simulate(mdp, solution, seed, n)
+            assert (got.failures, got.cost_mean) == (want_failures, want_cost / n), (name, n)
+            # the same draws, in the same order, from the same stream
+            assert made[-1].bit_generator.state == want_rng.bit_generator.state, (name, n)
+
+
+def test_padded_rows_are_the_spread_rows_right_aligned(reference_mixtures):
+    for name, mdp, _ in reference_mixtures:
+        for dyn in {id(d): d for d in mdp.dynamics}.values():
+            rows = np.unique(dyn.targets[dyn.targets >= 0])
+            cols, probs = dyn.padded_rows(rows)
+            for t, c, p in zip(rows.tolist(), cols, probs):
+                sl = slice(dyn.spread.indptr[t], dyn.spread.indptr[t + 1])
+                pvals = dyn.spread.data[sl]
+                lead = len(p) - len(pvals)
+                # the same floats as dividing the row alone by its sum, zeros in front
+                assert np.array_equal(p[lead:], pvals / pvals.sum()), (name, t)
+                assert np.array_equal(c[lead:], dyn.spread.indices[sl]) and not p[:lead].any()
+
+
+def test_policy_files_match_the_per_row_reference(reference_mixtures, tmp_path):
+    rng = np.random.default_rng(9)
+    for name, mdp, solution in reference_mixtures:
+        oracle = MdpOracle(mdp, 0.1)
+        for i, (cand, _) in enumerate(solution.components):
+            ref = oracle.save(cand.policy, f"{name}-{i}", tmp_path)
+            text = (tmp_path / ref).read_text(encoding="utf-8")
+            assert text == policy_csv_per_row(cand.policy.actions), name
+            # rows in any order, with the spacing and signs that int() accepts
+            lines = text.splitlines()
+            body = [lines[1 + j] for j in rng.permutation(len(lines) - 1)]
+            if body:
+                body[0] = " +" + body[0].replace(",", " ,", 1)
+            shuffled = "\n".join([lines[0], *body]) + "\n"
+            for table in (text, shuffled):
+                (tmp_path / ref).write_text(table, encoding="utf-8")
+                got = oracle.load(ref, tmp_path).actions
+                want = read_policy_csv_per_row(mdp, table)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+                    assert g.dtype == w.dtype
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["0,1", "0,1,2,3", "", "a,b,c", "0,1.0,0", "-1,0,0", "0,-1,0", "0,0,-1", "0,0,7",
+     "99999999999999999999,0,0", "0,99999999999999999999,0", "0,0,99999999999999999999"],
+)
+def test_policy_loader_names_the_first_bad_row_like_the_reference(tmp_path, row):
+    mdp = chain_mdp()
+    oracle = MdpOracle(mdp, 0.1)
+    # a good row, the bad one, then a row that is bad in another way
+    text = "step,state,action\n0,0,1\n" + row + "\n0,5,0\n"
+    with pytest.raises(ValueError) as want:
+        read_policy_csv_per_row(mdp, text)
+    (tmp_path / "p.csv").write_text(text, encoding="utf-8")
+    with pytest.raises(InvalidInputError) as got:
+        oracle.load("p.csv", tmp_path)
+    assert str(got.value) == f"{tmp_path / 'p.csv'} {want.value}"
+
+
+def test_each_distinct_spread_and_pattern_is_checked(monkeypatch):
+    good = ShiftSpread(np.array([[0, 1]]), sp.csr_matrix([[1.0, 0.0], [0.0, 1.0]]))
+    bad = ShiftSpread(np.array([[0, 1]]), sp.csr_matrix([[1.0, 0.0], [0.3, 0.3]]))
+    calls = []
+    real = ShiftSpread.check_rows
+
+    def counted(self, admissible):
+        calls.append(self)
+        return real(self, admissible)
+
+    monkeypatch.setattr(ShiftSpread, "check_rows", counted)
+
+    def build(dynamics, costs):
+        return Mdp(
+            horizon=len(dynamics),
+            state_counts=(2,) * (len(dynamics) + 1),
+            dynamics=tuple(dynamics),
+            stage_costs=tuple(costs),
+            failure_masks=(np.zeros(2, bool),) * (len(dynamics) + 1),
+            initial=np.array([1.0, 0.0]),
+        )
+
+    ones = np.ones((2, 1))
+    build([good] * 4, [ones, 2 * ones, ones, ones])
+    assert calls == [good]  # one spread, one admissible pattern: one check
+    with pytest.raises(InvalidInputError, match=r"spread row 1 sums to 0\.6"):
+        build([good, good, bad], [ones] * 3)
+    # the same spread under a new admissible pattern is checked again
+    calls.clear()
+    holes = ShiftSpread(np.array([[0, -1], [0, 0]]), sp.csr_matrix([[1.0, 0.0]]))
+    with pytest.raises(InvalidInputError, match="action 0 marked admissible but has no target"):
+        build([holes, holes], [np.array([[1.0, 1.0], [np.inf, 1.0]]), np.ones((2, 2))])
+    assert calls == [holes, holes]
 
 
 def test_shift_spread_matches_explicit_matrices():

@@ -589,12 +589,16 @@ def test_validate_rejects_a_malformed_component_file_naming_it(tmp_path, capsys)
     policy = (tmp_path / "policy_0.csv" / "policy_0.csv").read_text(encoding="utf-8")
     plan = (tmp_path / "plan_0.csv" / "plan_0.csv").read_text(encoding="utf-8").splitlines()
     assert len(plan) == 4  # the u0 header and one row per step
+    repeated = policy.split("\n")[1]  # the table's first row, written twice
+    step, state, _ = repeated.split(",")
     cases = [
         ("policy_0.csv", policy.split("\n", 1)[1], "is not a policy table"),
         ("policy_0.csv", policy + "0,1,x\n", "has a bad row '0,1,x'"),
         ("policy_0.csv", policy + "99,0,0\n", "references step 99, state 0"),
         ("policy_0.csv", policy + "0,99999,0\n", "references step 0, state 99999"),
         ("policy_0.csv", policy + "0,0,99999\n", "references action 99999 at step 0"),
+        ("policy_0.csv", policy + repeated + "\n",
+         f"repeats step {step}, state {state} in row {repeated!r}"),
         ("plan_0.csv", "\n".join([plan[0], "x", *plan[2:]]), "is not a control plan table"),
         ("plan_0.csv", "\n".join(plan[:-1]), "has shape (2, 1), expected (3, 1)"),
     ]

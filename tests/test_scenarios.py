@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +21,12 @@ from mixedctrl.scenarios import (
     grid_actions,
     grid_oracle,
     grid_scenario,
+    _shift_targets,
     parse_grid_map,
     traverse_field,
 )
+
+from _oracles import ellipsoid_offsets_per_point, shift_targets_per_offset
 
 SQRT2 = math.sqrt(2.0)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -158,6 +163,48 @@ def test_ellipsoid_offsets_counts_and_validation():
         ellipsoid_offsets([[1.0, 0.5], [0.0, 1.0]], 1.0)
     with pytest.raises(InvalidInputError):
         ellipsoid_offsets(np.diag([1.0, -1.0]), 1.0)
+
+
+def test_ellipsoid_offsets_match_the_per_point_reference(monkeypatch):
+    root = CONFIGS.parent
+    spec = importlib.util.spec_from_file_location("bench_gen", root / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_gen", gen)  # its dataclass looks itself up
+    spec.loader.exec_module(gen)
+    configs = [load_config(CONFIGS / "landing.json")]
+    configs += [
+        inst.config
+        for seed in (1, 2, 3)
+        for workload in ("mdp-solve", "validate")
+        for inst in gen.workload_instances(workload, seed, root)
+        if inst.config["kind"] == "edl"
+    ]
+    cases = [(e["matrix"], float(e["radius"])) for c in configs for e in c["ellipsoids"]]
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        m = rng.normal(size=(2, 2))
+        cases.append((m @ m.T + 0.05 * np.eye(2), float(rng.uniform(0.5, 6.0))))
+    # radius**2 on the lattice: points that sit on the boundary up to rounding
+    cases += [(np.diag([1.0, 2.0]), math.sqrt(r2)) for r2 in (2.0, 3.0, 9.0, 11.0)]
+    for matrix, radius in cases:
+        assert ellipsoid_offsets(matrix, radius) == ellipsoid_offsets_per_point(matrix, radius)
+
+
+def test_shift_targets_match_the_per_offset_reference():
+    rng = np.random.default_rng(4)
+    cases = [
+        (30, 30, grid_actions(5)),
+        (28, 28, ellipsoid_offsets(np.eye(2), 10.0)),
+        (1, 1, [(0, 0)]),
+    ]
+    for _ in range(20):
+        width, height = (int(v) for v in rng.integers(1, 12, size=2))
+        offsets = rng.integers(-13, 14, size=(7, 2)).tolist()
+        cases.append((width, height, [tuple(o) for o in offsets]))
+    for width, height, offsets in cases:
+        got = _shift_targets(width, height, offsets)
+        assert got.shape == (width * height, len(offsets)) and got.flags.c_contiguous
+        np.testing.assert_array_equal(got.T, shift_targets_per_offset(width, height, offsets))
 
 
 def _open_landing(stages=2, width=9, height=9):
