@@ -77,7 +77,6 @@ class ShiftSpread:
         if targets.ndim != 2:
             raise InvalidInputError("targets must be (actions, states)")
         self.targets = np.ascontiguousarray(targets.T)
-        self._spread_t = self.spread.T  # a CSC view of the same arrays, built once
         self.num_states = self.targets.shape[0]
         self.num_next = self.spread.shape[1]
         if self.targets.max() >= self.spread.shape[0]:
@@ -97,7 +96,7 @@ class ShiftSpread:
             self.targets[live, actions[live]], weights=dist[live],
             minlength=self.spread.shape[0],
         )
-        return self._spread_t @ inter
+        return self.spread.T @ inter
 
     def row(self, state: int, action: int):
         t = int(self.targets[state, action])
@@ -301,68 +300,61 @@ class MdpOracle(LagrangianOracle):
     def load(self, ref: object, out_dir: Path) -> Policy:
         """Read back the policy table that `save` named ``ref``.
 
-        The rows are parsed as one int64 array and checked together; the
-        first row that fails a check is named in the error.
+        A valid table is parsed as one int64 array and checked together;
+        a table that fails is read again row by row to name its first bad
+        row.
         """
         path, lines = read_component(ref, out_dir)
         if not lines or lines[0] != "step,state,action":
             raise InvalidInputError(f"{path} is not a policy table")
         body = lines[1:]
-        table = _int64_rows(body)
-        step, state, action = table.T
-        counts = np.array(self.mdp.state_counts[:-1])
-        n_actions = np.array([cost.shape[1] for cost in self.mdp.stage_costs])
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        ok = (step >= 0) & (step < self.mdp.horizon)
-        k = np.where(ok, step, 0)
-        ok &= (state >= 0) & (state < counts[k]) & (action >= 0) & (action < n_actions[k])
-        flat = offsets[k] + state
-        passed = np.flatnonzero(ok)
-        bad = np.ones(len(table) + 1, dtype=bool)  # the sentinel stands for an unparsed row
-        bad[passed[np.unique(flat[passed], return_index=True)[1]]] = False
-        row = int(np.argmax(bad))  # the first failed or repeated row
-        if row < len(body):
-            raise self._row_error(path, body[row])
-        actions = np.full(offsets[-1], -1, dtype=np.int64)
-        actions[flat] = action
-        return Policy(tuple(np.split(actions, offsets[1:-1])))
+        table = _int64_table(body)
+        if table is not None:
+            step, state, action = table.T
+            counts = np.array(self.mdp.state_counts[:-1])
+            n_actions = np.array([cost.shape[1] for cost in self.mdp.stage_costs])
+            offsets = np.concatenate([[0], np.cumsum(counts)])
+            k = np.clip(step, 0, self.mdp.horizon - 1)
+            ok = (step == k) & (state >= 0) & (state < counts[k])
+            ok &= (action >= 0) & (action < n_actions[k])
+            flat = offsets[k] + state
+            if ok.all() and np.bincount(flat).max(initial=0) <= 1:  # no (step, state) twice
+                actions = np.full(offsets[-1], -1, dtype=np.int64)
+                actions[flat] = action
+                return Policy(tuple(np.split(actions, offsets[1:-1])))
+        raise self._first_bad_row(path, body)
 
-    def _row_error(self, path: Path, line: str) -> InvalidInputError:
-        """The error for ``line``, the first bad row of a policy table."""
-        try:
-            step, state, action = (int(v) for v in line.split(","))
-        except ValueError:
-            return InvalidInputError(f"{path} has a bad row {line!r}")
-        if not 0 <= step < self.mdp.horizon or not 0 <= state < self.mdp.state_counts[step]:
-            return InvalidInputError(f"{path} references step {step}, state {state}")
-        if not 0 <= action < self.mdp.stage_costs[step].shape[1]:
-            return InvalidInputError(f"{path} references action {action} at step {step}")
-        return InvalidInputError(f"{path} repeats step {step}, state {state} in row {line!r}")
-
-
-def _int64_rows(lines: list[str]) -> np.ndarray:
-    """(n, 3) int64 table of ``lines`` up to the first that is not three int64 fields."""
-    commas = np.fromiter(map(str.count, lines, repeat(",")), np.int64, len(lines))
-    n = int(np.argmax(np.append(commas != 2, True)))
-    try:
-        return _int64_table(lines[:n])
-    except (ValueError, OverflowError):  # a field is no int64: stop before its line
-        n = next(i for i, line in enumerate(lines) if not _is_int64_row(line))
-        return _int64_table(lines[:n])
+    def _first_bad_row(self, path: Path, body: list[str]) -> MixedControlError:
+        """The error naming the first row of ``body`` that the array checks reject."""
+        seen = set()
+        for line in body:
+            try:
+                step, state, action = (int(v) for v in line.split(","))
+            except ValueError:
+                return InvalidInputError(f"{path} has a bad row {line!r}")
+            if not 0 <= step < self.mdp.horizon or not 0 <= state < self.mdp.state_counts[step]:
+                return InvalidInputError(f"{path} references step {step}, state {state}")
+            if not 0 <= action < self.mdp.stage_costs[step].shape[1]:
+                return InvalidInputError(f"{path} references action {action} at step {step}")
+            if (step, state) in seen:
+                return InvalidInputError(
+                    f"{path} repeats step {step}, state {state} in row {line!r}"
+                )
+            seen.add((step, state))
+        return MixedControlError(f"{path} passes the row checks but not the array checks")
 
 
-def _int64_table(lines: list[str]) -> np.ndarray:
+def _int64_table(lines: list[str]) -> np.ndarray | None:
+    """(n, 3) int64 table of ``lines``, or None unless each is three int64 fields."""
+    # two commas a line keep the flat field list aligned to the rows
+    if not {2}.issuperset(map(str.count, lines, repeat(","))):
+        return None
     # numpy parses each field as int() does, so this reads the files the per-row loop read
     fields = chain.from_iterable(map(str.split, lines, repeat(",")))
-    return np.fromiter(fields, np.int64, 3 * len(lines)).reshape(len(lines), 3)
-
-
-def _is_int64_row(line: str) -> bool:
     try:
-        _int64_table([line])
+        return np.fromiter(fields, np.int64, 3 * len(lines)).reshape(len(lines), 3)
     except (ValueError, OverflowError):
-        return False
-    return True
+        return None
 
 
 def simulate(
@@ -419,9 +411,8 @@ def _rollout_counts(mdp: Mdp, policy: Policy, rng: np.random.Generator, m: int):
             raise InvalidPolicyError(f"rollout reached an inadmissible action at step {k}")
         cols, probs = dyn.padded_rows(rows)
         drawn = rng.multinomial(counts[occ], probs)
-        nxt = np.bincount(
-            cols.ravel(), weights=drawn.ravel(), minlength=mdp.state_counts[k + 1]
-        ).astype(np.int64)
+        nxt = np.zeros(mdp.state_counts[k + 1], dtype=np.int64)
+        np.add.at(nxt, cols.ravel(), drawn.ravel())  # in int64: exact for any count
         fail = mdp.failure_masks[k + 1]
         failures += int(nxt[fail].sum())
         nxt[fail] = 0

@@ -397,6 +397,28 @@ def test_count_sampler_matches_the_per_state_reference(reference_mixtures, monke
             assert made[-1].bit_generator.state == want_rng.bit_generator.state, (name, n)
 
 
+def test_count_sampler_is_exact_beyond_float_precision():
+    # two states merge into one, which moves on surely or splits: every
+    # count is an integer above 2**53, where float64 would round it
+    transitions = {
+        (0, "s0", "go"): {"m": 1.0},
+        (0, "s1", "go"): {"m": 1.0},
+        (1, "m", "sure"): {"ok": 1.0},
+        (1, "m", "coin"): {"ok": 0.5, "bad": 0.5},
+    }
+    mdp = from_tables(
+        2, [["s0", "s1"], ["m"], ["ok", "bad"]], [["go"], ["sure", "coin"]], transitions,
+        dict.fromkeys(transitions, 1.0), [[], [], ["bad"]], {"s0": 0.5, "s1": 0.5},
+    )
+    for action in (0, 1):
+        solution = _single(Policy((np.array([0, 0]), np.array([action]))))
+        for n in (2**53 + 1, 2**63 - 1):
+            want_failures, want_cost, _ = simulate_per_state(mdp, solution, 4, n)
+            got = simulate(mdp, solution, 4, n)
+            assert (got.failures, got.cost_mean) == (want_failures, want_cost / n), (action, n)
+            assert 0 <= got.failures <= n and (got.failures == 0) == (action == 0)
+
+
 def test_padded_rows_are_the_spread_rows_right_aligned(reference_mixtures):
     for name, mdp, _ in reference_mixtures:
         for dyn in {id(d): d for d in mdp.dynamics}.values():
