@@ -30,14 +30,17 @@ the random stream are those of one call per state.
 
 A saved mixture component is a ``policy_<stem>.csv`` table with one
 ``step,state,action`` row per defined action. It is written with one
-format operation and read back as one int64 array; a file that names a
-(step, state) twice is rejected.
+format operation and read back as one int64 array by numpy's C reader.
+The table is printable ASCII: each field an optional sign and digits,
+spaces or tabs around them. A file that names a (step, state) twice is
+rejected.
 """
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -132,9 +135,9 @@ class ShiftSpread:
             raise InvalidInputError(f"spread row {bad} sums to {sums[bad]}")
         if (self.spread.data < 0).any():
             raise InvalidInputError("negative probability in the spread matrix")
-        bad = np.argwhere((admissible & (self.targets < 0)).T)  # lowest action first
-        if bad.size:
-            a, x = bad[0]
+        missing = admissible & (self.targets < 0)
+        if missing.any():
+            a, x = np.argwhere(missing.T)[0]  # lowest action first
             raise InvalidInputError(f"action {a} marked admissible but has no target at state {x}")
 
 
@@ -181,6 +184,7 @@ class Mdp:
                 raise InvalidInputError(f"failure mask at step {k} has wrong length")
         self.stage_costs = tuple(np.asarray(c, dtype=float) for c in self.stage_costs)
         checked: dict[int, list[np.ndarray]] = {}  # admissible patterns per dynamics object
+        seen = set()  # (dynamics, costs, mask) objects already checked together
         for k in range(t):
             dyn = self.dynamics[k]
             cost = self.stage_costs[k]
@@ -189,7 +193,11 @@ class Mdp:
                 raise InvalidInputError(f"dynamics at step {k} have wrong shape")
             if cost.shape != (n_k, dyn.num_actions):
                 raise InvalidInputError(f"stage costs at step {k} have wrong shape")
-            if np.any(np.isnan(cost)):
+            triple = (id(dyn), id(cost), id(self.failure_masks[k]))
+            if triple in seen:
+                continue
+            seen.add(triple)
+            if np.isnan(cost.min(initial=0.0)):  # min propagates NaN
                 raise InvalidInputError(f"NaN stage cost at step {k}")
             admissible = np.isfinite(cost)
             alive = ~self.failure_masks[k]
@@ -221,6 +229,9 @@ def lagrangian_dp(mdp: Mdp, lam: float) -> tuple[Policy, float]:
         q += mdp.stage_costs[k]
         act = np.argmin(q, axis=1)
         val = q[np.arange(q.shape[0]), act]
+        # free the table before the next step makes its own, so that the
+        # allocator hands the same memory back instead of fresh pages
+        del q
         fail_k = mdp.failure_masks[k]
         actions[k] = np.where(fail_k, -1, act).astype(np.int64)
         j_next = np.where(fail_k, lam, val)
@@ -325,13 +336,17 @@ class MdpOracle(LagrangianOracle):
         raise self._first_bad_row(path, body)
 
     def _first_bad_row(self, path: Path, body: list[str]) -> MixedControlError:
-        """The error naming the first row of ``body`` that the array checks reject."""
+        """The error naming the first row of ``body`` that the array checks reject.
+
+        Each row is read by the grammar of `_int64_table`, but into Python
+        integers, so a field beyond int64 gets the range message.
+        """
         seen = set()
         for line in body:
-            try:
-                step, state, action = (int(v) for v in line.split(","))
-            except ValueError:
+            fields = [_FIELD.fullmatch(v) for v in line.split(",")]
+            if len(fields) != 3 or not all(fields):
                 return InvalidInputError(f"{path} has a bad row {line!r}")
+            step, state, action = (int(f[1]) for f in fields)
             if not 0 <= step < self.mdp.horizon or not 0 <= state < self.mdp.state_counts[step]:
                 return InvalidInputError(f"{path} references step {step}, state {state}")
             if not 0 <= action < self.mdp.stage_costs[step].shape[1]:
@@ -344,17 +359,30 @@ class MdpOracle(LagrangianOracle):
         return MixedControlError(f"{path} passes the row checks but not the array checks")
 
 
+# A policy table holds only printable ASCII and tabs. Each row is three
+# fields; a field is an optional sign and digits, spaces or tabs around them.
+_TABLE_BYTES = b"\t" + bytes(range(0x20, 0x7F))
+_FIELD = re.compile(r"[ \t]*([+-]?[0-9]+)[ \t]*")
+
+
 def _int64_table(lines: list[str]) -> np.ndarray | None:
-    """(n, 3) int64 table of ``lines``, or None unless each is three int64 fields."""
-    # two commas a line keep the flat field list aligned to the rows
-    if not {2}.issuperset(map(str.count, lines, repeat(","))):
+    """(n, 3) int64 table of ``lines``, or None unless each is three int64 `_FIELD`s.
+
+    numpy's C reader parses the table. It would skip a blank line, take
+    some other characters for spaces or digits, and read a table of
+    another width, so those tables are rejected here.
+    """
+    if not lines:
+        return np.empty((0, 3), dtype=np.int64)
+    if "".join(lines).encode().translate(None, _TABLE_BYTES):  # a byte outside the table's set
         return None
-    # numpy parses each field as int() does, so this reads the files the per-row loop read
-    fields = chain.from_iterable(map(str.split, lines, repeat(",")))
     try:
-        return np.fromiter(fields, np.int64, 3 * len(lines)).reshape(len(lines), 3)
+        with warnings.catch_warnings():  # a body of blank lines warns that it holds no data
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
     except (ValueError, OverflowError):
         return None
+    return table if table.shape == (len(lines), 3) else None
 
 
 def simulate(

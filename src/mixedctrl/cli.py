@@ -435,7 +435,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     try:
         saved_components = [
-            (entry["policy"], float(entry["probability"]))
+            (
+                entry["policy"],
+                float(entry["probability"]),
+                CostVector(float(entry["cost"]), float(entry["risk"])),
+            )
             for entry in report["mixed"]["components"]
         ]
         lambda_star = float(report["dual"]["lambda_star"])
@@ -450,16 +454,23 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     _check_rollouts("report's monte_carlo", saved_seed, n_rollouts)
 
     components = []
-    for ref, weight in saved_components:
+    failures = []
+    for i, (ref, weight, saved) in enumerate(saved_components):
         policy = oracle.load(ref, out_dir)
-        components.append((PureCandidate(policy, oracle.evaluate(policy)), weight))
+        cost = oracle.evaluate(policy)
+        components.append((PureCandidate(policy, cost), weight))
+        for what, fresh, kept in (("cost", cost.c0, saved.c0), ("risk", cost.c1, saved.c1)):
+            if abs(fresh - kept) > 1e-9:
+                failures.append(
+                    f"component {i} ({ref}): re-evaluated {what} {fresh!r} "
+                    f"differs from saved {kept!r}"
+                )
     try:
         aggregate = mix_costs([(cand.cost, w) for cand, w in components])
         solution = MixedSolution(tuple(components), aggregate, lambda_star, gap)
     except InvalidInputError as exc:
         raise InvalidInputError(f"report holds no valid mixture: {exc}") from exc
 
-    failures = []
     optimality = check_optimality(solution, oracle, tol=1e-6)
     if not optimality.overall:
         failed = sorted(k for k, ok in optimality.conditions.items() if not ok)

@@ -4,13 +4,15 @@ The finite-set oracle answers queries by scanning an explicit candidate
 list; it doubles as the reference backend in tests. Its policies are
 candidate indices, so it saves no component file: a report names each
 component by its index. Grid and landing scenarios build finite MDPs for
-the dynamic-programming backend.
+the dynamic-programming backend. Their tables come from whole-array
+operations that make no (cells, actions) array but their outputs, and
+every array they give is bit for bit the one that full broadcasts, a COO
+spread matrix and a cell-by-cell breadth-first search give.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from pathlib import Path
 from typing import Sequence
 
@@ -101,36 +103,49 @@ def _kernel_1d(sigma: float):
     return off, w / w.sum()
 
 
-def _product_kernel(sigma_x: float, sigma_y: float):
+def _clipped_spread(width: int, height: int, sigma_x: float, sigma_y: float) -> sp.csr_matrix:
+    """Row-stochastic disturbance matrix; mass pushed off-grid piles on the edge.
+
+    Row ``c`` spreads cell ``c`` by the product of two 1-D Gaussian
+    kernels: offset (dx, dy), taken in order dx, then dy, carries weight
+    ``wx[dx] * wy[dy]`` to the cell it reaches once each coordinate is
+    clipped into the grid. The columns are sums of one clipped table per
+    axis, and the rows reach scipy's sort-and-sum in the order and with
+    the index type that a COO matrix of all (cell, offset) entries would
+    give them. That sort decides the order in which the weights piling on
+    one edge cell are added, so every stored probability has the bits of
+    the COO construction.
+    """
     ox, wx = _kernel_1d(sigma_x)
     oy, wy = _kernel_1d(sigma_y)
-    offs = np.array([(a, b) for a in ox for b in oy], dtype=np.int64)
-    ws = np.outer(wx, wy).ravel()
-    return offs, ws
-
-
-def _clipped_spread(width: int, height: int, offsets, weights) -> sp.csr_matrix:
-    """Row-stochastic disturbance matrix; mass pushed off-grid piles on the edge."""
-    n = width * height
-    xs, ys = np.divmod(np.arange(n), height)
-    tx = np.clip(xs[:, None] + offsets[None, :, 0], 0, width - 1)
-    ty = np.clip(ys[:, None] + offsets[None, :, 1], 0, height - 1)
-    rows = np.repeat(np.arange(n), len(weights))
-    cols = (tx * height + ty).ravel()
-    data = np.tile(weights, n)
-    m = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    m.sum_duplicates()
-    return m
+    weights = np.outer(wx, wy).ravel()
+    n, k = width * height, weights.size
+    idx = sp.get_index_dtype(maxval=n * k)
+    cx = np.clip(np.arange(width, dtype=idx)[:, None] + ox.astype(idx), 0, width - 1) * height
+    cy = np.clip(np.arange(height, dtype=idx)[:, None] + oy.astype(idx), 0, height - 1)
+    cols = (cx[:, None, :, None] + cy[None, :, None, :]).ravel()  # cell x, y; offset dx, dy
+    spread = sp.csr_matrix(
+        (np.tile(weights, n), cols, np.arange(0, cols.size + 1, k, dtype=idx)), shape=(n, n)
+    )
+    spread.sum_duplicates()
+    return spread
 
 
 def _shift_targets(width: int, height: int, offsets) -> np.ndarray:
-    """(cells, offsets) flat index of each cell moved by each offset; -1 off the grid."""
-    xs, ys = np.divmod(np.arange(width * height), height)
+    """(cells, offsets) flat index of each cell moved by each offset; -1 off the grid.
+
+    A move stays on the grid when each coordinate does, so each axis is
+    checked on its own (coordinates, offsets) table, and the output is the
+    only (cells, offsets) array made.
+    """
     off = np.asarray(offsets, dtype=np.int64).reshape(-1, 2)
-    tx = xs[:, None] + off[:, 0]
-    ty = ys[:, None] + off[:, 1]
-    ok = (tx >= 0) & (tx < width) & (ty >= 0) & (ty < height)
-    return np.where(ok, tx * height + ty, -1)
+    tx = np.arange(width)[:, None] + off[:, 0]
+    ty = np.arange(height)[:, None] + off[:, 1]
+    out = np.arange(width * height)[:, None] + (off[:, 0] * height + off[:, 1])
+    grid = out.reshape(width, height, len(off))
+    np.copyto(grid, -1, where=((tx < 0) | (tx >= width))[:, None, :])
+    np.copyto(grid, -1, where=((ty < 0) | (ty >= height))[None, :, :])
+    return out
 
 
 def grid_actions(max_step: int):
@@ -174,7 +189,7 @@ def grid_scenario(
     actions = grid_actions(max_step)
     lengths = np.array([math.hypot(dx, dy) for dx, dy in actions])
     pairs = _shift_targets(w, h, actions)  # (states, actions), as every table below
-    spread = _clipped_spread(w, h, *_product_kernel(sigma, sigma))
+    spread = _clipped_spread(w, h, sigma, sigma)
     # the goal is absorbing: once there the only move is a free noise-free
     # stay, implemented as an extra deterministic spread row
     park = sp.csr_matrix(
@@ -191,8 +206,10 @@ def grid_scenario(
     goal_mass = spread[:, goal_idx].toarray().ravel()
     crash_mass = spread @ fail.astype(float)
     miss = np.clip(1.0 - goal_mass - crash_mass, 0.0, 1.0)
-    safe_t = np.where(pairs >= 0, pairs, 0)
-    last = base + 10.0 * t * max_step * np.where(pairs >= 0, miss[safe_t], 0.0)
+    # target -1 (an inadmissible pair) reads the appended 0 and keeps base's inf
+    last = np.append(miss, 0.0)[pairs]
+    last *= 10.0 * t * max_step
+    last += base
 
     initial = np.zeros(n)
     initial[start[0] * h + start[1]] = 1.0
@@ -211,22 +228,30 @@ def grid_oracle(feasible, start, goal, horizon, max_step, sigma, risk_bound) -> 
     return MdpOracle(mdp, risk_bound)
 
 
-def _bfs_distance(feasible: np.ndarray, source) -> np.ndarray:
+def _walk_distances(feasible: np.ndarray, sources) -> np.ndarray:
+    """(sources, width, height) four-neighbour walk distance from each source; inf off its reach.
+
+    One breadth-first search for all sources, a whole level at a time.
+    Each source walks its own copy of the map, ringed by infeasible cells
+    so that no neighbour index leaves the copy.
+    """
     w, h = feasible.shape
-    dist = np.full((w, h), np.inf)
-    sx, sy = source
-    if not feasible[sx, sy]:
-        return dist
-    dist[sx, sy] = 0.0
-    queue = deque([(sx, sy)])
-    while queue:
-        x, y = queue.popleft()
-        for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if 0 <= nx < w and 0 <= ny < h and feasible[nx, ny]:
-                if dist[nx, ny] == np.inf:
-                    dist[nx, ny] = dist[x, y] + 1.0
-                    queue.append((nx, ny))
-    return dist
+    stride = h + 2
+    free = np.zeros((len(sources), w + 2, stride), dtype=bool)
+    free[:, 1:-1, 1:-1] = feasible
+    free = free.ravel()
+    dist = np.full(free.size, np.inf)
+    front = np.array([(i * (w + 2) + x + 1) * stride + y + 1 for i, (x, y) in enumerate(sources)])
+    front = front[free[front]]
+    steps = np.array([stride, -stride, 1, -1])
+    level = 0.0
+    while front.size:
+        free[front] = False
+        dist[front] = level
+        level += 1.0
+        front = (front[:, None] + steps).ravel()
+        front = np.unique(front[free[front]])
+    return dist.reshape(len(sources), w + 2, stride)[:, 1:-1, 1:-1]
 
 
 def traverse_field(feasible: np.ndarray, sites) -> np.ndarray:
@@ -236,8 +261,7 @@ def traverse_field(feasible: np.ndarray, sites) -> np.ndarray:
     (ax, ay), (bx, by) = sites
     if not (feasible[ax, ay] and feasible[bx, by]):
         raise InvalidInputError("science site on an infeasible cell")
-    da = _bfs_distance(feasible, (ax, ay))
-    db = _bfs_distance(feasible, (bx, by))
+    da, db = _walk_distances(feasible, sites)
     between = da[bx, by]
     if not np.isfinite(between):
         raise InvalidInputError("science sites are not connected")
@@ -292,15 +316,13 @@ def edl_scenario(feasible: np.ndarray, start, sites, stages: int, ellipsoids, si
     costs = []
     for k in range(t):
         pairs = _shift_targets(w, h, ellipsoid_offsets(*ellipsoids[k]))
-        spread = _clipped_spread(w, h, *_product_kernel(*sigmas[k]))
+        spread = _clipped_spread(w, h, *sigmas[k])
         dynamics.append(ShiftSpread(pairs.T, spread))
-        admissible = pairs >= 0
         if k < t - 1:
-            costs.append(np.where(admissible, 0.0, np.inf))
+            costs.append(np.where(pairs >= 0, 0.0, np.inf))
         else:
-            expected = spread @ landed_cost.ravel()
-            safe_t = np.where(admissible, pairs, 0)
-            costs.append(np.where(admissible, expected[safe_t], np.inf))
+            # target -1 (an inadmissible pair) reads the appended inf
+            costs.append(np.append(spread @ landed_cost.ravel(), np.inf)[pairs])
     masks = [np.zeros(n, dtype=bool) for _ in range(t)]
     masks.append(~feasible.ravel())
     initial = np.zeros(n)

@@ -9,10 +9,12 @@ envelopes and hulls, so agreement with the package solvers is meaningful.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
+import scipy.sparse as sp
 
 from mixedctrl.milp import LpProblem
 
@@ -485,3 +487,137 @@ def shift_targets_per_offset(width: int, height: int, offsets):
         ok = (tx >= 0) & (tx < width) & (ty >= 0) & (ty < height)
         targets[a, ok] = tx[ok] * height + ty[ok]
     return targets
+
+
+def shift_targets_broadcast(width: int, height: int, offsets):
+    """(cells, offsets) flat index of each cell moved by each offset; -1 off the grid.
+
+    Every cell against every offset in full (cells, offsets) arrays, as the
+    grid and landing builders once made their target maps.
+    """
+    xs, ys = np.divmod(np.arange(width * height), height)
+    off = np.asarray(offsets, dtype=np.int64).reshape(-1, 2)
+    tx = xs[:, None] + off[:, 0]
+    ty = ys[:, None] + off[:, 1]
+    ok = (tx >= 0) & (tx < width) & (ty >= 0) & (ty < height)
+    return np.where(ok, tx * height + ty, -1)
+
+
+def clipped_spread_coo(width: int, height: int, offsets, weights):
+    """Row-stochastic disturbance matrix; mass pushed off-grid piles on the edge.
+
+    Every cell against every offset, clipped into the grid, as one COO
+    matrix that scipy sorts and sums into CSR: the construction the grid
+    and landing builders once used, kept as the bitwise reference.
+    """
+    n = width * height
+    xs, ys = np.divmod(np.arange(n), height)
+    tx = np.clip(xs[:, None] + offsets[None, :, 0], 0, width - 1)
+    ty = np.clip(ys[:, None] + offsets[None, :, 1], 0, height - 1)
+    rows = np.repeat(np.arange(n), len(weights))
+    cols = (tx * height + ty).ravel()
+    data = np.tile(weights, n)
+    m = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    m.sum_duplicates()
+    return m
+
+
+def product_kernel_pairs(sigma_x: float, sigma_y: float):
+    """Offsets (dx outer, dy inner) and weights of the separable Gaussian kernel.
+
+    Each 1-D kernel runs from -r to r with r = max(1, ceil(3 sigma)) and is
+    normalised by its own sum; sigma 0 is the single offset 0.
+    """
+    def one(sigma):
+        if sigma == 0:
+            return np.array([0]), np.array([1.0])
+        radius = max(1, math.ceil(3.0 * sigma))
+        off = np.arange(-radius, radius + 1)
+        w = np.exp(-0.5 * (off / sigma) ** 2)
+        return off, w / w.sum()
+
+    ox, wx = one(sigma_x)
+    oy, wy = one(sigma_y)
+    offs = np.array([(a, b) for a in ox for b in oy], dtype=np.int64)
+    return offs, np.outer(wx, wy).ravel()
+
+
+def bfs_distance_deque(feasible, source):
+    """Four-neighbour walk distance from ``source`` over feasible cells, inf elsewhere.
+
+    One cell at a time from a FIFO queue.
+    """
+    w, h = feasible.shape
+    dist = np.full((w, h), np.inf)
+    sx, sy = source
+    if not feasible[sx, sy]:
+        return dist
+    dist[sx, sy] = 0.0
+    queue = deque([(sx, sy)])
+    while queue:
+        x, y = queue.popleft()
+        for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if 0 <= nx < w and 0 <= ny < h and feasible[nx, ny]:
+                if dist[nx, ny] == np.inf:
+                    dist[nx, ny] = dist[x, y] + 1.0
+                    queue.append((nx, ny))
+    return dist
+
+
+def grid_tables_reference(feasible, goal, horizon: int, max_step: int, sigma: float):
+    """Targets (cells, actions), spread, and the stage and last-step costs of a grid.
+
+    Made as the grid builder once made them: broadcast targets, the COO
+    spread with the goal's parking row stacked under it, and costs from
+    masked ``np.where`` calls. Actions are the displacements of length at
+    most ``max_step``, dx outer, dy inner.
+    """
+    w, h = feasible.shape
+    n = w * h
+    goal_idx = goal[0] * h + goal[1]
+    d = max_step
+    span = range(-d, d + 1)
+    actions = [(dx, dy) for dx in span for dy in span if dx * dx + dy * dy <= d * d]
+    lengths = np.array([math.hypot(dx, dy) for dx, dy in actions])
+    pairs = shift_targets_broadcast(w, h, actions)
+    spread = clipped_spread_coo(w, h, *product_kernel_pairs(sigma, sigma))
+    park = sp.csr_matrix(
+        (np.ones(1), (np.zeros(1, dtype=int), np.array([goal_idx]))), shape=(1, n)
+    )
+    spread = sp.vstack([spread, park]).tocsr()
+    pairs[goal_idx] = -1
+    pairs[goal_idx, actions.index((0, 0))] = n
+    base = np.where(pairs >= 0, lengths[None, :], np.inf)
+    goal_mass = spread[:, goal_idx].toarray().ravel()
+    crash_mass = spread @ (~feasible.ravel()).astype(float)
+    miss = np.clip(1.0 - goal_mass - crash_mass, 0.0, 1.0)
+    safe_t = np.where(pairs >= 0, pairs, 0)
+    last = base + 10.0 * horizon * max_step * np.where(pairs >= 0, miss[safe_t], 0.0)
+    return pairs, spread, base, last
+
+
+def edl_tables_reference(feasible, sites, ellipsoids, sigmas):
+    """Per stage, targets (cells, actions), spread and stage cost of a landing map.
+
+    Made as the landing builder once made them, with a deque BFS from each
+    science site and the per-point ellipsoid offsets.
+    """
+    w, h = feasible.shape
+    (ax, ay), (bx, by) = sites
+    da = bfs_distance_deque(feasible, (ax, ay))
+    db = bfs_distance_deque(feasible, (bx, by))
+    trav = np.minimum(da, db) + da[bx, by]
+    landed_cost = np.where(feasible, np.where(np.isfinite(trav), trav, 4.0 * w * h), 0.0)
+    stages = []
+    for k, ((matrix, radius), sig) in enumerate(zip(ellipsoids, sigmas)):
+        pairs = shift_targets_broadcast(w, h, ellipsoid_offsets_per_point(matrix, radius))
+        spread = clipped_spread_coo(w, h, *product_kernel_pairs(*sig))
+        admissible = pairs >= 0
+        if k < len(ellipsoids) - 1:
+            cost = np.where(admissible, 0.0, np.inf)
+        else:
+            expected = spread @ landed_cost.ravel()
+            safe_t = np.where(admissible, pairs, 0)
+            cost = np.where(admissible, expected[safe_t], np.inf)
+        stages.append((pairs, spread, cost))
+    return stages

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -475,6 +476,71 @@ def test_policy_loader_names_the_first_bad_row_like_the_reference(tmp_path, row)
     assert str(got.value) == f"{tmp_path / 'p.csv'} {want.value}"
 
 
+@pytest.mark.parametrize(
+    "rows, named, message",
+    [
+        (["0,0,1", "", "0,0,0"], "", "has a bad row"),  # numpy's reader skips blank lines
+        (["0,0,1", "# 0,0,0"], "# 0,0,0", "has a bad row"),  # '#' starts no comment
+        (["0,0,9223372036854775808"], None, "references action 9223372036854775808 at step 0"),
+        (["-9223372036854775809,0,0"], None, "references step -9223372036854775809, state 0"),
+        (["0,0", "0,0"], "0,0", "has a bad row"),  # a whole table of two fields
+        (["0,0,1,0", "0,0,1,0"], "0,0,1,0", "has a bad row"),  # ... or of four
+        # int() reads these as 1; the table grammar is ASCII digits only
+        (["0,0,0_1"], "0,0,0_1", "has a bad row"),
+        (["0,0,\u0661"], "0,0,\u0661", "has a bad row"),  # Arabic-Indic one
+        (["0,0,\uff11"], "0,0,\uff11", "has a bad row"),  # fullwidth one
+        (["0,0,\xa01"], "0,0,\xa01", "has a bad row"),  # no-break space
+        # numpy's reader would take this Devanagari two for 2360
+        (["0,0,\u0968"], "0,0,\u0968", "has a bad row"),
+    ],
+)
+def test_policy_loader_rejects_rows_outside_the_table_grammar(tmp_path, rows, named, message):
+    oracle = MdpOracle(chain_mdp(), 0.1)
+    (tmp_path / "p.csv").write_text("\n".join(["step,state,action", *rows]) + "\n", "utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError) as got:
+            oracle.load("p.csv", tmp_path)
+    assert message in str(got.value)
+    if named is not None:
+        assert str(got.value).endswith(f"{message} {named!r}")
+
+
+def test_policy_loader_keeps_the_empty_table_and_the_spacing_it_allows(tmp_path):
+    oracle = MdpOracle(chain_mdp(), 0.1)
+    cases = {
+        "step,state,action\n": -1,  # no rows: no action anywhere
+        "step,state,action\n 0 ,\t+0, 01 \n": 1,
+        "step,state,action\r\n-0,0,0\r\n": 0,
+    }
+    for text, action in cases.items():
+        (tmp_path / "p.csv").write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (got,) = oracle.load("p.csv", tmp_path).actions
+        assert got.dtype == np.int64 and got.tolist() == [action]
+
+
+def test_policy_loader_names_every_row_it_rejects(tmp_path):
+    # the array parse and the row-by-row reading that names a bad row use
+    # one grammar: no rejected file falls through without a named row
+    oracle = MdpOracle(chain_mdp(), 0.1)
+    rng = np.random.default_rng(8)
+    fields = ["0", "1", " 0 ", "+1", "\t01", "-0", "2", "0_1", "\u0661", "\u0968", "\xa01",
+              "1\x1f", "99999999999999999999", "", "x", "#0", "0 1"]
+    outcomes = set()
+    for _ in range(1500):
+        line = ",".join(rng.choice(fields, size=int(rng.choice([1, 2, 3, 3, 3, 3, 4]))))
+        (tmp_path / "p.csv").write_text(f"step,state,action\n{line}\n", encoding="utf-8")
+        try:
+            oracle.load("p.csv", tmp_path)
+            outcomes.add("loaded")
+        except InvalidInputError as exc:
+            assert f" {line!r}" in str(exc) or "references" in str(exc), (line, str(exc))
+            outcomes.add(str(exc).split(" ")[1])
+    assert {"loaded", "has", "references"} <= outcomes
+
+
 def test_each_distinct_spread_and_pattern_is_checked(monkeypatch):
     good = ShiftSpread(np.array([[0, 1]]), sp.csr_matrix([[1.0, 0.0], [0.0, 1.0]]))
     bad = ShiftSpread(np.array([[0, 1]]), sp.csr_matrix([[1.0, 0.0], [0.3, 0.3]]))
@@ -508,6 +574,37 @@ def test_each_distinct_spread_and_pattern_is_checked(monkeypatch):
     with pytest.raises(InvalidInputError, match="action 0 marked admissible but has no target"):
         build([holes, holes], [np.array([[1.0, 1.0], [np.inf, 1.0]]), np.ones((2, 2))])
     assert calls == [holes, holes]
+
+
+def test_a_step_is_checked_unless_its_dynamics_costs_and_mask_were(monkeypatch):
+    dyn = ShiftSpread(np.array([[0, 1]]), sp.csr_matrix([[1.0, 0.0], [0.0, 1.0]]))
+    calls = []
+    real = np.isfinite
+
+    def counted(x, *args, **kwargs):
+        calls.append(x.shape)
+        return real(x, *args, **kwargs)
+
+    def build(costs, masks):
+        return Mdp(
+            horizon=len(costs),
+            state_counts=(2,) * (len(costs) + 1),
+            dynamics=(dyn,) * len(costs),
+            stage_costs=tuple(costs),
+            failure_masks=tuple(masks) + (np.zeros(2, bool),),
+            initial=np.array([1.0, 0.0]),
+        )
+
+    # state 1 has no admissible action: fine while it is a failure state
+    cost = np.array([[1.0], [np.inf]])
+    failed, alive = np.array([False, True]), np.zeros(2, bool)
+    monkeypatch.setattr(np, "isfinite", counted)
+    build([cost] * 4, [failed] * 4)
+    assert len(calls) == 1  # one (dynamics, costs, mask) triple
+    with pytest.raises(InvalidInputError, match="alive state 1 at step 3 has no admissible"):
+        build([cost] * 4, [failed] * 3 + [alive])
+    with pytest.raises(InvalidInputError, match="NaN stage cost at step 2"):
+        build([cost, cost, np.array([[1.0], [np.nan]])], [failed] * 3)
 
 
 def test_shift_spread_matches_explicit_matrices():

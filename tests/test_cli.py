@@ -389,6 +389,28 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_cli_import_loads_no_new_scipy_subpackage():
+    # MDP spreads need scipy.sparse and validate's binomial tails scipy.special;
+    # scipy.sparse.csgraph alone takes longer to import than a landing build
+    code = (
+        "import sys, mixedctrl.cli; print(' '.join(sorted("
+        "m for m, mod in list(sys.modules.items())"
+        " if m.split('.')[0] == 'scipy' and hasattr(mod, '__path__'))))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    packages = done.stdout.split()
+    assert "scipy.sparse.csgraph" not in packages
+    public = {m for m in packages if not any(part.startswith("_") for part in m.split("."))}
+    assert public <= {"scipy", "scipy.sparse", "scipy.special"}, sorted(public)
+
+
 def test_loose_bound_degenerates_to_one_component(tmp_path):
     config = _write(tmp_path, "loose.json", _toy_config(risk_bound=0.5))
     out = tmp_path / "run"
@@ -415,6 +437,30 @@ def test_validate_round_trip_and_tamper_detection(tmp_path, capsys):
     capsys.readouterr()
     assert main(["validate", str(config), "--out", str(out)]) == 1
     assert "validate:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "index, field, value, message",
+    [
+        (0, "cost", 5.0, "component 0 (policy_0.csv): re-evaluated cost"),
+        (1, "risk", 0.5, "component 1 (policy_1.csv): re-evaluated risk"),
+    ],
+)
+def test_validate_rejects_a_tampered_component_naming_it(tmp_path, capsys, index, field, value,
+                                                          message):
+    # the aggregate stays as saved, so only the per-component check can see it
+    out = tmp_path / "run"
+    assert main(["solve", str(CONFIGS / "desk_grid.json"), "--out", str(out)]) == 0
+    report_path = out / "report.json"
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    entry = report["mixed"]["components"][index]
+    entry[field] = entry[field] + value if field == "cost" else value
+    report_path.write_text(json.dumps(report), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", str(CONFIGS / "desk_grid.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err, err
+    assert err.count("validate: ") == 1, err
 
 
 def test_validate_accepts_a_count_outside_the_99_percent_interval(tmp_path, capsys):

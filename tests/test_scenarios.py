@@ -21,12 +21,23 @@ from mixedctrl.scenarios import (
     grid_actions,
     grid_oracle,
     grid_scenario,
+    _clipped_spread,
     _shift_targets,
+    _walk_distances,
     parse_grid_map,
     traverse_field,
 )
 
-from _oracles import ellipsoid_offsets_per_point, shift_targets_per_offset
+from _oracles import (
+    bfs_distance_deque,
+    clipped_spread_coo,
+    edl_tables_reference,
+    ellipsoid_offsets_per_point,
+    grid_tables_reference,
+    product_kernel_pairs,
+    shift_targets_broadcast,
+    shift_targets_per_offset,
+)
 
 SQRT2 = math.sqrt(2.0)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -165,20 +176,25 @@ def test_ellipsoid_offsets_counts_and_validation():
         ellipsoid_offsets(np.diag([1.0, -1.0]), 1.0)
 
 
-def test_ellipsoid_offsets_match_the_per_point_reference(monkeypatch):
+def _bench_instances(monkeypatch, kind: str) -> list[tuple[dict, str]]:
+    """(config, map text) of each ``kind`` instance of ``bench/gen.py``, seeds 1 to 3."""
     root = CONFIGS.parent
     spec = importlib.util.spec_from_file_location("bench_gen", root / "bench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "bench_gen", gen)  # its dataclass looks itself up
     spec.loader.exec_module(gen)
-    configs = [load_config(CONFIGS / "landing.json")]
-    configs += [
-        inst.config
+    return [
+        (inst.config, inst.map_text)
         for seed in (1, 2, 3)
         for workload in ("mdp-solve", "validate")
         for inst in gen.workload_instances(workload, seed, root)
-        if inst.config["kind"] == "edl"
+        if inst.config["kind"] == kind
     ]
+
+
+def test_ellipsoid_offsets_match_the_per_point_reference(monkeypatch):
+    configs = [load_config(CONFIGS / "landing.json")]
+    configs += [config for config, _ in _bench_instances(monkeypatch, "edl")]
     cases = [(e["matrix"], float(e["radius"])) for c in configs for e in c["ellipsoids"]]
     rng = np.random.default_rng(12)
     for _ in range(300):
@@ -273,3 +289,119 @@ def test_corridor_scenario_shape_and_cheapest_route():
     # unconstrained by risk, the plan runs straight down the axis
     assert cand.cost.c0 == pytest.approx(6.0, abs=1e-6)
     assert 0.0 < cand.cost.c1 < 0.2
+
+
+def _assert_same_csr(got, want, label):
+    """Same shape, index types, indices and data bytes."""
+    assert got.shape == want.shape, label
+    for name in ("indptr", "indices"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), (label, name)
+    assert got.data.dtype == want.data.dtype, label
+    assert got.data.tobytes() == want.data.tobytes(), label
+
+
+def _assert_same_table(got, want, label):
+    assert got.dtype == want.dtype and got.shape == want.shape, label
+    assert got.tobytes() == want.tobytes(), label
+
+
+@pytest.mark.parametrize(
+    "width, height, sigma_x, sigma_y",
+    [
+        (30, 30, 1.0, 1.0),  # desk_grid
+        (36, 36, 2.0, 2.0),  # landing's three stages
+        (36, 36, 1.2, 1.2),
+        (36, 36, 0.7, 0.7),
+        (20, 20, 0.0, 0.0),  # one offset: every row is inside
+        (6, 6, 0.0, 0.0),
+        (4, 4, 3.0, 3.0),  # kernel wider than the grid: no row is inside
+        (5, 9, 2.0, 2.0),
+        (40, 9, 0.4, 2.0),  # anisotropic, rectangular
+        (9, 40, 2.0, 0.4),
+        (25, 31, 0.0, 1.5),
+        (31, 25, 1.5, 0.0),
+        (1, 7, 1.0, 1.0),  # one column
+        (1, 40, 0.0, 1.0),
+        (40, 1, 1.0, 0.0),  # one row
+        (1, 1, 0.5, 0.5),
+    ],
+)
+def test_spread_matches_the_coo_reference_bit_for_bit(width, height, sigma_x, sigma_y):
+    want = clipped_spread_coo(width, height, *product_kernel_pairs(sigma_x, sigma_y))
+    got = _clipped_spread(width, height, sigma_x, sigma_y)
+    _assert_same_csr(got, want, (width, height, sigma_x, sigma_y))
+
+
+def test_shift_targets_match_the_broadcast_reference():
+    cases = [
+        (30, 30, grid_actions(6)),
+        (36, 36, ellipsoid_offsets(np.eye(2), 10.0)),
+        (40, 9, grid_actions(3)),
+        (1, 12, grid_actions(2)),
+        (12, 1, grid_actions(2)),
+        (3, 3, grid_actions(5)),  # every move but the stay leaves the grid
+        (4, 5, []),
+    ]
+    for width, height, offsets in cases:
+        got = _shift_targets(width, height, offsets)
+        want = shift_targets_broadcast(width, height, offsets)
+        _assert_same_table(got, want, (width, height, len(offsets)))
+        assert got.flags.c_contiguous
+
+
+def test_walk_distances_match_the_deque_reference():
+    rng = np.random.default_rng(21)
+    feasible, markers = parse_grid_map((CONFIGS / "landing.map").read_text(encoding="utf-8"))
+    maps = [(feasible, [markers["A"][0], markers["B"][0], (0, 0)])]
+    for _ in range(30):
+        w, h = (int(v) for v in rng.integers(1, 15, size=2))
+        walls = rng.random((w, h)) < rng.uniform(0.0, 0.6)  # some cut the map apart
+        sources = [tuple(int(v) for v in rng.integers(0, (w, h))) for _ in range(3)]
+        maps.append((~walls, sources))
+    for feasible, sources in maps:
+        got = _walk_distances(feasible, sources)
+        assert got.shape == (len(sources),) + feasible.shape
+        for dist, source in zip(got, sources):
+            # a source on an infeasible cell reaches nothing
+            _assert_same_table(np.ascontiguousarray(dist), bfs_distance_deque(feasible, source),
+                               source)
+
+
+def test_grid_and_landing_mdps_match_the_reference_builders(monkeypatch):
+    inputs = [(load_config(CONFIGS / f"{name}.json"), None) for name in ("desk_grid", "landing")]
+    inputs += _bench_instances(monkeypatch, "grid") + _bench_instances(monkeypatch, "edl")
+    # one grid whose goal's parking row sits under a noise-free spread
+    open_map = "\n".join(["S....", ".....", "....G"])
+    inputs.append(({"kind": "grid", "horizon": 3, "max_step": 2, "sigma": 0.0}, open_map))
+    for config, map_text in inputs:
+        if map_text is None:
+            map_text = (CONFIGS / config["map"]).read_text(encoding="utf-8")
+        feasible, markers = parse_grid_map(map_text)
+        start = markers["S"][0]
+        if config["kind"] == "grid":
+            goal = markers["G"][0]
+            mdp = grid_scenario(feasible, start, goal, config["horizon"], config["max_step"],
+                                config["sigma"])
+            pairs, spread, base, last = grid_tables_reference(
+                feasible, goal, config["horizon"], config["max_step"], config["sigma"]
+            )
+            stages = [(pairs, spread, base)] * (config["horizon"] - 1) + [(pairs, spread, last)]
+            park = spread.indptr[-2]  # the goal's parking row: one entry, on the goal
+            assert spread.indptr[-1] - park == 1
+            assert spread.indices[park] == goal[0] * feasible.shape[1] + goal[1]
+        else:
+            ellipsoids = [(np.asarray(e["matrix"], float), float(e["radius"]))
+                          for e in config["ellipsoids"]]
+            sigmas = [tuple(float(v) for v in pair) for pair in config["sigmas"]]
+            sites = (markers["A"][0], markers["B"][0])
+            mdp = edl_scenario(feasible, start, sites, config["stages"], ellipsoids, sigmas)
+            stages = edl_tables_reference(feasible, sites, ellipsoids, sigmas)
+        assert len(mdp.dynamics) == len(stages)
+        for k, (dyn, cost, (pairs, spread, want_cost)) in enumerate(
+            zip(mdp.dynamics, mdp.stage_costs, stages)
+        ):
+            label = (config["kind"], k, config.get("sigma", config.get("sigmas")))
+            _assert_same_table(dyn.targets, pairs, label)
+            _assert_same_csr(dyn.spread, spread, label)
+            _assert_same_table(cost, want_cost, label)
