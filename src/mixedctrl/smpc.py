@@ -49,10 +49,14 @@ from .core import (
     check_multiplier,
     read_component,
 )
-from .milp import EQ, GE, LE, MAX_NODES, LpProblem, MilpProblem, solve_lp, solve_milp
+from .milp import (
+    EQ, GE, LE, MAX_NODE_LIMIT, MAX_NODES, LpProblem, MilpProblem, solve_lp, solve_milp
+)
 
 # below this the face distance in standard deviations is treated as exact
 _SIGMA_FLOOR = 1e-12
+# a mean separates from an obstacle face when it is at most this far on the inner side
+_SEPARATION_TOL = 1e-9
 # objective weight on risk terms when the multiplier is zero. It only
 # keeps the risk terms in the objective: with `milp.MILP_GAP` at 1e-9, a
 # risk difference below 1 between plans of equal effort is worth less than
@@ -189,9 +193,10 @@ class PwlCdf:
     intercepts: tuple[float, ...]
     y_min: float
 
-    def value(self, y: float) -> float:
-        best = max(a * y + b for a, b in zip(self.slopes, self.intercepts))
-        return max(0.0, best)
+    def value(self, y):
+        """The majorant at ``y``, a number or an array of them."""
+        chords = np.multiply.outer(np.asarray(y, dtype=float), self.slopes) + self.intercepts
+        return np.maximum(0.0, chords.max(axis=-1))
 
 
 def build_pwl_cdf(n_segments: int = 24, y_min: float = -6.0) -> PwlCdf:
@@ -202,6 +207,22 @@ def build_pwl_cdf(n_segments: int = 24, y_min: float = -6.0) -> PwlCdf:
     slopes = (ps[1:] - ps[:-1]) / (ys[1:] - ys[:-1])
     intercepts = ps[:-1] - slopes * ys[:-1]
     return PwlCdf(tuple(slopes), tuple(intercepts), float(y_min))
+
+
+def _face_sigmas(model: SmpcModel, covs) -> list[np.ndarray]:
+    """Per obstacle, the (faces, N) deviations of ``a @ x`` at steps 2..N+1 under ``covs``."""
+    cov = np.stack(covs[1:])
+    faces = [obs.face_normals[:, None, None, :] for obs in model.obstacles]  # (faces, 1, 1, n)
+    return [np.sqrt(np.maximum((a @ cov @ a.swapaxes(2, 3))[..., 0, 0], 0.0)) for a in faces]
+
+
+def _tail_bound(pwl: PwlCdf, gap: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Chord bound on P(a @ x < b) for ``gap`` = b - E[a @ x] and ``sigma`` its deviation.
+
+    Both are arrays of one shape; the bound is 0 where ``sigma`` is at most `_SIGMA_FLOOR`.
+    """
+    live = sigma > _SIGMA_FLOOR
+    return np.where(live, pwl.value(gap / np.where(live, sigma, 1.0)), 0.0)
 
 
 def _interval_matvec(mat, lo, hi):
@@ -219,18 +240,15 @@ def _mean_ranges(model: SmpcModel):
     goal), and intersecting both funnels tightens every big-M constant
     and lets more face binaries be pinned outright.
     """
-    lo = model.x_init.copy()
-    hi = model.x_init.copy()
+    lo = hi = model.x_init
+    blo, bhi = _interval_matvec(model.b_mat, model.u_lower, model.u_upper)
     out = []
     for _ in range(model.horizon):
         alo, ahi = _interval_matvec(model.a_mat, lo, hi)
-        blo, bhi = _interval_matvec(model.b_mat, model.u_lower, model.u_upper)
         lo, hi = alo + blo, ahi + bhi
         out.append([lo, hi])
     if np.array_equal(model.a_mat, np.eye(model.dim_x)):
-        blo, bhi = _interval_matvec(model.b_mat, model.u_lower, model.u_upper)
-        back_lo = model.x_goal.copy()
-        back_hi = model.x_goal.copy()
+        back_lo = back_hi = model.x_goal
         for t in range(model.horizon - 1, -1, -1):
             out[t][0] = np.maximum(out[t][0], back_lo)
             out[t][1] = np.minimum(out[t][1], back_hi)
@@ -298,8 +316,17 @@ def build_inner_milp(
     )
     cols = Columns(*blocks[:4], tuple(blocks[4:]))
 
-    covs = propagate_covariance(model)
-    ranges = _mean_ranges(model)
+    binary = [int(zi) for z in cols.z for zi in z.flat]
+    objective = np.zeros(num_cols)
+    objective[cols.v] = 1.0
+    objective[cols.delta] = risk_weight
+    lower = np.full(num_cols, -np.inf)
+    upper = np.full(num_cols, np.inf)
+    lower[cols.u] = model.u_lower
+    upper[cols.u] = model.u_upper
+    lower[cols.v] = 0.0
+    lower[cols.delta] = lower[binary] = 0.0
+    upper[cols.delta] = upper[binary] = 1.0
     rows, senses, rhs = [], [], []
 
     def add_row(idx, vals, sense, b):
@@ -331,43 +358,37 @@ def build_inner_milp(
     # group is pre-resolved only when a single face settles it for free:
     # the reachable mean set never crosses it and its tail is past the
     # chord range. Such a group emits no rows at all.
-    z_fix: dict[int, float] = {}
-    for i, obs in enumerate(model.obstacles):
-        for t in range(big_n):
-            lo_t, hi_t = ranges[t]
-            cov = covs[t + 1]
-            zcols = cols.z[i][:, t]
-            faces = []
-            certificate = None
-            for j in range(obs.num_faces):
-                a = obs.face_normals[j]
-                b = float(obs.face_offsets[j])
-                s = math.sqrt(max(float(a @ cov @ a), 0.0))
-                row_lo, row_hi = (float(r) for r in _interval_matvec(a, lo_t, hi_t))
-                always = row_lo >= b - 1e-9
-                never = row_hi < b - 1e-9
-                vacuous = s <= _SIGMA_FLOOR or pwl.value((b - row_lo) / s) == 0.0
-                if always and vacuous and certificate is None:
-                    certificate = j
-                faces.append((j, a, b, s, row_lo, always, never, vacuous))
-            if certificate is not None:
-                for j, zi in enumerate(zcols):
-                    z_fix[zi] = 0.0 if j == certificate else 1.0
-                continue
-            for j, a, b, s, row_lo, always, never, vacuous in faces:
-                zi = zcols[j]
-                if never:
-                    z_fix[zi] = 1.0  # cannot separate; its rows relax
-                    continue  # to vacuity under z = 1, so skip them
-                if not always:
+    lo, hi = (np.array(side).T for side in zip(*_mean_ranges(model)))  # (n, N) each
+    sigmas = _face_sigmas(model, propagate_covariance(model))
+    for i, (obs, sigma, z) in enumerate(zip(model.obstacles, sigmas, cols.z)):
+        # (faces, N): the reachable range of a @ x and the worst margin's tail
+        row_lo, row_hi = _interval_matvec(obs.face_normals, lo, hi)
+        offsets = obs.face_offsets[:, None]
+        gap = offsets - row_lo
+        always = row_lo >= offsets - _SEPARATION_TOL
+        never = row_hi < offsets - _SEPARATION_TOL
+        vacuous = _tail_bound(pwl, gap, sigma) == 0.0
+        settled = always & vacuous
+        grouped = settled.any(axis=0)  # steps that one face settles
+        # such a step keeps its first settling face and relaxes the others;
+        # a face that cannot separate relaxes too, and its rows, vacuous
+        # under z = 1, are skipped
+        lower[z[never | grouped]] = upper[z[never | grouped]] = 1.0
+        keep = settled & (settled.cumsum(axis=0) == 1)
+        lower[z[keep]] = upper[z[keep]] = 0.0
+        for t in np.flatnonzero(~grouped):
+            for j in np.flatnonzero(~never[:, t]):
+                a, b, zi = obs.face_normals[j], obs.face_offsets[j], z[j, t]
+                if not always[j, t]:
                     # face kept (z = 0) forces the mean to its outer side
-                    m_out = max(0.0, b - row_lo) + 1.0
+                    m_out = max(0.0, gap[j, t]) + 1.0
                     add_row([*cols.x[t], zi], [*a, m_out], GE, b)
-                if vacuous:
+                if vacuous[j, t]:
                     # the worst reachable margin already sits past the
                     # left end of every chord: delta >= 0 covers them
                     continue
-                y_max = (b - row_lo) / s
+                s = sigma[j, t]
+                y_max = gap[j, t] / s
                 for alpha, beta in zip(pwl.slopes, pwl.intercepts):
                     # delta >= alpha*(b - a@x)/s + beta unless relaxed
                     m_c = max(0.0, alpha * y_max + beta) + 1e-3
@@ -378,21 +399,7 @@ def build_inner_milp(
                         alpha * b / s + beta,
                     )
             # keep at least one face per obstacle and step
-            add_row(zcols, 1.0, LE, float(obs.num_faces - 1))
-
-    binary = [int(zi) for z in cols.z for zi in z.flat]
-    objective = np.zeros(num_cols)
-    objective[cols.v] = 1.0
-    objective[cols.delta] = risk_weight
-    lower = np.full(num_cols, -np.inf)
-    upper = np.full(num_cols, np.inf)
-    lower[cols.u] = model.u_lower
-    upper[cols.u] = model.u_upper
-    lower[cols.v] = 0.0
-    lower[cols.delta] = lower[binary] = 0.0
-    upper[cols.delta] = upper[binary] = 1.0
-    for zi, val in z_fix.items():
-        lower[zi] = upper[zi] = val
+            add_row(z[:, t], 1.0, LE, float(obs.num_faces - 1))
 
     lp = LpProblem(
         objective=objective,
@@ -419,31 +426,14 @@ def _risk_terms(model: SmpcModel, covs, pwl: PwlCdf, path: np.ndarray):
     pairs whose mean had no separating face at all; those entries carry
     probability one.
     """
-    n_obs, big_n = len(model.obstacles), model.horizon
-    terms = np.zeros((n_obs, big_n))
-    inside = np.zeros((n_obs, big_n), dtype=bool)
-    for i, obs in enumerate(model.obstacles):
-        for t in range(big_n):
-            x = path[t + 1]
-            cov = covs[t + 1]
-            best = None
-            for j in range(obs.num_faces):
-                a = obs.face_normals[j]
-                b = float(obs.face_offsets[j])
-                margin = float(a @ x) - b
-                if margin < -1e-9:
-                    continue
-                s = math.sqrt(max(float(a @ cov @ a), 0.0))
-                if s <= _SIGMA_FLOOR:
-                    val = 0.0
-                else:
-                    val = pwl.value(min(-margin, 0.0) / s)
-                best = val if best is None else min(best, val)
-            if best is None:
-                inside[i, t] = True
-                terms[i, t] = 1.0
-            else:
-                terms[i, t] = best
+    inside = np.zeros((len(model.obstacles), model.horizon), dtype=bool)
+    terms = np.zeros(inside.shape)
+    for i, (obs, sigma) in enumerate(zip(model.obstacles, _face_sigmas(model, covs))):
+        margin = obs.face_normals @ path[1:].T - obs.face_offsets[:, None]  # (faces, N)
+        separating = margin >= -_SEPARATION_TOL
+        bound = _tail_bound(pwl, np.minimum(-margin, 0.0), sigma)
+        inside[i] = ~separating.any(axis=0)
+        terms[i] = np.where(inside[i], 1.0, bound.min(axis=0, where=separating, initial=np.inf))
     return terms, inside
 
 
@@ -468,6 +458,8 @@ class SmpcOracle(LagrangianOracle):
         pwl: PwlCdf | None = None,
         max_nodes: int = MAX_NODES,
     ):
+        if not 1 <= max_nodes <= MAX_NODE_LIMIT:
+            raise InvalidInputError(f"max_nodes must be in [1, 2**31 - 1], got {max_nodes}")
         self.model = model
         self.risk_bound = risk_bound
         self.pwl = pwl if pwl is not None else build_pwl_cdf()
@@ -534,6 +526,8 @@ class SmpcOracle(LagrangianOracle):
         expected = (self.model.horizon, self.model.dim_u)
         if controls.shape != expected:
             raise InvalidInputError(f"{path} has shape {controls.shape}, expected {expected}")
+        if not np.isfinite(controls).all():
+            raise InvalidInputError(f"{path} holds a control that is not a finite number")
         return ControlPlan(controls)
 
 

@@ -621,3 +621,38 @@ def edl_tables_reference(feasible, sites, ellipsoids, sigmas):
             cost = np.where(admissible, expected[safe_t], np.inf)
         stages.append((pairs, spread, cost))
     return stages
+
+
+def pwl_value_float(slopes, intercepts, y: float) -> float:
+    """The chord majorant at one point in Python floats: max(0, max over chords of a*y + b)."""
+    return max(0.0, max(a * y + b for a, b in zip(slopes, intercepts)))
+
+
+def risk_terms_per_face(model, covs, pwl, path):
+    """Tightest per-face tail bound for each obstacle and step 2..N+1, one face at a time.
+
+    A transcription of the straightforward per-face loop: a face
+    separates the mean when the mean is at most 1e-9 on its inner side,
+    its deviation is sqrt(a' cov a), a deviation at most 1e-12 bounds
+    the tail by 0, and otherwise the tail is the chord majorant at the
+    clipped margin over the deviation. A pair with no separating face is
+    inside and carries 1.0. Returns the (obstacles, N) bounds and that
+    inside mask.
+    """
+    terms = np.zeros((len(model.obstacles), model.horizon))
+    inside = np.zeros(terms.shape, dtype=bool)
+    for i, obs in enumerate(model.obstacles):
+        for t in range(model.horizon):
+            best = None
+            for a, b in zip(obs.face_normals, obs.face_offsets):
+                margin = float(a @ path[t + 1]) - float(b)
+                if margin < -1e-9:
+                    continue
+                s = math.sqrt(max(float(a @ covs[t + 1] @ a), 0.0))
+                val = 0.0
+                if s > 1e-12:
+                    val = pwl_value_float(pwl.slopes, pwl.intercepts, min(-margin, 0.0) / s)
+                best = val if best is None else min(best, val)
+            inside[i, t] = best is None
+            terms[i, t] = 1.0 if best is None else best
+    return terms, inside

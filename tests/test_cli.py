@@ -122,6 +122,10 @@ _BAD_SHAPES_AND_RANGES = [
     ({**_shipped_config("desk_grid"), "sigma": 10**400}, "bad grid config"),
     (_toy_config(sweep={"lambda_max": float("nan")}),
      "sweep.lambda_max must be a finite number, got NaN"),
+    # HiGHS takes node limits from 1 to 2**31 - 1
+    (_line_smpc_config(max_nodes=-5), "max_nodes"),
+    (_line_smpc_config(max_nodes=0), "max_nodes"),
+    (_line_smpc_config(max_nodes=2**31), "max_nodes"),
 ]
 
 
@@ -647,6 +651,9 @@ def test_validate_rejects_a_malformed_component_file_naming_it(tmp_path, capsys)
          f"repeats step {step}, state {state} in row {repeated!r}"),
         ("plan_0.csv", "\n".join([plan[0], "x", *plan[2:]]), "is not a control plan table"),
         ("plan_0.csv", "\n".join(plan[:-1]), "has shape (2, 1), expected (3, 1)"),
+        ("plan_0.csv", "\n".join([*plan[:2], "nan", plan[3]]), "a control that is not a finite"),
+        ("plan_0.csv", "\n".join([*plan[:2], "inf", plan[3]]), "a control that is not a finite"),
+        ("plan_0.csv", "\n".join([*plan[:2], "1e999", plan[3]]), "a control that is not a finite"),
     ]
     for name, text, message in cases:
         out = tmp_path / name

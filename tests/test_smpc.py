@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from _oracles import brute_milp_solve, mc_failures_rowmajor
+from _oracles import (
+    brute_milp_solve,
+    mc_failures_rowmajor,
+    pwl_value_float,
+    risk_terms_per_face,
+)
 from mixedctrl import smpc
 from mixedctrl.cli import build_setup, main
 from mixedctrl.core import InfeasibleProblemError, InvalidInputError
@@ -126,6 +131,104 @@ def test_pwl_chords_match_reference_cdf():
     assert pwl.intercepts[0] == pytest.approx(phi_ref(-2.0) + 2.0 * s0, abs=1e-12)
     assert pwl.value(0.0) == pytest.approx(0.5, abs=1e-12)
     assert pwl.value(-10.0) == 0.0
+
+
+def test_pwl_value_on_arrays_matches_the_float_formula():
+    pwl = build_pwl_cdf(7, y_min=-4.5)
+    ys = np.concatenate([
+        np.linspace(-40.0, pwl.y_min, 50, endpoint=False),  # below the chord range
+        np.linspace(pwl.y_min, 0.0, 301),
+        [1e-300, 1e-3, 0.5, 2.0, 40.0],  # past the right end, where chords extrapolate
+    ])
+    reference = [pwl_value_float(pwl.slopes, pwl.intercepts, float(y)) for y in ys]
+    values = pwl.value(ys)
+    assert values.shape == ys.shape
+    assert values.tobytes() == np.array(reference).tobytes()
+    assert pwl.value(ys.reshape(4, -1)).tobytes() == values.tobytes()
+    assert [pwl.value(float(y)) for y in ys] == reference
+
+
+def _face_model(**overrides):
+    fields = dict(
+        a_mat=np.eye(2),
+        b_mat=np.eye(2),
+        sigma_w=0.005 * np.eye(2),
+        horizon=6,
+        x_init=[0.0, 0.0],
+        x_goal=[3.0, 0.0],
+        u_lower=[-1.0, -1.0],
+        u_upper=[1.0, 1.0],
+        obstacles=gap_model().obstacles,
+    )
+    return SmpcModel(**{**fields, **overrides})
+
+
+def _rotated_faces(degrees, offsets):
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    return Obstacle([[c, s], [-c, -s], [-s, c], [s, -c]], offsets)
+
+
+_FACE_MODELS = {
+    # rotated faces, correlated noise and a state matrix that is not the identity
+    "rotated": _face_model(
+        a_mat=[[1.0, 0.1], [0.0, 0.95]],
+        sigma_w=[[0.005, 0.002], [0.002, 0.004]],
+        obstacles=(_rotated_faces(20.0, [2.5, -1.0, 1.2, 0.4]),
+                   _rotated_faces(-35.0, [3.0, -2.0, -0.1, 3.0])),
+    ),
+    # no noise along y: the y faces have a deviation of exactly 0
+    "singular": _face_model(sigma_w=[[0.005, 0.0], [0.0, 0.0]]),
+    "no obstacles": _face_model(obstacles=()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FACE_MODELS))
+def test_risk_terms_match_the_per_face_reference(name):
+    model = _FACE_MODELS[name]
+    covs = propagate_covariance(model)
+    pwl = build_pwl_cdf(6)
+    rng = np.random.default_rng(11)
+    for scale in np.linspace(0.0, 1.0, 12):
+        controls = scale * rng.uniform(model.u_lower, model.u_upper, (model.horizon, 2))
+        path = mean_path(model, controls)
+        terms, inside = smpc._risk_terms(model, covs, pwl, path)
+        ref_terms, ref_inside = risk_terms_per_face(model, covs, pwl, path)
+        assert terms.shape == (len(model.obstacles), model.horizon)
+        assert np.array_equal(inside, ref_inside)
+        if name == "rotated":
+            # products along rotated faces may round differently in another BLAS
+            np.testing.assert_allclose(terms, ref_terms, rtol=1e-12, atol=1e-14)
+        else:
+            assert terms.tobytes() == ref_terms.tobytes()
+
+
+def test_risk_terms_mark_a_mean_inside_like_the_per_face_reference():
+    model = _face_model(horizon=2, x_goal=[2.0, 0.0])
+    covs = propagate_covariance(model)
+    pwl = build_pwl_cdf(6)
+    # step 2 sits in the box's middle, step 3 past its right face
+    path = mean_path(model, [[1.0, 0.0], [1.0, 0.0]])
+    terms, inside = smpc._risk_terms(model, covs, pwl, path)
+    ref_terms, ref_inside = risk_terms_per_face(model, covs, pwl, path)
+    assert inside.tolist() == ref_inside.tolist() == [[True, False]]
+    assert terms[0, 0] == 1.0
+    assert terms.tobytes() == ref_terms.tobytes()
+
+
+def test_a_face_without_noise_bounds_its_tail_by_zero():
+    model = _FACE_MODELS["singular"]
+    covs = propagate_covariance(model)
+    pwl = build_pwl_cdf(6)
+    # step 2 sits on the top face, where y has no noise, and on the left
+    # face, where its tail is a half; the top face bounds it by 0
+    path = mean_path(model, [[0.5, 0.5], [0.5, 0.1]] + [[0.5, -0.15]] * 4)
+    terms, inside = smpc._risk_terms(model, covs, pwl, path)
+    ref_terms, _ = risk_terms_per_face(model, covs, pwl, path)
+    assert not inside.any() and terms[0, 0] == 0.0
+    assert terms.tobytes() == ref_terms.tobytes()
+    # the program builder never divides by that zero deviation
+    problem, _ = build_inner_milp(model, 1.0, pwl)
+    assert np.isfinite(problem.lp.lhs).all() and np.isfinite(problem.lp.rhs).all()
 
 
 def test_pwl_is_conservative_and_tightens():
