@@ -342,6 +342,16 @@ def _write_trace(path: Path, rows: Sequence[tuple[int, float, float, float, floa
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _out_dir(path: str) -> Path:
+    """The artifact directory ``path``, made with its parents if it is missing."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot create output directory {out_dir}: {exc}") from exc
+    return out_dir
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     config = load_config(config_path)
@@ -366,8 +376,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "mixed cost exceeds the pure upper bound; refusing to write the report"
         )
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
 
     components = []
     pure_ref = None  # the search's safe endpoint is always one of the components
@@ -526,8 +535,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     tracer = _TracingOracle(oracle)
     for lam in np.linspace(lam_min, lam_max, points):
         tracer.query(float(lam))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     _write_trace(out_dir / "sweep.csv", tracer.rows)
     best = max(tracer.rows, key=lambda r: r[4])
     print(

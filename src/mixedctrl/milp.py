@@ -1,18 +1,17 @@
 """Linear and mixed-binary linear programs on HiGHS (Huangfu & Hall 2018).
 
 Every program here minimizes; a caller after a maximum negates the
-objective. `solve_lp` hands an `LpProblem` to ``scipy.optimize.linprog``
-with ``method="highs-ds"``, the dual revised simplex of the copy of HiGHS
-(https://highs.dev) that ships with scipy, and gets back a basic solution
-and its simplex iteration count, which ``scipy.optimize.milp`` would not
-report. `solve_milp` hands a `MilpProblem` to ``scipy.optimize.milp``,
-HiGHS's branch and cut. The search stops once the incumbent is within
+objective. `solve_milp` is the one entry point to HiGHS
+(https://highs.dev): it hands a `MilpProblem` to ``scipy.optimize.milp``,
+the branch and cut of the copy of HiGHS that ships with scipy, and
+returns a `Solution`. `solve_lp` is `solve_milp` on a program without
+binaries. A mixed-binary search stops once the incumbent is within
 `MILP_GAP` of the best bound (no relative gap) or after ``max_nodes``
-nodes. Both return a `Solution`.
+nodes.
 
-`HIGHS_TOLERANCES` tightens HiGHS's default feasibility tolerance of
-1e-7, at which a risk term of the SMPC inner program can undercut its
-chord rows enough to make the risk rise with the multiplier.
+`HIGHS_OPTIONS` tightens HiGHS's default feasibility tolerance of 1e-7,
+at which a risk term of the SMPC inner program can undercut its chord
+rows enough to make the risk rise with the multiplier.
 
 HiGHS's feasibility-jump primal heuristic (Luteberget & Sartor 2023,
 "Feasibility Jump: an LP-free Lagrangian MIP heuristic") is switched
@@ -35,9 +34,17 @@ import numpy as np
 
 from .core import InvalidInputError, MixedControlError
 
-HIGHS_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 # absolute optimality gap at which HiGHS stops a mixed-binary program
 MILP_GAP = 1e-9
+# the options of every solve but its node limit; see the module docstring
+HIGHS_OPTIONS = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+    "mip_feasibility_tolerance": 1e-10,
+    "mip_rel_gap": 0.0,
+    "mip_abs_gap": MILP_GAP,
+    "mip_heuristic_run_feasibility_jump": False,
+}
 # branch-and-cut nodes a mixed-binary program may use unless its caller says otherwise
 MAX_NODES = 200_000
 # HiGHS reads its node limit as a 32-bit signed integer
@@ -115,42 +122,23 @@ class Solution:
     status: str  # optimal | infeasible | unbounded, or suboptimal for a MILP
     x: np.ndarray | None = None
     objective: float | None = None
-    pivots: int = 0  # HiGHS simplex iterations of an LP
+    pivots: int = 0  # always 0: scipy's milp does not report simplex iterations
     node_count: int = 0  # HiGHS's mip_node_count of a MILP
 
 
 def solve_lp(problem: LpProblem) -> Solution:
     """Solve an LP; any outcome but the three statuses raises MixedControlError."""
-    from scipy.optimize import linprog  # imported here: MDP runs never solve an LP
-    senses = np.array(problem.senses)
-    flip = np.where(senses == GE, -1.0, 1.0)
-    ub = senses != EQ
-    res = linprog(
-        problem.objective,
-        A_ub=(problem.lhs * flip[:, None])[ub],
-        b_ub=(problem.rhs * flip)[ub],
-        A_eq=problem.lhs[~ub],
-        b_eq=problem.rhs[~ub],
-        bounds=np.column_stack([problem.lower, problem.upper]),
-        method="highs-ds",
-        options=HIGHS_TOLERANCES,
-    )
-    status = SCIPY_STATUS.get(res.status)
-    if status is None:
-        raise MixedControlError(f"HiGHS stopped without an answer: {res.message}")
-    if status != "optimal":
-        return Solution(status, pivots=res.nit)
-    return Solution(status, x=res.x, objective=res.fun, pivots=res.nit)
+    return solve_milp(MilpProblem(problem, ()))
 
 
 def solve_milp(problem: MilpProblem, max_nodes: int = MAX_NODES) -> Solution:
     """Minimize with the binaries in {0, 1}.
 
-    A node or time limit reports ``suboptimal``, with the incumbent if
-    there is one; any outcome but the four statuses raises
-    MixedControlError.
+    On a program with binaries a node or time limit reports
+    ``suboptimal``, with the incumbent if there is one. Any other outcome
+    but optimal, infeasible or unbounded raises MixedControlError.
     """
-    from scipy.optimize import Bounds, LinearConstraint, milp  # lazy, as in `solve_lp`
+    from scipy.optimize import Bounds, LinearConstraint, milp  # lazy: MDP runs never solve one
     lp = problem.lp
     bins = list(problem.binary)
     lower, upper = lp.lower.copy(), lp.upper.copy()
@@ -164,14 +152,6 @@ def solve_milp(problem: MilpProblem, max_nodes: int = MAX_NODES) -> Solution:
     rows = LinearConstraint(
         lp.lhs, np.where(senses == LE, -np.inf, lp.rhs), np.where(senses == GE, np.inf, lp.rhs)
     )
-    options = {
-        **HIGHS_TOLERANCES,
-        "mip_feasibility_tolerance": HIGHS_TOLERANCES["primal_feasibility_tolerance"],
-        "mip_rel_gap": 0.0,
-        "mip_abs_gap": MILP_GAP,
-        "node_limit": max_nodes,
-        "mip_heuristic_run_feasibility_jump": False,
-    }
     with warnings.catch_warnings():
         # scipy passes the HiGHS option names it does not know through, with a warning
         warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
@@ -180,12 +160,13 @@ def solve_milp(problem: MilpProblem, max_nodes: int = MAX_NODES) -> Solution:
             integrality=integrality,
             bounds=Bounds(lower, upper),
             constraints=rows,
-            options=options,
+            options={**HIGHS_OPTIONS, "node_limit": max_nodes},
         )
     nodes = int(res.mip_node_count or 0)
-    status = {**SCIPY_STATUS, 1: "suboptimal"}.get(res.status)
-    if res.status == 4 and nodes >= max_nodes:
-        # HiGHS's node limit is its "solution limit", which scipy reports as 4
+    status = SCIPY_STATUS.get(res.status)
+    # a time or iteration limit (1) or the node limit, HiGHS's "solution
+    # limit" that scipy reports as 4, leaves a MILP suboptimal and an LP unsolved
+    if bins and (res.status == 1 or (res.status == 4 and nodes >= max_nodes)):
         status = "suboptimal"
     if status is None:
         raise MixedControlError(f"HiGHS stopped without an answer: {res.message}")

@@ -10,11 +10,11 @@ across that face with a piecewise-linear majorant of the normal CDF, and
 (3) summing the pieces with a union bound. That makes the multiplier
 oracle one mixed-binary linear program per query. Only the objective
 weight on the risk terms depends on the multiplier, so each oracle
-builds the program once and each query hands HiGHS (`milp.solve_milp`)
-a copy with its own weights, solved from scratch; each answer depends on
-the multiplier alone. A program that runs out of its node budget raises
-SolverLimitError; only a program with no feasible point is reported as
-infeasible.
+builds the program once and each query writes its weights into that one
+program and hands it to HiGHS (`milp.solve_milp`), which solves it from
+scratch; each answer depends on the multiplier alone. A program that
+runs out of its node budget raises SolverLimitError; only a program with
+no feasible point is reported as infeasible.
 
 Control effort is the L1 norm of the input sequence, linearized with the
 usual pair of slack inequalities per entry.
@@ -29,7 +29,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -57,6 +57,8 @@ from .milp import (
 _SIGMA_FLOOR = 1e-12
 # a mean separates from an obstacle face when it is at most this far on the inner side
 _SEPARATION_TOL = 1e-9
+# a saved plan's control may lie this far outside [u_lower, u_upper]
+_BOX_SLACK = 1e-9
 # objective weight on risk terms when the multiplier is zero. It only
 # keeps the risk terms in the objective: with `milp.MILP_GAP` at 1e-9, a
 # risk difference below 1 between plans of equal effort is worth less than
@@ -403,7 +405,7 @@ def build_inner_milp(
 
     lp = LpProblem(
         objective=objective,
-        lhs=np.array(rows) if rows else np.zeros((0, num_cols)),
+        lhs=np.array(rows),
         senses=tuple(senses),
         rhs=np.array(rhs),
         lower=lower,
@@ -443,10 +445,10 @@ class SmpcOracle(LagrangianOracle):
     The inner program is built on the first query and kept; only its
     objective weights on the risk terms change from one query to the
     next. Each answer is a function of the multiplier alone: every query
-    hands HiGHS a fresh copy of the program, solved from scratch with no
-    warm start. Reported costs are recomputed from the extracted control
-    sequence rather than read off the solver objective, so `evaluate`
-    reproduces them exactly.
+    writes its weights into the one program, over the only entries that
+    differ, and HiGHS solves it from scratch with no warm start. Reported
+    costs are recomputed from the extracted control sequence rather than
+    read off the solver objective, so `evaluate` reproduces them exactly.
     """
 
     risk_is_upper_bound = True  # a union bound over chord majorants
@@ -471,11 +473,8 @@ class SmpcOracle(LagrangianOracle):
         lam = check_multiplier(lam)
         if self._program is None:
             self._program = build_inner_milp(self.model, _RISK_WEIGHT_FLOOR, self.pwl)
-        base, cols = self._program
-        objective = base.lp.objective.copy()
-        objective[cols.delta] = max(lam, _RISK_WEIGHT_FLOOR)
-        # replace() runs the LpProblem and MilpProblem checks again
-        problem = replace(base, lp=replace(base.lp, objective=objective))
+        problem, cols = self._program
+        problem.lp.objective[cols.delta] = max(lam, _RISK_WEIGHT_FLOOR)
         sol = solve_milp(problem, max_nodes=self.max_nodes)
         if sol.status == "suboptimal":
             raise SolverLimitError(
@@ -528,6 +527,14 @@ class SmpcOracle(LagrangianOracle):
             raise InvalidInputError(f"{path} has shape {controls.shape}, expected {expected}")
         if not np.isfinite(controls).all():
             raise InvalidInputError(f"{path} holds a control that is not a finite number")
+        lo, hi = self.model.u_lower, self.model.u_upper
+        outside = (controls < lo - _BOX_SLACK) | (controls > hi + _BOX_SLACK)
+        if outside.any():
+            k, j = np.argwhere(outside)[0]
+            raise InvalidInputError(
+                f"{path} sets u{j} = {float(controls[k, j])!r} at step {k}, outside "
+                f"[u_lower, u_upper] = [{float(lo[j])!r}, {float(hi[j])!r}]"
+            )
         return ControlPlan(controls)
 
 

@@ -482,6 +482,25 @@ def test_validate_accepts_a_count_outside_the_99_percent_interval(tmp_path, caps
     assert binomial_acceptance(0.01, 2000, VALIDATE_FALSE_ALARM) == (3, 45)
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_an_out_path_that_cannot_be_made_exits_2_naming_it(tmp_path, command):
+    config = _write(tmp_path, "toy.json", _toy_config())
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n", encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    for out in (taken, taken / "below"):
+        done = subprocess.run(
+            [sys.executable, "-m", "mixedctrl", command, str(config), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2, done.stderr
+        assert f"cannot create output directory {out}" in done.stderr
+        assert "Traceback" not in done.stderr
+    assert taken.read_text(encoding="utf-8") == "a file, not a directory\n"
+
+
 def test_validate_without_report_exits_2(tmp_path, capsys):
     config = _write(tmp_path, "toy.json", _toy_config())
     assert main(["validate", str(config), "--out", str(tmp_path / "empty")]) == 2
@@ -654,6 +673,9 @@ def test_validate_rejects_a_malformed_component_file_naming_it(tmp_path, capsys)
         ("plan_0.csv", "\n".join([*plan[:2], "nan", plan[3]]), "a control that is not a finite"),
         ("plan_0.csv", "\n".join([*plan[:2], "inf", plan[3]]), "a control that is not a finite"),
         ("plan_0.csv", "\n".join([*plan[:2], "1e999", plan[3]]), "a control that is not a finite"),
+        ("plan_0.csv", "\n".join([*plan[:2], "5.0", plan[3]]), "u0 = 5.0 at step 1, outside"),
+        ("plan_0.csv", "\n".join([*plan[:2], "-1.6", plan[3]]), "[u_lower, u_upper] = [-1.5, 1.5]"),
+        ("plan_0.csv", "\n".join([*plan[:2], "1e308", plan[3]]), "u0 = 1e+308 at step 1, outside"),
     ]
     for name, text, message in cases:
         out = tmp_path / name

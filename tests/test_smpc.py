@@ -472,6 +472,28 @@ def test_corridor_answer_does_not_depend_on_earlier_queries():
     assert fresh.cost == again.cost
 
 
+def test_corridor_queries_leave_the_program_that_a_fresh_build_makes(monkeypatch):
+    # each query writes its weights into the one cached program; nothing
+    # else in it may change, and HiGHS must not write into it either
+    handed = []
+
+    def recorded(problem, **kwargs):
+        handed.append(problem)
+        return solve_milp(problem, **kwargs)
+
+    monkeypatch.setattr(smpc, "solve_milp", recorded)
+    oracle = _shipped_corridor()
+    for lam in (0.0, 1e9, 100.0):
+        oracle.query(lam)
+    assert len(handed) == 3 and all(problem is handed[0] for problem in handed)
+    used, (fresh, _) = handed[0], build_inner_milp(oracle.model, 100.0, oracle.pwl)
+    for name in ("objective", "lhs", "rhs", "lower", "upper"):
+        got, want = getattr(used.lp, name), getattr(fresh.lp, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert used.lp.senses == fresh.lp.senses
+    assert used.binary == fresh.binary
+
+
 def test_corridor_solve_builds_its_inner_program_once(tmp_path, monkeypatch):
     builds = []
 

@@ -2,14 +2,14 @@
 
     python3 tools/artifact_hashes.py SRC OUT
 
-runs ``solve`` and then ``validate`` of the package under ``SRC/src`` on
+runs ``solve``, ``validate`` and ``sweep`` of the package under ``SRC/src`` on
 the shipped configs (``toy``, ``desk_grid``, ``landing``, ``corridor``)
 and on every instance that ``bench/gen.py`` makes for seeds 1-3, one
 fresh process per command. Inputs come from this checkout's
 ``configs/`` and ``bench/``, so two checkouts see the same files; every
 output goes under ``OUT``. Each run prints one line: its name, the exit
-codes of ``solve`` and ``validate``, and a SHA-256 digest of the output
-directory's file names and contents. Reports carry no wall time, so a
+codes of ``solve``, ``validate`` and ``sweep``, and a SHA-256 digest of the
+output directory's file names and contents. Reports carry no wall time, so a
 change that keeps every artifact prints the same lines as its parent.
 """
 
@@ -72,7 +72,7 @@ def main(argv: list[str]) -> int:
                 [sys.executable, "-m", "mixedctrl", command, str(config), "--out", str(run_dir)],
                 env=env, cwd=out, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             ).returncode
-            for command in ("solve", "validate")
+            for command in ("solve", "validate", "sweep")
         ]
         print(name, *codes, _digest(run_dir), flush=True)
     return 0
