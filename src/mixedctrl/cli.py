@@ -304,13 +304,11 @@ class _TracingOracle(LagrangianOracle):
         self.inner = inner
         self.risk_bound = inner.risk_bound
         self.rows: list[tuple[int, float, float, float, float]] = []
-        self.last: tuple[float, PureCandidate] | None = None
 
     def query(self, lam: float) -> PureCandidate:
         cand = self.inner.query(lam)
         value = lagrangian_value(cand.cost, lam, self.risk_bound)
         self.rows.append((len(self.rows), lam, cand.cost.c0, cand.cost.c1, value))
-        self.last = (lam, cand)
         return cand
 
     def evaluate(self, policy: object) -> CostVector:
@@ -342,13 +340,18 @@ def _write_trace(path: Path, rows: Sequence[tuple[int, float, float, float, floa
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+class _BadInput(InvalidInputError):
+    """Bad input other than the config and the map it names: the ``--out``
+    path, a saved report or a component file that the report names."""
+
+
 def _out_dir(path: str) -> Path:
     """The artifact directory ``path``, made with its parents if it is missing."""
     out_dir = Path(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise InvalidInputError(f"cannot create output directory {out_dir}: {exc}") from exc
+        raise _BadInput(f"cannot create output directory {out_dir}: {exc}") from exc
     return out_dir
 
 
@@ -363,9 +366,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     tracer = _TracingOracle(oracle)
     result, solution = solve_mixed_scalar(tracer)
-    # lambda* is usually the multiplier of the search's last query
-    reference = tracer.last[1] if tracer.last[0] == solution.dual else None
-    optimality = check_optimality(solution, oracle, 1e-6, reference)
+    optimality = check_optimality(solution, oracle, 1e-6, result.reference)
     monte_carlo = _run_monte_carlo(oracle, solution, seed, n_rollouts).report(seed)
     wall = time.perf_counter() - started
 
@@ -439,7 +440,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     config = load_config(config_path)
     oracle = build_setup(config, config_path.parent)
-    out_dir = Path(args.out)
+    try:
+        return _validate_report(config["kind"], oracle, Path(args.out), args.seed)
+    except InvalidInputError as exc:
+        # past the config, every input is the report or a file it names
+        raise _BadInput(str(exc)) from exc
+
+
+def _validate_report(
+    kind: str, oracle: LagrangianOracle, out_dir: Path, seed: int | None
+) -> int:
     report = _read_json(out_dir / "report.json", "report")
 
     try:
@@ -451,6 +461,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             )
             for entry in report["mixed"]["components"]
         ]
+        pure_ref = report["pure"]["policy"]
+        pure = CostVector(float(report["pure"]["cost"]), float(report["pure"]["risk"]))
         lambda_star = float(report["dual"]["lambda_star"])
         gap = float(report["mixed"]["gap_estimate"])
         saved_cost = float(report["mixed"]["aggregate"]["cost"])
@@ -492,8 +504,27 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         failures.append(
             f"re-evaluated aggregate risk {aggregate.c1!r} differs from saved {saved_risk!r}"
         )
+    # the pure block is the best pure plan the search found, one of the components
+    named = next((i for i, (ref, _, _) in enumerate(saved_components) if ref == pure_ref), None)
+    if named is None:
+        failures.append(f"pure policy {pure_ref!r} names no component")
+    else:
+        fresh = components[named][0].cost
+        for what, kept, cost in (("cost", pure.c0, fresh.c0), ("risk", pure.c1, fresh.c1)):
+            if abs(kept - cost) > 1e-9:
+                failures.append(
+                    f"pure {what} {kept!r} differs from component {named}'s re-evaluated {cost!r}"
+                )
+    if pure.c1 > oracle.risk_bound:
+        failures.append(f"pure risk {pure.c1!r} exceeds the bound {oracle.risk_bound!r}")
+    saving = max(0.0, pure.c0 - aggregate.c0)
+    if abs(gap - saving) > 1e-9:
+        failures.append(
+            f"gap_estimate {gap!r} differs from the pure cost's saving {saving!r} "
+            "over the re-evaluated aggregate"
+        )
 
-    seed = saved_seed if args.seed is None else args.seed
+    seed = saved_seed if seed is None else seed
     monte_carlo = _run_monte_carlo(oracle, solution, seed, n_rollouts)
     if seed == saved_seed and abs(monte_carlo.failure_rate - saved_rate) > 1e-12:
         failures.append(
@@ -514,7 +545,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             print(f"validate: {line}", file=sys.stderr)
         return 1
     print(
-        f"validate {config['kind']}: optimality ok, aggregate matches, "
+        f"validate {kind}: optimality ok, aggregate matches, "
         f"{count} failures in {n_rollouts} rollouts within [{lo}, {hi}]",
         file=sys.stderr,
     )
@@ -585,7 +616,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
     except InvalidInputError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
+        label = "input" if isinstance(exc, _BadInput) else "config"
+        print(f"invalid {label}: {exc}", file=sys.stderr)
         return 2
     except MixedControlError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,9 +47,11 @@ class ScalarDualResult:
     ``lower`` is the endpoint whose risk is above the bound (cheap, risky);
     ``upper`` the endpoint with risk at or below it (costly, safe). Both
     minimize the Lagrangian at ``lambda_star``, the slope of the chord
-    between them. When the bound is inactive ``lambda_star`` is zero and
-    both endpoints are the unconstrained minimizer. ``q_star`` is the
-    dual value at ``lambda_star``; ``iterations`` counts oracle queries.
+    between them. When a policy of least cost meets the bound,
+    ``lambda_star`` is zero and both endpoints are that policy. ``q_star``
+    is the dual value at ``lambda_star``; ``iterations`` counts oracle
+    queries. ``reference`` is the oracle's answer at ``lambda_star``, or
+    None when the search made no query there.
     """
 
     lambda_star: float
@@ -57,6 +59,7 @@ class ScalarDualResult:
     upper: PureCandidate
     q_star: float
     iterations: int
+    reference: PureCandidate | None
 
 
 def recover_mixture_scalar(
@@ -110,14 +113,16 @@ def solve_mixed_scalar(oracle: LagrangianOracle) -> tuple[ScalarDualResult, Mixe
     An answer at lam = 0 that meets the bound is returned pure. Otherwise
     one probe at LAMBDA_MAX, the safest policy, closes the bracket and
     chord steps follow (Kelley's cutting plane in one dimension): each
-    query is the chord slope between the bracketing candidates. An answer
-    below the chord is a new vertex of the lower hull of the (c1, c0)
-    points and replaces the endpoint on its side of V, so a probe answer
-    off that hull is replaced in turn; an answer on the chord certifies
-    its slope as the optimal multiplier. Raises NonMonotoneOracleError
-    when the risk rises with lam, then InfeasibleProblemError when it is
-    above V at LAMBDA_MAX, and SolverLimitError after MAX_QUERIES queries.
-    V is the oracle's ``risk_bound``.
+    query is the chord slope between the bracketing candidates, unless
+    their costs tie within TIE_RTOL: mixing then saves nothing, and the
+    safe one is returned pure at lam = 0. An answer below the chord is a
+    new vertex of the lower hull of the (c1, c0) points and replaces the
+    endpoint on its side of V, so a probe answer off that hull is replaced
+    in turn; an answer on the chord certifies its slope as the optimal
+    multiplier. Raises NonMonotoneOracleError when the risk rises with
+    lam, then InfeasibleProblemError when it is above V at LAMBDA_MAX, and
+    SolverLimitError after MAX_QUERIES queries. V is the oracle's
+    ``risk_bound``.
     """
     v = oracle.risk_bound
     queries = 0
@@ -132,11 +137,15 @@ def solve_mixed_scalar(oracle: LagrangianOracle) -> tuple[ScalarDualResult, Mixe
         queries += 1
         return oracle.query(lam)
 
+    def pure(cand: PureCandidate) -> tuple[ScalarDualResult, MixedSolution]:
+        # a least-cost policy within the bound, alone at lam = 0
+        q0 = lagrangian_value(cand0.cost, 0.0, v)
+        solution = MixedSolution(((cand, 1.0),), cand.cost, 0.0, 0.0)
+        return ScalarDualResult(0.0, cand, cand, q0, queries, cand0), solution
+
     cand0 = ask(0.0)
     if cand0.cost.c1 <= v:
-        q0 = lagrangian_value(cand0.cost, 0.0, v)
-        solution = MixedSolution(((cand0, 1.0),), cand0.cost, 0.0, 0.0)
-        return ScalarDualResult(0.0, cand0, cand0, q0, queries), solution
+        return pure(cand0)
 
     lam_lo, cand_lo = 0.0, cand0
     lam_hi, cand_hi = LAMBDA_MAX, ask(LAMBDA_MAX)
@@ -153,6 +162,9 @@ def solve_mixed_scalar(oracle: LagrangianOracle) -> tuple[ScalarDualResult, Mixe
 
     while True:
         lo, hi = cand_lo.cost, cand_hi.cost
+        tie = TIE_RTOL * (abs(lo.c0) + abs(hi.c0))
+        if abs(hi.c0 - lo.c0) <= tie:
+            return pure(cand_hi)
         lam = min(max((hi.c0 - lo.c0) / (lo.c1 - hi.c1), lam_lo), lam_hi)
         cand = ask(lam)
         cost = cand.cost
@@ -164,7 +176,6 @@ def solve_mixed_scalar(oracle: LagrangianOracle) -> tuple[ScalarDualResult, Mixe
         if cost == lo or cost == hi:
             break
         chord = min(lagrangian_value(lo, lam, v), lagrangian_value(hi, lam, v))
-        tie = TIE_RTOL * (abs(lo.c0) + abs(hi.c0))
         if lagrangian_value(cost, lam, v) >= chord - tie:
             break
         if cost.c1 > v:
@@ -174,7 +185,9 @@ def solve_mixed_scalar(oracle: LagrangianOracle) -> tuple[ScalarDualResult, Mixe
 
     solution = recover_mixture_scalar(cand_lo, cand_hi, v)
     q_star = lagrangian_value(cost, solution.dual, v)
-    result = ScalarDualResult(solution.dual, cand_lo, cand_hi, q_star, queries)
+    # lambda* is usually the multiplier of the last query
+    reference = cand if lam == solution.dual else None
+    result = ScalarDualResult(solution.dual, cand_lo, cand_hi, q_star, queries, reference)
     return result, solution
 
 

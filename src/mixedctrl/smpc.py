@@ -59,11 +59,6 @@ _SIGMA_FLOOR = 1e-12
 _SEPARATION_TOL = 1e-9
 # a saved plan's control may lie this far outside [u_lower, u_upper]
 _BOX_SLACK = 1e-9
-# objective weight on risk terms when the multiplier is zero. It only
-# keeps the risk terms in the objective: with `milp.MILP_GAP` at 1e-9, a
-# risk difference below 1 between plans of equal effort is worth less than
-# the gap, so which of them HiGHS returns at zero is decided by its search.
-_RISK_WEIGHT_FLOOR = 1e-9
 # Monte Carlo rollouts per block. Block i of a plan draws from child i of
 # the plan's seed, so the block size decides which normal draw goes to
 # which rollout, and changing it changes every estimate. Blocks are the
@@ -472,9 +467,9 @@ class SmpcOracle(LagrangianOracle):
     def query(self, lam: float) -> PureCandidate:
         lam = check_multiplier(lam)
         if self._program is None:
-            self._program = build_inner_milp(self.model, _RISK_WEIGHT_FLOOR, self.pwl)
+            self._program = build_inner_milp(self.model, lam, self.pwl)
         problem, cols = self._program
-        problem.lp.objective[cols.delta] = max(lam, _RISK_WEIGHT_FLOOR)
+        problem.lp.objective[cols.delta] = lam
         sol = solve_milp(problem, max_nodes=self.max_nodes)
         if sol.status == "suboptimal":
             raise SolverLimitError(

@@ -70,6 +70,31 @@ def test_chain_policy_switches_with_multiplier():
     assert pol_tie.actions[0][0] == 0
 
 
+def test_tied_actions_return_the_safe_one_alone():
+    # two actions of equal cost; at lambda = 0 the sweep picks the riskier,
+    # and mixing it in would add risk and save nothing
+    mdp = from_tables(
+        horizon=1,
+        states=[["s"], ["ok", "crash"]],
+        actions=[["a", "b"]],
+        transitions={
+            (0, "s", "a"): {"ok": 0.98, "crash": 0.02},
+            (0, "s", "b"): {"ok": 0.995, "crash": 0.005},
+        },
+        costs={(0, "s", "a"): 1.0, (0, "s", "b"): 1.0},
+        failures=[[], ["crash"]],
+        initial={"s": 1.0},
+    )
+    result, solution = solve_mixed_scalar(MdpOracle(mdp, 0.01))
+    assert result.lambda_star == 0.0
+    assert result.iterations == 2
+    ((cand, p),) = solution.components
+    assert p == 1.0
+    assert cand.policy.actions[0][0] == 1
+    assert cand.cost.c0 == 1.0
+    assert cand.cost.c1 == pytest.approx(0.005, abs=1e-15)
+
+
 def test_chain_evaluate_frozen_values():
     mdp = chain_mdp()
     risky = Policy((np.array([0]),))

@@ -144,6 +144,12 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+def test_a_missing_map_is_a_config_error(tmp_path, capsys):
+    config = _write(tmp_path, "grid.json", {**_shipped_config("desk_grid"), "map": "nope.map"})
+    assert main(["validate", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert "invalid config: cannot read map" in capsys.readouterr().err
+
+
 def test_config_validation_failures_exit_2(tmp_path, capsys):
     cases = [
         _toy_config(schema=99),
@@ -275,18 +281,25 @@ def test_malformed_report_exits_2(tmp_path, capsys):
     def negative_multiplier(report):
         report["dual"]["lambda_star"] = -5.0
 
+    def no_pure(report):
+        del report["pure"]
+
+    def no_pure_cost(report):
+        del report["pure"]["cost"]
+
     for tamper in (
         no_seed, no_policy, bad_probability, no_rollouts, infinite_seed, not_an_object,
         fractional_seed, boolean_seed, float_rollouts, policy_out_of_range, negative_policy,
         fractional_policy, boolean_policy, string_policy, nan_cost, nan_failure_rate,
-        nan_multiplier, negative_multiplier,
+        nan_multiplier, negative_multiplier, no_pure, no_pure_cost,
     ):
         report = json.loads(json.dumps(saved))
         tamper(report)
         (out / "report.json").write_text(json.dumps(report), encoding="utf-8")
         capsys.readouterr()
         assert main(["validate", str(config), "--out", str(out)]) == 2, tamper.__name__
-        assert "report" in capsys.readouterr().err, tamper.__name__
+        err = capsys.readouterr().err
+        assert "report" in err and err.startswith("invalid input: "), (tamper.__name__, err)
     report = json.loads(json.dumps(saved))
     report["monte_carlo"]["n"] = 2**63  # one past what numpy can count
     (out / "report.json").write_text(json.dumps(report), encoding="utf-8")
@@ -359,9 +372,19 @@ class _CountingOracle:
         return self.inner_query(lam)
 
 
-@pytest.mark.parametrize("name", ["toy", "corridor"])
-def test_solve_makes_no_query_after_the_search(tmp_path, monkeypatch, name):
-    # the certificate reuses the search's last answer instead of asking again
+@pytest.mark.parametrize(
+    "name, risk_bound",
+    [
+        pytest.param("toy", None, id="toy"),
+        pytest.param("corridor", None, id="corridor"),
+        # the bound is inactive: the search stops at its first answer
+        pytest.param("toy", 0.5, id="loose-toy"),
+        # the bracket's ends tie in cost: the search stops at lambda = 0
+        pytest.param("corridor", 0.08, id="tied-corridor"),
+    ],
+)
+def test_solve_makes_no_query_after_the_search(tmp_path, monkeypatch, name, risk_bound):
+    # the certificate reuses the search's answer at lambda* instead of asking again
     oracles = []
 
     def counted_setup(config, base_dir):
@@ -370,8 +393,12 @@ def test_solve_makes_no_query_after_the_search(tmp_path, monkeypatch, name):
         return oracle
 
     monkeypatch.setattr(cli, "build_setup", counted_setup)
+    config = CONFIGS / f"{name}.json"
+    if risk_bound is not None:
+        config = {**_shipped_config(name), "risk_bound": risk_bound}
+        config = _write(tmp_path, f"{name}.json", config)
     out = tmp_path / name
-    assert main(["solve", str(CONFIGS / f"{name}.json"), "--out", str(out)]) == 0
+    assert main(["solve", str(config), "--out", str(out)]) == 0
     rows = (out / "dual_trace.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert [oracle.queries for oracle in oracles] == [len(rows)]
     optimality = json.loads((out / "report.json").read_text(encoding="utf-8"))["optimality"]
@@ -427,6 +454,27 @@ def test_loose_bound_degenerates_to_one_component(tmp_path):
     assert report["dual"]["lambda_star"] == 0.0
 
 
+def test_tied_corridor_returns_its_safe_plan_alone(tmp_path):
+    # at this bound the least-effort plans (6, 0.1038) and (6, 0.0733) tie in
+    # cost; mixing them would add risk and save nothing
+    config = _write(tmp_path, "corridor.json", {**_shipped_config("corridor"), "risk_bound": 0.08})
+    out = tmp_path / "run"
+    assert main(["solve", str(config), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["dual"]["lambda_star"] == 0.0
+    assert report["dual"]["iterations"] == 5
+    (component,) = report["mixed"]["components"]
+    assert component["probability"] == 1.0
+    assert component["cost"] == pytest.approx(6.0, abs=1e-9)
+    assert component["risk"] == pytest.approx(0.07329998478536809, rel=1e-9)
+    assert report["mixed"]["gap_estimate"] == 0.0
+    assert report["pure"] == {key: component[key] for key in ("policy", "cost", "risk")}
+    rows = (out / "dual_trace.csv").read_text(encoding="utf-8").splitlines()[1:]
+    lambdas = [float(row.split(",")[1]) for row in rows]
+    assert len(rows) == 5 and lambdas.count(0.0) == 1, rows
+    assert main(["validate", str(config), "--out", str(out)]) == 0
+
+
 def test_validate_round_trip_and_tamper_detection(tmp_path, capsys):
     config = _write(tmp_path, "toy.json", _toy_config())
     out = tmp_path / "run"
@@ -467,6 +515,40 @@ def test_validate_rejects_a_tampered_component_naming_it(tmp_path, capsys, index
     assert err.count("validate: ") == 1, err
 
 
+@pytest.mark.parametrize(
+    "tamper, messages",
+    [
+        pytest.param({"gap_estimate": 123.0},
+                     ["gap_estimate 123.0 differs from the pure cost's saving 5.0"], id="gap"),
+        # a pure cost of 1.0 also changes the saving the gap must equal
+        pytest.param({"cost": 1.0},
+                     ["pure cost 1.0 differs from component 1's re-evaluated 20.0",
+                      "gap_estimate 5.0 differs from the pure cost's saving 0.0"], id="pure-cost"),
+        pytest.param({"risk": 0.5},
+                     ["pure risk 0.5 differs from component 1's re-evaluated 0.005",
+                      "pure risk 0.5 exceeds the bound 0.01"], id="pure-risk"),
+        pytest.param({"policy": "policy_7"},
+                     ["pure policy 'policy_7' names no component"], id="pure-policy"),
+    ],
+)
+def test_validate_rejects_a_tampered_pure_block_or_gap(tmp_path, capsys, tamper, messages):
+    config = CONFIGS / "toy.json"
+    out = tmp_path / "run"
+    assert main(["solve", str(config), "--out", str(out)]) == 0
+    report_path = out / "report.json"
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["pure"] == {"policy": 0, "cost": 20.0, "risk": 0.005}
+    assert report["mixed"]["gap_estimate"] == pytest.approx(5.0, abs=1e-12)
+    section = report["mixed"] if "gap_estimate" in tamper else report["pure"]
+    section.update(tamper)
+    report_path.write_text(json.dumps(report), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert all(message in err for message in messages), err
+    assert err.count("validate: ") == len(messages), err
+
+
 def test_validate_accepts_a_count_outside_the_99_percent_interval(tmp_path, capsys):
     # at seed 52 the toy mixture (exact risk 0.01) fails 33 of 2000
     # rollouts: outside the 99% Wilson interval, well inside the range a
@@ -496,7 +578,7 @@ def test_an_out_path_that_cannot_be_made_exits_2_naming_it(tmp_path, command):
             text=True,
         )
         assert done.returncode == 2, done.stderr
-        assert f"cannot create output directory {out}" in done.stderr
+        assert f"invalid input: cannot create output directory {out}" in done.stderr
         assert "Traceback" not in done.stderr
     assert taken.read_text(encoding="utf-8") == "a file, not a directory\n"
 
@@ -504,7 +586,7 @@ def test_an_out_path_that_cannot_be_made_exits_2_naming_it(tmp_path, command):
 def test_validate_without_report_exits_2(tmp_path, capsys):
     config = _write(tmp_path, "toy.json", _toy_config())
     assert main(["validate", str(config), "--out", str(tmp_path / "empty")]) == 2
-    assert "report" in capsys.readouterr().err
+    assert "invalid input: cannot read report" in capsys.readouterr().err
 
 
 def test_shipped_grid_config_solves_and_validates(tmp_path):
@@ -684,3 +766,4 @@ def test_validate_rejects_a_malformed_component_file_naming_it(tmp_path, capsys)
         assert main(["validate", str(runs[name]), "--out", str(out)]) == 2, message
         err = capsys.readouterr().err
         assert f"{out / name}" in err and message in err, (message, err)
+        assert err.startswith("invalid input: "), err

@@ -87,6 +87,27 @@ def test_inactive_bound_returns_pure():
     assert solution.gap_estimate == 0.0
 
 
+def test_tied_costs_return_the_safe_point_alone():
+    # mixing two points of equal cost would save nothing and add risk
+    oracle = _finite([(10.0, 0.02), (10.0, 0.005)], 0.01)
+    result, solution = solve_mixed_scalar(oracle)
+    assert result.lambda_star == 0.0
+    assert result.iterations == 2
+    assert [(cand.cost, p) for cand, p in solution.components] == [(CostVector(10.0, 0.005), 1.0)]
+    assert result.upper.cost == CostVector(10.0, 0.005)
+    assert solution.gap_estimate == 0.0
+    # the certificate's reference is the answer at lambda = 0
+    assert result.reference.cost == CostVector(10.0, 0.02)
+    assert check_optimality(solution, oracle, reference=result.reference).overall
+
+
+def test_reference_is_the_answer_at_lambda_star():
+    oracle = _toy()
+    result, solution = solve_mixed_scalar(oracle)
+    assert result.reference is not None
+    assert result.reference.cost == oracle.query(solution.dual).cost
+
+
 def test_infeasible_bound_raises():
     oracle = _finite([(5.0, 0.05), (9.0, 0.02)], 0.001)
     with pytest.raises(InfeasibleProblemError):

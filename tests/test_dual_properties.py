@@ -26,6 +26,7 @@ from mixedctrl.core import (
 from mixedctrl.dual import (
     LAMBDA_MAX,
     MAX_QUERIES,
+    TIE_RTOL,
     check_optimality,
     recover_mixture_scalar,
     solve_mixed_scalar,
@@ -39,11 +40,13 @@ _SCALES = ((0.0, 1.0), (1e6, 1.0), (1e6, 1e-3))
 
 
 @st.composite
-def finite_sets(draw):
+def finite_sets(draw, few_costs=False):
     offset, step = draw(st.sampled_from(_SCALES))
-    grid = draw(
-        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 8)), min_size=1, max_size=8)
-    )
+    cost_steps = st.integers(0, 12)
+    if few_costs:  # at most three cost values, so points of equal cost are common
+        values = draw(st.lists(cost_steps, min_size=1, max_size=3, unique=True))
+        cost_steps = st.sampled_from(values)
+    grid = draw(st.lists(st.tuples(cost_steps, st.integers(0, 8)), min_size=1, max_size=8))
     costs = [CostVector(offset + i * step, j / 100) for i, j in grid]
     # on a vertex risk, or between grid risks
     v = draw(st.sampled_from([c.c1 for c in costs])) + draw(st.sampled_from((0.0, 0.0037)))
@@ -70,6 +73,24 @@ def test_mixture_matches_exact_references(case):
     assert min(c.c0 + lam * (c.c1 - v) for c in costs) == pytest.approx(q_ref, abs=tol)
     assert result.q_star == pytest.approx(q_ref, abs=tol)
     assert check_optimality(solution, oracle, tol=tol).overall
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_sets(few_costs=True))
+def test_points_of_equal_cost_are_never_mixed(case):
+    costs, v = case
+    result, solution = solve_mixed_scalar(FiniteSetOracle(costs, v))
+
+    mixed_ref = brute_mixed_lp(costs, v)
+    assert solution.aggregate.c0 == pytest.approx(mixed_ref, abs=1e-6 * max(1.0, abs(mixed_ref)))
+    if len(solution.components) == 2:
+        a, b = (cand.cost.c0 for cand, _ in solution.components)
+        assert abs(a - b) > TIE_RTOL * (abs(a) + abs(b)), solution
+    if result.lambda_star == 0.0:
+        ((cand, p),) = solution.components
+        assert p == 1.0
+        assert cand.cost.c0 == min(c.c0 for c in costs)
+        assert cand.cost.c1 <= v
 
 
 _unit = st.floats(0.0, 1.0, allow_nan=False)

@@ -8,9 +8,12 @@ and on every instance that ``bench/gen.py`` makes for seeds 1-3, one
 fresh process per command. Inputs come from this checkout's
 ``configs/`` and ``bench/``, so two checkouts see the same files; every
 output goes under ``OUT``. Each run prints one line: its name, the exit
-codes of ``solve``, ``validate`` and ``sweep``, and a SHA-256 digest of the
-output directory's file names and contents. Reports carry no wall time, so a
-change that keeps every artifact prints the same lines as its parent.
+codes of ``solve``, ``validate`` and ``sweep``, a SHA-256 digest of the
+output directory's file names and contents, and the report's lambda*,
+aggregate cost and aggregate risk (``%.10g``, ``-`` when ``solve`` failed).
+Reports carry no wall time, so a change that keeps every artifact prints
+the same lines as its parent, and where the digests differ the last three
+fields show whether the values moved.
 """
 
 from __future__ import annotations
@@ -50,6 +53,16 @@ def _digest(directory: Path) -> str:
     return digest.hexdigest()
 
 
+def _values(directory: Path, solved: bool) -> list[str]:
+    """lambda*, aggregate cost and aggregate risk of the run's report, as ``%.10g``."""
+    if not solved:
+        return ["-"] * 3
+    report = json.loads((directory / "report.json").read_text(encoding="utf-8"))
+    aggregate = report["mixed"]["aggregate"]
+    values = (report["dual"]["lambda_star"], aggregate["cost"], aggregate["risk"])
+    return ["%.10g" % value for value in values]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/artifact_hashes.py SRC OUT", file=sys.stderr)
@@ -74,7 +87,7 @@ def main(argv: list[str]) -> int:
             ).returncode
             for command in ("solve", "validate", "sweep")
         ]
-        print(name, *codes, _digest(run_dir), flush=True)
+        print(name, *codes, _digest(run_dir), *_values(run_dir, codes[0] == 0), flush=True)
     return 0
 
 
