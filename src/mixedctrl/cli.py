@@ -41,8 +41,7 @@ from .core import (
     lagrangian_value,
     mix_costs,
 )
-from .dual import check_optimality, solve_mixed_scalar
-from .milp import MAX_NODES
+from .dual import OptimalityReport, check_optimality, solve_mixed_scalar
 from .scenarios import FiniteSetOracle, edl_oracle, grid_oracle, parse_grid_map
 from .smpc import Obstacle, SmpcModel, SmpcOracle, build_pwl_cdf, estimate_mixture_risk_mc
 
@@ -61,13 +60,13 @@ _KEYS = {
     "smpc": (
         ("a", "b", "sigma_w", "horizon", "x_init", "x_goal", "u_lower", "u_upper",
          "obstacles", "risk_bound"),
-        ("pwl_segments", "max_nodes"),
+        ("pwl_segments",),
     ),
 }
 # Each key that holds a single number, with its type, at the top level and in the
 # optional sections that every kind accepts.
 _NUMBERS = {
-    "horizon": int, "max_step": int, "stages": int, "pwl_segments": int, "max_nodes": int,
+    "horizon": int, "max_step": int, "stages": int, "pwl_segments": int,
     "sigma": (int, float), "risk_bound": (int, float),
 }
 _SECTIONS = {
@@ -270,9 +269,7 @@ def _build_smpc(config: dict, base_dir: Path) -> SmpcOracle:
     )
     # without pwl_segments the oracle builds `build_pwl_cdf`'s default majorant
     pwl = build_pwl_cdf(config["pwl_segments"]) if "pwl_segments" in config else None
-    return SmpcOracle(
-        model, float(config["risk_bound"]), pwl, max_nodes=config.get("max_nodes", MAX_NODES)
-    )
+    return SmpcOracle(model, float(config["risk_bound"]), pwl)
 
 
 # The builders and `_run_monte_carlo` stay here, not on the backends,
@@ -355,6 +352,15 @@ def _out_dir(path: str) -> Path:
     return out_dir
 
 
+def _failed_conditions(optimality: OptimalityReport) -> str:
+    failed = (
+        f"{name} (residual {optimality.residuals[name]!r})"
+        for name, ok in sorted(optimality.conditions.items())
+        if not ok
+    )
+    return f"optimality conditions failed: {', '.join(failed)}"
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     config = load_config(config_path)
@@ -367,15 +373,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     tracer = _TracingOracle(oracle)
     result, solution = solve_mixed_scalar(tracer)
     optimality = check_optimality(solution, oracle, 1e-6, result.reference)
-    monte_carlo = _run_monte_carlo(oracle, solution, seed, n_rollouts).report(seed)
-    wall = time.perf_counter() - started
-
-    # Output gate: randomizing can only help, so a mixture costlier than
-    # the best pure candidate means something upstream went wrong.
+    # Output gates: randomizing can only help, so a mixture costlier than
+    # the best pure candidate means something upstream went wrong, as does
+    # a mixture that its own certificate rejects.
     if solution.aggregate.c0 > result.upper.cost.c0 + 1e-9:
         raise MixedControlError(
             "mixed cost exceeds the pure upper bound; refusing to write the report"
         )
+    if not optimality.overall:
+        raise MixedControlError(
+            f"{_failed_conditions(optimality)}; refusing to write the report"
+        )
+    monte_carlo = _run_monte_carlo(oracle, solution, seed, n_rollouts).report(seed)
+    wall = time.perf_counter() - started
 
     out_dir = _out_dir(args.out)
 
@@ -453,6 +463,9 @@ def _validate_report(
     report = _read_json(out_dir / "report.json", "report")
 
     try:
+        schema = report["schema"]
+        saved_kind = report["kind"]
+        saved_bound = float(report["risk_bound"])
         saved_components = [
             (
                 entry["policy"],
@@ -464,18 +477,36 @@ def _validate_report(
         pure_ref = report["pure"]["policy"]
         pure = CostVector(float(report["pure"]["cost"]), float(report["pure"]["risk"]))
         lambda_star = float(report["dual"]["lambda_star"])
+        q_star = float(report["dual"]["q_star"])
         gap = float(report["mixed"]["gap_estimate"])
         saved_cost = float(report["mixed"]["aggregate"]["cost"])
         saved_risk = float(report["mixed"]["aggregate"]["risk"])
-        saved_seed = report["monte_carlo"]["seed"]
-        n_rollouts = report["monte_carlo"]["n"]
-        saved_rate = float(report["monte_carlo"]["failure_rate"])
+        saved_optimality = report["optimality"]
+        saved_overall = saved_optimality["overall"]
+        saved_conditions = dict(saved_optimality["conditions"])
+        saved_residuals = {k: float(v) for k, v in dict(saved_optimality["residuals"]).items()}
+        mc = report["monte_carlo"]
+        saved_seed, n_rollouts = mc["seed"], mc["n"]
+        ci_lo, ci_hi = mc["ci99"]
+        saved_mc = {
+            "failure_rate": float(mc["failure_rate"]),
+            "ci99": [float(ci_lo), float(ci_hi)],
+            "cost_mean": float(mc["cost_mean"]) if "cost_mean" in mc else None,
+        }
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"report has a missing or malformed field: {exc!r}") from exc
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise InvalidInputError(f"report schema must be {SCHEMA_VERSION}, got {schema!r}")
     _check_rollouts("report's monte_carlo", saved_seed, n_rollouts)
 
-    components = []
     failures = []
+    if saved_kind != kind:
+        failures.append(f"report kind {saved_kind!r} differs from the config's {kind!r}")
+    if saved_bound != oracle.risk_bound:
+        failures.append(
+            f"report risk_bound {saved_bound!r} differs from the config's {oracle.risk_bound!r}"
+        )
+    components = []
     for i, (ref, weight, saved) in enumerate(saved_components):
         policy = oracle.load(ref, out_dir)
         cost = oracle.evaluate(policy)
@@ -492,10 +523,29 @@ def _validate_report(
     except InvalidInputError as exc:
         raise InvalidInputError(f"report holds no valid mixture: {exc}") from exc
 
-    optimality = check_optimality(solution, oracle, tol=1e-6)
+    # the one query: the certificate and q_star share the oracle's answer at lambda*
+    reference = oracle.query(lambda_star)
+    optimality = check_optimality(solution, oracle, 1e-6, reference)
     if not optimality.overall:
-        failed = sorted(k for k, ok in optimality.conditions.items() if not ok)
-        failures.append(f"optimality conditions failed: {', '.join(failed)}")
+        failures.append(_failed_conditions(optimality))
+    if saved_overall is not optimality.overall:
+        failures.append(
+            f"saved optimality overall {saved_overall!r} differs from re-derived "
+            f"{optimality.overall!r}"
+        )
+    for name in sorted({*optimality.conditions, *saved_conditions, *saved_residuals}):
+        kept, fresh = saved_conditions.get(name), optimality.conditions.get(name)
+        if kept is not fresh:
+            failures.append(f"saved condition {name} {kept!r} differs from re-derived {fresh!r}")
+        kept, fresh = saved_residuals.get(name), optimality.residuals.get(name)
+        if kept is None or fresh is None or abs(kept - fresh) > 1e-9:
+            failures.append(f"saved residual {name} {kept!r} differs from re-derived {fresh!r}")
+    q_fresh = lagrangian_value(reference.cost, lambda_star, oracle.risk_bound)
+    if abs(q_star - q_fresh) > 1e-9:
+        failures.append(
+            f"q_star {q_star!r} differs from {q_fresh!r}, the Lagrangian of the "
+            "oracle's answer at lambda_star"
+        )
     if abs(aggregate.c0 - saved_cost) > 1e-9:
         failures.append(
             f"re-evaluated aggregate cost {aggregate.c0!r} differs from saved {saved_cost!r}"
@@ -526,11 +576,14 @@ def _validate_report(
 
     seed = saved_seed if seed is None else seed
     monte_carlo = _run_monte_carlo(oracle, solution, seed, n_rollouts)
-    if seed == saved_seed and abs(monte_carlo.failure_rate - saved_rate) > 1e-12:
-        failures.append(
-            f"replayed failure rate {monte_carlo.failure_rate!r} differs "
-            f"from saved {saved_rate!r}"
-        )
+    replayed = monte_carlo.report(seed)
+    for key, kept in saved_mc.items():
+        fresh = replayed.get(key)
+        if (kept is None) != (fresh is None):
+            failures.append(f"saved {key} {kept!r} where the replay has {fresh!r}")
+        elif kept is not None and seed == saved_seed:
+            if np.abs(np.subtract(fresh, kept)).max() > 1e-12:
+                failures.append(f"replayed {key} {fresh!r} differs from saved {kept!r}")
     count = monte_carlo.failures
     lo, hi = binomial_acceptance(aggregate.c1, n_rollouts, VALIDATE_FALSE_ALARM)
     # Against a risk that is only an upper bound, only too many failures count.
@@ -599,7 +652,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a JSON run config")
         p.add_argument("--out", default="out", help="artifact directory (default: out)")
-        p.add_argument("--seed", type=_seed, default=None, help="override the Monte Carlo seed")
+        if name != "sweep":  # sweep runs no Monte Carlo check
+            p.add_argument(
+                "--seed", type=_seed, default=None, help="override the Monte Carlo seed"
+            )
         p.set_defaults(func=func)
     return parser
 

@@ -47,8 +47,6 @@ HIGHS_OPTIONS = {
 }
 # branch-and-cut nodes a mixed-binary program may use unless its caller says otherwise
 MAX_NODES = 200_000
-# HiGHS reads its node limit as a 32-bit signed integer
-MAX_NODE_LIMIT = 2**31 - 1
 # scipy folds HiGHS's model statuses into five codes: 0 optimal, 1 time or
 # iteration limit, 2 infeasible, 3 unbounded, 4 anything else (a numerical
 # failure, "infeasible or unbounded", and for a MILP the node limit)

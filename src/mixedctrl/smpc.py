@@ -49,9 +49,7 @@ from .core import (
     check_multiplier,
     read_component,
 )
-from .milp import (
-    EQ, GE, LE, MAX_NODE_LIMIT, MAX_NODES, LpProblem, MilpProblem, solve_lp, solve_milp
-)
+from .milp import EQ, GE, LE, MAX_NODES, LpProblem, MilpProblem, solve_lp, solve_milp
 
 # below this the face distance in standard deviations is treated as exact
 _SIGMA_FLOOR = 1e-12
@@ -448,19 +446,10 @@ class SmpcOracle(LagrangianOracle):
 
     risk_is_upper_bound = True  # a union bound over chord majorants
 
-    def __init__(
-        self,
-        model: SmpcModel,
-        risk_bound: float,
-        pwl: PwlCdf | None = None,
-        max_nodes: int = MAX_NODES,
-    ):
-        if not 1 <= max_nodes <= MAX_NODE_LIMIT:
-            raise InvalidInputError(f"max_nodes must be in [1, 2**31 - 1], got {max_nodes}")
+    def __init__(self, model: SmpcModel, risk_bound: float, pwl: PwlCdf | None = None):
         self.model = model
         self.risk_bound = risk_bound
         self.pwl = pwl if pwl is not None else build_pwl_cdf()
-        self.max_nodes = max_nodes
         self._covs = propagate_covariance(model)
         self._program: tuple[MilpProblem, Columns] | None = None  # built on the first query
 
@@ -470,11 +459,11 @@ class SmpcOracle(LagrangianOracle):
             self._program = build_inner_milp(self.model, lam, self.pwl)
         problem, cols = self._program
         problem.lp.objective[cols.delta] = lam
-        sol = solve_milp(problem, max_nodes=self.max_nodes)
+        sol = solve_milp(problem, max_nodes=MAX_NODES)
         if sol.status == "suboptimal":
             raise SolverLimitError(
-                f"inner problem at multiplier {lam:g} used its node budget "
-                f"(max_nodes={self.max_nodes}) before proving a plan optimal"
+                f"inner problem at multiplier {lam:g} used its node budget of "
+                f"{MAX_NODES} nodes before proving a plan optimal"
             )
         if sol.status != "optimal":
             raise InfeasibleProblemError(

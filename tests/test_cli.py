@@ -11,7 +11,8 @@ import pytest
 
 from mixedctrl import ccmdp, cli, milp, smpc
 from mixedctrl.cli import VALIDATE_FALSE_ALARM, build_setup, main
-from mixedctrl.core import InvalidInputError, binomial_acceptance, wilson_ci_99
+from mixedctrl.core import CostVector, InvalidInputError, binomial_acceptance, wilson_ci_99
+from mixedctrl.scenarios import FiniteSetOracle
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -85,7 +86,6 @@ _MISTYPED_NUMBERS = [
     ({**_shipped_config("landing"), "stages": 3.0}, "stages"),
     (_line_smpc_config(horizon=3.0), "horizon"),
     (_line_smpc_config(pwl_segments=6.7), "pwl_segments"),
-    (_line_smpc_config(max_nodes=2.5), "max_nodes"),
     # every nested value other than the map path is a number too
     (_replace(_shipped_config("landing"), ("ellipsoids", 0, "radius"), "10.0"),
      "ellipsoids[0].radius"),
@@ -122,10 +122,6 @@ _BAD_SHAPES_AND_RANGES = [
     ({**_shipped_config("desk_grid"), "sigma": 10**400}, "bad grid config"),
     (_toy_config(sweep={"lambda_max": float("nan")}),
      "sweep.lambda_max must be a finite number, got NaN"),
-    # HiGHS takes node limits from 1 to 2**31 - 1
-    (_line_smpc_config(max_nodes=-5), "max_nodes"),
-    (_line_smpc_config(max_nodes=0), "max_nodes"),
-    (_line_smpc_config(max_nodes=2**31), "max_nodes"),
 ]
 
 
@@ -210,6 +206,7 @@ def test_unknown_and_removed_keys_exit_2_naming_the_key(tmp_path, capsys):
         ({**grid, "miss_penalty": 100.0}, "miss_penalty"),
         ({**landing, "unreachable_cost": 1e4}, "unreachable_cost"),
         (_line_smpc_config(milp_gap=1e-9), "milp_gap"),
+        (_line_smpc_config(max_nodes=3), "max_nodes"),
         (_toy_config(pwl_segments=8), "pwl_segments"),
         (_toy_config(monte_carlo={"seed": 0, "n": 10, "chunk": 5}), "chunk"),
     ]
@@ -287,11 +284,17 @@ def test_malformed_report_exits_2(tmp_path, capsys):
     def no_pure_cost(report):
         del report["pure"]["cost"]
 
+    def other_schema(report):
+        report["schema"] = 7
+
+    def boolean_schema(report):
+        report["schema"] = True
+
     for tamper in (
         no_seed, no_policy, bad_probability, no_rollouts, infinite_seed, not_an_object,
         fractional_seed, boolean_seed, float_rollouts, policy_out_of_range, negative_policy,
         fractional_policy, boolean_policy, string_policy, nan_cost, nan_failure_rate,
-        nan_multiplier, negative_multiplier, no_pure, no_pure_cost,
+        nan_multiplier, negative_multiplier, no_pure, no_pure_cost, other_schema, boolean_schema,
     ):
         report = json.loads(json.dumps(saved))
         tamper(report)
@@ -549,6 +552,87 @@ def test_validate_rejects_a_tampered_pure_block_or_gap(tmp_path, capsys, tamper,
     assert err.count("validate: ") == len(messages), err
 
 
+def _drop_cost_mean(report):
+    del report["monte_carlo"]["cost_mean"]
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        pytest.param(lambda r: r.update(kind="grid"),
+                     "report kind 'grid' differs from the config's 'toy'", id="kind"),
+        pytest.param(lambda r: r.update(risk_bound=0.5),
+                     "report risk_bound 0.5 differs from the config's 0.01", id="risk-bound"),
+        pytest.param(lambda r: r["dual"].update(q_star=-1e9),
+                     "q_star -1000000000.0 differs from 15.0, the Lagrangian", id="q-star"),
+        pytest.param(lambda r: r["optimality"].update(overall=False),
+                     "saved optimality overall False differs from re-derived True", id="overall"),
+        pytest.param(lambda r: r["optimality"]["conditions"].update(b=False),
+                     "saved condition b False differs from re-derived True", id="condition"),
+        pytest.param(lambda r: r["optimality"]["residuals"].update(e=1e-7),
+                     "saved residual e 1e-07 differs from re-derived 0.0", id="residual"),
+        pytest.param(lambda r: r["monte_carlo"].update(ci99=[0.9, 0.1]),
+                     "differs from saved [0.9, 0.1]", id="ci99"),
+        pytest.param(lambda r: r["monte_carlo"].update(cost_mean=-5),
+                     "differs from saved -5.0", id="cost-mean"),
+        pytest.param(_drop_cost_mean, "saved cost_mean None where the replay has 14.99",
+                     id="no-cost-mean"),
+    ],
+)
+def test_validate_rejects_report_fields_that_the_config_or_certificate_contradict(
+    tmp_path, capsys, tamper, message
+):
+    config = CONFIGS / "toy.json"
+    out = tmp_path / "run"
+    assert main(["solve", str(config), "--out", str(out)]) == 0
+    report_path = out / "report.json"
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    tamper(report)
+    report_path.write_text(json.dumps(report), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err, err
+    assert err.count("validate: ") == 1, err
+
+
+@pytest.mark.parametrize("name", ["toy", "desk_grid", "line"])
+def test_validate_makes_one_oracle_query(tmp_path, monkeypatch, name):
+    # the certificate and the q_star check share one answer at lambda*
+    config = CONFIGS / f"{name}.json"
+    if name == "line":
+        config = _write(tmp_path, "line.json", _line_smpc_config())
+    out = tmp_path / name
+    assert main(["solve", str(config), "--out", str(out)]) == 0
+    oracles = []
+
+    def counted_setup(config, base_dir):
+        oracle = build_setup(config, base_dir)
+        oracles.append(_CountingOracle(oracle))
+        return oracle
+
+    monkeypatch.setattr(cli, "build_setup", counted_setup)
+    assert main(["validate", str(config), "--out", str(out)]) == 0
+    assert [oracle.queries for oracle in oracles] == [1]
+
+
+def test_solve_refuses_a_mixture_that_its_certificate_rejects(tmp_path, monkeypatch, capsys):
+    # a re-evaluation that disagrees with the search's costs fails condition f
+    evaluate = FiniteSetOracle.evaluate
+
+    def drifted(self, policy):
+        cost = evaluate(self, policy)
+        return CostVector(cost.c0 + 1e-3, cost.c1)
+
+    monkeypatch.setattr(FiniteSetOracle, "evaluate", drifted)
+    out = tmp_path / "run"
+    assert main(["solve", str(CONFIGS / "toy.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: optimality conditions failed: f (residual 0.001000"), err
+    assert "refusing to write the report" in err
+    assert not out.exists()
+
+
 def test_validate_accepts_a_count_outside_the_99_percent_interval(tmp_path, capsys):
     # at seed 52 the toy mixture (exact risk 0.01) fails 33 of 2000
     # rollouts: outside the 99% Wilson interval, well inside the range a
@@ -646,14 +730,13 @@ def test_sweep_samples_the_dual_function(tmp_path):
     assert values[0] == pytest.approx(10.0)
 
 
-def test_smpc_node_budget_exits_1_naming_max_nodes(tmp_path, capsys):
-    config = json.loads((CONFIGS / "corridor.json").read_text(encoding="utf-8"))
-    config["max_nodes"] = 3
-    path = _write(tmp_path, "corridor.json", config)
+def test_smpc_node_budget_exits_1_naming_the_budget(tmp_path, monkeypatch, capsys):
+    # the budget is fixed; a smaller one stands in for an inner program too hard for it
+    monkeypatch.setattr(smpc, "MAX_NODES", 3)
     out = tmp_path / "out"
-    assert main(["solve", str(path), "--out", str(out)]) == 1
+    assert main(["solve", str(CONFIGS / "corridor.json"), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "max_nodes=3" in err
+    assert "used its node budget of 3 nodes" in err, err
     assert "infeasible" not in err and "obstacle" not in err
     assert not out.exists()
 
@@ -664,6 +747,19 @@ def test_seed_flag_overrides_the_config(tmp_path):
     assert main(["solve", str(config), "--out", str(out), "--seed", "123"]) == 0
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["monte_carlo"]["seed"] == 123
+
+
+def test_seed_flag_belongs_to_the_commands_that_sample(tmp_path, capsys):
+    config = _write(tmp_path, "toy.json", _toy_config())
+    out = tmp_path / "run"
+    assert main(["sweep", str(config), "--out", str(out), "--seed", "1"]) == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["solve", str(config), "--out", str(out), "--seed", "7"]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["monte_carlo"]["seed"] == 7
+    assert main(["validate", str(config), "--out", str(out), "--seed", "8"]) == 0
+    assert main(["validate", str(config), "--out", str(out), "--seed", "-1"]) == 2
 
 
 def test_bench_tracer_hook_points_stay_alive(tmp_path, monkeypatch):
@@ -694,6 +790,26 @@ def test_bench_tracer_hook_points_stay_alive(tmp_path, monkeypatch):
     recorded = {span.name for span in tracer.spans[solved:]}
     expected = {"dual.certificate", "ccmdp.mc", "smpc.mc", "ccmdp.query", "smpc.query"}
     assert expected <= recorded, expected - recorded
+
+
+def test_readme_command_line_section_names_every_config_key_and_flag():
+    # an option added or removed without its docs fails here
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    keys = {"schema", "kind", *cli._SECTIONS}
+    for required, optional in cli._KEYS.values():
+        keys.update(required, optional)
+    for types in cli._SECTIONS.values():
+        keys.update(types)
+    (commands,) = (a for a in cli._build_parser()._actions if a.choices)
+    flags = {
+        flag
+        for parser in commands.choices.values()
+        for action in parser._actions
+        for flag in action.option_strings
+    }
+    missing = sorted(name for name in keys | flags if f"`{name}`" not in section)
+    assert not missing, missing
 
 
 def test_benchmark_configs_load_and_build(tmp_path, monkeypatch):
