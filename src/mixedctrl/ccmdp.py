@@ -77,6 +77,8 @@ class ShiftSpread:
     def __init__(self, targets: np.ndarray, spread):
         targets = np.asarray(targets, dtype=np.int64)
         self.spread = sp.csr_matrix(spread, dtype=float)
+        # the CSC view that push_forward multiplies by; it shares the CSR arrays
+        self._spread_t = self.spread.T
         if targets.ndim != 2:
             raise InvalidInputError("targets must be (actions, states)")
         self.targets = np.ascontiguousarray(targets.T)
@@ -99,7 +101,7 @@ class ShiftSpread:
             self.targets[live, actions[live]], weights=dist[live],
             minlength=self.spread.shape[0],
         )
-        return self.spread.T @ inter
+        return self._spread_t @ inter
 
     def row(self, state: int, action: int):
         t = int(self.targets[state, action])

@@ -62,10 +62,11 @@ _BOX_SLACK = 1e-9
 # which rollout, and changing it changes every estimate. Blocks are the
 # unit of work the sampler hands to its threads.
 _MC_BLOCK = 2**15
-# bytes the sampler's workers may hold in block arrays together. Each
-# worker holds one block's arrays, so this caps the worker count on
-# machines with many cores; a model whose block alone is larger still
-# gets one worker. The shipped corridor's block takes 2.7 MiB.
+# bytes the sampler's workers may hold in scratch arrays together. Each
+# worker allocates one scratch of `_block_bytes` per call and writes
+# every block it takes into it, so this caps the worker count on
+# machines with many cores; a model whose scratch alone is larger still
+# gets one worker. The shipped corridor's scratch takes 2.7 MiB.
 _MC_MEMORY = 7 * 2**20
 
 
@@ -562,19 +563,49 @@ def _noise_sqrt(sigma: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
 
-def _block_bytes(model: SmpcModel) -> int:
-    """Most bytes one block's arrays take at once in ``_block_failures``.
+class _Scratch(NamedTuple):
+    """One worker's arrays, flat and sized for ``_MC_BLOCK`` rollouts.
 
-    The states, their update, the draws and one obstacle's face
-    products and tests, for ``_MC_BLOCK`` rollouts.
+    ``_block_failures`` writes every block into the same arrays, taking
+    views of their first ``size`` rollouts for a shorter last block.
+    """
+
+    draws: np.ndarray  # the step's normals, (rollouts, dim_x)
+    state: np.ndarray  # one state column per rollout, (dim_x, rollouts)
+    spare: np.ndarray  # the next state, then the step's noise
+    products: np.ndarray  # one obstacle's face products, (faces, rollouts)
+    tests: np.ndarray  # which of them lie outside a face
+    outside: np.ndarray  # outside some face of the obstacle, per rollout
+    safe: np.ndarray  # in no obstacle so far, per rollout
+
+
+def _block_bytes(model: SmpcModel) -> int:
+    """Bytes of one worker's ``_Scratch``, all the arrays it holds.
+
+    Three float (dim_x, block) arrays, the float products and bool tests
+    of the obstacle with the most faces, and two bool rows.
     """
     faces = max((obs.num_faces for obs in model.obstacles), default=0)
-    return _MC_BLOCK * (8 * (3 * model.dim_x + faces) + faces + 3)
+    return _MC_BLOCK * (8 * (3 * model.dim_x + faces) + faces + 2)
+
+
+def _scratch(model: SmpcModel) -> _Scratch:
+    faces = max((obs.num_faces for obs in model.obstacles), default=0)
+    floats = _MC_BLOCK * model.dim_x
+    return _Scratch(
+        draws=np.empty(floats),
+        state=np.empty(floats),
+        spare=np.empty(floats),
+        products=np.empty(_MC_BLOCK * faces),
+        tests=np.empty(_MC_BLOCK * faces, dtype=bool),
+        outside=np.empty(_MC_BLOCK, dtype=bool),
+        safe=np.empty(_MC_BLOCK, dtype=bool),
+    )
 
 
 def _block_failures(
     model: SmpcModel, root: np.ndarray, controls: np.ndarray, seed: int, index: int,
-    size: int,
+    size: int, scratch: _Scratch,
 ) -> int:
     """Number of rollouts in block ``index`` of one control sequence that enter an obstacle.
 
@@ -582,20 +613,34 @@ def _block_failures(
     ``SeedSequence(seed)``. The state is held with one column per
     rollout, so each obstacle's face test is one (faces, rollouts)
     product: a rollout is inside when it is on the inner side of every
-    face.
+    face. Every array is a view into the worker's ``scratch``, and each
+    step forms ``A x + B u + root z^T`` in that order of operations, so
+    the count does not depend on which arrays are reused.
     """
+    n = model.dim_x
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    x = np.repeat(model.x_init[:, None], size, axis=1)
-    failed = np.zeros(size, dtype=bool)
+    draws = scratch.draws[: n * size].reshape(size, n)
+    x = scratch.state[: n * size].reshape(n, size)
+    spare = scratch.spare[: n * size].reshape(n, size)
+    outside, safe = scratch.outside[:size], scratch.safe[:size]
+    x[...] = model.x_init[:, None]
+    safe.fill(True)
     for k in range(model.horizon):
-        z = rng.standard_normal((size, model.dim_x))
-        x = model.a_mat @ x
-        x += (model.b_mat @ controls[k])[:, None]
-        x += root @ z.T
+        rng.standard_normal(out=draws)  # the stream of standard_normal((size, n))
+        np.matmul(model.a_mat, x, out=spare)
+        spare += (model.b_mat @ controls[k])[:, None]
+        x, spare = spare, x  # the old state's array takes the noise
+        np.matmul(root, draws.T, out=spare)
+        x += spare
         for obs in model.obstacles:
-            outside = obs.face_normals @ x > obs.face_offsets[:, None]
-            failed |= ~np.logical_or.reduce(outside, axis=0)
-    return int(np.count_nonzero(failed))
+            faces = obs.num_faces
+            products = scratch.products[: faces * size].reshape(faces, size)
+            tests = scratch.tests[: faces * size].reshape(faces, size)
+            np.matmul(obs.face_normals, x, out=products)
+            np.greater(products, obs.face_offsets[:, None], out=tests)
+            np.logical_or.reduce(tests, axis=0, out=outside)
+            safe &= outside
+    return size - int(np.count_nonzero(safe))
 
 
 def _schedule(jobs):
@@ -620,8 +665,9 @@ def _count_failures(model: SmpcModel, jobs: list[tuple[np.ndarray, int, int]]) -
     workers nor which of them runs a block. The calling thread and a pool
     opened for this call take the blocks of one schedule in turn, each
     the next block as soon as it is free, so a worker slowed by a busy
-    core takes fewer. There are no more workers than usable cores, nor
-    more than ``_MC_MEMORY`` holds the arrays of one block each for. The
+    core takes fewer. Each worker allocates one ``_Scratch`` for the call
+    and runs all its blocks in it. There are no more workers than usable
+    cores, nor more than ``_MC_MEMORY`` holds one scratch each for. The
     schedule is walked lazily: at most one block per worker is in flight
     whatever the rollout count, and a block that raises stops the other
     workers at their next block.
@@ -638,13 +684,14 @@ def _count_failures(model: SmpcModel, jobs: list[tuple[np.ndarray, int, int]]) -
     def work() -> int:
         failures = 0
         try:
+            scratch = _scratch(model)
             while not stop.is_set():
                 with taking:
                     block = next(schedule, None)
                 if block is None:
                     break
                 controls, size, seed, index = block
-                failures += _block_failures(model, root, controls, seed, index, size)
+                failures += _block_failures(model, root, controls, seed, index, size, scratch)
         except BaseException:
             stop.set()
             raise

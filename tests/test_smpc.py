@@ -692,6 +692,67 @@ def test_sampler_counts_match_the_row_major_reference(corridor_plans, n):
         assert got.failure_rate == want / n, (seed, got.failure_rate * n, want)
 
 
+def _random_sampler_case(dim_x, case):
+    """Raw arrays of a random model and plan, and a rollout count 32768 k +- 1, k >= 2.
+
+    A is not the identity and the noise is correlated, so the noise root
+    is not diagonal. Each obstacle has its own number of faces. Its first
+    face leaves every mean point just outside it, and its other faces
+    hold one mean point on their inner side, so that some rollouts enter
+    it and some do not.
+    """
+    rng = np.random.default_rng([dim_x, case])
+    dim_u, horizon = int(rng.integers(1, 3)), int(rng.integers(2, 5))
+    a = np.eye(dim_x) + 0.2 * rng.standard_normal((dim_x, dim_x))
+    b = rng.standard_normal((dim_x, dim_u))
+    lower = np.tril(rng.standard_normal((dim_x, dim_x)))
+    sigma = 0.02 * (lower @ lower.T + 0.1 * np.eye(dim_x))
+    x_init = rng.standard_normal(dim_x)
+    controls = rng.uniform(-1.0, 1.0, (horizon, dim_u))
+    path = [x_init]
+    for u in controls:
+        path.append(a @ path[-1] + b @ u)
+    obstacles = []
+    for _ in range(int(rng.integers(1, 4))):
+        normals = rng.standard_normal((int(rng.integers(1, 6)), dim_x))
+        norms = np.linalg.norm(normals, axis=1)
+        held = path[int(rng.integers(1, horizon + 1))]
+        offsets = normals @ held + rng.uniform(0.05, 0.3, len(normals)) * norms
+        offsets[0] = min(normals[0] @ x for x in path[1:]) - rng.uniform(0.0, 0.2) * norms[0]
+        obstacles.append((normals, offsets))
+    raw = dict(a=a, b=b, sigma_w=sigma, x_init=x_init, obstacles=obstacles)
+    n = smpc._MC_BLOCK * int(rng.integers(2, 4)) + int(rng.choice([-1, 1]))
+    return raw, controls, n
+
+
+@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("dim_x", [1, 2, 3])
+def test_sampler_counts_match_the_row_major_reference_on_random_models(
+    monkeypatch, dim_x, case
+):
+    raw, controls, n = _random_sampler_case(dim_x, case)
+    model = SmpcModel(
+        a_mat=raw["a"],
+        b_mat=raw["b"],
+        sigma_w=raw["sigma_w"],
+        horizon=len(controls),
+        x_init=raw["x_init"],
+        x_goal=np.zeros(dim_x),
+        u_lower=-np.ones(controls.shape[1]),
+        u_upper=np.ones(controls.shape[1]),
+        obstacles=tuple(Obstacle(*faces) for faces in raw["obstacles"]),
+    )
+    # one worker, so its last block is a partial one after a full one in the same scratch
+    _pretend_cores(monkeypatch, 1)
+    seed = 1000 * dim_x + case
+    want = mc_failures_rowmajor(
+        raw["a"], raw["b"], raw["sigma_w"], raw["x_init"], controls, raw["obstacles"], n, seed
+    )
+    got = estimate_risk_mc(model, controls, n, seed)
+    assert 0 < want < n, want
+    assert got.failure_rate == want / n, (got.failure_rate * n, want)
+
+
 @pytest.fixture(scope="module")
 def corridor_mixture(corridor_plans):
     """The shipped corridor's raw config, model and solved two-plan mixture."""
@@ -788,6 +849,34 @@ def test_many_cores_do_not_raise_the_sampler_memory(corridor_plans, monkeypatch)
     # the workers' block arrays together stay within _MC_MEMORY
     assert len(threads) <= smpc._MC_MEMORY // smpc._block_bytes(model)
     assert peak < 8 * 2**20, peak
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_sampler_scratch_does_not_grow_with_the_rollout_count(corridor_plans, monkeypatch, cores):
+    _, model, plans = corridor_plans
+    _pretend_cores(monkeypatch, cores)
+    make = smpc._scratch
+    owners = []
+
+    def counting(model):
+        owners.append(threading.get_ident())
+        scratch = make(model)
+        assert sum(a.nbytes for a in scratch) == smpc._block_bytes(model)
+        return scratch
+
+    monkeypatch.setattr(smpc, "_scratch", counting)
+    made = {}
+    for blocks in (1, 31):
+        owners.clear()
+        estimate_risk_mc(model, plans[0], blocks * smpc._MC_BLOCK, seed=1)
+        # at most one scratch per worker, whatever number of blocks it runs
+        assert len(set(owners)) == len(owners), owners
+        made[blocks] = len(owners)
+    workers = min(cores, smpc._MC_MEMORY // smpc._block_bytes(model))
+    assert made[1] == 1
+    assert made[31] <= workers
+    if workers == 1:
+        assert made[31] == made[1]
 
 
 class _BlockFailed(RuntimeError):

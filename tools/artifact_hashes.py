@@ -10,10 +10,11 @@ fresh process per command. Inputs come from this checkout's
 output goes under ``OUT``. Each run prints one line: its name, the exit
 codes of ``solve``, ``validate`` and ``sweep``, a SHA-256 digest of the
 output directory's file names and contents, and the report's lambda*,
-aggregate cost and aggregate risk (``%.10g``, ``-`` when ``solve`` failed).
-Reports carry no wall time, so a change that keeps every artifact prints
-the same lines as its parent, and where the digests differ the last three
-fields show whether the values moved.
+aggregate cost, aggregate risk and Monte Carlo failure rate (``%.10g``,
+``-`` when ``solve`` failed). Reports carry no wall time, so a change
+that keeps every artifact prints the same lines as its parent, and where
+the digests differ the last four fields show which values moved: a
+sampler change that moves a failure count shows in the last one.
 """
 
 from __future__ import annotations
@@ -54,12 +55,16 @@ def _digest(directory: Path) -> str:
 
 
 def _values(directory: Path, solved: bool) -> list[str]:
-    """lambda*, aggregate cost and aggregate risk of the run's report, as ``%.10g``."""
+    """lambda*, aggregate cost, aggregate risk and Monte Carlo failure rate
+    of the run's report, as ``%.10g``."""
     if not solved:
-        return ["-"] * 3
+        return ["-"] * 4
     report = json.loads((directory / "report.json").read_text(encoding="utf-8"))
     aggregate = report["mixed"]["aggregate"]
-    values = (report["dual"]["lambda_star"], aggregate["cost"], aggregate["risk"])
+    values = (
+        report["dual"]["lambda_star"], aggregate["cost"], aggregate["risk"],
+        report["monte_carlo"]["failure_rate"],
+    )
     return ["%.10g" % value for value in values]
 
 
