@@ -10,11 +10,18 @@ failure mass, which keeps policy evaluation exact rather than sampled.
 Transitions have one layout: each admissible (state, action) pair points
 at a row of a shared row-stochastic "spread" matrix, so one sparse
 product per step covers every action. The pair-to-row map is one
-contiguous (states, actions) array, so the sweep's table of expected
+contiguous (rows, actions) array, so the sweep's table of expected
 values is gathered row by row and minimised along contiguous rows.
 Translation-invariant dynamics (grid worlds) give the rows to cells and
 let every action that aims at a cell share its noise row; a hand-built
 table gives each pair its own row.
+
+A step's tables may hold rows for only some of its states: a builder
+that works forward from the start leaves out the states it cannot reach.
+``ShiftSpread.row_of`` maps each state to its row. A state without one
+gets action -1 and is never occupied, because `Mdp` checks that the
+initial distribution reaches no alive state without a row; the sweep,
+the forward pass and the sampler read every table through that map.
 
 The Monte Carlo check samples how many rollouts occupy each state, not
 where each rollout is: rollouts that share a state and a policy are
@@ -29,11 +36,13 @@ probability and gives the last entry the remainder, so the draws and
 the random stream are those of one call per state.
 
 A saved mixture component is a ``policy_<stem>.csv`` table with one
-``step,state,action`` row per defined action. It is written with one
-format operation and read back as one int64 array by numpy's C reader.
-The table is printable ASCII: each field an optional sign and digits,
-spaces or tabs around them. A file that names a (step, state) twice is
-rejected.
+``step,state,action`` row per defined action, so it lists only states
+that have a row. It is written with one format operation and read back
+as one int64 array by numpy's C reader. The table is printable ASCII:
+each field an optional sign and digits, spaces or tabs around them. A
+file that names a (step, state) twice is rejected. A row for a state
+without a row in the dynamics is checked and dropped, so tables that
+list every state still load.
 """
 
 from __future__ import annotations
@@ -65,16 +74,21 @@ _MASS_TOL = 1e-12
 class ShiftSpread:
     """Per-pair target map into the rows of a shared row-stochastic spread.
 
-    The next-state distribution of state ``x`` under action ``a`` is row
-    ``targets[x, a]`` of ``spread`` (-1 marks an inadmissible pair), so a
-    sweep needs a single sparse product shared by all actions. The rows
-    may be pre-noise destination cells, extra rows (a deterministic
-    parking row for an absorbing cell), or one row per pair. The
-    constructor takes the map as (actions, states) and keeps it as one
-    contiguous (states, actions) array, the layout of the sweep's table.
+    Row ``r`` of the map belongs to state ``states[r]``: the next-state
+    distribution of that state under action ``a`` is row ``targets[r, a]``
+    of ``spread`` (-1 marks an inadmissible pair), so a sweep needs a
+    single sparse product shared by all actions. The map may hold rows
+    for a subset of the ``num_states`` states, in ascending state order;
+    the default is one row per state. ``row_of`` maps each state to its
+    row, -1 for a state without one. The spread rows may be pre-noise
+    destination cells, extra rows (a deterministic parking row for an
+    absorbing cell), or one row per pair; a row that no pair uses may be
+    empty. The constructor takes the map as (actions, rows) and keeps it
+    as one contiguous (rows, actions) array, the layout of the sweep's
+    table.
     """
 
-    def __init__(self, targets: np.ndarray, spread):
+    def __init__(self, targets: np.ndarray, spread, states=None, num_states: int | None = None):
         targets = np.asarray(targets, dtype=np.int64)
         self.spread = sp.csr_matrix(spread, dtype=float)
         # the CSC view that push_forward multiplies by; it shares the CSR arrays
@@ -82,9 +96,23 @@ class ShiftSpread:
         if targets.ndim != 2:
             raise InvalidInputError("targets must be (actions, states)")
         self.targets = np.ascontiguousarray(targets.T)
-        self.num_states = self.targets.shape[0]
+        rows = self.targets.shape[0]
+        if states is None:
+            self.states = np.arange(rows)
+            self.num_states = rows
+        else:
+            self.states = np.asarray(states, dtype=np.int64)
+            self.num_states = int(num_states)
+            if (
+                self.states.shape != (rows,)
+                or np.any(np.diff(self.states) <= 0)
+                or np.any((self.states < 0) | (self.states >= self.num_states))
+            ):
+                raise InvalidInputError("row states must be ascending states, one per row")
+        self.row_of = np.full(self.num_states, -1, dtype=np.int64)
+        self.row_of[self.states] = np.arange(rows)
         self.num_next = self.spread.shape[1]
-        if self.targets.max() >= self.spread.shape[0]:
+        if self.targets.max(initial=-1) >= self.spread.shape[0]:
             raise InvalidInputError("target index outside the spread matrix")
 
     @property
@@ -93,18 +121,28 @@ class ShiftSpread:
 
     def expected_next(self, j_next: np.ndarray) -> np.ndarray:
         # the appended zero is what target -1 (an inadmissible pair) reads
-        return np.take(np.append(self.spread @ j_next, 0.0), self.targets)  # (states, actions)
+        return np.take(np.append(self.spread @ j_next, 0.0), self.targets)  # (rows, actions)
 
     def push_forward(self, dist: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """Next-state distribution of ``dist`` (one entry per state) under per-state ``actions``.
+
+        Every state that ``dist`` occupies must have a row.
+        """
         live = np.flatnonzero(dist > 0)
         inter = np.bincount(
-            self.targets[live, actions[live]], weights=dist[live],
+            self.targets[self.row_of[live], actions[live]], weights=dist[live],
             minlength=self.spread.shape[0],
         )
         return self._spread_t @ inter
 
     def row(self, state: int, action: int):
-        t = int(self.targets[state, action])
+        """Columns and probabilities of the next-state distribution of one admissible pair."""
+        r = int(self.row_of[state])
+        if r < 0:
+            raise InvalidInputError(f"state {state} has no row")
+        t = int(self.targets[r, action])
+        if t < 0:
+            raise InvalidInputError(f"action {action} has no target at state {state}")
         sl = slice(self.spread.indptr[t], self.spread.indptr[t + 1])
         return self.spread.indices[sl], self.spread.data[sl]
 
@@ -131,16 +169,31 @@ class ShiftSpread:
         return cols, probs
 
     def check_rows(self, admissible: np.ndarray):
+        """Check the spread rows and the pairs that ``admissible`` (rows, actions) marks.
+
+        A spread row that holds entries must sum to one; an empty row is one
+        that no admissible pair may use.
+        """
         sums = np.asarray(self.spread.sum(axis=1)).ravel()
-        if np.any(np.abs(sums - 1.0) > _MASS_TOL):
-            bad = int(np.argmax(np.abs(sums - 1.0)))
+        filled = np.diff(self.spread.indptr) > 0
+        off = np.where(filled, np.abs(sums - 1.0), 0.0)
+        if np.any(off > _MASS_TOL):
+            bad = int(np.argmax(off))
             raise InvalidInputError(f"spread row {bad} sums to {sums[bad]}")
         if (self.spread.data < 0).any():
             raise InvalidInputError("negative probability in the spread matrix")
-        missing = admissible & (self.targets < 0)
+        if filled.all():
+            missing = admissible & (self.targets < 0)
+        else:  # target -1 reads the appended False
+            missing = admissible & ~np.append(filled, False)[self.targets]
         if missing.any():
-            a, x = np.argwhere(missing.T)[0]  # lowest action first
-            raise InvalidInputError(f"action {a} marked admissible but has no target at state {x}")
+            a, r = np.argwhere(missing.T)[0]  # lowest action first
+            x, t = int(self.states[r]), int(self.targets[r, a])
+            if t < 0:
+                raise InvalidInputError(
+                    f"action {a} marked admissible but has no target at state {x}"
+                )
+            raise InvalidInputError(f"action {a} at state {x} uses the empty spread row {t}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +205,12 @@ class Policy:
 
 @dataclass(eq=False)
 class Mdp:
-    """Time-varying finite MDP. ``stage_costs`` hold +inf for inadmissible pairs."""
+    """Time-varying finite MDP. ``stage_costs`` hold +inf for inadmissible pairs.
+
+    ``stage_costs[k]`` has one row per row of ``dynamics[k]``. An alive
+    state with a row needs an admissible action; an alive state without
+    one must be out of the initial distribution's reach.
+    """
 
     horizon: int
     state_counts: tuple[int, ...]
@@ -186,32 +244,58 @@ class Mdp:
                 raise InvalidInputError(f"failure mask at step {k} has wrong length")
         self.stage_costs = tuple(np.asarray(c, dtype=float) for c in self.stage_costs)
         checked: dict[int, list[np.ndarray]] = {}  # admissible patterns per dynamics object
-        seen = set()  # (dynamics, costs, mask) objects already checked together
+        seen = {}  # admissible pattern per (dynamics, costs, mask) triple already checked
+        rowless = False  # some alive state has no row
         for k in range(t):
             dyn = self.dynamics[k]
             cost = self.stage_costs[k]
             n_k, n_next = self.state_counts[k], self.state_counts[k + 1]
             if dyn.num_states != n_k or dyn.num_next != n_next:
                 raise InvalidInputError(f"dynamics at step {k} have wrong shape")
-            if cost.shape != (n_k, dyn.num_actions):
+            if cost.shape != (len(dyn.states), dyn.num_actions):
                 raise InvalidInputError(f"stage costs at step {k} have wrong shape")
             triple = (id(dyn), id(cost), id(self.failure_masks[k]))
             if triple in seen:
                 continue
-            seen.add(triple)
             if np.isnan(cost.min(initial=0.0)):  # min propagates NaN
                 raise InvalidInputError(f"NaN stage cost at step {k}")
-            admissible = np.isfinite(cost)
+            admissible = seen[triple] = np.isfinite(cost)
             alive = ~self.failure_masks[k]
-            if np.any(alive & ~admissible.any(axis=1)):
-                x = int(np.flatnonzero(alive & ~admissible.any(axis=1))[0])
+            stuck = alive[dyn.states] & ~admissible.any(axis=1)
+            if np.any(stuck):
+                x = int(dyn.states[np.argmax(stuck)])
                 raise InvalidInputError(
                     f"alive state {x} at step {k} has no admissible action"
                 )
+            rowless = rowless or bool(np.any(alive & (dyn.row_of < 0)))
             patterns = checked.setdefault(id(dyn), [])
-            if not any(np.array_equal(admissible, seen) for seen in patterns):
+            if not any(np.array_equal(admissible, pattern) for pattern in patterns):
                 dyn.check_rows(admissible)
                 patterns.append(admissible)
+        if rowless:
+            self._check_reach([
+                seen[id(dyn), id(cost), id(mask)]
+                for dyn, cost, mask in zip(self.dynamics, self.stage_costs, self.failure_masks)
+            ])
+
+    def _check_reach(self, admissible: list[np.ndarray]):
+        """Raise unless every alive state that ``initial`` can reach has a row.
+
+        Steps forward from the initial distribution's support through the
+        admissible pairs of the alive states reached, to every state their
+        spread rows give a positive probability.
+        """
+        reach = self.initial > 0
+        for k, dyn in enumerate(self.dynamics):
+            live = reach & ~self.failure_masks[k]
+            if np.any(live & (dyn.row_of < 0)):
+                x = int(np.argmax(live & (dyn.row_of < 0)))
+                raise InvalidInputError(
+                    f"state {x} at step {k} has no row, but the initial distribution can reach it"
+                )
+            used = np.zeros(dyn.spread.shape[0])
+            used[dyn.targets[admissible[k] & live[dyn.states][:, None]]] = 1.0
+            reach = dyn.spread.T @ used > 0  # the entries are not negative
 
 
 def lagrangian_dp(mdp: Mdp, lam: float) -> tuple[Policy, float]:
@@ -219,15 +303,19 @@ def lagrangian_dp(mdp: Mdp, lam: float) -> tuple[Policy, float]:
 
     Failure states carry the constant value ``lam`` so transitioning into
     one charges the penalty exactly once with no continuation. Ties among
-    actions break to the lowest index. Returns the greedy policy and the
-    initial-distribution value (equal to c0 + lam*c1 of that policy).
+    actions break to the lowest index. The table of a step has one row per
+    row of its dynamics; a state without one gets action -1 and value 0,
+    which no state that the initial distribution reaches reads. Returns
+    the greedy policy and the initial-distribution value (equal to
+    c0 + lam*c1 of that policy).
     """
     lam = check_multiplier(lam)
     t = mdp.horizon
     j_next = np.where(mdp.failure_masks[t], lam, 0.0)
     actions: list[np.ndarray] = [None] * t
     for k in reversed(range(t)):
-        q = mdp.dynamics[k].expected_next(j_next)
+        dyn = mdp.dynamics[k]
+        q = dyn.expected_next(j_next)
         q += mdp.stage_costs[k]
         act = np.argmin(q, axis=1)
         val = q[np.arange(q.shape[0]), act]
@@ -235,8 +323,12 @@ def lagrangian_dp(mdp: Mdp, lam: float) -> tuple[Policy, float]:
         # allocator hands the same memory back instead of fresh pages
         del q
         fail_k = mdp.failure_masks[k]
-        actions[k] = np.where(fail_k, -1, act).astype(np.int64)
-        j_next = np.where(fail_k, lam, val)
+        actions[k] = np.full(mdp.state_counts[k], -1, dtype=np.int64)
+        actions[k][dyn.states] = act
+        actions[k][fail_k] = -1
+        j_next = np.zeros(mdp.state_counts[k])
+        j_next[dyn.states] = val
+        j_next[fail_k] = lam
     value = float(mdp.initial @ j_next)
     return Policy(tuple(actions)), value
 
@@ -258,19 +350,21 @@ def evaluate_policy(mdp: Mdp, policy: Policy) -> CostVector:
         acts = np.asarray(policy.actions[k])
         if acts.shape != (mdp.state_counts[k],):
             raise InvalidPolicyError(f"policy at step {k} has wrong length")
-        active = dist > 0
-        if np.any(active & (acts < 0)):
-            x = int(np.flatnonzero(active & (acts < 0))[0])
+        occ = np.flatnonzero(dist > 0)
+        if np.any(acts[occ] < 0):
+            x = int(occ[np.argmax(acts[occ] < 0)])
             raise InvalidPolicyError(f"no action for reachable state {x} at step {k}")
-        safe_acts = np.where(acts >= 0, acts, 0)
-        stage = mdp.stage_costs[k][np.arange(len(acts)), safe_acts]
-        if np.any(active & ~np.isfinite(stage)):
-            x = int(np.flatnonzero(active & ~np.isfinite(stage))[0])
+        dyn = mdp.dynamics[k]
+        # an occupied state has a row: the Mdp checks let no mass reach one without
+        stage = np.zeros(len(acts))
+        stage[occ] = mdp.stage_costs[k][dyn.row_of[occ], acts[occ]]
+        if not np.all(np.isfinite(stage)):
+            x = int(np.argmax(~np.isfinite(stage)))
             raise InvalidPolicyError(
                 f"inadmissible action at reachable state {x}, step {k}"
             )
-        total_cost += float(dist @ np.where(active, stage, 0.0))
-        dist = mdp.dynamics[k].push_forward(dist, safe_acts)
+        total_cost += float(dist @ stage)
+        dist = dyn.push_forward(dist, acts)
         mask = mdp.failure_masks[k + 1]
         fail_mass += float(dist[mask].sum())
         dist = np.where(mask, 0.0, dist)
@@ -297,9 +391,14 @@ class MdpOracle(LagrangianOracle):
         return evaluate_policy(self.mdp, policy)
 
     def save(self, policy: Policy, stem: str, out_dir: Path) -> str:
-        """Write ``policy_<stem>.csv`` into ``out_dir`` and return its name."""
+        """Write ``policy_<stem>.csv`` into ``out_dir`` and return its name.
+
+        The table lists each (step, state) that has a row and an action.
+        """
         name = f"policy_{stem}.csv"
-        acts = np.concatenate(policy.actions)
+        acts = np.concatenate([
+            np.where(dyn.row_of >= 0, a, -1) for dyn, a in zip(self.mdp.dynamics, policy.actions)
+        ])
         sizes = [len(a) for a in policy.actions]
         table = np.stack([
             np.repeat(np.arange(len(sizes)), sizes),
@@ -315,7 +414,9 @@ class MdpOracle(LagrangianOracle):
 
         A valid table is parsed as one int64 array and checked together;
         a table that fails is read again row by row to name its first bad
-        row.
+        row. A row for a state without a row in the dynamics (one the
+        initial distribution cannot reach, which older tables list) is
+        checked like any other and then dropped: that state gets -1.
         """
         path, lines = read_component(ref, out_dir)
         if not lines or lines[0] != "step,state,action":
@@ -334,6 +435,7 @@ class MdpOracle(LagrangianOracle):
             if ok.all() and np.bincount(flat).max(initial=0) <= 1:  # no (step, state) twice
                 actions = np.full(offsets[-1], -1, dtype=np.int64)
                 actions[flat] = action
+                actions[np.concatenate([dyn.row_of < 0 for dyn in self.mdp.dynamics])] = -1
                 return Policy(tuple(np.split(actions, offsets[1:-1])))
         raise self._first_bad_row(path, body)
 
@@ -434,9 +536,10 @@ def _rollout_counts(mdp: Mdp, policy: Policy, rng: np.random.Generator, m: int):
         acts = policy.actions[k][occ]
         if np.any(acts < 0):
             raise InvalidPolicyError(f"rollout reached an undefined action at step {k}")
-        cost += float(counts[occ] @ mdp.stage_costs[k][occ, acts])
         dyn = mdp.dynamics[k]
-        rows = dyn.targets[occ, acts]
+        own = dyn.row_of[occ]  # an occupied state has a row, as in evaluate_policy
+        cost += float(counts[occ] @ mdp.stage_costs[k][own, acts])
+        rows = dyn.targets[own, acts]
         if np.any(rows < 0):
             raise InvalidPolicyError(f"rollout reached an inadmissible action at step {k}")
         cols, probs = dyn.padded_rows(rows)

@@ -5,9 +5,13 @@ list; it doubles as the reference backend in tests. Its policies are
 candidate indices, so it saves no component file: a report names each
 component by its index. Grid and landing scenarios build finite MDPs for
 the dynamic-programming backend. Their tables come from whole-array
-operations that make no (cells, actions) array but their outputs, and
-every array they give is bit for bit the one that full broadcasts, a COO
-spread matrix and a cell-by-cell breadth-first search give.
+operations that make no (cells, actions) array but their outputs and
+boolean masks of the off-grid moves, and every row they give is bit
+for bit the one that full broadcasts, a COO spread matrix and a
+cell-by-cell breadth-first search give. A grid's tables have a row for
+every cell. A landing's have rows only for the cells its start can
+reach, found stage by stage as the tables are built, so its policy
+files list only those cells.
 """
 
 from __future__ import annotations
@@ -103,48 +107,58 @@ def _kernel_1d(sigma: float):
     return off, w / w.sum()
 
 
-def _clipped_spread(width: int, height: int, sigma_x: float, sigma_y: float) -> sp.csr_matrix:
-    """Row-stochastic disturbance matrix; mass pushed off-grid piles on the edge.
+def _clipped_spread(
+    width: int, height: int, sigma_x: float, sigma_y: float, rows=None
+) -> sp.csr_matrix:
+    """Disturbance matrix, row-stochastic on ``rows``; mass pushed off-grid piles on the edge.
 
     Row ``c`` spreads cell ``c`` by the product of two 1-D Gaussian
     kernels: offset (dx, dy), taken in order dx, then dy, carries weight
     ``wx[dx] * wy[dy]`` to the cell it reaches once each coordinate is
-    clipped into the grid. The columns are sums of one clipped table per
-    axis, and the rows reach scipy's sort-and-sum in the order and with
-    the index type that a COO matrix of all (cell, offset) entries would
-    give them. That sort decides the order in which the weights piling on
-    one edge cell are added, so every stored probability has the bits of
-    the COO construction.
+    clipped into the grid. Only the cells in ``rows`` (ascending, default
+    every cell) get their row; the others stay empty. The columns are
+    sums of one clipped table per axis, and each row reaches scipy's
+    sort-and-sum in the order and with the index type that a COO matrix
+    of all (cell, offset) entries would give it. That sort decides the
+    order in which the weights piling on one edge cell are added, so
+    every stored probability has the bits of the COO construction.
     """
     ox, wx = _kernel_1d(sigma_x)
     oy, wy = _kernel_1d(sigma_y)
     weights = np.outer(wx, wy).ravel()
     n, k = width * height, weights.size
     idx = sp.get_index_dtype(maxval=n * k)
+    rows = np.arange(n, dtype=idx) if rows is None else np.asarray(rows, dtype=idx)
+    x, y = np.divmod(rows, height)
     cx = np.clip(np.arange(width, dtype=idx)[:, None] + ox.astype(idx), 0, width - 1) * height
     cy = np.clip(np.arange(height, dtype=idx)[:, None] + oy.astype(idx), 0, height - 1)
-    cols = (cx[:, None, :, None] + cy[None, :, None, :]).ravel()  # cell x, y; offset dx, dy
-    spread = sp.csr_matrix(
-        (np.tile(weights, n), cols, np.arange(0, cols.size + 1, k, dtype=idx)), shape=(n, n)
-    )
+    cols = (cx[x][:, :, None] + cy[y][:, None, :]).ravel()  # row; offset dx, dy
+    indptr = np.zeros(n + 1, dtype=idx)
+    indptr[rows + 1] = k
+    spread = sp.csr_matrix((np.tile(weights, rows.size), cols, np.cumsum(indptr, dtype=idx)),
+                           shape=(n, n))
     spread.sum_duplicates()
     return spread
 
 
-def _shift_targets(width: int, height: int, offsets) -> np.ndarray:
+def _shift_targets(width: int, height: int, offsets, cells=None) -> np.ndarray:
     """(cells, offsets) flat index of each cell moved by each offset; -1 off the grid.
 
-    A move stays on the grid when each coordinate does, so each axis is
-    checked on its own (coordinates, offsets) table, and the output is the
-    only (cells, offsets) array made.
+    ``cells`` (default every cell, in order) picks the rows, each the row
+    that the whole grid would give. A move stays on the grid when each
+    coordinate does, so each axis is checked on its own (coordinates,
+    offsets) table; beside the output, the only (cells, offsets) arrays
+    made are boolean masks of the off-grid moves.
     """
     off = np.asarray(offsets, dtype=np.int64).reshape(-1, 2)
+    cells = np.arange(width * height) if cells is None else np.asarray(cells, dtype=np.int64)
+    x, y = np.divmod(cells, height)
     tx = np.arange(width)[:, None] + off[:, 0]
     ty = np.arange(height)[:, None] + off[:, 1]
-    out = np.arange(width * height)[:, None] + (off[:, 0] * height + off[:, 1])
-    grid = out.reshape(width, height, len(off))
-    np.copyto(grid, -1, where=((tx < 0) | (tx >= width))[:, None, :])
-    np.copyto(grid, -1, where=((ty < 0) | (ty >= height))[None, :, :])
+    off_grid = ((tx < 0) | (tx >= width))[x]
+    off_grid |= ((ty < 0) | (ty >= height))[y]
+    out = cells[:, None] + (off[:, 0] * height + off[:, 1])
+    np.copyto(out, -1, where=off_grid)
     return out
 
 
@@ -295,6 +309,12 @@ def edl_scenario(feasible: np.ndarray, start, sites, stages: int, ellipsoids, si
     touchdown cell, and the only cost is the surface traverse from the
     touchdown cell through both science sites in the cheaper order; a
     cell with no route to the sites costs ``4 * width * height``.
+
+    The tables hold rows only for the cells the start can reach, worked
+    out forward as they are built: stage 0 is the start cell, and stage
+    k+1 the columns of the spread rows that stage k's admissible pairs
+    use. Only those spread rows are filled. Each kept row is the one a
+    build over every cell gives.
     """
     w, h = feasible.shape
     t = stages
@@ -312,17 +332,23 @@ def edl_scenario(feasible: np.ndarray, start, sites, stages: int, ellipsoids, si
     landed_cost = np.where(feasible, np.where(np.isfinite(trav), trav, 4.0 * w * h), 0.0)
 
     n = w * h
+    cells = np.array([sx * h + sy])
     dynamics = []
     costs = []
     for k in range(t):
-        pairs = _shift_targets(w, h, ellipsoid_offsets(*ellipsoids[k]))
-        spread = _clipped_spread(w, h, *sigmas[k])
-        dynamics.append(ShiftSpread(pairs.T, spread))
+        pairs = _shift_targets(w, h, ellipsoid_offsets(*ellipsoids[k]), cells)
+        used = np.zeros(n + 1, dtype=bool)
+        used[pairs] = True  # target -1 (an inadmissible pair) marks the extra entry
+        spread = _clipped_spread(w, h, *sigmas[k], rows=np.flatnonzero(used[:n]))
+        dynamics.append(ShiftSpread(pairs.T, spread, cells, n))
         if k < t - 1:
             costs.append(np.where(pairs >= 0, 0.0, np.inf))
         else:
             # target -1 (an inadmissible pair) reads the appended inf
             costs.append(np.append(spread @ landed_cost.ravel(), np.inf)[pairs])
+        reached = np.zeros(n, dtype=bool)
+        reached[spread.indices] = True
+        cells = np.flatnonzero(reached)
     masks = [np.zeros(n, dtype=bool) for _ in range(t)]
     masks.append(~feasible.ravel())
     initial = np.zeros(n)

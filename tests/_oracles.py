@@ -392,8 +392,8 @@ def simulate_per_state(mdp, solution, seed: int, n_rollouts: int):
     component split and initial draws as ``mixedctrl.ccmdp.simulate``,
     then, at each step, one ``multinomial`` call per occupied state on
     that state's spread row (read with ``ShiftSpread.row``) divided by
-    its own sum. Returns the generator too, so a caller can compare the
-    state it is left in.
+    its own sum. Stage costs are looked up at the state's row. Returns the
+    generator too, so a caller can compare the state it is left in.
     """
     rng = np.random.default_rng(seed)
     probs = np.array(solution.probabilities)
@@ -411,7 +411,8 @@ def simulate_per_state(mdp, solution, seed: int, n_rollouts: int):
             if occ.size == 0:
                 break
             acts = cand.policy.actions[k][occ]
-            part += float(counts[occ] @ mdp.stage_costs[k][occ, acts])
+            own = mdp.dynamics[k].row_of[occ]  # each state's row of the step's tables
+            part += float(counts[occ] @ mdp.stage_costs[k][own, acts])
             nxt = np.zeros(mdp.state_counts[k + 1], dtype=np.int64)
             for x, a in zip(occ.tolist(), acts.tolist()):
                 idxs, pvals = mdp.dynamics[k].row(x, a)

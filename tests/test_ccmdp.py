@@ -201,6 +201,51 @@ def test_validation_requires_admissible_action_for_alive_states():
         )
 
 
+def _rowless_mdp(spread_rows, initial, fail_1=(False, False)):
+    """Two steps over states {0, 1}; only state 0 has a row at either step.
+
+    At each step state 0's one action uses spread row 0 of ``spread_rows``.
+    """
+    dyn = ShiftSpread(np.array([[0]]), sp.csr_matrix(spread_rows), states=[0], num_states=2)
+    return Mdp(
+        horizon=2,
+        state_counts=(2, 2, 2),
+        dynamics=(dyn, dyn),
+        stage_costs=(np.array([[1.0]]), np.array([[2.0]])),
+        failure_masks=(np.zeros(2, bool), np.array(fail_1), np.array([False, True])),
+        initial=np.asarray(initial, float),
+    )
+
+
+def test_a_state_without_a_row_must_be_out_of_reach(tmp_path):
+    stay = [[1.0, 0.0]]
+    mdp = _rowless_mdp(stay, [1.0, 0.0])  # state 1 is never reached
+    policy, value = lagrangian_dp(mdp, 4.0)
+    assert [a.tolist() for a in policy.actions] == [[0, -1], [0, -1]] and value == 3.0
+    assert evaluate_policy(mdp, policy) == CostVector(3.0, 0.0)
+    with pytest.raises(InvalidInputError, match="state 1 has no row"):
+        mdp.dynamics[0].row(1, 0)
+    inadmissible = ShiftSpread(np.array([[0, -1]]), sp.csr_matrix([[1.0]]))
+    with pytest.raises(InvalidInputError, match="action 0 has no target at state 1"):
+        inadmissible.row(1, 0)
+    # a table that also lists the row-less state loads without it
+    oracle = MdpOracle(mdp, 0.1)
+    (tmp_path / "p.csv").write_text("step,state,action\n0,0,0\n0,1,0\n1,1,0\n1,0,0\n", "utf-8")
+    loaded = oracle.load("p.csv", tmp_path)
+    assert [a.tolist() for a in loaded.actions] == [[0, -1], [0, -1]]
+    ref = oracle.save(loaded, "round", tmp_path)
+    assert (tmp_path / ref).read_text("utf-8") == "step,state,action\n0,0,0\n1,0,0\n"
+
+    with pytest.raises(InvalidInputError, match="state 1 at step 0 has no row, but the initial"):
+        _rowless_mdp(stay, [0.5, 0.5])
+    split = [[0.5, 0.5]]
+    with pytest.raises(InvalidInputError, match="state 1 at step 1 has no row, but the initial"):
+        _rowless_mdp(split, [1.0, 0.0])
+    # a failure state needs no row, reached or not
+    failing = _rowless_mdp(split, [1.0, 0.0], fail_1=(False, True))
+    assert evaluate_policy(failing, lagrangian_dp(failing, 4.0)[0]) == CostVector(2.0, 0.75)
+
+
 def test_check_rows_names_the_first_bad_row_or_pair():
     uneven = sp.csr_matrix([[1.0, 0.0], [0.4, 0.5]])
     with pytest.raises(InvalidInputError, match=r"spread row 1 sums to 0\.9"):
@@ -217,6 +262,11 @@ def test_check_rows_names_the_first_bad_row_or_pair():
     # an inadmissible pair needs no target
     admissible = np.array([[True, False], [True, True], [False, True]])
     ShiftSpread(targets, sp.csr_matrix([[1.0]])).check_rows(admissible)
+    # an empty spread row may stand unused, but no admissible pair may use it
+    gap = sp.csr_matrix((np.array([1.0]), np.array([0]), np.array([0, 1, 1])), shape=(2, 1))
+    ShiftSpread(np.array([[0, 1]]), gap).check_rows(np.array([[True], [False]]))
+    with pytest.raises(InvalidInputError, match="action 0 at state 1 uses the empty spread row 1"):
+        ShiftSpread(np.array([[0, 1]]), gap).check_rows(np.ones((2, 1), bool))
 
 
 def test_policy_errors():

@@ -7,12 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mixedctrl import ccmdp, cli, milp, smpc
 from mixedctrl.cli import VALIDATE_FALSE_ALARM, build_setup, main
 from mixedctrl.core import CostVector, InvalidInputError, binomial_acceptance, wilson_ci_99
-from mixedctrl.scenarios import FiniteSetOracle
+from mixedctrl.scenarios import FiniteSetOracle, parse_grid_map
+
+from _oracles import edl_tables_reference, policy_csv_per_row
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -686,6 +689,47 @@ def test_shipped_grid_config_solves_and_validates(tmp_path):
         table = (out / entry["policy"]).read_text(encoding="utf-8").splitlines()
         assert table[0] == "step,state,action"
         assert len(table) > 1
+    assert main(["validate", str(config), "--out", str(out)]) == 0
+
+
+def test_validate_accepts_landing_policy_files_that_list_every_cell(tmp_path):
+    # older landing tables list an action at every cell, reachable or not:
+    # the actions a sweep over whole-grid tables gives
+    config = CONFIGS / "landing.json"
+    out = tmp_path / "run"
+    assert main(["solve", str(config), "--out", str(out)]) == 0
+    loaded = cli.load_config(config)
+    feasible, markers = parse_grid_map((CONFIGS / loaded["map"]).read_text(encoding="utf-8"))
+    stages = edl_tables_reference(
+        feasible, (markers["A"][0], markers["B"][0]),
+        [(np.asarray(e["matrix"], float), float(e["radius"])) for e in loaded["ellipsoids"]],
+        [tuple(pair) for pair in loaded["sigmas"]],
+    )
+    n = feasible.size
+    initial = np.zeros(n)
+    (x, y), = markers["S"]
+    initial[x * feasible.shape[1] + y] = 1.0
+    whole = ccmdp.Mdp(
+        horizon=len(stages),
+        state_counts=(n,) * (len(stages) + 1),
+        dynamics=tuple(ccmdp.ShiftSpread(pairs.T, spread) for pairs, spread, _ in stages),
+        stage_costs=tuple(cost for _, _, cost in stages),
+        failure_masks=(np.zeros(n, bool),) * len(stages) + (~feasible.ravel(),),
+        initial=initial,
+    )
+    trace = (out / "dual_trace.csv").read_text(encoding="utf-8").splitlines()[1:]
+    tables = [
+        policy_csv_per_row(ccmdp.lagrangian_dp(whole, float(row.split(",")[1]))[0].actions)
+        for row in trace
+    ]
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    for entry in report["mixed"]["components"]:
+        path = out / entry["policy"]
+        kept = set(path.read_text(encoding="utf-8").splitlines())
+        # the whole-grid table whose rows at the kept cells are this file's
+        full = next(text for text in tables if kept <= set(text.splitlines()))
+        assert len(full.splitlines()) == 1 + len(stages) * n > len(kept)
+        path.write_text(full, encoding="utf-8")
     assert main(["validate", str(config), "--out", str(out)]) == 0
 
 

@@ -368,9 +368,93 @@ def test_walk_distances_match_the_deque_reference():
                                source)
 
 
-def test_grid_and_landing_mdps_match_the_reference_builders(monkeypatch):
-    inputs = [(load_config(CONFIGS / f"{name}.json"), None) for name in ("desk_grid", "landing")]
-    inputs += _bench_instances(monkeypatch, "grid") + _bench_instances(monkeypatch, "edl")
+def _reachable_cells_reference(start, stages, height: int) -> list[np.ndarray]:
+    """Per stage, the cells the start can reach: breadth-first over reference tables.
+
+    Stage 0 is the start cell; stage k+1 is every column of the spread
+    rows that stage k's admissible pairs use.
+    """
+    cells = np.array([start[0] * height + start[1]])
+    reached = []
+    for pairs, spread, _ in stages:
+        reached.append(cells)
+        targets = pairs[cells]
+        cells = np.unique(spread[np.unique(targets[targets >= 0])].indices).astype(np.int64)
+    return reached
+
+
+@pytest.fixture(scope="module")
+def landing_builds():
+    """(label, start cell, built Mdp, reference stages) of the shipped and benchmark landing maps."""
+    with pytest.MonkeyPatch.context() as mp:
+        inputs = [(load_config(CONFIGS / "landing.json"), None)] + _bench_instances(mp, "edl")
+    builds = []
+    for i, (config, map_text) in enumerate(inputs):
+        if map_text is None:
+            map_text = (CONFIGS / config["map"]).read_text(encoding="utf-8")
+        feasible, markers = parse_grid_map(map_text)
+        start = markers["S"][0]
+        ellipsoids = [(np.asarray(e["matrix"], float), float(e["radius"]))
+                      for e in config["ellipsoids"]]
+        sigmas = [tuple(float(v) for v in pair) for pair in config["sigmas"]]
+        sites = (markers["A"][0], markers["B"][0])
+        mdp = edl_scenario(feasible, start, sites, config["stages"], ellipsoids, sigmas)
+        stages = edl_tables_reference(feasible, sites, ellipsoids, sigmas)
+        cell = start[0] * feasible.shape[1] + start[1]
+        builds.append((("edl", i, config["sigmas"]), cell, mdp, stages))
+    return builds
+
+
+def _reachable_cells_reference(cell: int, stages) -> list[np.ndarray]:
+    """Per stage, the cells that start ``cell`` can reach: breadth-first over reference tables.
+
+    Stage 0 is the start cell; stage k+1 is every column of the spread
+    rows that stage k's admissible pairs use.
+    """
+    cells = np.array([cell], dtype=np.int64)
+    reached = []
+    for pairs, spread, _ in stages:
+        reached.append(cells)
+        targets = pairs[cells]
+        cells = np.unique(spread[np.unique(targets[targets >= 0])].indices).astype(np.int64)
+    return reached
+
+
+def _assert_kept_rows_match(label, mdp, stages):
+    """Each row a landing Mdp keeps is the reference's row, bit for bit.
+
+    Targets and costs at the kept states, and the spread rows their pairs
+    use; every other spread row is empty.
+    """
+    assert len(mdp.dynamics) == len(stages), label
+    for k, (dyn, cost, (pairs, spread, want_cost)) in enumerate(
+        zip(mdp.dynamics, mdp.stage_costs, stages)
+    ):
+        targets = pairs[dyn.states]
+        _assert_same_table(dyn.targets, targets, (label, k))
+        _assert_same_table(cost, want_cost[dyn.states], (label, k))
+        used = np.unique(targets[targets >= 0])
+        assert dyn.spread.shape == spread.shape, (label, k)
+        assert dyn.spread.indices.dtype == spread.indices.dtype, (label, k)
+        assert not np.delete(np.diff(dyn.spread.indptr), used).any(), (label, k)
+        _assert_same_csr(dyn.spread[used], spread[used], (label, k))
+
+
+def test_landing_builder_keeps_exactly_the_reachable_rows(landing_builds):
+    for label, cell, mdp, stages in landing_builds:
+        reached = _reachable_cells_reference(cell, stages)
+        for k, (dyn, cells) in enumerate(zip(mdp.dynamics, reached)):
+            _assert_same_table(dyn.states, cells, (label, k))
+            assert dyn.num_states == stages[k][0].shape[0], (label, k)
+        _assert_kept_rows_match(label, mdp, stages)
+    _, _, shipped, _ = landing_builds[0]
+    assert shipped.dynamics[0].targets.shape == (1, 317)
+    assert [len(dyn.states) for dyn in shipped.dynamics] == [1, 965, 1296]
+
+
+def test_grid_and_landing_mdps_match_the_reference_builders(monkeypatch, landing_builds):
+    inputs = [(load_config(CONFIGS / "desk_grid.json"), None)]
+    inputs += _bench_instances(monkeypatch, "grid")
     # one grid whose goal's parking row sits under a noise-free spread
     open_map = "\n".join(["S....", ".....", "....G"])
     inputs.append(({"kind": "grid", "horizon": 3, "max_step": 2, "sigma": 0.0}, open_map))
@@ -379,29 +463,24 @@ def test_grid_and_landing_mdps_match_the_reference_builders(monkeypatch):
             map_text = (CONFIGS / config["map"]).read_text(encoding="utf-8")
         feasible, markers = parse_grid_map(map_text)
         start = markers["S"][0]
-        if config["kind"] == "grid":
-            goal = markers["G"][0]
-            mdp = grid_scenario(feasible, start, goal, config["horizon"], config["max_step"],
-                                config["sigma"])
-            pairs, spread, base, last = grid_tables_reference(
-                feasible, goal, config["horizon"], config["max_step"], config["sigma"]
-            )
-            stages = [(pairs, spread, base)] * (config["horizon"] - 1) + [(pairs, spread, last)]
-            park = spread.indptr[-2]  # the goal's parking row: one entry, on the goal
-            assert spread.indptr[-1] - park == 1
-            assert spread.indices[park] == goal[0] * feasible.shape[1] + goal[1]
-        else:
-            ellipsoids = [(np.asarray(e["matrix"], float), float(e["radius"]))
-                          for e in config["ellipsoids"]]
-            sigmas = [tuple(float(v) for v in pair) for pair in config["sigmas"]]
-            sites = (markers["A"][0], markers["B"][0])
-            mdp = edl_scenario(feasible, start, sites, config["stages"], ellipsoids, sigmas)
-            stages = edl_tables_reference(feasible, sites, ellipsoids, sigmas)
+        goal = markers["G"][0]
+        mdp = grid_scenario(feasible, start, goal, config["horizon"], config["max_step"],
+                            config["sigma"])
+        pairs, spread, base, last = grid_tables_reference(
+            feasible, goal, config["horizon"], config["max_step"], config["sigma"]
+        )
+        stages = [(pairs, spread, base)] * (config["horizon"] - 1) + [(pairs, spread, last)]
+        park = spread.indptr[-2]  # the goal's parking row: one entry, on the goal
+        assert spread.indptr[-1] - park == 1
+        assert spread.indices[park] == goal[0] * feasible.shape[1] + goal[1]
         assert len(mdp.dynamics) == len(stages)
         for k, (dyn, cost, (pairs, spread, want_cost)) in enumerate(
             zip(mdp.dynamics, mdp.stage_costs, stages)
         ):
-            label = (config["kind"], k, config.get("sigma", config.get("sigmas")))
+            label = (config["kind"], k, config["sigma"])
             _assert_same_table(dyn.targets, pairs, label)
             _assert_same_csr(dyn.spread, spread, label)
             _assert_same_table(cost, want_cost, label)
+    # a landing table keeps rows only for the cells the start can reach
+    for label, _, mdp, stages in landing_builds:
+        _assert_kept_rows_match(label, mdp, stages)

@@ -9,12 +9,18 @@ fresh process per command. Inputs come from this checkout's
 ``configs/`` and ``bench/``, so two checkouts see the same files; every
 output goes under ``OUT``. Each run prints one line: its name, the exit
 codes of ``solve``, ``validate`` and ``sweep``, a SHA-256 digest of the
-output directory's file names and contents, and the report's lambda*,
-aggregate cost, aggregate risk and Monte Carlo failure rate (``%.10g``,
-``-`` when ``solve`` failed). Reports carry no wall time, so a change
-that keeps every artifact prints the same lines as its parent, and where
-the digests differ the last four fields show which values moved: a
-sampler change that moves a failure count shows in the last one.
+output directory's file names and contents, a digest of its
+``report.json``, ``dual_trace.csv`` and ``sweep.csv`` alone, the number
+of lines in its component files (every other file: policy tables and
+plans), and the report's lambda*, aggregate cost, aggregate risk and
+Monte Carlo failure rate (``%.10g``, ``-`` when ``solve`` failed).
+Reports carry no wall time, so a change that keeps every artifact prints
+the same lines as its parent. Where the whole digests differ, the second
+digest and the line count tell a change to the results from a change to
+the component files alone (a table that drops rows keeps the second
+digest and shows fewer lines), and the last four fields show which
+values moved: a sampler change that moves a failure count shows in the
+last one.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = ("toy", "desk_grid", "landing", "corridor")
 WORKLOADS = ("mdp-solve", "smpc-solve", "validate")
 SEEDS = (1, 2, 3)
+RESULTS = ("report.json", "dual_trace.csv", "sweep.csv")
 
 sys.path.insert(0, str(ROOT / "bench"))
 import gen  # noqa: E402
@@ -46,12 +53,22 @@ def _configs(work: Path):
                 yield name, gen.write_instance(work / name, inst.config, inst.map_text)
 
 
-def _digest(directory: Path) -> str:
+def _digest(directory: Path, paths) -> str:
+    """SHA-256 of the names, relative to ``directory``, and contents of ``paths``."""
     digest = hashlib.sha256()
-    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+    for path in sorted(paths):
         digest.update(json.dumps(str(path.relative_to(directory))).encode())
         digest.update(hashlib.sha256(path.read_bytes()).digest())
     return digest.hexdigest()
+
+
+def _digests(directory: Path) -> list[str]:
+    """Digest of every file, digest of the result files alone, and the component files' lines."""
+    files = [p for p in directory.rglob("*") if p.is_file()]
+    results = [p for p in files if p.name in RESULTS and p.parent == directory]
+    components = [p for p in files if p not in results]
+    lines = sum(len(p.read_bytes().splitlines()) for p in components)
+    return [_digest(directory, files), _digest(directory, results), str(lines)]
 
 
 def _values(directory: Path, solved: bool) -> list[str]:
@@ -92,7 +109,7 @@ def main(argv: list[str]) -> int:
             ).returncode
             for command in ("solve", "validate", "sweep")
         ]
-        print(name, *codes, _digest(run_dir), *_values(run_dir, codes[0] == 0), flush=True)
+        print(name, *codes, *_digests(run_dir), *_values(run_dir, codes[0] == 0), flush=True)
     return 0
 
 
