@@ -2,11 +2,14 @@
 
 ``solve`` runs the full pipeline for one scenario and writes
 ``report.json``, ``dual_trace.csv``, and whatever file the backend saves
-per mixture component. ``validate`` rebuilds the oracle from the config,
-has it load and re-evaluate the saved components, and re-runs the
-optimality checks and Monte Carlo. ``sweep`` samples the dual function
-on a multiplier grid for plotting. Past the config, each command talks
-only to the oracle that `build_setup` returns.
+per mixture component; `build_report` makes the report's tree.
+``validate`` rebuilds the oracle from the config and has it load and
+evaluate the saved components. From them it re-derives the mixture, the
+certificate and the Monte Carlo check, builds the tree with the same
+`build_report` and compares it with the saved one leaf by leaf, so a new
+report field is checked with no new code. ``sweep`` samples the dual
+function on a multiplier grid for plotting. Past the config, each
+command talks only to the oracle that `build_setup` returns.
 
 Exit codes: 0 success, 1 infeasible problem, solver limit or failed
 validation, 2 invalid config or usage. Reports are byte-identical across
@@ -39,9 +42,8 @@ from .core import (
     PureCandidate,
     binomial_acceptance,
     lagrangian_value,
-    mix_costs,
 )
-from .dual import OptimalityReport, check_optimality, solve_mixed_scalar
+from .dual import OptimalityReport, bracket_mixture, check_optimality, solve_mixed_scalar
 from .scenarios import FiniteSetOracle, edl_oracle, grid_oracle, parse_grid_map
 from .smpc import Obstacle, SmpcModel, SmpcOracle, build_pwl_cdf, estimate_mixture_risk_mc
 
@@ -319,15 +321,15 @@ def _run_monte_carlo(
         return simulate(oracle.mdp, solution, seed, n)
     if isinstance(oracle, SmpcOracle):
         return estimate_mixture_risk_mc(oracle.model, solution, n, seed)
-    # Finite-set backend: draw a component per rollout, then a Bernoulli
-    # failure at that component's exact risk.
+    # Finite-set backend: how many rollouts each component gets, then how
+    # many of those fail at its exact risk; no array grows with n.
     rng = np.random.default_rng(seed)
     weights = np.array(solution.probabilities)
-    comp = rng.choice(len(weights), size=n, p=weights / weights.sum())
+    counts = rng.multinomial(n, weights / weights.sum())
     costs = np.array([cand.cost.c0 for cand, _ in solution.components])
     risks = np.array([cand.cost.c1 for cand, _ in solution.components])
-    failures = int((rng.random(n) < risks[comp]).sum())
-    return MonteCarloCheck(n, failures, float(costs[comp].mean()))
+    failures = int(rng.binomial(counts, risks).sum())
+    return MonteCarloCheck(n, failures, float(counts @ costs / n))
 
 
 def _write_trace(path: Path, rows: Sequence[tuple[int, float, float, float, float]]) -> None:
@@ -361,10 +363,60 @@ def _failed_conditions(optimality: OptimalityReport) -> str:
     return f"optimality conditions failed: {', '.join(failed)}"
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def build_report(
+    kind: str,
+    risk_bound: float,
+    solution: MixedSolution,
+    refs: Sequence[object],
+    reference: PureCandidate,
+    optimality: OptimalityReport,
+    monte_carlo: dict,
+    iterations: int | None,
+) -> dict:
+    """The ``report.json`` tree: ``solve`` writes it, ``validate`` re-derives
+    it from the saved components and compares. ``refs`` are the components'
+    saved references and ``reference`` the oracle's answer at the mixture's
+    multiplier. The last component, the bracket's safe end, is the best
+    pure plan the search found."""
+    safe = solution.components[-1][0].cost
+    return {
+        "schema": SCHEMA_VERSION,
+        "kind": kind,
+        "risk_bound": risk_bound,
+        "pure": {"policy": refs[-1], "cost": safe.c0, "risk": safe.c1},
+        "mixed": {
+            "components": [
+                {"policy": ref, "probability": weight, "cost": cand.cost.c0, "risk": cand.cost.c1}
+                for ref, (cand, weight) in zip(refs, solution.components, strict=True)
+            ],
+            "aggregate": {"cost": solution.aggregate.c0, "risk": solution.aggregate.c1},
+            "gap_estimate": solution.gap_estimate,
+        },
+        "dual": {
+            "lambda_star": solution.dual,
+            "q_star": lagrangian_value(reference.cost, solution.dual, risk_bound),
+            "iterations": iterations,
+            # a search that stops short raises instead of writing a report
+            "converged": True,
+        },
+        "optimality": {
+            "overall": optimality.overall,
+            "conditions": optimality.conditions,
+            "residuals": optimality.residuals,
+        },
+        "monte_carlo": monte_carlo,
+        "wall_time_s": None,
+    }
+
+
+def _setup(args: argparse.Namespace) -> tuple[dict, LagrangianOracle]:
     config_path = Path(args.config)
     config = load_config(config_path)
-    oracle = build_setup(config, config_path.parent)
+    return config, build_setup(config, config_path.parent)
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    config, oracle = _setup(args)
     section = config.get("monte_carlo", {})
     seed = section.get("seed", 0) if args.seed is None else args.seed
     n_rollouts = section.get("n", 100_000)
@@ -372,7 +424,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     tracer = _TracingOracle(oracle)
     result, solution = solve_mixed_scalar(tracer)
-    optimality = check_optimality(solution, oracle, 1e-6, result.reference)
+    reference = result.reference
+    if reference is None:
+        reference = oracle.query(result.lambda_star)
+    optimality = check_optimality(solution, oracle, 1e-6, reference)
     # Output gates: randomizing can only help, so a mixture costlier than
     # the best pure candidate means something upstream went wrong, as does
     # a mixture that its own certificate rejects.
@@ -388,51 +443,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - started
 
     out_dir = _out_dir(args.out)
-
-    components = []
-    pure_ref = None  # the search's safe endpoint is always one of the components
-    for i, (cand, weight) in enumerate(solution.components):
-        ref = oracle.save(cand.policy, str(i), out_dir)
-        if cand.cost == result.upper.cost:
-            pure_ref = ref
-        components.append(
-            {
-                "policy": ref,
-                "probability": weight,
-                "cost": cand.cost.c0,
-                "risk": cand.cost.c1,
-            }
-        )
-
-    report = {
-        "schema": SCHEMA_VERSION,
-        "kind": config["kind"],
-        "risk_bound": oracle.risk_bound,
-        "pure": {
-            "policy": pure_ref,
-            "cost": result.upper.cost.c0,
-            "risk": result.upper.cost.c1,
-        },
-        "mixed": {
-            "components": components,
-            "aggregate": {"cost": solution.aggregate.c0, "risk": solution.aggregate.c1},
-            "gap_estimate": solution.gap_estimate,
-        },
-        "dual": {
-            "lambda_star": result.lambda_star,
-            "q_star": result.q_star,
-            "iterations": result.iterations,
-            # a search that stops short raises instead of writing a report
-            "converged": True,
-        },
-        "optimality": {
-            "overall": optimality.overall,
-            "conditions": optimality.conditions,
-            "residuals": optimality.residuals,
-        },
-        "monte_carlo": monte_carlo,
-        "wall_time_s": None,
-    }
+    refs = [oracle.save(cand.policy, str(i), out_dir)
+            for i, (cand, _) in enumerate(solution.components)]
+    report = build_report(
+        config["kind"], oracle.risk_bound, solution, refs, reference, optimality, monte_carlo,
+        result.iterations,
+    )
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -440,16 +456,83 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(
         f"solve {config['kind']}: lambda*={result.lambda_star:.6g} "
         f"aggregate=({solution.aggregate.c0:.6g}, {solution.aggregate.c1:.6g}) "
-        f"components={len(components)} wall={wall:.3f}s -> {out_dir}",
+        f"components={len(refs)} wall={wall:.3f}s -> {out_dir}",
         file=sys.stderr,
     )
     return 0
 
 
+# Report leaves that `validate` cannot re-derive: they describe the search,
+# which it does not rerun, or the wall time. It only checks they are there.
+_NOT_DERIVED = frozenset({"dual.iterations", "dual.converged", "wall_time_s"})
+# Leaves drawn from the Monte Carlo seed: compared to 1e-12 when the replay
+# uses the report's own seed, and not at all under another --seed.
+_SEEDED = frozenset(
+    {"monte_carlo.seed", "monte_carlo.failure_rate", "monte_carlo.ci99", "monte_carlo.cost_mean"}
+)
+# Only the samplers that draw costs write it, so its absence is a difference.
+_OPTIONAL = frozenset({"monte_carlo.cost_mean"})
+
+
+def _malformed(path: str, what: str, value: object) -> InvalidInputError:
+    return InvalidInputError(f"report's {path} must be {what}, got {json.dumps(value)}")
+
+
+def _number(value: object, path: str) -> float:
+    # bool is a subclass of int, but JSON's true and false are no numbers
+    if type(value) is int or type(value) is float:
+        try:
+            return float(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise _malformed(path, "a number", value)
+
+
+def _diff(saved: object, fresh: object, path: str, skip: frozenset, lines: list[str]) -> None:
+    """Append a ``<path>: saved X, re-derived Y`` line for each leaf of the
+    re-derived report ``fresh`` that ``saved`` does not match, and for each
+    key that only one of them has. A missing key, or a saved leaf of another
+    JSON type where ``fresh`` holds an object, a number or a boolean, makes
+    the report malformed. A list of numbers is one leaf."""
+    if type(fresh) is dict:
+        if type(saved) is not dict:
+            raise _malformed(path, "an object", saved)
+        for key in sorted(fresh.keys() | saved.keys()):
+            at = f"{path}.{key}" if path else key
+            if key not in saved and at not in _OPTIONAL:
+                raise InvalidInputError(f"report is missing {at}")
+            if key in saved and key in fresh:
+                _diff(saved[key], fresh[key], at, skip, lines)
+            else:
+                kept, made = (json.dumps(side[key]) if key in side else "nothing"
+                              for side in (saved, fresh))
+                lines.append(f"{at}: saved {kept}, re-derived {made}")
+        return
+    if type(fresh) is list and type(fresh[0]) is dict:  # the components, read from `saved`
+        for i, (kept, made) in enumerate(zip(saved, fresh, strict=True)):
+            _diff(kept, made, f"{path}[{i}]", skip, lines)
+        return
+    if path in skip:
+        return
+    tol = 1e-12 if path in _SEEDED else 1e-9
+    if type(fresh) is bool:
+        if type(saved) is not bool:
+            raise _malformed(path, "true or false", saved)
+        differs = saved is not fresh
+    elif type(fresh) is float:
+        differs = abs(_number(saved, path) - fresh) > tol
+    elif type(fresh) is list:
+        if type(saved) is not list or len(saved) != len(fresh):
+            raise _malformed(path, f"a list of {len(fresh)} numbers", saved)
+        differs = max(abs(_number(kept, path) - made) for kept, made in zip(saved, fresh)) > tol
+    else:  # a string, an integer or null
+        differs = type(saved) is not type(fresh) or saved != fresh
+    if differs:
+        lines.append(f"{path}: saved {json.dumps(saved)}, re-derived {json.dumps(fresh)}")
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
-    config_path = Path(args.config)
-    config = load_config(config_path)
-    oracle = build_setup(config, config_path.parent)
+    config, oracle = _setup(args)
     try:
         return _validate_report(config["kind"], oracle, Path(args.out), args.seed)
     except InvalidInputError as exc:
@@ -460,137 +543,49 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _validate_report(
     kind: str, oracle: LagrangianOracle, out_dir: Path, seed: int | None
 ) -> int:
-    report = _read_json(out_dir / "report.json", "report")
-
+    """Re-derive the report in ``out_dir`` from its components and compare."""
+    saved = _read_json(out_dir / "report.json", "report")
     try:
-        schema = report["schema"]
-        saved_kind = report["kind"]
-        saved_bound = float(report["risk_bound"])
-        saved_components = [
-            (
-                entry["policy"],
-                float(entry["probability"]),
-                CostVector(float(entry["cost"]), float(entry["risk"])),
-            )
-            for entry in report["mixed"]["components"]
-        ]
-        pure_ref = report["pure"]["policy"]
-        pure = CostVector(float(report["pure"]["cost"]), float(report["pure"]["risk"]))
-        lambda_star = float(report["dual"]["lambda_star"])
-        q_star = float(report["dual"]["q_star"])
-        gap = float(report["mixed"]["gap_estimate"])
-        saved_cost = float(report["mixed"]["aggregate"]["cost"])
-        saved_risk = float(report["mixed"]["aggregate"]["risk"])
-        saved_optimality = report["optimality"]
-        saved_overall = saved_optimality["overall"]
-        saved_conditions = dict(saved_optimality["conditions"])
-        saved_residuals = {k: float(v) for k, v in dict(saved_optimality["residuals"]).items()}
-        mc = report["monte_carlo"]
-        saved_seed, n_rollouts = mc["seed"], mc["n"]
-        ci_lo, ci_hi = mc["ci99"]
-        saved_mc = {
-            "failure_rate": float(mc["failure_rate"]),
-            "ci99": [float(ci_lo), float(ci_hi)],
-            "cost_mean": float(mc["cost_mean"]) if "cost_mean" in mc else None,
-        }
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        schema = saved["schema"]
+        refs = [entry["policy"] for entry in saved["mixed"]["components"]]
+        saved_seed, n_rollouts = saved["monte_carlo"]["seed"], saved["monte_carlo"]["n"]
+    except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"report has a missing or malformed field: {exc!r}") from exc
     if type(schema) is not int or schema != SCHEMA_VERSION:
         raise InvalidInputError(f"report schema must be {SCHEMA_VERSION}, got {schema!r}")
     _check_rollouts("report's monte_carlo", saved_seed, n_rollouts)
 
-    failures = []
-    if saved_kind != kind:
-        failures.append(f"report kind {saved_kind!r} differs from the config's {kind!r}")
-    if saved_bound != oracle.risk_bound:
-        failures.append(
-            f"report risk_bound {saved_bound!r} differs from the config's {oracle.risk_bound!r}"
-        )
+    # each component is evaluated once; the certificate reuses the costs
     components = []
-    for i, (ref, weight, saved) in enumerate(saved_components):
+    for ref in refs:
         policy = oracle.load(ref, out_dir)
-        cost = oracle.evaluate(policy)
-        components.append((PureCandidate(policy, cost), weight))
-        for what, fresh, kept in (("cost", cost.c0, saved.c0), ("risk", cost.c1, saved.c1)):
-            if abs(fresh - kept) > 1e-9:
-                failures.append(
-                    f"component {i} ({ref}): re-evaluated {what} {fresh!r} "
-                    f"differs from saved {kept!r}"
-                )
+        components.append(PureCandidate(policy, oracle.evaluate(policy)))
     try:
-        aggregate = mix_costs([(cand.cost, w) for cand, w in components])
-        solution = MixedSolution(tuple(components), aggregate, lambda_star, gap)
+        solution = bracket_mixture(components, oracle.risk_bound)
     except InvalidInputError as exc:
         raise InvalidInputError(f"report holds no valid mixture: {exc}") from exc
-
     # the one query: the certificate and q_star share the oracle's answer at lambda*
-    reference = oracle.query(lambda_star)
-    optimality = check_optimality(solution, oracle, 1e-6, reference)
-    if not optimality.overall:
-        failures.append(_failed_conditions(optimality))
-    if saved_overall is not optimality.overall:
-        failures.append(
-            f"saved optimality overall {saved_overall!r} differs from re-derived "
-            f"{optimality.overall!r}"
-        )
-    for name in sorted({*optimality.conditions, *saved_conditions, *saved_residuals}):
-        kept, fresh = saved_conditions.get(name), optimality.conditions.get(name)
-        if kept is not fresh:
-            failures.append(f"saved condition {name} {kept!r} differs from re-derived {fresh!r}")
-        kept, fresh = saved_residuals.get(name), optimality.residuals.get(name)
-        if kept is None or fresh is None or abs(kept - fresh) > 1e-9:
-            failures.append(f"saved residual {name} {kept!r} differs from re-derived {fresh!r}")
-    q_fresh = lagrangian_value(reference.cost, lambda_star, oracle.risk_bound)
-    if abs(q_star - q_fresh) > 1e-9:
-        failures.append(
-            f"q_star {q_star!r} differs from {q_fresh!r}, the Lagrangian of the "
-            "oracle's answer at lambda_star"
-        )
-    if abs(aggregate.c0 - saved_cost) > 1e-9:
-        failures.append(
-            f"re-evaluated aggregate cost {aggregate.c0!r} differs from saved {saved_cost!r}"
-        )
-    if abs(aggregate.c1 - saved_risk) > 1e-9:
-        failures.append(
-            f"re-evaluated aggregate risk {aggregate.c1!r} differs from saved {saved_risk!r}"
-        )
-    # the pure block is the best pure plan the search found, one of the components
-    named = next((i for i, (ref, _, _) in enumerate(saved_components) if ref == pure_ref), None)
-    if named is None:
-        failures.append(f"pure policy {pure_ref!r} names no component")
-    else:
-        fresh = components[named][0].cost
-        for what, kept, cost in (("cost", pure.c0, fresh.c0), ("risk", pure.c1, fresh.c1)):
-            if abs(kept - cost) > 1e-9:
-                failures.append(
-                    f"pure {what} {kept!r} differs from component {named}'s re-evaluated {cost!r}"
-                )
-    if pure.c1 > oracle.risk_bound:
-        failures.append(f"pure risk {pure.c1!r} exceeds the bound {oracle.risk_bound!r}")
-    saving = max(0.0, pure.c0 - aggregate.c0)
-    if abs(gap - saving) > 1e-9:
-        failures.append(
-            f"gap_estimate {gap!r} differs from the pure cost's saving {saving!r} "
-            "over the re-evaluated aggregate"
-        )
-
+    reference = oracle.query(solution.dual)
+    costs = [cand.cost for cand in components]
+    optimality = check_optimality(solution, oracle, 1e-6, reference, costs)
     seed = saved_seed if seed is None else seed
     monte_carlo = _run_monte_carlo(oracle, solution, seed, n_rollouts)
-    replayed = monte_carlo.report(seed)
-    for key, kept in saved_mc.items():
-        fresh = replayed.get(key)
-        if (kept is None) != (fresh is None):
-            failures.append(f"saved {key} {kept!r} where the replay has {fresh!r}")
-        elif kept is not None and seed == saved_seed:
-            if np.abs(np.subtract(fresh, kept)).max() > 1e-12:
-                failures.append(f"replayed {key} {fresh!r} differs from saved {kept!r}")
+    fresh = build_report(
+        kind, oracle.risk_bound, solution, refs, reference, optimality,
+        monte_carlo.report(seed), None,
+    )
+    failures: list[str] = []
+    _diff(saved, fresh, "", _NOT_DERIVED if seed == saved_seed else _NOT_DERIVED | _SEEDED,
+          failures)
+    if not optimality.overall:
+        failures.append(_failed_conditions(optimality))
     count = monte_carlo.failures
-    lo, hi = binomial_acceptance(aggregate.c1, n_rollouts, VALIDATE_FALSE_ALARM)
+    lo, hi = binomial_acceptance(solution.aggregate.c1, n_rollouts, VALIDATE_FALSE_ALARM)
     # Against a risk that is only an upper bound, only too many failures count.
     if count > hi or (count < lo and not oracle.risk_is_upper_bound):
         failures.append(
-            f"{count} failures in {n_rollouts} rollouts lie outside [{lo}, {hi}], the "
-            f"range for the risk {aggregate.c1:.6g} at false-alarm rate {VALIDATE_FALSE_ALARM:g}"
+            f"{count} failures in {n_rollouts} rollouts lie outside [{lo}, {hi}], the range for"
+            f" the risk {solution.aggregate.c1:.6g} at false-alarm rate {VALIDATE_FALSE_ALARM:g}"
         )
 
     if failures:
@@ -598,7 +593,7 @@ def _validate_report(
             print(f"validate: {line}", file=sys.stderr)
         return 1
     print(
-        f"validate {kind}: optimality ok, aggregate matches, "
+        f"validate {kind}: report re-derived, "
         f"{count} failures in {n_rollouts} rollouts within [{lo}, {hi}]",
         file=sys.stderr,
     )
@@ -606,9 +601,7 @@ def _validate_report(
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config_path = Path(args.config)
-    config = load_config(config_path)
-    oracle = build_setup(config, config_path.parent)
+    config, oracle = _setup(args)
     section = config.get("sweep", {})
     lam_min = float(section.get("lambda_min", 0.0))
     lam_max = float(section.get("lambda_max", 2000.0))

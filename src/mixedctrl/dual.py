@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (
+    CostVector,
     InfeasibleProblemError,
     InvalidInputError,
     LagrangianOracle,
@@ -107,6 +109,18 @@ def recover_mixture_scalar(
     return MixedSolution(components, aggregate, lam, gap)
 
 
+def bracket_mixture(candidates: Sequence[PureCandidate], v: float) -> MixedSolution:
+    """The mixture that `solve_mixed_scalar` returns for its bracket: one
+    candidate alone at lam = 0, or the risky and the safe endpoint, in
+    that order, mixed by `recover_mixture_scalar`."""
+    if len(candidates) == 1:
+        (cand,) = candidates
+        return MixedSolution(((cand, 1.0),), cand.cost, 0.0, 0.0)
+    if len(candidates) != 2:
+        raise InvalidInputError(f"{len(candidates)} components, expected 1 or 2")
+    return recover_mixture_scalar(*candidates, v)
+
+
 def solve_mixed_scalar(oracle: LagrangianOracle) -> tuple[ScalarDualResult, MixedSolution]:
     """Single-constraint pipeline: exact dual search, then two-point recovery.
 
@@ -140,8 +154,7 @@ def solve_mixed_scalar(oracle: LagrangianOracle) -> tuple[ScalarDualResult, Mixe
     def pure(cand: PureCandidate) -> tuple[ScalarDualResult, MixedSolution]:
         # a least-cost policy within the bound, alone at lam = 0
         q0 = lagrangian_value(cand0.cost, 0.0, v)
-        solution = MixedSolution(((cand, 1.0),), cand.cost, 0.0, 0.0)
-        return ScalarDualResult(0.0, cand, cand, q0, queries, cand0), solution
+        return ScalarDualResult(0.0, cand, cand, q0, queries, cand0), bracket_mixture((cand,), v)
 
     cand0 = ask(0.0)
     if cand0.cost.c1 <= v:
@@ -183,7 +196,7 @@ def solve_mixed_scalar(oracle: LagrangianOracle) -> tuple[ScalarDualResult, Mixe
         else:
             lam_hi, cand_hi = lam, cand
 
-    solution = recover_mixture_scalar(cand_lo, cand_hi, v)
+    solution = bracket_mixture((cand_lo, cand_hi), v)
     q_star = lagrangian_value(cost, solution.dual, v)
     # lambda* is usually the multiplier of the last query
     reference = cand if lam == solution.dual else None
@@ -214,9 +227,11 @@ def check_optimality(
     oracle: LagrangianOracle,
     tol: float = 1e-6,
     reference: PureCandidate | None = None,
+    evaluations: Sequence[CostVector] | None = None,
 ) -> OptimalityReport:
     """Check a) to f) against the oracle's ``risk_bound``; ``reference``
-    is the oracle's answer at lam, if known."""
+    is the oracle's answer at lam, and ``evaluations`` the components'
+    re-evaluated costs in order, if known."""
     lam, v = solution.dual, oracle.risk_bound
     if reference is None:
         reference = oracle.query(lam)
@@ -233,9 +248,10 @@ def check_optimality(
     res_d = max(0.0, -min(solution.probabilities))
     res_e = max(0.0, agg.c1 - v)
 
+    if evaluations is None:
+        evaluations = [oracle.evaluate(cand.policy) for cand, _ in solution.components]
     res_f = 0.0
-    for cand, _ in solution.components:
-        fresh = oracle.evaluate(cand.policy)
+    for (cand, _), fresh in zip(solution.components, evaluations, strict=True):
         res_f = max(res_f, abs(fresh.c0 - cand.cost.c0), abs(fresh.c1 - cand.cost.c1))
 
     residuals = {"a": res_a, "b": res_b, "c": res_c, "d": res_d, "e": res_e, "f": res_f}

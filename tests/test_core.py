@@ -124,6 +124,18 @@ def test_binomial_acceptance_tails_are_exact():
         binomial_acceptance(1.5, 10, 1e-6)
 
 
+def test_binomial_acceptance_holds_past_a_c_int_of_draws():
+    # scipy's bdtr and bdtrc take n as a C int; from 2**31 draws the same
+    # tails come from the incomplete beta function
+    below = binomial_acceptance(0.01, 2**31 - 1, 1e-6)
+    above = binomial_acceptance(0.01, 2**31, 1e-6)
+    assert below == (21452286, 21497395)
+    assert abs(above[0] - below[0]) <= 1 and abs(above[1] - below[1]) <= 1
+    n = 2**63 - 1
+    lo, hi = binomial_acceptance(0.01, n, 1e-6)
+    assert lo < 0.01 * n < hi and hi - lo < 1e-7 * n
+
+
 def test_oracle_without_evaluate_cannot_be_instantiated():
     # certificate condition f re-evaluates every component, so no oracle may skip it
     class QueryOnly(LagrangianOracle):
