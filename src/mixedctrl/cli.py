@@ -368,16 +368,14 @@ def build_report(
     risk_bound: float,
     solution: MixedSolution,
     refs: Sequence[object],
-    reference: PureCandidate,
     optimality: OptimalityReport,
     monte_carlo: dict,
     iterations: int | None,
 ) -> dict:
     """The ``report.json`` tree: ``solve`` writes it, ``validate`` re-derives
     it from the saved components and compares. ``refs`` are the components'
-    saved references and ``reference`` the oracle's answer at the mixture's
-    multiplier. The last component, the bracket's safe end, is the best
-    pure plan the search found."""
+    saved references. The last component, the bracket's safe end, is the
+    best pure plan the search found."""
     safe = solution.components[-1][0].cost
     return {
         "schema": SCHEMA_VERSION,
@@ -394,7 +392,7 @@ def build_report(
         },
         "dual": {
             "lambda_star": solution.dual,
-            "q_star": lagrangian_value(reference.cost, solution.dual, risk_bound),
+            "q_star": optimality.q_star,
             "iterations": iterations,
             # a search that stops short raises instead of writing a report
             "converged": True,
@@ -424,10 +422,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     tracer = _TracingOracle(oracle)
     result, solution = solve_mixed_scalar(tracer)
-    reference = result.reference
-    if reference is None:
-        reference = oracle.query(result.lambda_star)
-    optimality = check_optimality(solution, oracle, 1e-6, reference)
+    optimality = check_optimality(solution, oracle, 1e-6, result.reference)
     # Output gates: randomizing can only help, so a mixture costlier than
     # the best pure candidate means something upstream went wrong, as does
     # a mixture that its own certificate rejects.
@@ -446,7 +441,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     refs = [oracle.save(cand.policy, str(i), out_dir)
             for i, (cand, _) in enumerate(solution.components)]
     report = build_report(
-        config["kind"], oracle.risk_bound, solution, refs, reference, optimality, monte_carlo,
+        config["kind"], oracle.risk_bound, solution, refs, optimality, monte_carlo,
         result.iterations,
     )
     (out_dir / "report.json").write_text(
@@ -472,6 +467,8 @@ _SEEDED = frozenset(
 )
 # Only the samplers that draw costs write it, so its absence is a difference.
 _OPTIONAL = frozenset({"monte_carlo.cost_mean"})
+# Numbers copied from the config rather than computed: compared exactly.
+_EXACT = frozenset({"risk_bound"})
 
 
 def _malformed(path: str, what: str, value: object) -> InvalidInputError:
@@ -514,7 +511,7 @@ def _diff(saved: object, fresh: object, path: str, skip: frozenset, lines: list[
         return
     if path in skip:
         return
-    tol = 1e-12 if path in _SEEDED else 1e-9
+    tol = 0.0 if path in _EXACT else 1e-12 if path in _SEEDED else 1e-9
     if type(fresh) is bool:
         if type(saved) is not bool:
             raise _malformed(path, "true or false", saved)
@@ -564,15 +561,14 @@ def _validate_report(
         solution = bracket_mixture(components, oracle.risk_bound)
     except InvalidInputError as exc:
         raise InvalidInputError(f"report holds no valid mixture: {exc}") from exc
-    # the one query: the certificate and q_star share the oracle's answer at lambda*
-    reference = oracle.query(solution.dual)
-    costs = [cand.cost for cand in components]
-    optimality = check_optimality(solution, oracle, 1e-6, reference, costs)
+    # The certificate makes the one oracle query, at lambda*. Its condition f
+    # holds by construction here: the component costs are the evaluations
+    # just made, and the diff below compares them to the saved ones.
+    optimality = check_optimality(solution, oracle, 1e-6, reevaluate=False)
     seed = saved_seed if seed is None else seed
     monte_carlo = _run_monte_carlo(oracle, solution, seed, n_rollouts)
     fresh = build_report(
-        kind, oracle.risk_bound, solution, refs, reference, optimality,
-        monte_carlo.report(seed), None,
+        kind, oracle.risk_bound, solution, refs, optimality, monte_carlo.report(seed), None,
     )
     failures: list[str] = []
     _diff(saved, fresh, "", _NOT_DERIVED if seed == saved_seed else _NOT_DERIVED | _SEEDED,

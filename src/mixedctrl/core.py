@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from scipy.special import bdtr, bdtrc, betainc
+from scipy.special import betainc
 
 # Default tolerances. Probability-style sums are checked at PROB_TOL;
 # mixture identities (weighted-sum bookkeeping) at MIX_TOL.
@@ -240,14 +240,11 @@ def binomial_acceptance(rate: float, n: int, false_alarm: float) -> tuple[int, i
     if n <= 0 or not 0.0 <= rate <= 1.0:
         raise InvalidInputError(f"need n >= 1 draws at a rate in [0, 1], got {n} at {rate}")
     half = false_alarm / 2
-    # both tail tests below are monotone and hold at n, the answer when no count below passes
+    # By the regularized incomplete beta function I, P(X <= k) is
+    # I_{1-rate}(n - k, k + 1) and P(X > k) is I_rate(k + 1, n - k). Both
+    # tail tests are monotone in k and hold at n, the answer when no count
+    # below passes.
     counts = range(n)
-    if n < 2**31:
-        lo = bisect_left(counts, True, key=lambda k: bdtr(k, n, rate) > half)
-        hi = bisect_left(counts, True, key=lambda k: bdtrc(k, n, rate) <= half)
-    else:
-        # bdtr and bdtrc take n as a C int; past it the upper tail is the
-        # regularized incomplete beta function P(X > k) = I_rate(k + 1, n - k)
-        lo = bisect_left(counts, True, key=lambda k: 1.0 - betainc(k + 1, n - k, rate) > half)
-        hi = bisect_left(counts, True, key=lambda k: betainc(k + 1, n - k, rate) <= half)
+    lo = bisect_left(counts, True, key=lambda k: betainc(n - k, k + 1, 1.0 - rate) > half)
+    hi = bisect_left(counts, True, key=lambda k: betainc(k + 1, n - k, rate) <= half)
     return lo, hi

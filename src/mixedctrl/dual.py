@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    CostVector,
     InfeasibleProblemError,
     InvalidInputError,
     LagrangianOracle,
@@ -50,16 +49,14 @@ class ScalarDualResult:
     ``upper`` the endpoint with risk at or below it (costly, safe). Both
     minimize the Lagrangian at ``lambda_star``, the slope of the chord
     between them. When a policy of least cost meets the bound,
-    ``lambda_star`` is zero and both endpoints are that policy. ``q_star``
-    is the dual value at ``lambda_star``; ``iterations`` counts oracle
-    queries. ``reference`` is the oracle's answer at ``lambda_star``, or
-    None when the search made no query there.
+    ``lambda_star`` is zero and both endpoints are that policy.
+    ``iterations`` counts oracle queries. ``reference`` is the oracle's
+    answer at ``lambda_star``, or None when the search made no query there.
     """
 
     lambda_star: float
     lower: PureCandidate
     upper: PureCandidate
-    q_star: float
     iterations: int
     reference: PureCandidate | None
 
@@ -153,8 +150,7 @@ def solve_mixed_scalar(oracle: LagrangianOracle) -> tuple[ScalarDualResult, Mixe
 
     def pure(cand: PureCandidate) -> tuple[ScalarDualResult, MixedSolution]:
         # a least-cost policy within the bound, alone at lam = 0
-        q0 = lagrangian_value(cand0.cost, 0.0, v)
-        return ScalarDualResult(0.0, cand, cand, q0, queries, cand0), bracket_mixture((cand,), v)
+        return ScalarDualResult(0.0, cand, cand, queries, cand0), bracket_mixture((cand,), v)
 
     cand0 = ask(0.0)
     if cand0.cost.c1 <= v:
@@ -197,10 +193,9 @@ def solve_mixed_scalar(oracle: LagrangianOracle) -> tuple[ScalarDualResult, Mixe
             lam_hi, cand_hi = lam, cand
 
     solution = bracket_mixture((cand_lo, cand_hi), v)
-    q_star = lagrangian_value(cost, solution.dual, v)
     # lambda* is usually the multiplier of the last query
     reference = cand if lam == solution.dual else None
-    result = ScalarDualResult(solution.dual, cand_lo, cand_hi, q_star, queries, reference)
+    result = ScalarDualResult(solution.dual, cand_lo, cand_hi, queries, reference)
     return result, solution
 
 
@@ -215,11 +210,15 @@ class OptimalityReport:
     d) weights are nonnegative;
     e) the aggregate respects the risk bound;
     f) component costs match a backend re-evaluation of their policies.
+
+    ``q_star`` is the dual value that a) compares against: the oracle's
+    Lagrangian minimum at the solution's multiplier.
     """
 
     conditions: dict[str, bool]
     residuals: dict[str, float]
     overall: bool
+    q_star: float
 
 
 def check_optimality(
@@ -227,11 +226,12 @@ def check_optimality(
     oracle: LagrangianOracle,
     tol: float = 1e-6,
     reference: PureCandidate | None = None,
-    evaluations: Sequence[CostVector] | None = None,
+    reevaluate: bool = True,
 ) -> OptimalityReport:
     """Check a) to f) against the oracle's ``risk_bound``; ``reference``
-    is the oracle's answer at lam, and ``evaluations`` the components'
-    re-evaluated costs in order, if known."""
+    is the oracle's answer at lam, if known. ``reevaluate=False`` skips the
+    backend re-evaluation behind f, for a caller whose component costs
+    already are one; f is then 0 by construction."""
     lam, v = solution.dual, oracle.risk_bound
     if reference is None:
         reference = oracle.query(lam)
@@ -248,12 +248,12 @@ def check_optimality(
     res_d = max(0.0, -min(solution.probabilities))
     res_e = max(0.0, agg.c1 - v)
 
-    if evaluations is None:
-        evaluations = [oracle.evaluate(cand.policy) for cand, _ in solution.components]
     res_f = 0.0
-    for (cand, _), fresh in zip(solution.components, evaluations, strict=True):
-        res_f = max(res_f, abs(fresh.c0 - cand.cost.c0), abs(fresh.c1 - cand.cost.c1))
+    if reevaluate:
+        for cand, _ in solution.components:
+            fresh = oracle.evaluate(cand.policy)
+            res_f = max(res_f, abs(fresh.c0 - cand.cost.c0), abs(fresh.c1 - cand.cost.c1))
 
     residuals = {"a": res_a, "b": res_b, "c": res_c, "d": res_d, "e": res_e, "f": res_f}
     conditions = {name: r <= tol for name, r in residuals.items()}
-    return OptimalityReport(conditions, residuals, all(conditions.values()))
+    return OptimalityReport(conditions, residuals, all(conditions.values()), l_min)

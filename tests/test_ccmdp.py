@@ -280,7 +280,7 @@ def test_policy_errors():
 def test_oracle_pipeline_recovers_two_policy_mixture():
     mdp = chain_mdp()
     oracle = MdpOracle(mdp, 0.1)
-    dual, sol = solve_mixed_scalar(oracle)
+    _, sol = solve_mixed_scalar(oracle)
     assert sol.aggregate.c1 == pytest.approx(0.1, abs=1e-9)
     # p*1 + (1-p)*3 with 0.5p = 0.1 gives cost 2.6
     assert sol.aggregate.c0 == pytest.approx(2.6, abs=1e-6)
@@ -288,7 +288,7 @@ def test_oracle_pipeline_recovers_two_policy_mixture():
     assert probs == pytest.approx([0.2, 0.8], abs=1e-6)
     report = check_optimality(sol, oracle)
     assert report.overall
-    assert dual.q_star <= 2.6 + 1e-9
+    assert report.q_star <= 2.6 + 1e-9
 
 
 def test_simulate_mixture_covers_exact_risk():

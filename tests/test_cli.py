@@ -623,6 +623,9 @@ def _drop_cost_mean(report):
                      'kind: saved "grid", re-derived "toy"', id="kind"),
         pytest.param(lambda r: r.update(risk_bound=0.5),
                      "risk_bound: saved 0.5, re-derived 0.01", id="risk-bound"),
+        # the bound is the config's, not a computed value: no tolerance
+        pytest.param(lambda r: r.update(risk_bound=0.01 + 1e-12),
+                     "risk_bound: saved 0.010000000001, re-derived 0.01", id="risk-bound-close"),
         pytest.param(lambda r: r["dual"].update(q_star=-1e9),
                      "dual.q_star: saved -1000000000.0, re-derived 15.0", id="q-star"),
         # a multiplier outside the dual's domain is a wrong value like any other

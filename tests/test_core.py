@@ -125,8 +125,8 @@ def test_binomial_acceptance_tails_are_exact():
 
 
 def test_binomial_acceptance_holds_past_a_c_int_of_draws():
-    # scipy's bdtr and bdtrc take n as a C int; from 2**31 draws the same
-    # tails come from the incomplete beta function
+    # n past a C int: the tails must not depend on a function that takes
+    # n as one
     below = binomial_acceptance(0.01, 2**31 - 1, 1e-6)
     above = binomial_acceptance(0.01, 2**31, 1e-6)
     assert below == (21452286, 21497395)

@@ -69,7 +69,7 @@ def test_three_point_kink():
     assert lam_ref == pytest.approx(300.0, abs=1e-9)
     assert q_ref == pytest.approx(9.0, abs=1e-12)
     assert result.lambda_star == pytest.approx(300.0, rel=1e-12)
-    assert result.q_star == pytest.approx(9.0, rel=1e-12)
+    assert check_optimality(solution, oracle).q_star == pytest.approx(9.0, rel=1e-12)
     # mixture spans the middle and safe candidates
     assert solution.probabilities == pytest.approx((0.5, 0.5), abs=1e-9)
     assert solution.aggregate.c0 == pytest.approx(9.0, abs=1e-9)
