@@ -25,7 +25,6 @@ from .core import (
 )
 from .dual import (
     OptimalityReport,
-    ScalarDualResult,
     check_optimality,
     recover_mixture_scalar,
     solve_mixed_scalar,
@@ -40,7 +39,6 @@ __all__ = [
     "MixedSolution",
     "OptimalityReport",
     "PureCandidate",
-    "ScalarDualResult",
     "SolverLimitError",
     "check_optimality",
     "lagrangian_value",

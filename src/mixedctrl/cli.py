@@ -1,8 +1,9 @@
 """Command-line front end: JSON configs in, deterministic artifacts out.
 
 ``solve`` runs the full pipeline for one scenario and writes
-``report.json``, ``dual_trace.csv``, and whatever file the backend saves
-per mixture component; `build_report` makes the report's tree.
+``report.json``, ``dual_trace.csv`` (the dual search's own record of its
+queries), and whatever file the backend saves per mixture component;
+`build_report` makes the report's tree.
 ``validate`` rebuilds the oracle from the config and has it load and
 evaluate the saved components. From them it re-derives the mixture, the
 certificate and the Monte Carlo check, builds the tree with the same
@@ -12,7 +13,8 @@ function on a multiplier grid for plotting. Past the config, each
 command talks only to the oracle that `build_setup` returns.
 
 Exit codes: 0 success, 1 infeasible problem, solver limit or failed
-validation, 2 invalid config or usage. Reports are byte-identical across
+validation, 2 invalid config, input or usage (an artifact that cannot be
+written is bad input too). Reports are byte-identical across
 repeated runs with the same config and seed; the measured wall time
 would break that, so it goes to stderr and the report carries a null
 placeholder.
@@ -296,24 +298,6 @@ def build_setup(config: dict, base_dir: Path) -> LagrangianOracle:
         raise InvalidInputError(f"bad {config['kind']} config: {exc}") from exc
 
 
-class _TracingOracle(LagrangianOracle):
-    """Pass-through wrapper recording one trace row per multiplier query."""
-
-    def __init__(self, inner: LagrangianOracle):
-        self.inner = inner
-        self.risk_bound = inner.risk_bound
-        self.rows: list[tuple[int, float, float, float, float]] = []
-
-    def query(self, lam: float) -> PureCandidate:
-        cand = self.inner.query(lam)
-        value = lagrangian_value(cand.cost, lam, self.risk_bound)
-        self.rows.append((len(self.rows), lam, cand.cost.c0, cand.cost.c1, value))
-        return cand
-
-    def evaluate(self, policy: object) -> CostVector:
-        return self.inner.evaluate(policy)
-
-
 def _run_monte_carlo(
     oracle: LagrangianOracle, solution: MixedSolution, seed: int, n: int
 ) -> MonteCarloCheck:
@@ -332,10 +316,15 @@ def _run_monte_carlo(
     return MonteCarloCheck(n, failures, float(counts @ costs / n))
 
 
-def _write_trace(path: Path, rows: Sequence[tuple[int, float, float, float, float]]) -> None:
+def _write_trace(
+    path: Path, queries: Sequence[tuple[float, PureCandidate]], bound: float
+) -> None:
+    """One row per ``(lam, answer)`` query, with the answer's Lagrangian value."""
     lines = [",".join(TRACE_COLUMNS)]
-    for it, lam, c0, c1, value in rows:
-        lines.append(f"{it},{lam!r},{c0!r},{c1!r},{value!r}")
+    for it, (lam, cand) in enumerate(queries):
+        cost = cand.cost
+        value = lagrangian_value(cost, lam, bound)
+        lines.append(f"{it},{lam!r},{cost.c0!r},{cost.c1!r},{value!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -352,6 +341,11 @@ def _out_dir(path: str) -> Path:
     except OSError as exc:
         raise _BadInput(f"cannot create output directory {out_dir}: {exc}") from exc
     return out_dir
+
+
+def _unwritable(exc: OSError, out_dir: Path) -> _BadInput:
+    """The error for an artifact that `solve` or `sweep` could not write."""
+    return _BadInput(f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}")
 
 
 def _failed_conditions(optimality: OptimalityReport) -> str:
@@ -420,13 +414,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     n_rollouts = section.get("n", 100_000)
 
     started = time.perf_counter()
-    tracer = _TracingOracle(oracle)
-    result, solution = solve_mixed_scalar(tracer)
-    optimality = check_optimality(solution, oracle, 1e-6, result.reference)
+    queries, solution = solve_mixed_scalar(oracle)
+    optimality = check_optimality(solution, oracle, 1e-6, dict(queries).get(solution.dual))
     # Output gates: randomizing can only help, so a mixture costlier than
     # the best pure candidate means something upstream went wrong, as does
     # a mixture that its own certificate rejects.
-    if solution.aggregate.c0 > result.upper.cost.c0 + 1e-9:
+    if solution.aggregate.c0 > solution.components[-1][0].cost.c0 + 1e-9:
         raise MixedControlError(
             "mixed cost exceeds the pure upper bound; refusing to write the report"
         )
@@ -438,18 +431,22 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - started
 
     out_dir = _out_dir(args.out)
-    refs = [oracle.save(cand.policy, str(i), out_dir)
-            for i, (cand, _) in enumerate(solution.components)]
-    report = build_report(
-        config["kind"], oracle.risk_bound, solution, refs, optimality, monte_carlo,
-        result.iterations,
-    )
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _write_trace(out_dir / "dual_trace.csv", tracer.rows)
+    try:
+        refs = [oracle.save(cand.policy, str(i), out_dir)
+                for i, (cand, _) in enumerate(solution.components)]
+        report = build_report(
+            config["kind"], oracle.risk_bound, solution, refs, optimality, monte_carlo,
+            len(queries),
+        )
+        _write_trace(out_dir / "dual_trace.csv", queries, oracle.risk_bound)
+        # last, so that a write that fails leaves no report for `validate`
+        (out_dir / "report.json").write_text(
+            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+    except OSError as exc:
+        raise _unwritable(exc, out_dir) from exc
     print(
-        f"solve {config['kind']}: lambda*={result.lambda_star:.6g} "
+        f"solve {config['kind']}: lambda*={solution.dual:.6g} "
         f"aggregate=({solution.aggregate.c0:.6g}, {solution.aggregate.c1:.6g}) "
         f"components={len(refs)} wall={wall:.3f}s -> {out_dir}",
         file=sys.stderr,
@@ -605,15 +602,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if lam_min < 0 or lam_max <= lam_min or points < 2:
         raise InvalidInputError("sweep needs 0 <= lambda_min < lambda_max and points >= 2")
 
-    tracer = _TracingOracle(oracle)
-    for lam in np.linspace(lam_min, lam_max, points):
-        tracer.query(float(lam))
+    # float(): a numpy scalar would reach sweep.csv as np.float64(...)
+    lams = [float(lam) for lam in np.linspace(lam_min, lam_max, points)]
+    queries = [(lam, oracle.query(lam)) for lam in lams]
     out_dir = _out_dir(args.out)
-    _write_trace(out_dir / "sweep.csv", tracer.rows)
-    best = max(tracer.rows, key=lambda r: r[4])
+    try:
+        _write_trace(out_dir / "sweep.csv", queries, oracle.risk_bound)
+    except OSError as exc:
+        raise _unwritable(exc, out_dir) from exc
+    values = [lagrangian_value(cand.cost, lam, oracle.risk_bound) for lam, cand in queries]
+    best = max(range(points), key=values.__getitem__)
     print(
         f"sweep {config['kind']}: {points} samples on [{lam_min:g}, {lam_max:g}], "
-        f"best dual value {best[4]:.6g} at lambda={best[1]:g} -> {out_dir}",
+        f"best dual value {values[best]:.6g} at lambda={lams[best]:g} -> {out_dir}",
         file=sys.stderr,
     )
     return 0

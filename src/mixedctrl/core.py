@@ -8,7 +8,8 @@ it returns one pure policy that minimizes ``c0 + lam * (c1 - bound)``
 over the backend's policy class. Everything downstream (the chord dual
 search, mixture recovery, optimality checking) is written against that
 interface, so the structured types here are deliberately small and
-immutable.
+immutable, and a mixture stores only its components: its aggregate, its
+multiplier and its saving are derived from them.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 from scipy.special import betainc
 
-# Default tolerances. Probability-style sums are checked at PROB_TOL;
-# mixture identities (weighted-sum bookkeeping) at MIX_TOL.
+# Default tolerances. Probability-style sums are checked at PROB_TOL; a
+# mixing weight may round below zero by at most MIX_TOL.
 PROB_TOL = 1e-9
 MIX_TOL = 1e-12
 
@@ -81,12 +82,19 @@ class PureCandidate:
 
 @dataclass(frozen=True, eq=False)
 class MixedSolution:
-    """Randomized mixture over pure candidates, chosen once up front."""
+    """Randomized mixture over pure candidates, chosen once up front.
+
+    Only the components are given. ``aggregate`` is their weighted cost;
+    ``dual``, the multiplier at which the first (risky) and the last
+    (safe) component are both Lagrangian-minimal, is the slope of the
+    chord between them floored at 0, or 0 for one component or equal
+    risks; ``gap_estimate`` is the mixture's saving over the last one.
+    """
 
     components: tuple[tuple[PureCandidate, float], ...]
-    aggregate: CostVector
-    dual: float
-    gap_estimate: float
+    aggregate: CostVector = field(init=False)
+    dual: float = field(init=False)
+    gap_estimate: float = field(init=False)
 
     def __post_init__(self):
         if not self.components:
@@ -94,17 +102,21 @@ class MixedSolution:
         # one risk bound: an optimal mixture needs at most two pure policies
         if len(self.components) > 2:
             raise InvalidInputError(f"{len(self.components)} components, at most 2 allowed")
-        object.__setattr__(self, "dual", check_multiplier(self.dual))
-        if self.gap_estimate < 0.0:
-            raise InvalidInputError("gap_estimate must be nonnegative")
         # mix_costs also rejects negative weights and weights that do not sum to one
-        check = mix_costs([(cand.cost, p) for cand, p in self.components])
-        scale = max(1.0, abs(self.aggregate.c0), abs(self.aggregate.c1))
-        if (
-            abs(check.c0 - self.aggregate.c0) > MIX_TOL * scale
-            or abs(check.c1 - self.aggregate.c1) > MIX_TOL * scale
-        ):
-            raise InvalidInputError("aggregate does not match the weighted component sum")
+        aggregate = mix_costs([(cand.cost, p) for cand, p in self.components])
+        first, last = self.components[0][0].cost, self.components[-1][0].cost
+        dual = 0.0
+        if first.c1 != last.c1:
+            slope = (last.c0 - first.c0) / (first.c1 - last.c1)
+            if not math.isfinite(slope):
+                raise InvalidInputError(
+                    f"endpoint risks {first.c1} and {last.c1} differ by {first.c1 - last.c1}, "
+                    "a gap that gives no finite multiplier"
+                )
+            dual = max(0.0, slope)
+        object.__setattr__(self, "aggregate", aggregate)
+        object.__setattr__(self, "dual", dual)
+        object.__setattr__(self, "gap_estimate", max(0.0, last.c0 - aggregate.c0))
 
     @property
     def probabilities(self) -> tuple[float, ...]:

@@ -6,7 +6,10 @@ the pointwise minimizer for any multiplier. The policy class is finite,
 so the dual function is concave and piecewise linear, and chord steps
 from the answers at zero and at the multiplier cap land on its optimal
 breakpoint exactly; the risky and the safe candidate there are mixed so
-the aggregate meets the bound without rounding above it.
+the aggregate meets the bound without rounding above it. The search
+returns that mixture beside its own record, the (multiplier, answer)
+pairs it asked; the mixture derives the optimal multiplier from its two
+components.
 """
 
 from __future__ import annotations
@@ -41,26 +44,6 @@ TIE_RTOL = 1e-12
 MAX_QUERIES = 200
 
 
-@dataclass(frozen=True)
-class ScalarDualResult:
-    """Dual search output: optimal multiplier plus the two bracketing candidates.
-
-    ``lower`` is the endpoint whose risk is above the bound (cheap, risky);
-    ``upper`` the endpoint with risk at or below it (costly, safe). Both
-    minimize the Lagrangian at ``lambda_star``, the slope of the chord
-    between them. When a policy of least cost meets the bound,
-    ``lambda_star`` is zero and both endpoints are that policy.
-    ``iterations`` counts oracle queries. ``reference`` is the oracle's
-    answer at ``lambda_star``, or None when the search made no query there.
-    """
-
-    lambda_star: float
-    lower: PureCandidate
-    upper: PureCandidate
-    iterations: int
-    reference: PureCandidate | None
-
-
 def recover_mixture_scalar(
     lower: PureCandidate, upper: PureCandidate, v: float
 ) -> MixedSolution:
@@ -71,39 +54,22 @@ def recover_mixture_scalar(
     the safe endpoint, by one ulp of p and then by doubling steps, until it
     does not. The steps double because one ulp of a small p can move the
     risk by far less than one ulp of V; they end by p = 0 at the latest,
-    where the risk is c_hi <= V. The implied multiplier is the
-    slope between the endpoint cost pairs, which is exactly where both are
-    Lagrangian-minimal; a risk gap so small that this slope overflows
-    raises InvalidInputError. ``gap_estimate`` is the saving of the
-    mixture over the safe endpoint (the best feasible pure candidate the
-    search saw).
+    where the risk is c_hi <= V. The mixture derives its multiplier, the
+    chord slope at which both endpoints are Lagrangian-minimal, and its
+    saving over the safe endpoint (the best feasible pure candidate the
+    search saw); a slope that overflows raises InvalidInputError.
     """
     c_lo, c_hi = lower.cost.c1, upper.cost.c1
     if not (c_lo >= v >= c_hi):
         raise InvalidInputError(
             f"endpoint risks {c_lo}, {c_hi} do not straddle the bound {v}"
         )
-    if c_lo == c_hi:
-        p = 1.0
-        lam = 0.0
-    else:
-        slope = (upper.cost.c0 - lower.cost.c0) / (c_lo - c_hi)
-        if not math.isfinite(slope):
-            raise InvalidInputError(
-                f"endpoint risks {c_lo} and {c_hi} differ by {c_lo - c_hi}, "
-                "a gap that gives no finite multiplier"
-            )
-        p = (v - c_hi) / (c_lo - c_hi)
-        lam = max(0.0, slope)
-    aggregate = mix_costs([(lower.cost, p), (upper.cost, 1.0 - p)])
+    p = 1.0 if c_lo == c_hi else (v - c_hi) / (c_lo - c_hi)
     step = math.ulp(p)
-    while aggregate.c1 > v:
+    while mix_costs([(lower.cost, p), (upper.cost, 1.0 - p)]).c1 > v:
         p = max(0.0, p - step)
         step *= 2.0
-        aggregate = mix_costs([(lower.cost, p), (upper.cost, 1.0 - p)])
-    components = ((lower, p), (upper, 1.0 - p))
-    gap = max(0.0, upper.cost.c0 - aggregate.c0)
-    return MixedSolution(components, aggregate, lam, gap)
+    return MixedSolution(((lower, p), (upper, 1.0 - p)))
 
 
 def bracket_mixture(candidates: Sequence[PureCandidate], v: float) -> MixedSolution:
@@ -111,14 +77,15 @@ def bracket_mixture(candidates: Sequence[PureCandidate], v: float) -> MixedSolut
     candidate alone at lam = 0, or the risky and the safe endpoint, in
     that order, mixed by `recover_mixture_scalar`."""
     if len(candidates) == 1:
-        (cand,) = candidates
-        return MixedSolution(((cand, 1.0),), cand.cost, 0.0, 0.0)
+        return MixedSolution(((candidates[0], 1.0),))
     if len(candidates) != 2:
         raise InvalidInputError(f"{len(candidates)} components, expected 1 or 2")
     return recover_mixture_scalar(*candidates, v)
 
 
-def solve_mixed_scalar(oracle: LagrangianOracle) -> tuple[ScalarDualResult, MixedSolution]:
+def solve_mixed_scalar(
+    oracle: LagrangianOracle,
+) -> tuple[list[tuple[float, PureCandidate]], MixedSolution]:
     """Single-constraint pipeline: exact dual search, then two-point recovery.
 
     An answer at lam = 0 that meets the bound is returned pure. Otherwise
@@ -134,27 +101,27 @@ def solve_mixed_scalar(oracle: LagrangianOracle) -> tuple[ScalarDualResult, Mixe
     lam, then InfeasibleProblemError when it is above V at LAMBDA_MAX, and
     SolverLimitError after MAX_QUERIES queries. V is the oracle's
     ``risk_bound``.
+
+    Returns the search's record, the ``(lam, answer)`` pairs in the order
+    it asked them, and the mixture of the final bracket.
     """
     v = oracle.risk_bound
-    queries = 0
+    queries: list[tuple[float, PureCandidate]] = []
 
     def ask(lam: float) -> PureCandidate:
-        nonlocal queries
-        if queries >= MAX_QUERIES:
+        if len(queries) >= MAX_QUERIES:
             raise SolverLimitError(
                 f"dual search made {MAX_QUERIES} oracle queries without a tie; "
                 "the oracle is not an exact minimizer over a finite policy class"
             )
-        queries += 1
-        return oracle.query(lam)
-
-    def pure(cand: PureCandidate) -> tuple[ScalarDualResult, MixedSolution]:
-        # a least-cost policy within the bound, alone at lam = 0
-        return ScalarDualResult(0.0, cand, cand, queries, cand0), bracket_mixture((cand,), v)
+        cand = oracle.query(lam)
+        queries.append((lam, cand))
+        return cand
 
     cand0 = ask(0.0)
     if cand0.cost.c1 <= v:
-        return pure(cand0)
+        # a least-cost policy within the bound, alone at lam = 0
+        return queries, bracket_mixture((cand0,), v)
 
     lam_lo, cand_lo = 0.0, cand0
     lam_hi, cand_hi = LAMBDA_MAX, ask(LAMBDA_MAX)
@@ -173,7 +140,7 @@ def solve_mixed_scalar(oracle: LagrangianOracle) -> tuple[ScalarDualResult, Mixe
         lo, hi = cand_lo.cost, cand_hi.cost
         tie = TIE_RTOL * (abs(lo.c0) + abs(hi.c0))
         if abs(hi.c0 - lo.c0) <= tie:
-            return pure(cand_hi)
+            return queries, bracket_mixture((cand_hi,), v)
         lam = min(max((hi.c0 - lo.c0) / (lo.c1 - hi.c1), lam_lo), lam_hi)
         cand = ask(lam)
         cost = cand.cost
@@ -192,11 +159,7 @@ def solve_mixed_scalar(oracle: LagrangianOracle) -> tuple[ScalarDualResult, Mixe
         else:
             lam_hi, cand_hi = lam, cand
 
-    solution = bracket_mixture((cand_lo, cand_hi), v)
-    # lambda* is usually the multiplier of the last query
-    reference = cand if lam == solution.dual else None
-    result = ScalarDualResult(solution.dual, cand_lo, cand_hi, queries, reference)
-    return result, solution
+    return queries, bracket_mixture((cand_lo, cand_hi), v)
 
 
 @dataclass(frozen=True)
@@ -217,8 +180,11 @@ class OptimalityReport:
 
     conditions: dict[str, bool]
     residuals: dict[str, float]
-    overall: bool
     q_star: float
+
+    @property
+    def overall(self) -> bool:
+        return all(self.conditions.values())
 
 
 def check_optimality(
@@ -256,4 +222,4 @@ def check_optimality(
 
     residuals = {"a": res_a, "b": res_b, "c": res_c, "d": res_d, "e": res_e, "f": res_f}
     conditions = {name: r <= tol for name, r in residuals.items()}
-    return OptimalityReport(conditions, residuals, all(conditions.values()), l_min)
+    return OptimalityReport(conditions, residuals, l_min)

@@ -58,24 +58,24 @@ def _shipped(name: str):
 def corridor_run():
     setup = _shipped("corridor")
     started = time.perf_counter()
-    result, solution = solve_mixed_scalar(setup)
-    return setup, result, solution, time.perf_counter() - started
+    queries, solution = solve_mixed_scalar(setup)
+    return setup, queries, solution, time.perf_counter() - started
 
 
 def test_criterion_1_toy_pipeline():
     oracle = _shipped("toy")
     started = time.perf_counter()
-    result, solution = solve_mixed_scalar(oracle)
+    _, solution = solve_mixed_scalar(oracle)
     elapsed = time.perf_counter() - started
 
     ok = (
-        abs(result.lambda_star - 1000.0) <= 1e-3
+        abs(solution.dual - 1000.0) <= 1e-3
         and sorted(solution.probabilities) == pytest.approx([0.5, 0.5], abs=1e-9)
         and solution.aggregate.c0 == pytest.approx(15.0, abs=1e-9)
         and solution.aggregate.c1 == pytest.approx(0.01, abs=1e-9)
         and elapsed < 1.0
     )
-    _verdict(1, ok, f"lambda*={result.lambda_star:.6f}, {elapsed:.3f}s")
+    _verdict(1, ok, f"lambda*={solution.dual:.6f}, {elapsed:.3f}s")
     assert ok
 
 
@@ -178,7 +178,7 @@ def test_criterion_3_mixed_equals_dual_equals_pure_minus_gap():
 
 
 def test_criterion_4_active_constraint_risk_is_exact(corridor_run):
-    setup, corridor_result, corridor_solution, _ = corridor_run
+    setup, corridor_queries, corridor_solution, _ = corridor_run
     runs = []
 
     toy = _shipped("toy")
@@ -187,12 +187,12 @@ def test_criterion_4_active_constraint_risk_is_exact(corridor_run):
     runs.append(("grid", *solve_mixed_scalar(grid), grid.risk_bound))
     edl = _shipped("landing")
     runs.append(("edl", *solve_mixed_scalar(edl), edl.risk_bound))
-    runs.append(("smpc", corridor_result, corridor_solution, setup.risk_bound))
+    runs.append(("smpc", corridor_queries, corridor_solution, setup.risk_bound))
 
     details = []
     ok = True
-    for name, result, solution, bound in runs:
-        assert result.lambda_star > 1e-6, f"{name} constraint unexpectedly inactive"
+    for name, _, solution, bound in runs:
+        assert solution.dual > 1e-6, f"{name} constraint unexpectedly inactive"
         resid = abs(solution.aggregate.c1 - bound)
         details.append(f"{name} |c1-V|={resid:.2e}")
         ok = ok and resid <= 1e-9
@@ -216,7 +216,7 @@ def test_criterion_5_dp_matches_policy_enumeration():
 
 
 def test_criterion_6_smpc_conservatism_and_two_modes(corridor_run):
-    setup, result, solution, solve_seconds = corridor_run
+    setup, _, solution, solve_seconds = corridor_run
     started = time.perf_counter()
 
     assert len(solution.components) == 2
@@ -276,7 +276,7 @@ def test_criterion_8_desk_grid_scenario():
     assert (width, height, setup.mdp.horizon, risk_bound) == (30, 30, 15, 0.02)
     oracle = setup
     started = time.perf_counter()
-    result, solution = solve_mixed_scalar(oracle)
+    _, solution = solve_mixed_scalar(oracle)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
 

@@ -24,7 +24,6 @@ from mixedctrl.core import (
     InvalidPolicyError,
     MixedSolution,
     PureCandidate,
-    mix_costs,
     wilson_ci_99,
 )
 from mixedctrl.dual import check_optimality, solve_mixed_scalar
@@ -85,9 +84,9 @@ def test_tied_actions_return_the_safe_one_alone():
         failures=[[], ["crash"]],
         initial={"s": 1.0},
     )
-    result, solution = solve_mixed_scalar(MdpOracle(mdp, 0.01))
-    assert result.lambda_star == 0.0
-    assert result.iterations == 2
+    queries, solution = solve_mixed_scalar(MdpOracle(mdp, 0.01))
+    assert solution.dual == 0.0
+    assert len(queries) == 2
     ((cand, p),) = solution.components
     assert p == 1.0
     assert cand.policy.actions[0][0] == 1
@@ -306,12 +305,7 @@ def test_simulate_deterministic_policy_is_exact():
     mdp = chain_mdp()
     oracle = MdpOracle(mdp, 0.1)
     cand = oracle.query(1e6)
-    sol = MixedSolution(
-        components=((cand, 1.0),),
-        aggregate=cand.cost,
-        dual=0.0,
-        gap_estimate=0.0,
-    )
+    sol = MixedSolution(components=((cand, 1.0),))
     summary = simulate(mdp, sol, seed=3, n_rollouts=200)
     assert summary.cost_mean == 3.0
     assert summary.failure_rate == 0.0
@@ -320,7 +314,7 @@ def test_simulate_deterministic_policy_is_exact():
 
 def _single(policy, cost=CostVector(1.0, 0.5)):
     cand = PureCandidate(policy, cost)
-    return MixedSolution(((cand, 1.0),), cost, 0.0, 0.0)
+    return MixedSolution(((cand, 1.0),))
 
 
 def test_simulate_errors():
@@ -392,8 +386,7 @@ def test_count_sampler_follows_the_rollout_law():
         assert (ev.c1, ev.c0) == pytest.approx((r, m), abs=1e-12)
         components.append((PureCandidate(policy, CostVector(m, r)), weight))
         risk, mean, square = risk + weight * r, mean + weight * m, square + weight * m2
-    aggregate = mix_costs([(cand.cost, w) for cand, w in components])
-    solution = MixedSolution(tuple(components), aggregate, 0.0, 0.0)
+    solution = MixedSolution(tuple(components))
 
     n, seeds = 60, range(400)
     runs = [simulate(mdp, solution, seed, n) for seed in seeds]
@@ -446,8 +439,7 @@ def reference_mixtures():
         oracle = MdpOracle(mdp, 0.1)
         weight = float(rng.uniform(0.1, 0.9))
         components = ((oracle.query(0.0), weight), (oracle.query(40.0), 1.0 - weight))
-        aggregate = mix_costs([(cand.cost, w) for cand, w in components])
-        cases.append((f"tiny-{i}", mdp, MixedSolution(components, aggregate, 0.0, 0.0)))
+        cases.append((f"tiny-{i}", mdp, MixedSolution(components)))
     for name in ("desk_grid", "landing"):
         setup = build_setup(load_config(CONFIGS / f"{name}.json"), CONFIGS)
         cases.append((name, setup.mdp, solve_mixed_scalar(setup)[1]))
@@ -750,10 +742,7 @@ def test_step_without_admissible_pairs_carries_no_mass():
     assert val == 7.0
     ev = evaluate_policy(mdp, pol)
     assert (ev.c0, ev.c1) == (2.0, 1.0)
-    sol = MixedSolution(
-        ((PureCandidate(pol, CostVector(2.0, 1.0)), 1.0),),
-        CostVector(2.0, 1.0), 5.0, 0.0,
-    )
+    sol = MixedSolution(((PureCandidate(pol, CostVector(2.0, 1.0)), 1.0),))
     run = simulate(mdp, sol, seed=0, n_rollouts=50)
     assert (run.failure_rate, run.cost_mean) == (1.0, 2.0)
 

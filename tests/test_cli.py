@@ -716,13 +716,20 @@ def test_validate_accepts_a_count_outside_the_99_percent_interval(tmp_path, caps
     assert binomial_acceptance(0.01, 2000, VALIDATE_FALSE_ALARM) == (3, 45)
 
 
+# per command, (config, artifact) pairs whose artifact path a directory holds
+_HELD_ARTIFACTS = {
+    "solve": (("toy", "report.json"), ("toy", "dual_trace.csv"), ("desk_grid", "policy_0.csv")),
+    "sweep": (("toy", "sweep.csv"),),
+}
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_an_out_path_that_cannot_be_made_exits_2_naming_it(tmp_path, command):
-    config = _write(tmp_path, "toy.json", _toy_config())
-    taken = tmp_path / "taken"
-    taken.write_text("a file, not a directory\n", encoding="utf-8")
+    configs = {"toy": _write(tmp_path, "toy.json", _toy_config()),
+               "desk_grid": CONFIGS / "desk_grid.json"}
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    for out in (taken, taken / "below"):
+
+    def run(config: Path, out: Path) -> str:
         done = subprocess.run(
             [sys.executable, "-m", "mixedctrl", command, str(config), "--out", str(out)],
             env={**os.environ, "PYTHONPATH": path},
@@ -730,9 +737,20 @@ def test_an_out_path_that_cannot_be_made_exits_2_naming_it(tmp_path, command):
             text=True,
         )
         assert done.returncode == 2, done.stderr
-        assert f"invalid input: cannot create output directory {out}" in done.stderr
         assert "Traceback" not in done.stderr
+        return done.stderr
+
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n", encoding="utf-8")
+    for out in (taken, taken / "below"):
+        assert f"invalid input: cannot create output directory {out}" in run(configs["toy"], out)
     assert taken.read_text(encoding="utf-8") == "a file, not a directory\n"
+    # a directory where an artifact goes; file modes would not stop a root user
+    for name, artifact in _HELD_ARTIFACTS[command]:
+        out = tmp_path / f"{name}-{artifact}"
+        (out / artifact).mkdir(parents=True)
+        assert f"invalid input: cannot write {out / artifact}" in run(configs[name], out)
+        assert not (out / "report.json").is_file()
 
 
 def test_validate_without_report_exits_2(tmp_path, capsys):
@@ -889,6 +907,18 @@ def test_bench_tracer_hook_points_stay_alive(tmp_path, monkeypatch):
             assert main(["validate", str(config), "--out", str(tmp_path / config.stem)]) == 0
     finally:
         tracer.uninstall()
+    # the dual trace is the search's record: one row per query it made
+    searches = [span for span in tracer.spans[:solved] if span.name == "dual.solve"]
+    assert len(searches) == len(configs)
+    for config, search in zip(configs, searches):
+        out = tmp_path / config.stem
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        rows = (out / "dual_trace.csv").read_text(encoding="utf-8").splitlines()[1:]
+        queries = sum(
+            1 for span in tracer.spans
+            if span.name in ("ccmdp.query", "smpc.query") and span.parent == search.sid
+        )
+        assert queries == report["dual"]["iterations"] == len(rows) > 0, config
     recorded = {span.name for span in tracer.spans[:solved]}
     expected = {
         "dual.solve", "dual.certificate", "scenarios.build", "ccmdp.query", "ccmdp.dp",

@@ -81,12 +81,6 @@ def test_lagrangian_mix_linearity():
         assert direct == pytest.approx(weighted, abs=1e-10, rel=1e-12)
 
 
-def test_mixed_solution_rejects_negative_multiplier():
-    a = PureCandidate(0, CostVector(1.0, 0.5))
-    with pytest.raises(InvalidInputError):
-        MixedSolution(((a, 1.0),), a.cost, -1.0, 0.0)
-
-
 def test_cost_vector_needs_finite_entries():
     with pytest.raises(InvalidInputError):
         CostVector(float("nan"), 0.5)
@@ -97,17 +91,67 @@ def test_cost_vector_needs_finite_entries():
     assert type(cost.c0) is float and type(cost.c1) is float
 
 
-def test_mixed_solution_validates_aggregate():
+def test_mixed_solution_derives_the_chord_slope_and_the_gap():
+    risky = PureCandidate(0, CostVector(10.0, 0.015))
+    safe = PureCandidate(1, CostVector(20.0, 0.005))
+    solution = MixedSolution(((risky, 0.5), (safe, 0.5)))
+    assert solution.aggregate == mix_costs([(risky.cost, 0.5), (safe.cost, 0.5)])
+    assert solution.aggregate.c0 == pytest.approx(15.0, abs=1e-12)
+    # (20 - 10) / (0.015 - 0.005): both endpoints are Lagrangian-minimal there
+    assert solution.dual == pytest.approx(1000.0, rel=1e-12)
+    assert lagrangian_value(risky.cost, solution.dual, 0.01) == pytest.approx(
+        lagrangian_value(safe.cost, solution.dual, 0.01), abs=1e-9
+    )
+    # the saving over the safe component
+    assert solution.gap_estimate == pytest.approx(5.0, abs=1e-12)
+
+
+def test_mixed_solution_floors_the_multiplier_and_the_gap_at_zero():
+    # a risky component that also costs more: the slope is negative
+    costly = PureCandidate(0, CostVector(30.0, 0.015))
+    safe = PureCandidate(1, CostVector(20.0, 0.005))
+    solution = MixedSolution(((costly, 0.5), (safe, 0.5)))
+    assert solution.dual == 0.0
+    assert solution.gap_estimate == 0.0
+
+
+def test_mixed_solution_with_equal_risks_has_multiplier_zero():
+    a = PureCandidate(0, CostVector(1.0, 0.01))
+    b = PureCandidate(1, CostVector(2.0, 0.01))
+    solution = MixedSolution(((a, 1.0), (b, 0.0)))
+    assert solution.dual == 0.0
+    assert solution.aggregate == CostVector(1.0, 0.01)
+    assert solution.gap_estimate == 1.0
+
+
+def test_mixed_solution_of_one_component_is_that_component():
+    a = PureCandidate(0, CostVector(3.5, 0.2))
+    solution = MixedSolution(((a, 1.0),))
+    assert solution.aggregate == a.cost
+    assert solution.dual == 0.0
+    assert solution.gap_estimate == 0.0
+    assert solution.probabilities == (1.0,)
+
+
+def test_mixed_solution_rejects_a_slope_that_overflows():
+    # (1e300 - 1) / 1e-300 is past the largest float
+    risky = PureCandidate(0, CostVector(1.0, 1e-300))
+    safe = PureCandidate(1, CostVector(1e300, 0.0))
+    with pytest.raises(InvalidInputError, match="gives no finite multiplier"):
+        MixedSolution(((risky, 0.0), (safe, 1.0)))
+
+
+def test_mixed_solution_rejects_bad_weights_and_supports():
     a = PureCandidate(0, CostVector(20.0, 0.005))
     b = PureCandidate(1, CostVector(10.0, 0.015))
-    good = mix_costs([(a.cost, 0.5), (b.cost, 0.5)])
-    MixedSolution(((a, 0.5), (b, 0.5)), good, 1000.0, 5.0)
-    with pytest.raises(InvalidInputError):
-        MixedSolution(((a, 0.5), (b, 0.5)), CostVector(14.0, 0.01), 1000.0, 5.0)
-    with pytest.raises(InvalidInputError):  # support larger than two
-        MixedSolution(((a, 0.4), (b, 0.4), (a, 0.2)), good, 1000.0, 5.0)
-    with pytest.raises(InvalidInputError):  # negative gap
-        MixedSolution(((a, 0.5), (b, 0.5)), good, 1000.0, -1.0)
+    with pytest.raises(InvalidInputError, match="negative mixing weight"):
+        MixedSolution(((a, -0.2), (b, 1.2)))
+    with pytest.raises(InvalidInputError, match="sum to"):
+        MixedSolution(((a, 0.5), (b, 0.6)))
+    with pytest.raises(InvalidInputError, match="at most 2"):
+        MixedSolution(((a, 0.4), (b, 0.4), (a, 0.2)))
+    with pytest.raises(InvalidInputError, match="at least one"):
+        MixedSolution(())
 
 
 def test_binomial_acceptance_tails_are_exact():

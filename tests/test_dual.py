@@ -14,7 +14,6 @@ from mixedctrl.core import (
     MixedSolution,
     NonMonotoneOracleError,
     PureCandidate,
-    mix_costs,
 )
 from mixedctrl.dual import check_optimality, recover_mixture_scalar, solve_mixed_scalar
 from mixedctrl.scenarios import FiniteSetOracle
@@ -27,23 +26,6 @@ def _toy():
     return build_setup(load_config(CONFIGS / "toy.json"), CONFIGS)
 
 
-class _Tracing:
-    """Wrap an oracle and record every query for invariant checks."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.risk_bound = inner.risk_bound
-        self.trace = []
-
-    def query(self, lam):
-        cand = self.inner.query(lam)
-        self.trace.append((lam, cand.cost.c1))
-        return cand
-
-    def evaluate(self, policy):
-        return self.inner.evaluate(policy)
-
-
 def _finite(points, v):
     costs = tuple(CostVector(c0, c1) for c0, c1 in points)
     return FiniteSetOracle(costs, v)
@@ -51,10 +33,9 @@ def _finite(points, v):
 
 def test_toy_pipeline_exact():
     oracle = _toy()
-    result, solution = solve_mixed_scalar(oracle)
+    _, solution = solve_mixed_scalar(oracle)
     # the chord slope between (10, 0.015) and (20, 0.005)
-    assert result.lambda_star == pytest.approx(1000.0, rel=1e-12)
-    assert result.lambda_star == solution.dual
+    assert solution.dual == pytest.approx(1000.0, rel=1e-12)
     assert solution.probabilities == pytest.approx((0.5, 0.5), abs=1e-9)
     assert solution.aggregate.c0 == pytest.approx(15.0, abs=1e-9)
     assert solution.aggregate.c1 == pytest.approx(0.01, abs=1e-9)
@@ -64,11 +45,11 @@ def test_toy_pipeline_exact():
 
 def test_three_point_kink():
     oracle = _finite([(3.0, 0.04), (6.0, 0.02), (12.0, 0.0)], 0.01)
-    result, solution = solve_mixed_scalar(oracle)
+    _, solution = solve_mixed_scalar(oracle)
     q_ref, lam_ref = brute_scalar_dual(oracle.costs, 0.01)
     assert lam_ref == pytest.approx(300.0, abs=1e-9)
     assert q_ref == pytest.approx(9.0, abs=1e-12)
-    assert result.lambda_star == pytest.approx(300.0, rel=1e-12)
+    assert solution.dual == pytest.approx(300.0, rel=1e-12)
     assert check_optimality(solution, oracle).q_star == pytest.approx(9.0, rel=1e-12)
     # mixture spans the middle and safe candidates
     assert solution.probabilities == pytest.approx((0.5, 0.5), abs=1e-9)
@@ -78,9 +59,9 @@ def test_three_point_kink():
 
 def test_inactive_bound_returns_pure():
     oracle = _finite([(5.0, 0.002), (4.0, 0.009)], 0.01)
-    result, solution = solve_mixed_scalar(oracle)
-    assert result.lambda_star == 0.0
-    assert result.iterations == 1
+    queries, solution = solve_mixed_scalar(oracle)
+    assert solution.dual == 0.0
+    assert len(queries) == 1
     assert len(solution.components) == 1
     assert solution.components[0][1] == 1.0
     assert solution.aggregate.c0 == pytest.approx(4.0)
@@ -90,22 +71,25 @@ def test_inactive_bound_returns_pure():
 def test_tied_costs_return_the_safe_point_alone():
     # mixing two points of equal cost would save nothing and add risk
     oracle = _finite([(10.0, 0.02), (10.0, 0.005)], 0.01)
-    result, solution = solve_mixed_scalar(oracle)
-    assert result.lambda_star == 0.0
-    assert result.iterations == 2
+    queries, solution = solve_mixed_scalar(oracle)
+    assert solution.dual == 0.0
+    assert len(queries) == 2
     assert [(cand.cost, p) for cand, p in solution.components] == [(CostVector(10.0, 0.005), 1.0)]
-    assert result.upper.cost == CostVector(10.0, 0.005)
+    assert solution.components[-1][0].cost == CostVector(10.0, 0.005)
     assert solution.gap_estimate == 0.0
     # the certificate's reference is the answer at lambda = 0
-    assert result.reference.cost == CostVector(10.0, 0.02)
-    assert check_optimality(solution, oracle, reference=result.reference).overall
+    reference = dict(queries)[solution.dual]
+    assert reference.cost == CostVector(10.0, 0.02)
+    assert check_optimality(solution, oracle, reference=reference).overall
 
 
 def test_reference_is_the_answer_at_lambda_star():
     oracle = _toy()
-    result, solution = solve_mixed_scalar(oracle)
-    assert result.reference is not None
-    assert result.reference.cost == oracle.query(solution.dual).cost
+    # the search asked lambda*, so `solve` certifies against its own answer
+    queries, solution = solve_mixed_scalar(oracle)
+    reference = dict(queries).get(solution.dual)
+    assert reference is not None
+    assert reference.cost == oracle.query(solution.dual).cost
 
 
 def test_infeasible_bound_raises():
@@ -140,9 +124,8 @@ def test_riskier_probe_above_the_bound_is_non_monotone_not_infeasible():
 
 
 def test_bisection_bracket_invariant():
-    traced = _Tracing(_finite([(3.0, 0.04), (6.0, 0.02), (12.0, 0.0)], 0.01))
-    solve_mixed_scalar(traced)
-    by_lambda = sorted(traced.trace)
+    queries, _ = solve_mixed_scalar(_finite([(3.0, 0.04), (6.0, 0.02), (12.0, 0.0)], 0.01))
+    by_lambda = sorted((lam, cand.cost.c1) for lam, cand in queries)
     risks = [r for _, r in by_lambda]
     assert all(a >= b - 1e-12 for a, b in zip(risks, risks[1:]))
 
@@ -184,8 +167,8 @@ def test_check_optimality_flags_perturbed_weights():
     oracle = _toy()
     a = PureCandidate(0, oracle.costs[0])
     b = PureCandidate(1, oracle.costs[1])
-    agg = mix_costs([(a.cost, 0.6), (b.cost, 0.4)])
-    perturbed = MixedSolution(((a, 0.6), (b, 0.4)), agg, 1000.0, 0.0)
+    perturbed = MixedSolution(((a, 0.6), (b, 0.4)))
+    assert perturbed.dual == pytest.approx(1000.0, rel=1e-12)
     report = check_optimality(perturbed, oracle, tol=1e-6)
     assert report.conditions["e"]  # aggregate risk 0.009 still below the bound
     assert not report.conditions["b"]  # slackness broken: 1000 * (0.009 - 0.01)

@@ -58,7 +58,7 @@ def finite_sets(draw, few_costs=False):
 def test_mixture_matches_exact_references(case):
     costs, v = case
     oracle = FiniteSetOracle(costs, v)
-    result, solution = solve_mixed_scalar(oracle)
+    _, solution = solve_mixed_scalar(oracle)
 
     q_ref, _ = brute_scalar_dual(costs, v)
     mixed_ref = brute_mixed_lp(costs, v)
@@ -67,9 +67,8 @@ def test_mixture_matches_exact_references(case):
     assert solution.aggregate.c0 == pytest.approx(mixed_ref, abs=tol)
     assert solution.aggregate.c1 <= v
     assert len(solution.components) <= 2
-    # the reported multiplier is the certificate's, and it is dual optimal
-    assert result.lambda_star == solution.dual
-    lam = result.lambda_star
+    # the mixture's multiplier is dual optimal
+    lam = solution.dual
     assert min(c.c0 + lam * (c.c1 - v) for c in costs) == pytest.approx(q_ref, abs=tol)
     certificate = check_optimality(solution, oracle, tol=tol)
     assert certificate.q_star == pytest.approx(q_ref, abs=tol)
@@ -80,14 +79,14 @@ def test_mixture_matches_exact_references(case):
 @given(finite_sets(few_costs=True))
 def test_points_of_equal_cost_are_never_mixed(case):
     costs, v = case
-    result, solution = solve_mixed_scalar(FiniteSetOracle(costs, v))
+    _, solution = solve_mixed_scalar(FiniteSetOracle(costs, v))
 
     mixed_ref = brute_mixed_lp(costs, v)
     assert solution.aggregate.c0 == pytest.approx(mixed_ref, abs=1e-6 * max(1.0, abs(mixed_ref)))
     if len(solution.components) == 2:
         a, b = (cand.cost.c0 for cand, _ in solution.components)
         assert abs(a - b) > TIE_RTOL * (abs(a) + abs(b)), solution
-    if result.lambda_star == 0.0:
+    if solution.dual == 0.0:
         ((cand, p),) = solution.components
         assert p == 1.0
         assert cand.cost.c0 == min(c.c0 for c in costs)
@@ -158,7 +157,7 @@ def test_probe_answer_off_the_hull_is_replaced(case, extra):
     # risk, but off the lower hull
     costs = costs + [CostVector(max(c.c0 for c in costs) + extra / 1000, least)]
     oracle = _CostlyProbe(costs, v)
-    result, solution = solve_mixed_scalar(oracle)
+    _, solution = solve_mixed_scalar(oracle)
 
     q_ref, _ = brute_scalar_dual(costs, v)
     tol = 1e-9 * max(1.0, abs(q_ref))

@@ -627,9 +627,6 @@ def test_mixture_risk_mc_is_deterministic():
             (PureCandidate(near, CostVector(2.0, 0.15)), 0.5),
             (PureCandidate(far, CostVector(1.0, 0.0001)), 0.5),
         ),
-        aggregate=CostVector(1.5, 0.07505),
-        dual=1.0,
-        gap_estimate=0.0,
     )
     a = estimate_mixture_risk_mc(model, sol, 50_000, seed=9)
     b = estimate_mixture_risk_mc(model, sol, 50_000, seed=9)
