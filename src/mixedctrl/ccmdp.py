@@ -66,6 +66,7 @@ from .core import (
     PureCandidate,
     check_multiplier,
     read_component,
+    split_rollouts,
 )
 
 _MASS_TOL = 1e-12
@@ -511,9 +512,7 @@ def simulate(
         raise InvalidInputError("need at least one rollout")
     if not all(isinstance(cand.policy, Policy) for cand, _ in solution.components):
         raise InvalidPolicyError("simulation needs MDP policies")
-    rng = np.random.default_rng(seed)
-    probs = np.array(solution.probabilities)
-    shares = rng.multinomial(n_rollouts, probs / probs.sum())
+    rng, shares = split_rollouts(solution, seed, n_rollouts)
     failures, cost = 0, 0.0
     for (cand, _), m in zip(solution.components, shares):
         if m > 0:

@@ -16,8 +16,7 @@ Exit codes: 0 success, 1 infeasible problem, solver limit or failed
 validation, 2 invalid config, input or usage (an artifact that cannot be
 written is bad input too). Reports are byte-identical across
 repeated runs with the same config and seed; the measured wall time
-would break that, so it goes to stderr and the report carries a null
-placeholder.
+would break that, so it goes to stderr.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from .core import (
     PureCandidate,
     binomial_acceptance,
     lagrangian_value,
+    split_rollouts,
 )
 from .dual import OptimalityReport, bracket_mixture, check_optimality, solve_mixed_scalar
 from .scenarios import FiniteSetOracle, edl_oracle, grid_oracle, parse_grid_map
@@ -307,9 +307,7 @@ def _run_monte_carlo(
         return estimate_mixture_risk_mc(oracle.model, solution, n, seed)
     # Finite-set backend: how many rollouts each component gets, then how
     # many of those fail at its exact risk; no array grows with n.
-    rng = np.random.default_rng(seed)
-    weights = np.array(solution.probabilities)
-    counts = rng.multinomial(n, weights / weights.sum())
+    rng, counts = split_rollouts(solution, seed, n)
     costs = np.array([cand.cost.c0 for cand, _ in solution.components])
     risks = np.array([cand.cost.c1 for cand, _ in solution.components])
     failures = int(rng.binomial(counts, risks).sum())
@@ -317,12 +315,11 @@ def _run_monte_carlo(
 
 
 def _write_trace(
-    path: Path, queries: Sequence[tuple[float, PureCandidate]], bound: float
+    path: Path, queries: Sequence[tuple[float, CostVector]], bound: float
 ) -> None:
-    """One row per ``(lam, answer)`` query, with the answer's Lagrangian value."""
+    """One row per ``(lam, cost)`` query, with the answer's Lagrangian value."""
     lines = [",".join(TRACE_COLUMNS)]
-    for it, (lam, cand) in enumerate(queries):
-        cost = cand.cost
+    for it, (lam, cost) in enumerate(queries):
         value = lagrangian_value(cost, lam, bound)
         lines.append(f"{it},{lam!r},{cost.c0!r},{cost.c1!r},{value!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -363,13 +360,14 @@ def build_report(
     solution: MixedSolution,
     refs: Sequence[object],
     optimality: OptimalityReport,
-    monte_carlo: dict,
+    monte_carlo: MonteCarloCheck,
+    seed: int,
     iterations: int | None,
 ) -> dict:
     """The ``report.json`` tree: ``solve`` writes it, ``validate`` re-derives
     it from the saved components and compares. ``refs`` are the components'
-    saved references. The last component, the bracket's safe end, is the
-    best pure plan the search found."""
+    saved references and ``seed`` drew ``monte_carlo``. The last component,
+    the bracket's safe end, is the best pure plan the search found."""
     safe = solution.components[-1][0].cost
     return {
         "schema": SCHEMA_VERSION,
@@ -388,16 +386,19 @@ def build_report(
             "lambda_star": solution.dual,
             "q_star": optimality.q_star,
             "iterations": iterations,
-            # a search that stops short raises instead of writing a report
-            "converged": True,
         },
         "optimality": {
             "overall": optimality.overall,
             "conditions": optimality.conditions,
             "residuals": optimality.residuals,
         },
-        "monte_carlo": monte_carlo,
-        "wall_time_s": None,
+        "monte_carlo": {
+            "seed": seed,
+            "n": monte_carlo.n_rollouts,
+            "failure_rate": monte_carlo.failure_rate,
+            "ci99": list(monte_carlo.ci99),
+            "cost_mean": monte_carlo.cost_mean,
+        },
     }
 
 
@@ -427,7 +428,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise MixedControlError(
             f"{_failed_conditions(optimality)}; refusing to write the report"
         )
-    monte_carlo = _run_monte_carlo(oracle, solution, seed, n_rollouts).report(seed)
+    monte_carlo = _run_monte_carlo(oracle, solution, seed, n_rollouts)
     wall = time.perf_counter() - started
 
     out_dir = _out_dir(args.out)
@@ -435,7 +436,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         refs = [oracle.save(cand.policy, str(i), out_dir)
                 for i, (cand, _) in enumerate(solution.components)]
         report = build_report(
-            config["kind"], oracle.risk_bound, solution, refs, optimality, monte_carlo,
+            config["kind"], oracle.risk_bound, solution, refs, optimality, monte_carlo, seed,
             len(queries),
         )
         _write_trace(out_dir / "dual_trace.csv", queries, oracle.risk_bound)
@@ -455,15 +456,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 # Report leaves that `validate` cannot re-derive: they describe the search,
-# which it does not rerun, or the wall time. It only checks they are there.
-_NOT_DERIVED = frozenset({"dual.iterations", "dual.converged", "wall_time_s"})
+# which it does not rerun. It only checks they are there.
+_NOT_DERIVED = frozenset({"dual.iterations"})
 # Leaves drawn from the Monte Carlo seed: compared to 1e-12 when the replay
 # uses the report's own seed, and not at all under another --seed.
 _SEEDED = frozenset(
     {"monte_carlo.seed", "monte_carlo.failure_rate", "monte_carlo.ci99", "monte_carlo.cost_mean"}
 )
-# Only the samplers that draw costs write it, so its absence is a difference.
-_OPTIONAL = frozenset({"monte_carlo.cost_mean"})
 # Numbers copied from the config rather than computed: compared exactly.
 _EXACT = frozenset({"risk_bound"})
 
@@ -485,7 +484,7 @@ def _number(value: object, path: str) -> float:
 def _diff(saved: object, fresh: object, path: str, skip: frozenset, lines: list[str]) -> None:
     """Append a ``<path>: saved X, re-derived Y`` line for each leaf of the
     re-derived report ``fresh`` that ``saved`` does not match, and for each
-    key that only one of them has. A missing key, or a saved leaf of another
+    key that only ``saved`` has. A missing key, or a saved leaf of another
     JSON type where ``fresh`` holds an object, a number or a boolean, makes
     the report malformed. A list of numbers is one leaf."""
     if type(fresh) is dict:
@@ -493,14 +492,12 @@ def _diff(saved: object, fresh: object, path: str, skip: frozenset, lines: list[
             raise _malformed(path, "an object", saved)
         for key in sorted(fresh.keys() | saved.keys()):
             at = f"{path}.{key}" if path else key
-            if key not in saved and at not in _OPTIONAL:
+            if key not in saved:
                 raise InvalidInputError(f"report is missing {at}")
-            if key in saved and key in fresh:
+            if key in fresh:
                 _diff(saved[key], fresh[key], at, skip, lines)
             else:
-                kept, made = (json.dumps(side[key]) if key in side else "nothing"
-                              for side in (saved, fresh))
-                lines.append(f"{at}: saved {kept}, re-derived {made}")
+                lines.append(f"{at}: saved {json.dumps(saved[key])}, re-derived nothing")
         return
     if type(fresh) is list and type(fresh[0]) is dict:  # the components, read from `saved`
         for i, (kept, made) in enumerate(zip(saved, fresh, strict=True)):
@@ -565,7 +562,7 @@ def _validate_report(
     seed = saved_seed if seed is None else seed
     monte_carlo = _run_monte_carlo(oracle, solution, seed, n_rollouts)
     fresh = build_report(
-        kind, oracle.risk_bound, solution, refs, optimality, monte_carlo.report(seed), None,
+        kind, oracle.risk_bound, solution, refs, optimality, monte_carlo, seed, None
     )
     failures: list[str] = []
     _diff(saved, fresh, "", _NOT_DERIVED if seed == saved_seed else _NOT_DERIVED | _SEEDED,
@@ -604,13 +601,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     # float(): a numpy scalar would reach sweep.csv as np.float64(...)
     lams = [float(lam) for lam in np.linspace(lam_min, lam_max, points)]
-    queries = [(lam, oracle.query(lam)) for lam in lams]
+    queries = [(lam, oracle.query(lam).cost) for lam in lams]
     out_dir = _out_dir(args.out)
     try:
         _write_trace(out_dir / "sweep.csv", queries, oracle.risk_bound)
     except OSError as exc:
         raise _unwritable(exc, out_dir) from exc
-    values = [lagrangian_value(cand.cost, lam, oracle.risk_bound) for lam, cand in queries]
+    values = [lagrangian_value(cost, lam, oracle.risk_bound) for lam, cost in queries]
     best = max(range(points), key=values.__getitem__)
     print(
         f"sweep {config['kind']}: {points} samples on [{lam_min:g}, {lam_max:g}], "

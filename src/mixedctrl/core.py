@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
 from scipy.special import betainc
 
 # Default tolerances. Probability-style sums are checked at PROB_TOL; a
@@ -211,14 +212,12 @@ def wilson_ci_99(successes: int, n: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MonteCarloCheck:
-    """Failures in ``n_rollouts`` sampled rollouts of a policy or mixture.
-
-    ``cost_mean`` is the mean sampled cost where the backend samples one.
-    """
+    """Failures and mean cost in ``n_rollouts`` sampled rollouts of a policy or
+    mixture: the report's ``monte_carlo`` block, which `cli.build_report` writes."""
 
     n_rollouts: int
     failures: int
-    cost_mean: float | None = None
+    cost_mean: float
 
     @property
     def failure_rate(self) -> float:
@@ -228,17 +227,16 @@ class MonteCarloCheck:
     def ci99(self) -> tuple[float, float]:
         return wilson_ci_99(self.failures, self.n_rollouts)
 
-    def report(self, seed: int) -> dict:
-        """The report's ``monte_carlo`` block for a check drawn from ``seed``."""
-        block = {
-            "seed": seed,
-            "n": self.n_rollouts,
-            "failure_rate": self.failure_rate,
-            "ci99": list(self.ci99),
-        }
-        if self.cost_mean is not None:
-            block["cost_mean"] = self.cost_mean
-        return block
+
+def split_rollouts(
+    solution: MixedSolution, seed: int, n: int
+) -> tuple[np.random.Generator, np.ndarray]:
+    """A mixture's one random draw, made for ``n`` rollouts at once: the
+    generator of ``seed``, which the sampler draws on from, and the number of
+    rollouts that each component gets from one multinomial draw of it."""
+    rng = np.random.default_rng(seed)
+    weights = np.array(solution.probabilities)
+    return rng, rng.multinomial(n, weights / weights.sum())
 
 
 def binomial_acceptance(rate: float, n: int, false_alarm: float) -> tuple[int, int]:

@@ -7,8 +7,8 @@ so the dual function is concave and piecewise linear, and chord steps
 from the answers at zero and at the multiplier cap land on its optimal
 breakpoint exactly; the risky and the safe candidate there are mixed so
 the aggregate meets the bound without rounding above it. The search
-returns that mixture beside its own record, the (multiplier, answer)
-pairs it asked; the mixture derives the optimal multiplier from its two
+returns that mixture beside its own record, the (multiplier, cost) pairs
+it asked; the mixture derives the optimal multiplier from its two
 components.
 """
 
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
+    CostVector,
     InfeasibleProblemError,
     InvalidInputError,
     LagrangianOracle,
@@ -31,8 +32,8 @@ from .core import (
 )
 
 
-# The search's one probe above zero: its answer is the safest policy, so a
-# risk still above the bound there means no policy meets it.
+# The search's one probe above zero. Its answer minimizes c0 + LAMBDA_MAX *
+# (c1 - V), so a policy within the bound V costs at least that minimum.
 LAMBDA_MAX = 1e9
 # Rounding slack when checking that risk never rises with the multiplier.
 MONOTONE_TOL = 1e-9
@@ -85,7 +86,7 @@ def bracket_mixture(candidates: Sequence[PureCandidate], v: float) -> MixedSolut
 
 def solve_mixed_scalar(
     oracle: LagrangianOracle,
-) -> tuple[list[tuple[float, PureCandidate]], MixedSolution]:
+) -> tuple[list[tuple[float, CostVector]], MixedSolution]:
     """Single-constraint pipeline: exact dual search, then two-point recovery.
 
     An answer at lam = 0 that meets the bound is returned pure. Otherwise
@@ -102,11 +103,12 @@ def solve_mixed_scalar(
     SolverLimitError after MAX_QUERIES queries. V is the oracle's
     ``risk_bound``.
 
-    Returns the search's record, the ``(lam, answer)`` pairs in the order
-    it asked them, and the mixture of the final bracket.
+    Returns the search's record, the ``(lam, cost)`` pairs of its answers
+    in the order it asked them, and the mixture of the final bracket. It
+    holds only its bracket ends' policies, so one it moved past is freed.
     """
     v = oracle.risk_bound
-    queries: list[tuple[float, PureCandidate]] = []
+    queries: list[tuple[float, CostVector]] = []
 
     def ask(lam: float) -> PureCandidate:
         if len(queries) >= MAX_QUERIES:
@@ -115,25 +117,24 @@ def solve_mixed_scalar(
                 "the oracle is not an exact minimizer over a finite policy class"
             )
         cand = oracle.query(lam)
-        queries.append((lam, cand))
+        queries.append((lam, cand.cost))
         return cand
 
-    cand0 = ask(0.0)
-    if cand0.cost.c1 <= v:
+    lam_lo, cand_lo = 0.0, ask(0.0)
+    if cand_lo.cost.c1 <= v:
         # a least-cost policy within the bound, alone at lam = 0
-        return queries, bracket_mixture((cand0,), v)
+        return queries, bracket_mixture((cand_lo,), v)
 
-    lam_lo, cand_lo = 0.0, cand0
     lam_hi, cand_hi = LAMBDA_MAX, ask(LAMBDA_MAX)
-    safest = cand_hi.cost.c1
-    if safest > cand0.cost.c1 + MONOTONE_TOL:
+    lo, hi = cand_lo.cost, cand_hi.cost
+    if hi.c1 > lo.c1 + MONOTONE_TOL:
         raise NonMonotoneOracleError(
-            f"risk rose from {cand0.cost.c1} at multiplier 0 to {safest} at {lam_hi}"
+            f"risk rose from {lo.c1} at multiplier 0 to {hi.c1} at {lam_hi}"
         )
-    if safest > v:
+    if hi.c1 > v:
         raise InfeasibleProblemError(
-            f"risk {safest} still above the bound {v} at the multiplier cap {lam_hi}; "
-            "no policy meets the bound"
+            f"risk {hi.c1} still above the bound {v} at the multiplier cap {lam_hi}; "
+            f"every policy within the bound costs at least {lagrangian_value(hi, lam_hi, v):.6g}"
         )
 
     while True:
@@ -191,17 +192,17 @@ def check_optimality(
     solution: MixedSolution,
     oracle: LagrangianOracle,
     tol: float = 1e-6,
-    reference: PureCandidate | None = None,
+    reference: CostVector | None = None,
     reevaluate: bool = True,
 ) -> OptimalityReport:
     """Check a) to f) against the oracle's ``risk_bound``; ``reference``
-    is the oracle's answer at lam, if known. ``reevaluate=False`` skips the
-    backend re-evaluation behind f, for a caller whose component costs
-    already are one; f is then 0 by construction."""
+    is the cost of the oracle's answer at lam, if known. ``reevaluate=False``
+    skips the backend re-evaluation behind f, for a caller whose component
+    costs already are one; f is then 0 by construction."""
     lam, v = solution.dual, oracle.risk_bound
     if reference is None:
-        reference = oracle.query(lam)
-    l_min = lagrangian_value(reference.cost, lam, v)
+        reference = oracle.query(lam).cost
+    l_min = lagrangian_value(reference, lam, v)
 
     res_a = 0.0
     for cand, p in solution.components:

@@ -48,6 +48,7 @@ from .core import (
     SolverLimitError,
     check_multiplier,
     read_component,
+    split_rollouts,
 )
 from .milp import EQ, GE, LE, MAX_NODES, LpProblem, MilpProblem, solve_lp, solve_milp
 
@@ -710,10 +711,11 @@ def _count_failures(model: SmpcModel, jobs: list[tuple[np.ndarray, int, int]]) -
 def estimate_risk_mc(
     model: SmpcModel, controls: np.ndarray, n_rollouts: int, seed: int
 ) -> MonteCarloCheck:
-    """Collisions in ``n_rollouts`` sampled rollouts of one control sequence."""
+    """Collisions in ``n_rollouts`` sampled rollouts of one control sequence, and its effort."""
     if n_rollouts < 1:
         raise InvalidInputError("need at least one rollout")
-    return MonteCarloCheck(n_rollouts, _count_failures(model, [(controls, n_rollouts, seed)]))
+    failures = _count_failures(model, [(controls, n_rollouts, seed)])
+    return MonteCarloCheck(n_rollouts, failures, float(np.abs(controls).sum()))
 
 
 def estimate_mixture_risk_mc(
@@ -722,19 +724,19 @@ def estimate_mixture_risk_mc(
     n_rollouts: int,
     seed: int,
 ) -> MonteCarloCheck:
-    """Collisions in ``n_rollouts`` sampled rollouts of a mixed strategy over plans.
+    """Collisions and mean effort in ``n_rollouts`` sampled rollouts of a mixed strategy.
 
-    One multinomial draw from ``seed`` splits the rollouts among the
-    components, and each component with rollouts then takes its own seed
-    from the same stream; the blocks of all components share one
-    schedule.
+    `split_rollouts` splits the rollouts among the components, and each
+    component with rollouts then takes its own seed from the same stream;
+    the blocks of all components share one schedule. Plans are open-loop,
+    so a rollout costs its plan's effort.
     """
-    rng = np.random.default_rng(seed)
-    probs = np.array(solution.probabilities)
-    counts = rng.multinomial(n_rollouts, probs / probs.sum())
+    rng, counts = split_rollouts(solution, seed, n_rollouts)
     jobs = [
         (cand.policy.controls, int(cnt), int(rng.integers(2**63)))
         for (cand, _), cnt in zip(solution.components, counts)
         if cnt > 0
     ]
-    return MonteCarloCheck(n_rollouts, _count_failures(model, jobs))
+    failures = _count_failures(model, jobs)
+    efforts = np.array([cand.cost.c0 for cand, _ in solution.components])
+    return MonteCarloCheck(n_rollouts, failures, float(counts @ efforts / n_rollouts))

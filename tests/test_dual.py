@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +81,7 @@ def test_tied_costs_return_the_safe_point_alone():
     assert solution.gap_estimate == 0.0
     # the certificate's reference is the answer at lambda = 0
     reference = dict(queries)[solution.dual]
-    assert reference.cost == CostVector(10.0, 0.02)
+    assert reference == CostVector(10.0, 0.02)
     assert check_optimality(solution, oracle, reference=reference).overall
 
 
@@ -89,13 +91,42 @@ def test_reference_is_the_answer_at_lambda_star():
     queries, solution = solve_mixed_scalar(oracle)
     reference = dict(queries).get(solution.dual)
     assert reference is not None
-    assert reference.cost == oracle.query(solution.dual).cost
+    assert reference == oracle.query(solution.dual).cost
 
 
 def test_infeasible_bound_raises():
     oracle = _finite([(5.0, 0.05), (9.0, 0.02)], 0.001)
     with pytest.raises(InfeasibleProblemError):
         solve_mixed_scalar(oracle)
+
+
+def test_multiplier_cap_error_states_only_what_the_probe_proves():
+    # the probe's answer (0, 0.02) minimizes c0 + 1e9 (c1 - 0.01), so a policy
+    # within the bound costs at least 1e7; (3e7, 0) is one
+    oracle = _finite([(0.0, 0.02), (3e7, 0.0)], 0.01)
+    with pytest.raises(InfeasibleProblemError) as raised:
+        solve_mixed_scalar(oracle)
+    message = str(raised.value)
+    assert "costs at least 1e+07" in message, message
+    assert "no policy meets the bound" not in message, message
+
+
+def test_search_keeps_no_policy_it_left_behind():
+    oracle = build_setup(load_config(CONFIGS / "desk_grid.json"), CONFIGS)
+    answers = []
+    query = oracle.query
+
+    def remembered(lam):
+        cand = query(lam)
+        answers.append(weakref.ref(cand.policy))
+        return cand
+
+    oracle.query = remembered
+    queries, solution = solve_mixed_scalar(oracle)
+    gc.collect()
+    alive = [ref() for ref in answers if ref() is not None]
+    assert len(answers) == len(queries) > 2
+    assert {id(policy) for policy in alive} <= {id(cand.policy) for cand, _ in solution.components}
 
 
 def test_non_monotone_oracle_detected():
@@ -125,7 +156,7 @@ def test_riskier_probe_above_the_bound_is_non_monotone_not_infeasible():
 
 def test_bisection_bracket_invariant():
     queries, _ = solve_mixed_scalar(_finite([(3.0, 0.04), (6.0, 0.02), (12.0, 0.0)], 0.01))
-    by_lambda = sorted((lam, cand.cost.c1) for lam, cand in queries)
+    by_lambda = sorted((lam, cost.c1) for lam, cost in queries)
     risks = [r for _, r in by_lambda]
     assert all(a >= b - 1e-12 for a, b in zip(risks, risks[1:]))
 
