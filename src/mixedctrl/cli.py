@@ -27,7 +27,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,150 +53,150 @@ SCHEMA_VERSION = 1
 TRACE_COLUMNS = ("iteration", "lambda", "c0", "c1", "lagrangian_value")
 # `validate` rejects a correct report's Monte Carlo check at most this often
 VALIDATE_FALSE_ALARM = 1e-6
-# numpy counts rollouts in 64-bit signed integers
-_MAX_ROLLOUTS = 2**63 - 1
+# numpy counts rollouts and sizes in 64-bit signed integers
+_MAX_INT = 2**63 - 1
 
-# Required and optional top-level keys per kind; any other key is rejected.
-_KEYS = {
-    "toy": (("policies", "risk_bound"), ()),
-    "grid": (("map", "horizon", "max_step", "sigma", "risk_bound"), ()),
-    "edl": (("map", "stages", "ellipsoids", "sigmas", "risk_bound"), ()),
-    "smpc": (
-        ("a", "b", "sigma_w", "horizon", "x_init", "x_goal", "u_lower", "u_upper",
-         "obstacles", "risk_bound"),
-        ("pwl_segments",),
-    ),
-}
-# Each key that holds a single number, with its type, at the top level and in the
-# optional sections that every kind accepts.
-_NUMBERS = {
-    "horizon": int, "max_step": int, "stages": int, "pwl_segments": int,
-    "sigma": (int, float), "risk_bound": (int, float),
-}
+
+class _Number(NamedTuple):
+    """A JSON number in [lo, hi], an integer when ``integer`` holds, and never
+    NaN, an infinity or an integer too large for a float; ``what`` says so."""
+
+    lo: float
+    hi: float
+    integer: bool
+    what: str
+
+
+# The config format. A shape is a `_Number`; `str`; a list holding the shape
+# of every entry, where a list of lists has rows of one length; a tuple, a
+# list with one shape per entry; or a dict, an object with exactly its keys,
+# of which those in `_OPTIONAL` may be left out.
+_NUMBER = _Number(-math.inf, math.inf, False, "a finite number")
+_SIZE = _Number(-math.inf, _MAX_INT, True, "an integer <= 2**63 - 1")
+_PROBABILITY = _Number(0, 1, False, "a finite number in [0, 1]")
+_VERSION = _Number(SCHEMA_VERSION, SCHEMA_VERSION, True, f"the integer {SCHEMA_VERSION}")
 _SECTIONS = {
-    "monte_carlo": {"seed": int, "n": int},
-    "sweep": {"lambda_min": (int, float), "lambda_max": (int, float), "points": int},
+    "monte_carlo": {
+        "seed": _Number(0, math.inf, True, "an integer >= 0"),
+        "n": _Number(1, _MAX_INT, True, "an integer in [1, 2**63 - 1]"),
+    },
+    "sweep": {
+        "lambda_min": _Number(0, math.inf, False, "a finite number >= 0"),
+        "lambda_max": _NUMBER,
+        "points": _Number(2, _MAX_INT, True, "an integer in [2, 2**63 - 1]"),
+    },
+}
+_OPTIONAL = frozenset({"pwl_segments", *_SECTIONS, *_SECTIONS["monte_carlo"], *_SECTIONS["sweep"]})
+_EVERY_KIND = {"schema": _VERSION, "kind": str, "risk_bound": _PROBABILITY, **_SECTIONS}
+_SCHEMA = {
+    "toy": {**_EVERY_KIND, "policies": [(_NUMBER, _PROBABILITY)]},
+    "grid": {**_EVERY_KIND, "map": str, "horizon": _SIZE, "max_step": _SIZE, "sigma": _NUMBER},
+    "edl": {
+        **_EVERY_KIND, "map": str, "stages": _SIZE,
+        "ellipsoids": [{"matrix": [[_NUMBER]], "radius": _NUMBER}],
+        "sigmas": [(_NUMBER, _NUMBER)],
+    },
+    "smpc": {
+        **_EVERY_KIND, "a": [[_NUMBER]], "b": [[_NUMBER]], "sigma_w": [[_NUMBER]],
+        "horizon": _SIZE, "x_init": [_NUMBER], "x_goal": [_NUMBER], "u_lower": [_NUMBER],
+        "u_upper": [_NUMBER], "obstacles": [{"normals": [[_NUMBER]], "offsets": [_NUMBER]}],
+        "pwl_segments": _SIZE,
+    },
 }
 
 
-def _check_type(label: str, value: object, types) -> None:
-    # bool is a subclass of int, but JSON's true and false are no numbers
-    if isinstance(value, bool) or not isinstance(value, types):
-        what = "an integer" if types is int else "a number"
-        raise InvalidInputError(f"{label} must be {what}, got {value!r}")
+def _path_text(path) -> str:
+    """The key path that ``path``, a label or a ``(parent, key)`` pair, stands for."""
+    if type(path) is str:
+        return path
+    parent, key = _path_text(path[0]), path[1]
+    return f"{parent}[{key}]" if type(key) is int else f"{parent}.{key}" if parent else key
 
 
-def _check_rollouts(label: str, seed: object, n: object) -> None:
-    """Reject a Monte Carlo ``seed`` or rollout count ``n`` that ``label`` gave."""
-    _check_type(f"{label}.seed", seed, int)
-    _check_type(f"{label}.n", n, int)
-    if seed < 0 or n < 1:
-        raise InvalidInputError(f"{label} needs seed >= 0 and n >= 1")
-    if n > _MAX_ROLLOUTS:
-        raise InvalidInputError(f"{label}.n must be at most 2**63 - 1, got {n}")
+def _shown(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
-def _first_leaf(value, is_bad) -> tuple[str, object] | None:
-    """Key path (".a[0].b") and value of the first leaf that is no number and
-    for which ``is_bad`` holds, or None."""
+def _check(value, shape, path) -> None:
+    """Raise InvalidInputError unless ``value`` has ``shape``. ``path``, the
+    value's label or a ``(parent path, key)`` pair, is only spelled out in
+    the message, as in ``sigmas[0] must be a list of 2 entries, got [2.0]``."""
     kind = type(value)
-    if kind is not dict and kind is not list:
-        return ("", value) if is_bad(value) else None
-    for key, item in value.items() if kind is dict else enumerate(value):
-        if type(item) is not float and type(item) is not int:
-            found = _first_leaf(item, is_bad)
-            if found is not None:
-                return (f".{key}" if kind is dict else f"[{key}]") + found[0], found[1]
-    return None
-
-
-def _not_a_number(value) -> bool:
-    return type(value) is not float and type(value) is not int  # JSON's true is no number
-
-
-class _NotFinite(str):
-    """A JSON number that no float holds: NaN, Infinity, -Infinity, or one that overflows."""
+    if type(shape) is _Number:
+        what = shape.what
+        # bool is a subclass of int, but JSON's true and false are no numbers
+        try:  # float(): an integer too large for one is no finite number
+            fits = (kind is int and (shape.integer or math.isfinite(float(value)))) or (
+                kind is float and not shape.integer and math.isfinite(value)
+            )
+        except OverflowError:
+            fits = False
+        fits = fits and shape.lo <= value <= shape.hi
+    elif shape is str:
+        what, fits = "a string", kind is str
+    elif type(shape) is tuple:
+        what, fits = f"a list of {len(shape)} entries", kind is list and len(value) == len(shape)
+        for i, item in enumerate(value if fits else ()):
+            _check(item, shape[i], (path, i))
+    elif type(shape) is list:
+        (item,) = shape
+        what, fits = "a list", kind is list
+        # one pass over a list of finite floats: a NaN or an infinity makes the sum one
+        if fits and not (
+            item is _NUMBER and all(type(v) is float for v in value) and math.isfinite(sum(value))
+        ):
+            for i, entry in enumerate(value):
+                _check(entry, item, (path, i))
+                if type(item) is list and len(entry) != len(value[0]):
+                    raise InvalidInputError(
+                        f"{_path_text((path, i))} must be a list of {len(value[0])} entries"
+                        f" like {_path_text((path, 0))}, got {_shown(entry)}"
+                    )
+    else:
+        what, fits = "an object", kind is dict
+        for key in value if fits else ():
+            if key not in shape:
+                raise InvalidInputError(f"unknown key {_path_text((path, key))}")
+        for key, item in shape.items() if fits else ():
+            if key in value:
+                _check(value[key], item, (path, key))
+            elif key not in _OPTIONAL:
+                raise InvalidInputError(f"missing key {_path_text((path, key))}")
+    if not fits:
+        raise InvalidInputError(f"{_path_text(path)} must be {what}, got {_shown(value)}")
 
 
 def _read_json(path: Path, what: str):
-    """The JSON document in ``path``; a number in it that is not finite is rejected."""
+    """The JSON document in ``path``."""
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bytes that are not UTF-8
         raise InvalidInputError(f"cannot read {what} {path}: {exc}") from exc
-    seen = []
-
-    def mark(literal: str) -> _NotFinite:
-        seen.append(literal)
-        return _NotFinite(literal)
-
-    def finite(literal: str) -> float | _NotFinite:
-        value = float(literal)  # inf for a literal that overflows, such as 1e999
-        return value if math.isfinite(value) else mark(literal)
-
     try:
-        document = json.loads(text, parse_constant=mark, parse_float=finite)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    # ValueError: an integer past int()'s digit limit, besides JSONDecodeError
+    except (ValueError, RecursionError) as exc:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
-    if seen:
-        key, literal = _first_leaf(document, lambda value: type(value) is _NotFinite)
-        raise InvalidInputError(
-            f"{what} {path}: {key[1:] or 'its value'} must be a finite number, got {literal:.24}"
-        )
-    return document
 
 
 def load_config(path: Path) -> dict:
+    """The config in ``path``, checked against ``_SCHEMA`` of its kind."""
     config = _read_json(path, "config")
-    if not isinstance(config, dict):
+    if type(config) is not dict:
         raise InvalidInputError("config root must be a JSON object")
-    if config.get("schema") != SCHEMA_VERSION:
-        raise InvalidInputError(
-            f"config schema must be {SCHEMA_VERSION}, got {config.get('schema')!r}"
-        )
     kind = config.get("kind")
-    if kind not in _KEYS:
-        raise InvalidInputError(f"unknown scenario kind {kind!r}")
-    required, optional = _KEYS[kind]
-    missing = [key for key in required if key not in config]
-    if missing:
-        raise InvalidInputError(f"{kind} config is missing: {', '.join(missing)}")
-    known = {"schema", "kind", *required, *optional, *_SECTIONS}
-    unknown = sorted(set(config) - known)
-    if unknown:
-        raise InvalidInputError(f"unknown {kind} config keys: {', '.join(unknown)}")
-    checks = [(key, config[key], _NUMBERS[key]) for key in config if key in _NUMBERS]
-    for name, types in _SECTIONS.items():
-        section = config.get(name, {})
-        if not isinstance(section, dict):
-            raise InvalidInputError(f"{name} must be a JSON object")
-        for key, value in section.items():
-            if key not in types:
-                raise InvalidInputError(f"unknown {name} key {key!r}")
-            checks.append((f"{name}.{key}", value, types[key]))
-    # every value but the kind and the map path is a number, or lists and objects of them
-    numbers = {k: v for k, v in config.items() if k not in ("kind", "map")}
-    found = _first_leaf(numbers, _not_a_number)
-    if found is not None:
-        raise InvalidInputError(f"{found[0][1:]} must be a number, got {found[1]!r}")
-    for label, value, types in checks:
-        _check_type(label, value, types)
-    mc = config.get("monte_carlo", {})
-    _check_rollouts("monte_carlo", mc.get("seed", 0), mc.get("n", 1))
-    bound = config["risk_bound"]
-    if not 0.0 <= bound <= 1.0:
-        raise InvalidInputError(f"risk_bound must be a number in [0, 1], got {bound!r}")
+    if type(kind) is not str or kind not in _SCHEMA:
+        raise InvalidInputError(f"kind must be one of {', '.join(_SCHEMA)}, got {_shown(kind)}")
+    _check(config, _SCHEMA[kind], "")
     return config
 
 
 def _read_map(config: dict, base_dir: Path):
-    rel = config["map"]
-    if not isinstance(rel, str):
-        raise InvalidInputError("map must be a relative path string")
-    path = base_dir / rel
+    path = base_dir / config["map"]
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, bytes not UTF-8
         raise InvalidInputError(f"cannot read map {path}: {exc}") from exc
     return parse_grid_map(text)
 
@@ -211,17 +211,8 @@ def _single_marker(markers: dict, char: str) -> tuple[int, int]:
 
 
 def _build_toy(config: dict, base_dir: Path) -> FiniteSetOracle:
-    policies = config["policies"]
-    if not isinstance(policies, list) or not policies:
-        raise InvalidInputError("policies must be a non-empty list of [cost, risk] pairs")
-    costs = []
-    for i, entry in enumerate(policies):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise InvalidInputError(f"policy entry {entry!r} is not a [cost, risk] pair")
-        if not 0.0 <= entry[1] <= 1.0:
-            raise InvalidInputError(f"policies[{i}] needs a risk in [0, 1], got {entry!r}")
-        costs.append(CostVector(*entry))
-    return FiniteSetOracle(costs, float(config["risk_bound"]))
+    return FiniteSetOracle([CostVector(*pair) for pair in config["policies"]],
+                           float(config["risk_bound"]))
 
 
 def _build_grid(config: dict, base_dir: Path) -> MdpOracle:
@@ -253,13 +244,7 @@ def _build_edl(config: dict, base_dir: Path) -> MdpOracle:
 
 
 def _build_smpc(config: dict, base_dir: Path) -> SmpcOracle:
-    entries = config["obstacles"]
-    if not isinstance(entries, list) or not all(
-        isinstance(entry, dict) and "normals" in entry and "offsets" in entry
-        for entry in entries
-    ):
-        raise InvalidInputError("obstacles must be a list of objects with normals and offsets")
-    obstacles = tuple(Obstacle(entry["normals"], entry["offsets"]) for entry in entries)
+    obstacles = tuple(Obstacle(entry["normals"], entry["offsets"]) for entry in config["obstacles"])
     model = SmpcModel(
         a_mat=config["a"],
         b_mat=config["b"],
@@ -289,13 +274,8 @@ _BUILDERS = {
 
 
 def build_setup(config: dict, base_dir: Path) -> LagrangianOracle:
-    """The oracle of a loaded config; ``base_dir`` resolves its map path."""
-    builder = _BUILDERS[config["kind"]]
-    try:
-        return builder(config, base_dir)
-    # OverflowError: an integer too large for a float
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"bad {config['kind']} config: {exc}") from exc
+    """The oracle of a config that `load_config` read; ``base_dir`` resolves its map path."""
+    return _BUILDERS[config["kind"]](config, base_dir)
 
 
 def _run_monte_carlo(
@@ -465,6 +445,7 @@ _SEEDED = frozenset(
 )
 # Numbers copied from the config rather than computed: compared exactly.
 _EXACT = frozenset({"risk_bound"})
+_REPORT_NUMBER = _NUMBER._replace(what="a number")
 
 
 def _malformed(path: str, what: str, value: object) -> InvalidInputError:
@@ -472,13 +453,8 @@ def _malformed(path: str, what: str, value: object) -> InvalidInputError:
 
 
 def _number(value: object, path: str) -> float:
-    # bool is a subclass of int, but JSON's true and false are no numbers
-    if type(value) is int or type(value) is float:
-        try:
-            return float(value)
-        except OverflowError:  # an integer too large for a float
-            pass
-    raise _malformed(path, "a number", value)
+    _check(value, _REPORT_NUMBER, f"report's {path}")
+    return float(value)
 
 
 def _diff(saved: object, fresh: object, path: str, skip: frozenset, lines: list[str]) -> None:
@@ -542,9 +518,8 @@ def _validate_report(
         saved_seed, n_rollouts = saved["monte_carlo"]["seed"], saved["monte_carlo"]["n"]
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"report has a missing or malformed field: {exc!r}") from exc
-    if type(schema) is not int or schema != SCHEMA_VERSION:
-        raise InvalidInputError(f"report schema must be {SCHEMA_VERSION}, got {schema!r}")
-    _check_rollouts("report's monte_carlo", saved_seed, n_rollouts)
+    _check(schema, _VERSION, "report's schema")
+    _check({"seed": saved_seed, "n": n_rollouts}, _SECTIONS["monte_carlo"], "report's monte_carlo")
 
     # each component is evaluated once; the certificate reuses the costs
     components = []
@@ -595,9 +570,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     section = config.get("sweep", {})
     lam_min = float(section.get("lambda_min", 0.0))
     lam_max = float(section.get("lambda_max", 2000.0))
-    points = int(section.get("points", 21))
-    if lam_min < 0 or lam_max <= lam_min or points < 2:
-        raise InvalidInputError("sweep needs 0 <= lambda_min < lambda_max and points >= 2")
+    points = section.get("points", 21)
+    if lam_max <= lam_min:
+        raise InvalidInputError(
+            f"sweep needs lambda_min < lambda_max, got {lam_min:g} and {lam_max:g}"
+        )
 
     # float(): a numpy scalar would reach sweep.csv as np.float64(...)
     lams = [float(lam) for lam in np.linspace(lam_min, lam_max, points)]

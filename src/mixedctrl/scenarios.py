@@ -96,11 +96,18 @@ def parse_grid_map(text: str):
     return feasible, markers
 
 
+# The largest reach, in cells, of a noise kernel or an ellipsoid; at 2**31
+# their (2 * reach + 1)**2 tables are more than any host holds.
+_MAX_REACH = 2**31 - 1
+
+
 def _kernel_1d(sigma: float):
     if sigma < 0:
         raise InvalidInputError("noise scale must be nonnegative")
     if sigma == 0:
         return np.array([0]), np.array([1.0])
+    if not 3.0 * sigma <= _MAX_REACH:
+        raise InvalidInputError(f"noise scale {sigma!r} reaches 2**31 cells or more")
     radius = max(1, math.ceil(3.0 * sigma))
     off = np.arange(-radius, radius + 1)
     w = np.exp(-0.5 * (off / sigma) ** 2)
@@ -290,7 +297,10 @@ def ellipsoid_offsets(matrix, radius: float):
     eigs = np.linalg.eigvalsh(mat)
     if eigs[0] <= 0:
         raise InvalidInputError("ellipsoid matrix must be positive definite")
-    reach = int(math.ceil(radius / math.sqrt(eigs[0])))
+    reach = radius / math.sqrt(eigs[0])
+    if not reach <= _MAX_REACH:  # not: an infinite or NaN reach too
+        raise InvalidInputError(f"ellipsoid radius {radius!r} reaches 2**31 cells or more")
+    reach = math.ceil(reach)
     side = np.arange(-reach, reach + 1)
     points = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 1, 2)
     # batched (1, 2) @ (2, 2) and (1, 2) @ (2, 1) products run the kernels that

@@ -199,6 +199,8 @@ class PwlCdf:
 def build_pwl_cdf(n_segments: int = 24, y_min: float = -6.0) -> PwlCdf:
     if n_segments < 1 or y_min >= 0.0:
         raise InvalidInputError("need at least one segment over a negative range")
+    if n_segments >= 2**31:
+        raise InvalidInputError(f"{n_segments} chord segments are more than a table can hold")
     ys = np.linspace(y_min, 0.0, n_segments + 1)
     ps = ndtr(ys)
     slopes = (ps[1:] - ps[:-1]) / (ys[1:] - ys[:-1])

@@ -79,6 +79,51 @@ def _replace(config: dict, path: tuple, value) -> dict:
     return config
 
 
+def _path_text(path: tuple) -> str:
+    return "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)[1:]
+
+
+def _leaf(tree, path: tuple):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+def _wrong_shapes(name: str) -> list:
+    """Each nested key of a shipped config edited to a wrong JSON shape, with
+    what its message must say: each number or string set to another JSON
+    type, the last row of each list of rows cut short, and each object below
+    the root given an unknown key and, in a list, left without each key."""
+    config = _shipped_config(name)
+    cases = []
+
+    def visit(node, path):
+        where = _path_text(path)
+        if type(node) is dict:
+            if path:
+                extra = _replace(config, (*path, "extra"), 1.0)
+                cases.append((extra, f"unknown key {where}.extra"))
+            for key, item in node.items():
+                if path and type(path[-1]) is int:
+                    dropped = json.loads(json.dumps(config))
+                    del _leaf(dropped, path)[key]
+                    cases.append((dropped, f"missing key {where}.{key}"))
+                visit(item, (*path, key))
+        elif type(node) is list:
+            if type(node[-1]) is list:
+                last = (*path, len(node) - 1)
+                cases.append((_replace(config, last, node[-1][:-1]),
+                              f"{_path_text(last)} must be a list of {len(node[-1])} entries"))
+            for i, item in enumerate(node):
+                visit(item, (*path, i))
+        else:
+            for value in ([1.0], None, 5 if type(node) is str else "x"):
+                cases.append((_replace(config, path, value), f"{where} must be"))
+
+    visit(config, ())
+    return cases
+
+
 # Numbers of the wrong type, each with the key it must name.
 _MISTYPED_NUMBERS = [
     ({**_shipped_config("desk_grid"), "horizon": 12.9}, "horizon"),
@@ -100,14 +145,17 @@ _MISTYPED_NUMBERS = [
      "obstacles[0].offsets[0]"),
     (_replace(_toy_config(), ("policies", 0), ["1.0", True]), "policies[0][0]"),
     (_toy_config(schema=True), "schema"),
+    (_toy_config(schema=1.0), "schema"),
     # a key that holds one number rejects a list of numbers
     ({**_shipped_config("desk_grid"), "sigma": [1.0]}, "sigma"),
     (_toy_config(risk_bound=[0.01]), "risk_bound"),
 ]
 
-# Shapes and ranges that pass the type rule, each with what its message must name.
+# Wrong shapes, ranges and sizes, each with what its message must name.
 _BAD_SHAPES_AND_RANGES = [
-    (_line_smpc_config(a=5), "state matrix must be square"),
+    (_line_smpc_config(a=5), "a must be a list"),
+    (_toy_config(kind=["toy"]), 'kind must be one of toy, grid, edl, smpc, got ["toy"]'),
+    (_toy_config(kind={}), "kind must be one of toy, grid, edl, smpc, got {}"),
     (_toy_config(monte_carlo={"n": 10**30}), "monte_carlo.n"),
     (_line_smpc_config(obstacles={}), "obstacles"),
     (_line_smpc_config(obstacles=[[1.0]]), "obstacles"),
@@ -121,10 +169,29 @@ _BAD_SHAPES_AND_RANGES = [
     ({**_shipped_config("desk_grid"), "sigma": float("inf")},
      "sigma must be a finite number, got Infinity"),
     (json.dumps(_toy_config()).replace('"risk_bound": 0.01', '"risk_bound": 1e999'),
-     "risk_bound must be a finite number, got 1e999"),
-    ({**_shipped_config("desk_grid"), "sigma": 10**400}, "bad grid config"),
+     "risk_bound must be a finite number in [0, 1], got Infinity"),
+    ({**_shipped_config("desk_grid"), "sigma": 10**400}, "sigma must be a finite number"),
     (_toy_config(sweep={"lambda_max": float("nan")}),
      "sweep.lambda_max must be a finite number, got NaN"),
+    (_replace(_shipped_config("corridor"), ("x_goal", 0), float("nan")),
+     "x_goal[0] must be a finite number, got NaN"),
+    # sizes past what a table or an int64 holds
+    ({**_shipped_config("desk_grid"), "sigma": 1e300}, "noise scale 1e+300 reaches 2**31 cells"),
+    (_replace(_shipped_config("landing"), ("sigmas", 1, 0), 1e300), "noise scale 1e+300"),
+    (_replace(_shipped_config("landing"), ("ellipsoids", 0, "radius"), 1e300),
+     "ellipsoid radius 1e+300 reaches 2**31 cells"),
+    ({**_shipped_config("corridor"), "pwl_segments": 2**40}, "1099511627776 chord segments"),
+    ({**_shipped_config("desk_grid"), "horizon": 10**30},
+     "horizon must be an integer <= 2**63 - 1"),
+    ({**_shipped_config("desk_grid"), "max_step": 10**30}, "max_step must be an integer <="),
+    ({**_shipped_config("corridor"), "horizon": 10**30}, "horizon must be an integer <="),
+    ({**_shipped_config("landing"), "stages": 2**63}, "stages must be an integer <="),
+    # text that json cannot read, and a map path that no file can have
+    ("[" * 100_000 + "]" * 100_000, "is not valid JSON: maximum recursion depth"),
+    (json.dumps(_toy_config()).replace('"n": 2000', '"n": ' + "9" * 5000),
+     "is not valid JSON: Exceeds the limit (4300 digits)"),
+    ({**_shipped_config("desk_grid"), "map": "desk\u0000grid.map"}, "cannot read map"),
+    *(case for name in ("toy", "desk_grid", "landing", "corridor") for case in _wrong_shapes(name)),
 ]
 
 
@@ -196,8 +263,25 @@ def test_config_validation_failures_exit_2(tmp_path, capsys):
     # the largest rollout count numpy can hold still loads
     most = _write(tmp_path, "most.json", _toy_config(monte_carlo={"n": 2**63 - 1}))
     assert cli.load_config(most)["monte_carlo"]["n"] == 2**63 - 1
+    (tmp_path / "latin1.json").write_bytes(b"\xff{}")
+    assert main(["solve", str(tmp_path / "latin1.json")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+    # finite floats whose sum overflows are finite numbers still
+    big = _write(tmp_path, "big.json", {**_shipped_config("corridor"), "u_upper": [1e308, 1e308]})
+    assert cli.load_config(big)["u_upper"] == [1e308, 1e308]
     assert (tmp_path / "out").exists() is False
     capsys.readouterr()
+
+
+def test_a_builder_defect_is_no_config_error(tmp_path, monkeypatch):
+    # only what the schema and the constructors reject is bad input
+    def broken(config, base_dir):
+        raise ValueError("a defect")
+
+    monkeypatch.setitem(cli._BUILDERS, "toy", broken)
+    path = _write(tmp_path, "toy.json", _toy_config())
+    with pytest.raises(ValueError, match="a defect"):
+        main(["solve", str(path), "--out", str(tmp_path / "out")])
 
 
 def test_unknown_and_removed_keys_exit_2_naming_the_key(tmp_path, capsys):
@@ -933,11 +1017,9 @@ def test_readme_command_line_section_names_every_config_key_and_flag():
     # an option added or removed without its docs fails here
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
-    keys = {"schema", "kind", *cli._SECTIONS}
-    for required, optional in cli._KEYS.values():
-        keys.update(required, optional)
-    for types in cli._SECTIONS.values():
-        keys.update(types)
+    keys = set()
+    for shape in (*cli._SCHEMA.values(), *cli._SECTIONS.values()):
+        keys.update(shape)
     (commands,) = (a for a in cli._build_parser()._actions if a.choices)
     flags = {
         flag
@@ -1032,16 +1114,6 @@ def _leaf_paths(node, path=()):
             yield from _leaf_paths(item, (*path, i))
     else:
         yield path
-
-
-def _path_text(path: tuple) -> str:
-    return "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)[1:]
-
-
-def _leaf(tree, path: tuple):
-    for key in path:
-        tree = tree[key]
-    return tree
 
 
 def _moved(value):
