@@ -396,7 +396,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     queries, solution = solve_mixed_scalar(oracle)
-    optimality = check_optimality(solution, oracle, 1e-6, dict(queries).get(solution.dual))
+    optimality = check_optimality(solution, oracle, dict(queries).get(solution.dual))
     # Output gates: randomizing can only help, so a mixture costlier than
     # the best pure candidate means something upstream went wrong, as does
     # a mixture that its own certificate rejects.
@@ -533,7 +533,7 @@ def _validate_report(
     # The certificate makes the one oracle query, at lambda*. Its condition f
     # holds by construction here: the component costs are the evaluations
     # just made, and the diff below compares them to the saved ones.
-    optimality = check_optimality(solution, oracle, 1e-6, reevaluate=False)
+    optimality = check_optimality(solution, oracle, reevaluate=False)
     seed = saved_seed if seed is None else seed
     monte_carlo = _run_monte_carlo(oracle, solution, seed, n_rollouts)
     fresh = build_report(

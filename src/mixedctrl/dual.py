@@ -43,6 +43,8 @@ TIE_RTOL = 1e-12
 # A finite, exact policy class ties within a few dozen queries; reaching
 # this many means the oracle is neither.
 MAX_QUERIES = 200
+# Largest residual at which `check_optimality` passes a condition.
+CERTIFICATE_TOL = 1e-6
 
 
 def recover_mixture_scalar(
@@ -191,7 +193,6 @@ class OptimalityReport:
 def check_optimality(
     solution: MixedSolution,
     oracle: LagrangianOracle,
-    tol: float = 1e-6,
     reference: CostVector | None = None,
     reevaluate: bool = True,
 ) -> OptimalityReport:
@@ -206,7 +207,7 @@ def check_optimality(
 
     res_a = 0.0
     for cand, p in solution.components:
-        if p > tol:
+        if p > CERTIFICATE_TOL:
             res_a = max(res_a, lagrangian_value(cand.cost, lam, v) - l_min)
 
     agg = solution.aggregate
@@ -222,5 +223,5 @@ def check_optimality(
             res_f = max(res_f, abs(fresh.c0 - cand.cost.c0), abs(fresh.c1 - cand.cost.c1))
 
     residuals = {"a": res_a, "b": res_b, "c": res_c, "d": res_d, "e": res_e, "f": res_f}
-    conditions = {name: r <= tol for name, r in residuals.items()}
+    conditions = {name: r <= CERTIFICATE_TOL for name, r in residuals.items()}
     return OptimalityReport(conditions, residuals, l_min)

@@ -6,7 +6,7 @@ objective. `solve_milp` is the one entry point to HiGHS
 the branch and cut of the copy of HiGHS that ships with scipy, and
 returns a `Solution`. `solve_lp` is `solve_milp` on a program without
 binaries. A mixed-binary search stops once the incumbent is within
-`MILP_GAP` of the best bound (no relative gap) or after ``max_nodes``
+`MILP_GAP` of the best bound (no relative gap) or after `MAX_NODES`
 nodes.
 
 `HIGHS_OPTIONS` tightens HiGHS's default feasibility tolerance of 1e-7,
@@ -45,7 +45,7 @@ HIGHS_OPTIONS = {
     "mip_abs_gap": MILP_GAP,
     "mip_heuristic_run_feasibility_jump": False,
 }
-# branch-and-cut nodes a mixed-binary program may use unless its caller says otherwise
+# branch-and-cut nodes a mixed-binary program may use; read at each solve
 MAX_NODES = 200_000
 # scipy folds HiGHS's model statuses into five codes: 0 optimal, 1 time or
 # iteration limit, 2 infeasible, 3 unbounded, 4 anything else (a numerical
@@ -96,10 +96,6 @@ class LpProblem:
     def num_vars(self) -> int:
         return self.objective.shape[0]
 
-    @property
-    def num_rows(self) -> int:
-        return self.lhs.shape[0]
-
 
 @dataclass(eq=False)
 class MilpProblem:
@@ -129,7 +125,7 @@ def solve_lp(problem: LpProblem) -> Solution:
     return solve_milp(MilpProblem(problem, ()))
 
 
-def solve_milp(problem: MilpProblem, max_nodes: int = MAX_NODES) -> Solution:
+def solve_milp(problem: MilpProblem) -> Solution:
     """Minimize with the binaries in {0, 1}.
 
     On a program with binaries a node or time limit reports
@@ -158,13 +154,13 @@ def solve_milp(problem: MilpProblem, max_nodes: int = MAX_NODES) -> Solution:
             integrality=integrality,
             bounds=Bounds(lower, upper),
             constraints=rows,
-            options={**HIGHS_OPTIONS, "node_limit": max_nodes},
+            options={**HIGHS_OPTIONS, "node_limit": MAX_NODES},
         )
     nodes = int(res.mip_node_count or 0)
     status = SCIPY_STATUS.get(res.status)
     # a time or iteration limit (1) or the node limit, HiGHS's "solution
     # limit" that scipy reports as 4, leaves a MILP suboptimal and an LP unsolved
-    if bins and (res.status == 1 or (res.status == 4 and nodes >= max_nodes)):
+    if bins and (res.status == 1 or (res.status == 4 and nodes >= MAX_NODES)):
         status = "suboptimal"
     if status is None:
         raise MixedControlError(f"HiGHS stopped without an answer: {res.message}")

@@ -195,6 +195,13 @@ def grid_scenario(
     t = horizon
     if t < 1 or max_step < 1:
         raise InvalidInputError("horizon and step must be positive")
+    # a step whose predecessor already reaches the map's far corner adds no
+    # move, only (2 max_step + 1)**2 candidates for `grid_actions` to list
+    longest = math.isqrt(max((w - 1) ** 2 + (h - 1) ** 2 - 1, 0)) + 1
+    if max_step > longest:
+        raise InvalidInputError(
+            f"max_step must be at most {longest} on a {w}x{h} map, got {max_step}"
+        )
 
     def check_cell(cell, what):
         x, y = cell

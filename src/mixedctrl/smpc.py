@@ -50,7 +50,8 @@ from .core import (
     read_component,
     split_rollouts,
 )
-from .milp import EQ, GE, LE, MAX_NODES, LpProblem, MilpProblem, solve_lp, solve_milp
+from . import milp
+from .milp import EQ, GE, LE, LpProblem, MilpProblem, solve_lp, solve_milp
 
 # below this the face distance in standard deviations is treated as exact
 _SIGMA_FLOOR = 1e-12
@@ -58,6 +59,8 @@ _SIGMA_FLOOR = 1e-12
 _SEPARATION_TOL = 1e-9
 # a saved plan's control may lie this far outside [u_lower, u_upper]
 _BOX_SLACK = 1e-9
+# left end of the chord range, where the normal CDF is about 1e-9
+PWL_Y_MIN = -6.0
 # Monte Carlo rollouts per block. Block i of a plan draws from child i of
 # the plan's seed, so the block size decides which normal draw goes to
 # which rollout, and changing it changes every estimate. Blocks are the
@@ -178,7 +181,7 @@ def mean_path(model: SmpcModel, controls: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PwlCdf:
-    """Chord majorant of the standard normal CDF on [y_min, 0], floored at zero.
+    """Chord majorant of the standard normal CDF on [PWL_Y_MIN, 0], floored at zero.
 
     The CDF is convex left of zero, so chords between grid points lie on
     or above it there; evaluating the max of the chords gives a
@@ -188,7 +191,6 @@ class PwlCdf:
 
     slopes: tuple[float, ...]
     intercepts: tuple[float, ...]
-    y_min: float
 
     def value(self, y):
         """The majorant at ``y``, a number or an array of them."""
@@ -196,16 +198,16 @@ class PwlCdf:
         return np.maximum(0.0, chords.max(axis=-1))
 
 
-def build_pwl_cdf(n_segments: int = 24, y_min: float = -6.0) -> PwlCdf:
-    if n_segments < 1 or y_min >= 0.0:
-        raise InvalidInputError("need at least one segment over a negative range")
+def build_pwl_cdf(n_segments: int = 24) -> PwlCdf:
+    if n_segments < 1:
+        raise InvalidInputError("need at least one segment")
     if n_segments >= 2**31:
         raise InvalidInputError(f"{n_segments} chord segments are more than a table can hold")
-    ys = np.linspace(y_min, 0.0, n_segments + 1)
+    ys = np.linspace(PWL_Y_MIN, 0.0, n_segments + 1)
     ps = ndtr(ys)
     slopes = (ps[1:] - ps[:-1]) / (ys[1:] - ys[:-1])
     intercepts = ps[:-1] - slopes * ys[:-1]
-    return PwlCdf(tuple(slopes), tuple(intercepts), float(y_min))
+    return PwlCdf(tuple(slopes), tuple(intercepts))
 
 
 def _face_sigmas(model: SmpcModel, covs) -> list[np.ndarray]:
@@ -463,11 +465,11 @@ class SmpcOracle(LagrangianOracle):
             self._program = build_inner_milp(self.model, lam, self.pwl)
         problem, cols = self._program
         problem.lp.objective[cols.delta] = lam
-        sol = solve_milp(problem, max_nodes=MAX_NODES)
+        sol = solve_milp(problem)
         if sol.status == "suboptimal":
             raise SolverLimitError(
                 f"inner problem at multiplier {lam:g} used its node budget of "
-                f"{MAX_NODES} nodes before proving a plan optimal"
+                f"{milp.MAX_NODES} nodes before proving a plan optimal"
             )
         if sol.status != "optimal":
             raise InfeasibleProblemError(
@@ -708,16 +710,6 @@ def _count_failures(model: SmpcModel, jobs: list[tuple[np.ndarray, int, int]]) -
             return work() + sum(f.result() for f in others)
         finally:
             stop.set()  # lets the pool close at once if the caller was interrupted
-
-
-def estimate_risk_mc(
-    model: SmpcModel, controls: np.ndarray, n_rollouts: int, seed: int
-) -> MonteCarloCheck:
-    """Collisions in ``n_rollouts`` sampled rollouts of one control sequence, and its effort."""
-    if n_rollouts < 1:
-        raise InvalidInputError("need at least one rollout")
-    failures = _count_failures(model, [(controls, n_rollouts, seed)])
-    return MonteCarloCheck(n_rollouts, failures, float(np.abs(controls).sum()))
 
 
 def estimate_mixture_risk_mc(

@@ -40,7 +40,7 @@ from mixedctrl.core import CostVector, PureCandidate
 from mixedctrl.dual import check_optimality, recover_mixture_scalar, solve_mixed_scalar
 from mixedctrl.milp import MilpProblem, solve_lp, solve_milp
 from mixedctrl.scenarios import FiniteSetOracle, parse_grid_map
-from mixedctrl.smpc import build_pwl_cdf, estimate_mixture_risk_mc
+from mixedctrl.smpc import PWL_Y_MIN, build_pwl_cdf, estimate_mixture_risk_mc
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -231,7 +231,7 @@ def test_criterion_6_smpc_conservatism_and_two_modes(corridor_run):
     assert est.ci99[0] <= bound
 
     for pwl in (setup.pwl, build_pwl_cdf()):
-        ys = np.linspace(pwl.y_min, 0.0, 10_000)
+        ys = np.linspace(PWL_Y_MIN, 0.0, 10_000)
         worst = min(pwl.value(float(y)) - ndtr(y) for y in ys)
         assert worst >= -1e-12, f"chord dips {worst:.2e} below the normal CDF"
 

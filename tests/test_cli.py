@@ -248,6 +248,14 @@ def test_config_validation_failures_exit_2(tmp_path, capsys):
             assert code == 2, (command, config)
     good = _write(tmp_path, "good.json", _toy_config())
     assert main(["solve", str(good), "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
+    # a step longer than a 4x4 map needs: max_step 5 already reaches its far corner
+    (tmp_path / "small.map").write_text("S...\n....\n....\n...G\n", encoding="utf-8")
+    far = _write(tmp_path, "far.json", {**_shipped_config("desk_grid"), "map": "small.map",
+                                        "max_step": 6})
+    for command in ("solve", "validate", "sweep"):
+        capsys.readouterr()
+        assert main([command, str(far), "--out", str(tmp_path / "out")]) == 2, command
+        assert "max_step must be at most 5 on a 4x4 map, got 6" in capsys.readouterr().err
     for i, (config, key) in enumerate(_MISTYPED_NUMBERS):
         path = _write(tmp_path, f"mistyped_{i}.json", config)
         for command in ("solve", "validate", "sweep"):
@@ -940,8 +948,8 @@ def test_sweep_samples_the_dual_function(tmp_path):
 
 
 def test_smpc_node_budget_exits_1_naming_the_budget(tmp_path, monkeypatch, capsys):
-    # the budget is fixed; a smaller one stands in for an inner program too hard for it
-    monkeypatch.setattr(smpc, "MAX_NODES", 3)
+    # a smaller milp.MAX_NODES, the one budget, stands in for a program too hard for it
+    monkeypatch.setattr(milp, "MAX_NODES", 3)
     out = tmp_path / "out"
     assert main(["solve", str(CONFIGS / "corridor.json"), "--out", str(out)]) == 1
     err = capsys.readouterr().err

@@ -189,7 +189,7 @@ def test_recover_scalar_degenerate_equal_risks():
 def test_check_optimality_accepts_solver_output():
     oracle = _toy()
     _, solution = solve_mixed_scalar(oracle)
-    report = check_optimality(solution, oracle, tol=1e-6)
+    report = check_optimality(solution, oracle)
     assert report.overall
     assert all(report.conditions.values())
 
@@ -200,7 +200,7 @@ def test_check_optimality_flags_perturbed_weights():
     b = PureCandidate(1, oracle.costs[1])
     perturbed = MixedSolution(((a, 0.6), (b, 0.4)))
     assert perturbed.dual == pytest.approx(1000.0, rel=1e-12)
-    report = check_optimality(perturbed, oracle, tol=1e-6)
+    report = check_optimality(perturbed, oracle)
     assert report.conditions["e"]  # aggregate risk 0.009 still below the bound
     assert not report.conditions["b"]  # slackness broken: 1000 * (0.009 - 0.01)
     assert report.residuals["b"] == pytest.approx(1.0, abs=1e-9)

@@ -147,7 +147,7 @@ def _brute_lp_solve_loop(problem: LpProblem, tol: float = 1e-7):
     n = problem.num_vars
     cand: list[tuple[np.ndarray, float]] = []
     must_active: list[int] = []
-    for i in range(problem.num_rows):
+    for i in range(problem.lhs.shape[0]):
         if problem.senses[i] == "=":
             must_active.append(len(cand))
         cand.append((problem.lhs[i], float(problem.rhs[i])))
@@ -204,11 +204,11 @@ def test_batched_vertex_enumeration_matches_the_loop():
         kind = trial % 3
         if kind == 1:
             # equality rows that must sit in every basis, some infeasible
-            p.senses = tuple(rng.choice(["<=", ">=", "="], size=p.num_rows))
+            p.senses = tuple(rng.choice(["<=", ">=", "="], size=p.lhs.shape[0]))
         elif kind == 2:
             # free and half-bounded variables, tight rows
             p.lower[rng.random(p.num_vars) < 0.3] = -np.inf
-            p.rhs = p.rhs - rng.uniform(0.0, 4.0, size=p.num_rows)
+            p.rhs = p.rhs - rng.uniform(0.0, 4.0, size=p.lhs.shape[0])
         got = brute_lp_solve(p)
         want = _brute_lp_solve_loop(p)
         assert got[0] == want[0], f"trial {trial}"

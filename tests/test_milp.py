@@ -10,6 +10,7 @@ import scipy.optimize
 from scipy.optimize import OptimizeResult
 
 from _oracles import brute_milp_solve, random_milp
+from mixedctrl import milp
 from mixedctrl.cli import build_setup
 from mixedctrl.core import MixedControlError
 from mixedctrl.milp import LpProblem, MilpProblem, Solution, solve_lp, solve_milp
@@ -74,10 +75,12 @@ def test_infeasible_root():
     assert sol.x is None
 
 
-def test_node_budget_flags_suboptimal():
+def test_node_budget_flags_suboptimal(monkeypatch):
     # HiGHS closes the knapsack at the root; this program needs a few nodes
     problem = _corridor_milp(1828.7)
-    assert solve_milp(problem, max_nodes=1).status == "suboptimal"
+    monkeypatch.setattr(milp, "MAX_NODES", 1)
+    assert solve_milp(problem).status == "suboptimal"
+    monkeypatch.undo()
     full = solve_milp(problem)
     assert full.status == "optimal"
     assert full.node_count > 1

@@ -18,10 +18,11 @@ from _oracles import (
 )
 from mixedctrl import smpc
 from mixedctrl.cli import build_setup, main
-from mixedctrl.core import InfeasibleProblemError, InvalidInputError
+from mixedctrl.core import InfeasibleProblemError, InvalidInputError, MonteCarloCheck
 from mixedctrl.dual import MONOTONE_TOL, solve_mixed_scalar
 from mixedctrl.milp import solve_milp
 from mixedctrl.smpc import (
+    PWL_Y_MIN,
     ControlPlan,
     Obstacle,
     SmpcModel,
@@ -29,7 +30,6 @@ from mixedctrl.smpc import (
     build_inner_milp,
     build_pwl_cdf,
     estimate_mixture_risk_mc,
-    estimate_risk_mc,
     mean_path,
     propagate_covariance,
 )
@@ -123,21 +123,22 @@ def test_covariance_matches_direct_sum():
 
 
 def test_pwl_chords_match_reference_cdf():
-    pwl = build_pwl_cdf(2, y_min=-2.0)
-    s0 = phi_ref(-1.0) - phi_ref(-2.0)
-    s1 = phi_ref(0.0) - phi_ref(-1.0)
+    pwl = build_pwl_cdf(2)
+    assert PWL_Y_MIN == -6.0
+    s0 = (phi_ref(-3.0) - phi_ref(-6.0)) / 3.0
+    s1 = (phi_ref(0.0) - phi_ref(-3.0)) / 3.0
     assert pwl.slopes[0] == pytest.approx(s0, abs=1e-12)
     assert pwl.slopes[1] == pytest.approx(s1, abs=1e-12)
-    assert pwl.intercepts[0] == pytest.approx(phi_ref(-2.0) + 2.0 * s0, abs=1e-12)
+    assert pwl.intercepts[0] == pytest.approx(phi_ref(-6.0) + 6.0 * s0, abs=1e-12)
     assert pwl.value(0.0) == pytest.approx(0.5, abs=1e-12)
     assert pwl.value(-10.0) == 0.0
 
 
 def test_pwl_value_on_arrays_matches_the_float_formula():
-    pwl = build_pwl_cdf(7, y_min=-4.5)
+    pwl = build_pwl_cdf(7)
     ys = np.concatenate([
-        np.linspace(-40.0, pwl.y_min, 50, endpoint=False),  # below the chord range
-        np.linspace(pwl.y_min, 0.0, 301),
+        np.linspace(-40.0, PWL_Y_MIN, 50, endpoint=False),  # below the chord range
+        np.linspace(PWL_Y_MIN, 0.0, 301),
         [1e-300, 1e-3, 0.5, 2.0, 40.0],  # past the right end, where chords extrapolate
     ])
     reference = [pwl_value_float(pwl.slopes, pwl.intercepts, float(y)) for y in ys]
@@ -260,7 +261,7 @@ def test_inner_milp_structure_counts():
     # its binary stays free with 3 chord rows (no mean-outside row, the
     # pinned mean is always past it) and the other three are never
     # separating, fixed to 1 with no rows. 1 cap row.
-    assert problem.lp.num_rows == 8 + 4 + 2 + (4 + 12 + 1) + (3 + 1)
+    assert problem.lp.lhs.shape[0] == 8 + 4 + 2 + (4 + 12 + 1) + (3 + 1)
     for face in (1, 2, 3):
         zi = cols.z[0][face, 1]
         assert problem.lp.lower[zi] == problem.lp.upper[zi] == 1.0
@@ -323,7 +324,7 @@ def test_certified_group_emits_no_rows_and_pins_binaries():
     problem, cols = build_inner_milp(model, 10.0, build_pwl_cdf(3))
     # step 2: right face and both y faces open (4 rows each incl. the
     # mean-outside row), left face unreachable, plus the cap row
-    assert problem.lp.num_rows == 8 + 4 + 2 + (3 * 4 + 1)
+    assert problem.lp.lhs.shape[0] == 8 + 4 + 2 + (3 * 4 + 1)
     assert problem.lp.lower[cols.z[0][0, 1]] == 0.0
     assert problem.lp.upper[cols.z[0][0, 1]] == 0.0
     for face in (1, 2, 3):
@@ -369,7 +370,9 @@ def test_halfplane_tail_bound_and_monte_carlo():
     plan_cost = oracle.evaluate(ControlPlan(np.zeros((1, 1))))
     assert plan_cost.c0 == 0.0
     assert PHI_MINUS_3 <= plan_cost.c1 <= PHI_MINUS_3 + 2e-3
-    est = estimate_risk_mc(model, np.zeros((1, 1)), 200_000, seed=123)
+    est = MonteCarloCheck(
+        200_000, smpc._count_failures(model, [(np.zeros((1, 1)), 200_000, 123)]), 0.0
+    )
     assert est.ci99[0] <= PHI_MINUS_3 <= est.ci99[1]
     assert est.failure_rate == pytest.approx(PHI_MINUS_3, abs=4e-4)
 
@@ -685,8 +688,8 @@ def test_sampler_counts_match_the_row_major_reference(corridor_plans, n):
             raw["a"], raw["b"], raw["sigma_w"], raw["x_init"], controls,
             raw["obstacles"], n, seed,
         )
-        got = estimate_risk_mc(smpc_model, controls, n, seed)
-        assert got.failure_rate == want / n, (seed, got.failure_rate * n, want)
+        got = smpc._count_failures(smpc_model, [(controls, n, seed)])
+        assert got == want, (seed, got, want)
 
 
 def _random_sampler_case(dim_x, case):
@@ -745,9 +748,9 @@ def test_sampler_counts_match_the_row_major_reference_on_random_models(
     want = mc_failures_rowmajor(
         raw["a"], raw["b"], raw["sigma_w"], raw["x_init"], controls, raw["obstacles"], n, seed
     )
-    got = estimate_risk_mc(model, controls, n, seed)
+    got = smpc._count_failures(model, [(controls, n, seed)])
     assert 0 < want < n, want
-    assert got.failure_rate == want / n, (got.failure_rate * n, want)
+    assert got == want, (got, want)
 
 
 @pytest.fixture(scope="module")
@@ -839,7 +842,7 @@ def test_many_cores_do_not_raise_the_sampler_memory(corridor_plans, monkeypatch)
     monkeypatch.setattr(smpc, "_block_failures", recording)
     tracemalloc.start()
     try:
-        estimate_risk_mc(model, plans[0], 1_000_000, seed=1)
+        smpc._count_failures(model, [(plans[0], 1_000_000, 1)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -865,7 +868,7 @@ def test_sampler_scratch_does_not_grow_with_the_rollout_count(corridor_plans, mo
     made = {}
     for blocks in (1, 31):
         owners.clear()
-        estimate_risk_mc(model, plans[0], blocks * smpc._MC_BLOCK, seed=1)
+        smpc._count_failures(model, [(plans[0], blocks * smpc._MC_BLOCK, 1)])
         # at most one scratch per worker, whatever number of blocks it runs
         assert len(set(owners)) == len(owners), owners
         made[blocks] = len(owners)
@@ -895,7 +898,7 @@ def test_an_error_in_one_block_reaches_the_caller(corridor_plans, monkeypatch, i
     monkeypatch.setattr(smpc, "_block_failures", _every_worker_takes_a_block(failing, 2))
     before = threading.active_count()
     with pytest.raises(_BlockFailed):
-        estimate_risk_mc(model, plans[0], 300_000, seed=1)
+        smpc._count_failures(model, [(plans[0], 300_000, 1)])
     assert threading.active_count() == before
 
 
@@ -910,7 +913,7 @@ def test_a_huge_rollout_count_is_scheduled_lazily(corridor_plans, monkeypatch):
     monkeypatch.setattr(smpc, "_block_failures", failing)
     started = time.perf_counter()
     with pytest.raises(_BlockFailed):
-        estimate_risk_mc(model, plans[0], 2**62, seed=1)
+        smpc._count_failures(model, [(plans[0], 2**62, 1)])
     assert time.perf_counter() - started < 5.0
     # one block per worker at most, never a list of 2**47 of them
     assert 1 <= len(calls) <= smpc._usable_cores()
@@ -938,7 +941,7 @@ def test_sampler_counts_follow_the_binomial_law():
     p = float(ndtr((offset - normal @ mean) / math.sqrt(normal @ sigma @ normal)))
     n, seeds = 2_000, 200
     counts = np.array([
-        round(estimate_risk_mc(model, u[None, :], n, seed).failure_rate * n)
+        smpc._count_failures(model, [(u[None, :], n, seed)])
         for seed in range(seeds)
     ])
     var = n * p * (1.0 - p)
@@ -950,7 +953,7 @@ def test_corridor_monte_carlo_memory_stays_small(corridor_plans):
     _, model, plans = corridor_plans
     tracemalloc.start()
     try:
-        estimate_risk_mc(model, plans[0], 1_000_000, seed=1)
+        smpc._count_failures(model, [(plans[0], 1_000_000, 1)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
