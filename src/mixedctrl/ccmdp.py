@@ -10,8 +10,10 @@ failure mass, which keeps policy evaluation exact rather than sampled.
 Transitions have one layout: each admissible (state, action) pair points
 at a row of a shared row-stochastic "spread" matrix, so one sparse
 product per step covers every action. The pair-to-row map is one
-contiguous (rows, actions) array, so the sweep's table of expected
-values is gathered row by row and minimised along contiguous rows.
+contiguous (rows, actions) array, the layout of every cost table, so
+the sweep's table of expected values is gathered row by row and
+minimised along contiguous rows. A ``ShiftSpread`` checks its spread
+rows when it is built, and an `Mdp` each cost table's admissible pairs.
 Translation-invariant dynamics (grid worlds) give the rows to cells and
 let every action that aims at a cell share its noise row; a hand-built
 table gives each pair its own row.
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -75,28 +77,26 @@ _MASS_TOL = 1e-12
 class ShiftSpread:
     """Per-pair target map into the rows of a shared row-stochastic spread.
 
-    Row ``r`` of the map belongs to state ``states[r]``: the next-state
-    distribution of that state under action ``a`` is row ``targets[r, a]``
-    of ``spread`` (-1 marks an inadmissible pair), so a sweep needs a
-    single sparse product shared by all actions. The map may hold rows
-    for a subset of the ``num_states`` states, in ascending state order;
-    the default is one row per state. ``row_of`` maps each state to its
-    row, -1 for a state without one. The spread rows may be pre-noise
-    destination cells, extra rows (a deterministic parking row for an
-    absorbing cell), or one row per pair; a row that no pair uses may be
-    empty. The constructor takes the map as (actions, rows) and keeps it
-    as one contiguous (rows, actions) array, the layout of the sweep's
-    table.
+    Row ``r`` of the (rows, actions) map ``targets`` belongs to state
+    ``states[r]``: the next-state distribution of that state under action
+    ``a`` is row ``targets[r, a]`` of ``spread`` (-1 marks an inadmissible
+    pair), so a sweep needs a single sparse product shared by all actions.
+    The map may hold rows for a subset of the ``num_states`` states, in
+    ascending state order; the default is one row per state. ``row_of``
+    maps each state to its row, -1 for a state without one. The spread
+    rows may be pre-noise destination cells, extra rows (a deterministic
+    parking row for an absorbing cell), or one row per pair; a row that no
+    pair uses may be empty. The constructor checks that each filled row
+    sums to one and that no entry is negative.
     """
 
     def __init__(self, targets: np.ndarray, spread, states=None, num_states: int | None = None):
-        targets = np.asarray(targets, dtype=np.int64)
+        self.targets = np.ascontiguousarray(targets, dtype=np.int64)
         self.spread = sp.csr_matrix(spread, dtype=float)
         # the CSC view that push_forward multiplies by; it shares the CSR arrays
         self._spread_t = self.spread.T
-        if targets.ndim != 2:
-            raise InvalidInputError("targets must be (actions, states)")
-        self.targets = np.ascontiguousarray(targets.T)
+        if self.targets.ndim != 2:
+            raise InvalidInputError("targets must be a (rows, actions) table")
         rows = self.targets.shape[0]
         if states is None:
             self.states = np.arange(rows)
@@ -115,6 +115,15 @@ class ShiftSpread:
         self.num_next = self.spread.shape[1]
         if self.targets.max(initial=-1) >= self.spread.shape[0]:
             raise InvalidInputError("target index outside the spread matrix")
+        sums = np.asarray(self.spread.sum(axis=1)).ravel()
+        off = np.where(np.diff(self.spread.indptr) > 0, np.abs(sums - 1.0), 0.0)
+        if np.any(off > _MASS_TOL):
+            bad = int(np.argmax(off))
+            raise InvalidInputError(f"spread row {bad} sums to {sums[bad]}")
+        negative = np.flatnonzero(self.spread.data < 0)
+        if negative.size:
+            bad = int(np.searchsorted(self.spread.indptr, negative[0], side="right")) - 1
+            raise InvalidInputError(f"negative probability in spread row {bad}")
 
     @property
     def num_actions(self) -> int:
@@ -169,20 +178,12 @@ class ShiftSpread:
             probs[which, width - n:] = p / p.sum(axis=1, keepdims=True)
         return cols, probs
 
-    def check_rows(self, admissible: np.ndarray):
-        """Check the spread rows and the pairs that ``admissible`` (rows, actions) marks.
+    def check_pairs(self, admissible: np.ndarray):
+        """Check that each pair ``admissible`` (rows, actions) marks has a target on a filled row.
 
-        A spread row that holds entries must sum to one; an empty row is one
-        that no admissible pair may use.
+        An empty spread row is one that no admissible pair may use.
         """
-        sums = np.asarray(self.spread.sum(axis=1)).ravel()
         filled = np.diff(self.spread.indptr) > 0
-        off = np.where(filled, np.abs(sums - 1.0), 0.0)
-        if np.any(off > _MASS_TOL):
-            bad = int(np.argmax(off))
-            raise InvalidInputError(f"spread row {bad} sums to {sums[bad]}")
-        if (self.spread.data < 0).any():
-            raise InvalidInputError("negative probability in the spread matrix")
         if filled.all():
             missing = admissible & (self.targets < 0)
         else:  # target -1 reads the appended False
@@ -208,28 +209,36 @@ class Policy:
 class Mdp:
     """Time-varying finite MDP. ``stage_costs`` hold +inf for inadmissible pairs.
 
-    ``stage_costs[k]`` has one row per row of ``dynamics[k]``. An alive
+    ``stage_costs[k]`` has one row per row of ``dynamics[k]``; ``horizon``
+    is the number of dynamics, and ``state_counts[k]`` the length of
+    ``failure_masks[k]``, one mask per step and one after the last. An alive
     state with a row needs an admissible action; an alive state without
-    one must be out of the initial distribution's reach.
+    one must be out of the initial distribution's reach. Each (dynamics,
+    costs, mask) triple is checked once, its pairs by `ShiftSpread.check_pairs`.
     """
 
-    horizon: int
-    state_counts: tuple[int, ...]
     dynamics: tuple
     stage_costs: tuple[np.ndarray, ...]
     failure_masks: tuple[np.ndarray, ...]
     initial: np.ndarray
+    horizon: int = field(init=False)
+    state_counts: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        t = self.horizon
+        self.horizon = t = len(self.dynamics)
         if t < 1:
             raise InvalidInputError("horizon must be at least one decision step")
-        if len(self.state_counts) != t + 1:
-            raise InvalidInputError("state_counts must have horizon+1 entries")
-        if len(self.dynamics) != t or len(self.stage_costs) != t:
-            raise InvalidInputError("dynamics and stage_costs must have horizon entries")
+        if len(self.stage_costs) != t:
+            raise InvalidInputError("stage_costs must have one table per dynamics")
         if len(self.failure_masks) != t + 1:
-            raise InvalidInputError("failure_masks must have horizon+1 entries")
+            raise InvalidInputError("failure_masks must have one more entry than dynamics")
+        self.failure_masks = tuple(
+            np.asarray(m, dtype=bool) for m in self.failure_masks
+        )
+        for k, mask in enumerate(self.failure_masks):
+            if mask.ndim != 1:
+                raise InvalidInputError(f"failure mask at step {k} is not one-dimensional")
+        self.state_counts = tuple(len(mask) for mask in self.failure_masks)
         self.initial = np.asarray(self.initial, dtype=float)
         if self.initial.shape != (self.state_counts[0],):
             raise InvalidInputError("initial distribution does not match step-1 states")
@@ -237,14 +246,7 @@ class Mdp:
             raise InvalidInputError(
                 f"initial distribution sums to {self.initial.sum()}"
             )
-        self.failure_masks = tuple(
-            np.asarray(m, dtype=bool) for m in self.failure_masks
-        )
-        for k, mask in enumerate(self.failure_masks):
-            if mask.shape != (self.state_counts[k],):
-                raise InvalidInputError(f"failure mask at step {k} has wrong length")
         self.stage_costs = tuple(np.asarray(c, dtype=float) for c in self.stage_costs)
-        checked: dict[int, list[np.ndarray]] = {}  # admissible patterns per dynamics object
         seen = {}  # admissible pattern per (dynamics, costs, mask) triple already checked
         rowless = False  # some alive state has no row
         for k in range(t):
@@ -269,10 +271,7 @@ class Mdp:
                     f"alive state {x} at step {k} has no admissible action"
                 )
             rowless = rowless or bool(np.any(alive & (dyn.row_of < 0)))
-            patterns = checked.setdefault(id(dyn), [])
-            if not any(np.array_equal(admissible, pattern) for pattern in patterns):
-                dyn.check_rows(admissible)
-                patterns.append(admissible)
+            dyn.check_pairs(admissible)
         if rowless:
             self._check_reach([
                 seen[id(dyn), id(cost), id(mask)]
@@ -578,12 +577,12 @@ def from_tables(
         n_k, n_next = counts[k], counts[k + 1]
         a_k = len(actions[k])
         pairs = [(key, row) for key, row in transitions.items() if key[0] == k]
-        targets = np.full((a_k, n_k), -1, dtype=np.int64)
+        targets = np.full((n_k, a_k), -1, dtype=np.int64)
         spread = sp.lil_matrix((len(pairs), n_next))
         cost = np.full((n_k, a_k), np.inf)
         for r, ((_, s, a), row) in enumerate(pairs):
             x, ai = index[k][s], actions[k].index(a)
-            targets[ai, x] = r
+            targets[x, ai] = r
             for s_next, p in row.items():
                 spread[r, index[k + 1][s_next]] = p
             cost[x, ai] = costs[(k, s, a)]
@@ -599,8 +598,6 @@ def from_tables(
     for s, p in initial.items():
         init[index[0][s]] = p
     return Mdp(
-        horizon=t,
-        state_counts=counts,
         dynamics=tuple(dynamics),
         stage_costs=tuple(stage_costs),
         failure_masks=tuple(masks),

@@ -181,9 +181,12 @@ class OptimalityReport:
     Lagrangian minimum at the solution's multiplier.
     """
 
-    conditions: dict[str, bool]
     residuals: dict[str, float]
     q_star: float
+
+    @property
+    def conditions(self) -> dict[str, bool]:
+        return {name: r <= CERTIFICATE_TOL for name, r in self.residuals.items()}
 
     @property
     def overall(self) -> bool:
@@ -223,5 +226,4 @@ def check_optimality(
             res_f = max(res_f, abs(fresh.c0 - cand.cost.c0), abs(fresh.c1 - cand.cost.c1))
 
     residuals = {"a": res_a, "b": res_b, "c": res_c, "d": res_d, "e": res_e, "f": res_f}
-    conditions = {name: r <= CERTIFICATE_TOL for name, r in residuals.items()}
-    return OptimalityReport(conditions, residuals, l_min)
+    return OptimalityReport(residuals, l_min)

@@ -227,7 +227,7 @@ def grid_scenario(
     stay = actions.index((0, 0))
     pairs[goal_idx] = -1
     pairs[goal_idx, stay] = n
-    dyn = ShiftSpread(pairs.T, spread)
+    dyn = ShiftSpread(pairs, spread)
 
     base = np.where(pairs >= 0, lengths[None, :], np.inf)
     fail = ~feasible.ravel()
@@ -242,8 +242,6 @@ def grid_scenario(
     initial = np.zeros(n)
     initial[start[0] * h + start[1]] = 1.0
     return Mdp(
-        horizon=t,
-        state_counts=(n,) * (t + 1),
         dynamics=(dyn,) * t,
         stage_costs=(base,) * (t - 1) + (last,),
         failure_masks=(fail,) * (t + 1),
@@ -357,7 +355,7 @@ def edl_scenario(feasible: np.ndarray, start, sites, stages: int, ellipsoids, si
         used = np.zeros(n + 1, dtype=bool)
         used[pairs] = True  # target -1 (an inadmissible pair) marks the extra entry
         spread = _clipped_spread(w, h, *sigmas[k], rows=np.flatnonzero(used[:n]))
-        dynamics.append(ShiftSpread(pairs.T, spread, cells, n))
+        dynamics.append(ShiftSpread(pairs, spread, cells, n))
         if k < t - 1:
             costs.append(np.where(pairs >= 0, 0.0, np.inf))
         else:
@@ -371,8 +369,6 @@ def edl_scenario(feasible: np.ndarray, start, sites, stages: int, ellipsoids, si
     initial = np.zeros(n)
     initial[sx * h + sy] = 1.0
     return Mdp(
-        horizon=t,
-        state_counts=(n,) * (t + 1),
         dynamics=tuple(dynamics),
         stage_costs=tuple(costs),
         failure_masks=tuple(masks),

@@ -420,16 +420,16 @@ class ControlPlan:
     controls: np.ndarray
 
 
-def _risk_terms(model: SmpcModel, covs, pwl: PwlCdf, path: np.ndarray):
+def _risk_terms(model: SmpcModel, sigmas, pwl: PwlCdf, path: np.ndarray):
     """Tightest per-face tail bound for each obstacle and step 2..N+1.
 
-    Returns the (n_obs, N) bound matrix and a mask of (obstacle, step)
-    pairs whose mean had no separating face at all; those entries carry
-    probability one.
+    Returns the (n_obs, N) bound matrix under the `_face_sigmas`
+    deviations ``sigmas`` and a mask of (obstacle, step) pairs whose mean
+    had no separating face at all; those entries carry probability one.
     """
     inside = np.zeros((len(model.obstacles), model.horizon), dtype=bool)
     terms = np.zeros(inside.shape)
-    for i, (obs, sigma) in enumerate(zip(model.obstacles, _face_sigmas(model, covs))):
+    for i, (obs, sigma) in enumerate(zip(model.obstacles, sigmas)):
         margin = obs.face_normals @ path[1:].T - obs.face_offsets[:, None]  # (faces, N)
         separating = margin >= -_SEPARATION_TOL
         bound = _tail_bound(pwl, np.minimum(-margin, 0.0), sigma)
@@ -456,7 +456,7 @@ class SmpcOracle(LagrangianOracle):
         self.model = model
         self.risk_bound = risk_bound
         self.pwl = pwl if pwl is not None else build_pwl_cdf()
-        self._covs = propagate_covariance(model)
+        self._sigmas = _face_sigmas(model, propagate_covariance(model))
         self._program: tuple[MilpProblem, Columns] | None = None  # built on the first query
 
     def query(self, lam: float) -> PureCandidate:
@@ -487,7 +487,7 @@ class SmpcOracle(LagrangianOracle):
     def _cost(self, controls: np.ndarray) -> tuple[CostVector, np.ndarray]:
         """L1 effort and summed risk bound, plus `_risk_terms`'s inside mask."""
         path = mean_path(self.model, controls)
-        terms, inside = _risk_terms(self.model, self._covs, self.pwl, path)
+        terms, inside = _risk_terms(self.model, self._sigmas, self.pwl, path)
         return CostVector(np.abs(controls).sum(), terms.sum()), inside
 
     def evaluate(self, policy: object) -> CostVector:

@@ -275,13 +275,11 @@ def random_tiny_mdp(rng: np.random.Generator, max_policies: int = 1500):
         for _ in range(a_k):
             raw = rng.random((n_k, n_next)) + 1e-3
             rows.append(raw / raw.sum(axis=1, keepdims=True))
-        targets = np.arange(a_k * n_k).reshape(a_k, n_k)
+        targets = n_k * np.arange(a_k) + np.arange(n_k)[:, None]
         dynamics.append(ShiftSpread(targets, np.vstack(rows)))
         stage_costs.append(rng.uniform(0.0, 10.0, size=(n_k, a_k)))
     init = rng.random(counts[0]) + 1e-3
     return Mdp(
-        horizon=t,
-        state_counts=counts,
         dynamics=tuple(dynamics),
         stage_costs=tuple(stage_costs),
         failure_masks=tuple(masks),

@@ -73,6 +73,20 @@ def test_a_change_median_past_the_bound_says_no(ab_pairs):
     assert line.endswith("change won 0 of 3 pairs, within the 0.1 bound: yes")
 
 
+def test_a_parent_spread_wider_than_the_bound_is_unresolved(ab_pairs):
+    spec = [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    # quartiles 0.9 and 1.2 around a median of 1.0: a spread of 0.3
+    runs = [{"setup_s": {"value": value}} for value in (0.8, 0.9, 1.0, 1.2, 1.3)]
+    level = [{"setup_s": {"value": value}} for value in (1.0, 0.9, 1.1, 1.0, 1.0)]
+    (line,) = ab_pairs.compare(spec, runs, level)
+    assert line.endswith("within the 0.25 bound: unresolved (parent spread 0.3)")
+    (line,) = ab_pairs.compare(spec, runs, [{"setup_s": {"value": 2.0}}] * 5)
+    assert line.endswith("within the 0.25 bound: unresolved (parent spread 0.3)")
+    # every change run better than every parent run settles it
+    (line,) = ab_pairs.compare(spec, runs, [{"setup_s": {"value": 0.7}}] * 5)
+    assert line.endswith("change won 5 of 5 pairs, within the 0.25 bound: yes")
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [

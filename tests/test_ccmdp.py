@@ -191,9 +191,7 @@ def test_validation_rejects_bad_rows():
 def test_validation_requires_admissible_action_for_alive_states():
     with pytest.raises(InvalidInputError, match="no admissible action"):
         Mdp(
-            horizon=1,
-            state_counts=(2, 1),
-            dynamics=(ShiftSpread(np.array([[0, 0]]), sp.csr_matrix([[1.0]])),),
+            dynamics=(ShiftSpread(np.array([[0], [0]]), sp.csr_matrix([[1.0]])),),
             stage_costs=(np.array([[1.0], [np.inf]]),),
             failure_masks=(np.zeros(2, bool), np.zeros(1, bool)),
             initial=np.array([0.5, 0.5]),
@@ -207,8 +205,6 @@ def _rowless_mdp(spread_rows, initial, fail_1=(False, False)):
     """
     dyn = ShiftSpread(np.array([[0]]), sp.csr_matrix(spread_rows), states=[0], num_states=2)
     return Mdp(
-        horizon=2,
-        state_counts=(2, 2, 2),
         dynamics=(dyn, dyn),
         stage_costs=(np.array([[1.0]]), np.array([[2.0]])),
         failure_masks=(np.zeros(2, bool), np.array(fail_1), np.array([False, True])),
@@ -224,7 +220,7 @@ def test_a_state_without_a_row_must_be_out_of_reach(tmp_path):
     assert evaluate_policy(mdp, policy) == CostVector(3.0, 0.0)
     with pytest.raises(InvalidInputError, match="state 1 has no row"):
         mdp.dynamics[0].row(1, 0)
-    inadmissible = ShiftSpread(np.array([[0, -1]]), sp.csr_matrix([[1.0]]))
+    inadmissible = ShiftSpread(np.array([[0], [-1]]), sp.csr_matrix([[1.0]]))
     with pytest.raises(InvalidInputError, match="action 0 has no target at state 1"):
         inadmissible.row(1, 0)
     # a table that also lists the row-less state loads without it
@@ -245,27 +241,52 @@ def test_a_state_without_a_row_must_be_out_of_reach(tmp_path):
     assert evaluate_policy(failing, lagrangian_dp(failing, 4.0)[0]) == CostVector(2.0, 0.75)
 
 
-def test_check_rows_names_the_first_bad_row_or_pair():
+def test_a_spread_is_checked_when_built_and_names_its_bad_row():
     uneven = sp.csr_matrix([[1.0, 0.0], [0.4, 0.5]])
     with pytest.raises(InvalidInputError, match=r"spread row 1 sums to 0\.9"):
-        ShiftSpread(np.array([[0, 1]]), uneven).check_rows(np.ones((2, 1), bool))
-    negative = sp.csr_matrix([[1.5, -0.5]])
-    with pytest.raises(InvalidInputError, match="negative probability"):
-        ShiftSpread(np.array([[0]]), negative).check_rows(np.ones((1, 1), bool))
+        ShiftSpread(np.array([[0], [1]]), uneven)
+    negative = sp.csr_matrix([[1.0, 0.0], [1.5, -0.5]])
+    with pytest.raises(InvalidInputError, match="negative probability in spread row 1"):
+        ShiftSpread(np.array([[0], [1]]), negative)
+
+
+def test_check_pairs_names_the_first_pair_without_a_filled_row():
     # action 1 has no target at state 0, action 0 none at state 2: the lower action is named
-    targets = np.array([[0, 0, -1], [-1, 0, 0]])
+    targets = np.array([[0, -1], [0, 0], [-1, 0]])
     with pytest.raises(
         InvalidInputError, match="action 0 marked admissible but has no target at state 2"
     ):
-        ShiftSpread(targets, sp.csr_matrix([[1.0]])).check_rows(np.ones((3, 2), bool))
+        ShiftSpread(targets, sp.csr_matrix([[1.0]])).check_pairs(np.ones((3, 2), bool))
     # an inadmissible pair needs no target
     admissible = np.array([[True, False], [True, True], [False, True]])
-    ShiftSpread(targets, sp.csr_matrix([[1.0]])).check_rows(admissible)
+    ShiftSpread(targets, sp.csr_matrix([[1.0]])).check_pairs(admissible)
     # an empty spread row may stand unused, but no admissible pair may use it
     gap = sp.csr_matrix((np.array([1.0]), np.array([0]), np.array([0, 1, 1])), shape=(2, 1))
-    ShiftSpread(np.array([[0, 1]]), gap).check_rows(np.array([[True], [False]]))
+    ShiftSpread(np.array([[0], [1]]), gap).check_pairs(np.array([[True], [False]]))
     with pytest.raises(InvalidInputError, match="action 0 at state 1 uses the empty spread row 1"):
-        ShiftSpread(np.array([[0, 1]]), gap).check_rows(np.ones((2, 1), bool))
+        ShiftSpread(np.array([[0], [1]]), gap).check_pairs(np.ones((2, 1), bool))
+
+
+def test_an_mdp_reads_its_horizon_and_state_counts_off_its_tables():
+    for name in ("desk_grid", "landing"):
+        built = build_setup(load_config(CONFIGS / f"{name}.json"), CONFIGS).mdp
+        mdp = Mdp(
+            dynamics=built.dynamics,
+            stage_costs=built.stage_costs,
+            failure_masks=built.failure_masks,
+            initial=built.initial,
+        )
+        assert mdp.horizon == len(mdp.dynamics) == {"desk_grid": 15, "landing": 3}[name]
+        assert mdp.state_counts == tuple(len(mask) for mask in mdp.failure_masks)
+        assert len(mdp.state_counts) == mdp.horizon + 1
+    with pytest.raises(InvalidInputError, match="one more entry than dynamics"):
+        Mdp(built.dynamics, built.stage_costs, built.failure_masks[:-1], built.initial)
+    with pytest.raises(InvalidInputError, match="one table per dynamics"):
+        Mdp(built.dynamics, built.stage_costs[:-1], built.failure_masks, built.initial)
+    with pytest.raises(InvalidInputError, match="dynamics at step 0 have wrong shape"):
+        Mdp(built.dynamics, built.stage_costs,
+            built.failure_masks[:1] + (np.zeros(3, bool),) + built.failure_masks[2:],
+            built.initial)
 
 
 def test_policy_errors():
@@ -608,22 +629,21 @@ def test_policy_loader_names_every_row_it_rejects(tmp_path):
     assert {"loaded", "has", "references"} <= outcomes
 
 
-def test_each_distinct_spread_and_pattern_is_checked(monkeypatch):
-    good = ShiftSpread(np.array([[0, 1]]), sp.csr_matrix([[1.0, 0.0], [0.0, 1.0]]))
-    bad = ShiftSpread(np.array([[0, 1]]), sp.csr_matrix([[1.0, 0.0], [0.3, 0.3]]))
+def test_spread_rows_are_checked_once_and_pairs_once_per_triple(monkeypatch):
+    with pytest.raises(InvalidInputError, match=r"spread row 1 sums to 0\.6"):
+        ShiftSpread(np.array([[0], [1]]), sp.csr_matrix([[1.0, 0.0], [0.3, 0.3]]))
+    good = ShiftSpread(np.array([[0], [1]]), sp.csr_matrix([[1.0, 0.0], [0.0, 1.0]]))
     calls = []
-    real = ShiftSpread.check_rows
+    real = ShiftSpread.check_pairs
 
     def counted(self, admissible):
         calls.append(self)
         return real(self, admissible)
 
-    monkeypatch.setattr(ShiftSpread, "check_rows", counted)
+    monkeypatch.setattr(ShiftSpread, "check_pairs", counted)
 
     def build(dynamics, costs):
         return Mdp(
-            horizon=len(dynamics),
-            state_counts=(2,) * (len(dynamics) + 1),
             dynamics=tuple(dynamics),
             stage_costs=tuple(costs),
             failure_masks=(np.zeros(2, bool),) * (len(dynamics) + 1),
@@ -632,19 +652,23 @@ def test_each_distinct_spread_and_pattern_is_checked(monkeypatch):
 
     ones = np.ones((2, 1))
     build([good] * 4, [ones, 2 * ones, ones, ones])
-    assert calls == [good]  # one spread, one admissible pattern: one check
-    with pytest.raises(InvalidInputError, match=r"spread row 1 sums to 0\.6"):
-        build([good, good, bad], [ones] * 3)
-    # the same spread under a new admissible pattern is checked again
+    assert calls == [good, good]  # two (dynamics, costs, mask) triples: two pair checks
+    # the spread's rows were checked when it was built, and an Mdp reads
+    # none of their sums: spoiling them now goes unseen
+    good.spread.data[:] = 0.3
     calls.clear()
-    holes = ShiftSpread(np.array([[0, -1], [0, 0]]), sp.csr_matrix([[1.0, 0.0]]))
+    build([good] * 2, [ones] * 2)
+    assert calls == [good]
+    # the same spread under another cost table is checked again
+    calls.clear()
+    holes = ShiftSpread(np.array([[0, 0], [-1, 0]]), sp.csr_matrix([[1.0, 0.0]]))
     with pytest.raises(InvalidInputError, match="action 0 marked admissible but has no target"):
         build([holes, holes], [np.array([[1.0, 1.0], [np.inf, 1.0]]), np.ones((2, 2))])
     assert calls == [holes, holes]
 
 
 def test_a_step_is_checked_unless_its_dynamics_costs_and_mask_were(monkeypatch):
-    dyn = ShiftSpread(np.array([[0, 1]]), sp.csr_matrix([[1.0, 0.0], [0.0, 1.0]]))
+    dyn = ShiftSpread(np.array([[0], [1]]), sp.csr_matrix([[1.0, 0.0], [0.0, 1.0]]))
     calls = []
     real = np.isfinite
 
@@ -654,8 +678,6 @@ def test_a_step_is_checked_unless_its_dynamics_costs_and_mask_were(monkeypatch):
 
     def build(costs, masks):
         return Mdp(
-            horizon=len(costs),
-            state_counts=(2,) * (len(costs) + 1),
             dynamics=(dyn,) * len(costs),
             stage_costs=tuple(costs),
             failure_masks=tuple(masks) + (np.zeros(2, bool),),
@@ -679,15 +701,15 @@ def test_shift_spread_matches_explicit_matrices():
     n = 6
     spread = rng.random((n + 1, n)) + 0.05
     spread /= spread.sum(axis=1, keepdims=True)
-    targets = rng.integers(0, n + 1, size=(3, n))
-    targets[2, 0] = -1  # one inadmissible pair
+    targets = rng.integers(0, n + 1, size=(n, 3))
+    targets[0, 2] = -1  # one inadmissible pair
     compact = ShiftSpread(targets, sp.csr_matrix(spread))
     # dense kernel of each action; the inadmissible row stays zero
     kernels = np.zeros((3, n, n))
     for a in range(3):
         for x in range(n):
-            if targets[a, x] >= 0:
-                kernels[a, x] = spread[targets[a, x]]
+            if targets[x, a] >= 0:
+                kernels[a, x] = spread[targets[x, a]]
 
     j_next = rng.uniform(0.0, 5.0, size=n)
     np.testing.assert_allclose(
@@ -705,8 +727,6 @@ def test_shift_spread_matches_explicit_matrices():
     mask = np.zeros(n, bool)
     mask[4] = True
     mdp = Mdp(
-        horizon=1,
-        state_counts=(n, n),
         dynamics=(compact,),
         stage_costs=(costs,),
         failure_masks=(np.zeros(n, bool), mask),

@@ -883,9 +883,7 @@ def test_validate_accepts_landing_policy_files_that_list_every_cell(tmp_path):
     (x, y), = markers["S"]
     initial[x * feasible.shape[1] + y] = 1.0
     whole = ccmdp.Mdp(
-        horizon=len(stages),
-        state_counts=(n,) * (len(stages) + 1),
-        dynamics=tuple(ccmdp.ShiftSpread(pairs.T, spread) for pairs, spread, _ in stages),
+        dynamics=tuple(ccmdp.ShiftSpread(pairs, spread) for pairs, spread, _ in stages),
         stage_costs=tuple(cost for _, _, cost in stages),
         failure_masks=(np.zeros(n, bool),) * len(stages) + (~feasible.ravel(),),
         initial=initial,

@@ -192,7 +192,7 @@ def test_risk_terms_match_the_per_face_reference(name):
     for scale in np.linspace(0.0, 1.0, 12):
         controls = scale * rng.uniform(model.u_lower, model.u_upper, (model.horizon, 2))
         path = mean_path(model, controls)
-        terms, inside = smpc._risk_terms(model, covs, pwl, path)
+        terms, inside = smpc._risk_terms(model, smpc._face_sigmas(model, covs), pwl, path)
         ref_terms, ref_inside = risk_terms_per_face(model, covs, pwl, path)
         assert terms.shape == (len(model.obstacles), model.horizon)
         assert np.array_equal(inside, ref_inside)
@@ -209,7 +209,7 @@ def test_risk_terms_mark_a_mean_inside_like_the_per_face_reference():
     pwl = build_pwl_cdf(6)
     # step 2 sits in the box's middle, step 3 past its right face
     path = mean_path(model, [[1.0, 0.0], [1.0, 0.0]])
-    terms, inside = smpc._risk_terms(model, covs, pwl, path)
+    terms, inside = smpc._risk_terms(model, smpc._face_sigmas(model, covs), pwl, path)
     ref_terms, ref_inside = risk_terms_per_face(model, covs, pwl, path)
     assert inside.tolist() == ref_inside.tolist() == [[True, False]]
     assert terms[0, 0] == 1.0
@@ -223,7 +223,7 @@ def test_a_face_without_noise_bounds_its_tail_by_zero():
     # step 2 sits on the top face, where y has no noise, and on the left
     # face, where its tail is a half; the top face bounds it by 0
     path = mean_path(model, [[0.5, 0.5], [0.5, 0.1]] + [[0.5, -0.15]] * 4)
-    terms, inside = smpc._risk_terms(model, covs, pwl, path)
+    terms, inside = smpc._risk_terms(model, smpc._face_sigmas(model, covs), pwl, path)
     ref_terms, _ = risk_terms_per_face(model, covs, pwl, path)
     assert not inside.any() and terms[0, 0] == 0.0
     assert terms.tobytes() == ref_terms.tobytes()
@@ -357,7 +357,8 @@ def test_risk_term_follows_the_cheapest_separating_face():
     from mixedctrl.smpc import _risk_terms
 
     controls = sol.x[cols.u]
-    terms, _ = _risk_terms(model, propagate_covariance(model), pwl, mean_path(model, controls))
+    sigmas = smpc._face_sigmas(model, propagate_covariance(model))
+    terms, _ = _risk_terms(model, sigmas, pwl, mean_path(model, controls))
     deltas = sol.x[cols.delta]
     assert deltas.sum() == pytest.approx(terms.sum(), abs=1e-6)
     # the 1-sigma top face would cost a quarter of the mass

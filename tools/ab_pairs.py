@@ -11,7 +11,10 @@ Otherwise it prints one line per end-to-end metric of this checkout's
 ``BENCHMARK.json``: the parent's median and quartiles, the change's
 median, the pairs the change won, and whether the change's median is
 within the metric's bound of the parent's (for a lower-is-better metric,
-at most ``1 + bound`` times it).
+at most ``1 + bound`` times it). Where the parent's own quartile spread,
+``(q3 - q1) / median``, is wider than the bound, a median cannot show
+that, and the line reads ``unresolved`` with the spread, unless every
+change run reads better than every parent run.
 """
 
 from __future__ import annotations
@@ -66,10 +69,18 @@ def compare(metrics: list[dict], parent: list[dict], change: list[dict]) -> list
         median = statistics.median(after)
         won = sum((b < a) if lower else (b > a) for a, b in zip(before, after))
         within = median <= mid * (1 + bound) if lower else median >= mid * (1 - bound)
+        spread = (q3 - q1) / mid
+        better = max(after) < min(before) if lower else min(after) > max(before)
+        if better:
+            verdict = "yes"
+        elif spread > bound:
+            verdict = f"unresolved (parent spread {spread:.3g})"
+        else:
+            verdict = "yes" if within else "no"
         lines.append(
             f"{name}: parent median {mid:.6g} {spec['unit']} (quartiles {q1:.6g}, {q3:.6g}), "
             f"change median {median:.6g}, change won {won} of {len(after)} pairs, "
-            f"within the {bound:g} bound: {'yes' if within else 'no'}"
+            f"within the {bound:g} bound: {verdict}"
         )
     return lines
 
