@@ -213,6 +213,11 @@ def grid_scenario(
     check_cell(start, "start")
     check_cell(goal, "goal")
     n = w * h
+    # the DP holds horizon x cells actions; at 2**31 no table holds them
+    if t * n >= 2**31:
+        raise InvalidInputError(
+            f"horizon must be at most {(2**31 - 1) // n} on a {w}x{h} map, got {t}"
+        )
     goal_idx = goal[0] * h + goal[1]
     actions = grid_actions(max_step)
     lengths = np.array([math.hypot(dx, dy) for dx, dy in actions])

@@ -10,11 +10,13 @@ across that face with a piecewise-linear majorant of the normal CDF, and
 (3) summing the pieces with a union bound. That makes the multiplier
 oracle one mixed-binary linear program per query. Only the objective
 weight on the risk terms depends on the multiplier, so each oracle
-builds the program once and each query writes its weights into that one
-program and hands it to HiGHS (`milp.solve_milp`), which solves it from
-scratch; each answer depends on the multiplier alone. A program that
-runs out of its node budget raises SolverLimitError; only a program with
-no feasible point is reported as infeasible.
+builds the program once, and with it one HiGHS model on the first solve
+(`milp.solve_milp`). Each query writes its weights into that program;
+the solve copies the objective into the model, clears HiGHS's solver
+state and solves from scratch, so each answer depends on the multiplier
+alone. A program that runs out of its node budget raises
+SolverLimitError; only a program with no feasible point is reported as
+infeasible.
 
 Control effort is the L1 norm of the input sequence, linearized with the
 usual pair of slack inequalities per entry.
@@ -445,7 +447,8 @@ class SmpcOracle(LagrangianOracle):
     objective weights on the risk terms change from one query to the
     next. Each answer is a function of the multiplier alone: every query
     writes its weights into the one program, over the only entries that
-    differ, and HiGHS solves it from scratch with no warm start. Reported
+    differ, and the program's kept HiGHS model solves it again from
+    scratch, with no basis or incumbent from the last query. Reported
     costs are recomputed from the extracted control sequence rather than
     read off the solver objective, so `evaluate` reproduces them exactly.
     """

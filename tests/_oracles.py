@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -158,11 +159,11 @@ def random_milp(rng: np.random.Generator, nbin: int = 5, ncont: int = 3, nrow: i
     """Random bounded mixed-binary program plus its binary index tuple."""
     nvar = nbin + ncont
     lp = random_box_lp(rng, nvar=nvar, nrow=nrow)
-    lp.upper[:nbin] = 1.0
+    upper = np.where(np.arange(nvar) < nbin, 1.0, lp.upper)
     # re-center rows so the all-half binary point plus interior rest stays feasible
     x0 = np.concatenate([np.full(nbin, 0.5), rng.uniform(0.5, 2.5, size=ncont)])
-    lp.rhs = lp.lhs @ x0 + rng.uniform(0.5, 2.5, size=nrow)
-    return lp, tuple(range(nbin))
+    rhs = lp.lhs @ x0 + rng.uniform(0.5, 2.5, size=nrow)
+    return replace(lp, upper=upper, rhs=rhs), tuple(range(nbin))
 
 
 def _crosses_before(a, b, c) -> bool:

@@ -57,7 +57,8 @@ def test_pairs_alternate_and_each_metric_gets_a_line(ab_pairs, capsys):
     ]
     assert lines[0] == (
         "solve_s: parent median 1.15 s (quartiles 1.075, 1.225), change median 0.9, "
-        "change won 3 of 4 pairs, within the 0.25 bound: yes"
+        "change won 3 of 4 pairs, within the 0.25 bound: yes; gain rule (won >= 4, "
+        "median gap 0.25 > parent quartile spread 0.15): no"
     )
     assert "change won 0 of 4 pairs, within the 0.25 bound: yes" in lines[1]
 
@@ -67,10 +68,10 @@ def test_a_change_median_past_the_bound_says_no(ab_pairs):
     runs = [{"solve_s": {"value": value}} for value in (1.0, 1.0, 1.0)]
     slower = [{"solve_s": {"value": value}} for value in (1.3, 1.3, 1.2)]
     (line,) = ab_pairs.compare(spec, runs, slower)
-    assert line.endswith("change won 0 of 3 pairs, within the 0.25 bound: no")
+    assert "change won 0 of 3 pairs, within the 0.25 bound: no" in line
     higher = [{**spec[0], "better": "higher", "bound": 0.1}]
     (line,) = ab_pairs.compare(higher, runs, [{"solve_s": {"value": 0.95}}] * 3)
-    assert line.endswith("change won 0 of 3 pairs, within the 0.1 bound: yes")
+    assert "change won 0 of 3 pairs, within the 0.1 bound: yes" in line
 
 
 def test_a_parent_spread_wider_than_the_bound_is_unresolved(ab_pairs):
@@ -79,12 +80,12 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved(ab_pairs):
     runs = [{"setup_s": {"value": value}} for value in (0.8, 0.9, 1.0, 1.2, 1.3)]
     level = [{"setup_s": {"value": value}} for value in (1.0, 0.9, 1.1, 1.0, 1.0)]
     (line,) = ab_pairs.compare(spec, runs, level)
-    assert line.endswith("within the 0.25 bound: unresolved (parent spread 0.3)")
+    assert "within the 0.25 bound: unresolved (parent spread 0.3)" in line
     (line,) = ab_pairs.compare(spec, runs, [{"setup_s": {"value": 2.0}}] * 5)
-    assert line.endswith("within the 0.25 bound: unresolved (parent spread 0.3)")
+    assert "within the 0.25 bound: unresolved (parent spread 0.3)" in line
     # every change run better than every parent run settles it
     (line,) = ab_pairs.compare(spec, runs, [{"setup_s": {"value": 0.7}}] * 5)
-    assert line.endswith("change won 5 of 5 pairs, within the 0.25 bound: yes")
+    assert "change won 5 of 5 pairs, within the 0.25 bound: yes" in line
 
 
 @pytest.mark.parametrize(
@@ -102,3 +103,30 @@ def test_the_first_bad_run_stops_the_comparison(ab_pairs, capsys, bad, message):
     assert ab_pairs.main(["p", "c", "--workload", "validate"], run=canned) == 1
     assert capsys.readouterr().out.strip().startswith(message)
     assert len(canned.calls) == 3
+
+
+def _gain_runs(changes):
+    parent = [{"solve_s": {"value": 1.0 + 0.01 * i}} for i in range(10)]
+    return parent, [{"solve_s": {"value": value}} for value in changes]
+
+
+def test_a_gain_in_10_of_10_pairs_past_the_parent_spread_holds(ab_pairs):
+    spec = [{"name": "solve_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    # parent 1.00..1.09: median 1.045, quartiles 1.0225 and 1.0675
+    parent, change = _gain_runs([0.9] * 10)
+    (line,) = ab_pairs.compare(spec, parent, change)
+    assert "change won 10 of 10 pairs" in line
+    assert line.endswith(
+        "gain rule (won >= 9, median gap 0.145 > parent quartile spread 0.045): yes"
+    )
+
+
+def test_a_gain_in_8_of_10_pairs_does_not_hold(ab_pairs):
+    spec = [{"name": "solve_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    # two pairs lost, one of them a tie, which counts for neither side
+    parent, change = _gain_runs([0.9] * 8 + [2.0, 1.09])
+    (line,) = ab_pairs.compare(spec, parent, change)
+    assert "change won 8 of 10 pairs" in line
+    assert line.endswith(
+        "gain rule (won >= 9, median gap 0.145 > parent quartile spread 0.045): no"
+    )

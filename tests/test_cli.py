@@ -183,6 +183,11 @@ _BAD_SHAPES_AND_RANGES = [
     ({**_shipped_config("corridor"), "pwl_segments": 2**40}, "1099511627776 chord segments"),
     ({**_shipped_config("desk_grid"), "horizon": 10**30},
      "horizon must be an integer <= 2**63 - 1"),
+    # horizon x cells actions from 2**31 on: 2386093 x 900 cells is the first
+    ({**_shipped_config("desk_grid"), "horizon": 10**7},
+     "horizon must be at most 2386092 on a 30x30 map, got 10000000"),
+    ({**_shipped_config("desk_grid"), "horizon": 2386093},
+     "horizon must be at most 2386092 on a 30x30 map, got 2386093"),
     ({**_shipped_config("desk_grid"), "max_step": 10**30}, "max_step must be an integer <="),
     ({**_shipped_config("corridor"), "horizon": 10**30}, "horizon must be an integer <="),
     ({**_shipped_config("landing"), "stages": 2**63}, "stages must be an integer <="),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -207,8 +208,9 @@ def test_batched_vertex_enumeration_matches_the_loop():
             p.senses = tuple(rng.choice(["<=", ">=", "="], size=p.lhs.shape[0]))
         elif kind == 2:
             # free and half-bounded variables, tight rows
-            p.lower[rng.random(p.num_vars) < 0.3] = -np.inf
-            p.rhs = p.rhs - rng.uniform(0.0, 4.0, size=p.lhs.shape[0])
+            free = rng.random(p.num_vars) < 0.3
+            p = replace(p, lower=np.where(free, -np.inf, p.lower),
+                        rhs=p.rhs - rng.uniform(0.0, 4.0, size=p.lhs.shape[0]))
         got = brute_lp_solve(p)
         want = _brute_lp_solve_loop(p)
         assert got[0] == want[0], f"trial {trial}"

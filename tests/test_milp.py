@@ -6,8 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
-from scipy.optimize import OptimizeResult
+from scipy.optimize._highspy import _core as highs
 
 from _oracles import brute_milp_solve, random_milp
 from mixedctrl import milp
@@ -86,23 +85,59 @@ def test_node_budget_flags_suboptimal(monkeypatch):
     assert full.node_count > 1
 
 
-@pytest.mark.parametrize("status", [1, 4])
-def test_unmapped_highs_outcomes_raise_with_its_message(monkeypatch, status):
-    # an LP iteration limit, or a MILP status 4 that is not the node
-    # limit, is an error carrying HiGHS's message, never "infeasible"
-    message = "(HiGHS Status 4: Solve error)"
+@pytest.mark.parametrize(
+    "state, message",
+    [("kIterationLimit", "Iteration limit reached"), ("kSolveError", "Solve error")],
+    ids=["kIterationLimit", "kSolveError"],
+)
+def test_unmapped_highs_outcomes_raise_with_its_message(monkeypatch, state, message):
+    # an LP iteration limit, or a MILP outcome that is no limit, is an
+    # error carrying HiGHS's message, never "infeasible"
+    faked = getattr(highs.HighsModelStatus, state)
 
-    def fake(*args, **kwargs):
-        return OptimizeResult(status=status, message=message, x=None, nit=0, mip_node_count=0)
+    class Faked(highs._Highs):
+        def getModelStatus(self):
+            return faked
 
-    # both engines import their scipy entry point when called
-    monkeypatch.setattr(scipy.optimize, "linprog", fake)
-    monkeypatch.setattr(scipy.optimize, "milp", fake)
-    with pytest.raises(MixedControlError, match="Solve error"):
+    # solve_milp builds each program's model from the binding when first called
+    monkeypatch.setattr(highs, "_Highs", Faked)
+    with pytest.raises(MixedControlError, match=message):
         solve_lp(_knapsack().lp)
-    if status == 4:
-        with pytest.raises(MixedControlError, match="Solve error"):
+    if state == "kSolveError":
+        with pytest.raises(MixedControlError, match=message):
             solve_milp(_knapsack())
+
+
+def test_resolve_at_an_earlier_objective_matches_a_fresh_program():
+    # the kept model holds no basis, incumbent or presolve from the last query
+    fresh = solve_milp(_corridor_milp(1828.7))
+    used = _corridor_milp(1828.7)
+    first = used.lp.objective.copy()
+    solve_milp(used)
+    used.lp.objective[:] = _corridor_milp(0.0).lp.objective
+    other = solve_milp(used)
+    used.lp.objective[:] = first
+    again = solve_milp(used)
+    assert other.x.tobytes() != fresh.x.tobytes()
+    assert again.x.tobytes() == fresh.x.tobytes()
+    assert again.objective == fresh.objective
+    assert again.node_count == fresh.node_count
+
+
+def test_only_the_objective_of_a_program_is_writable():
+    problem = _knapsack()
+    solve_milp(problem)
+    for name in ("lhs", "rhs", "lower", "upper"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(problem.lp, name)[0] = 0.5
+    problem.lp.objective[0] = -1.0
+    assert solve_milp(problem).x == pytest.approx([0.0, 1.0, 1.0])
+
+
+def test_an_option_that_highs_rejects_raises_naming_it(monkeypatch):
+    monkeypatch.setitem(milp.HIGHS_OPTIONS, "no_such_highs_option", 1)
+    with pytest.raises(MixedControlError, match="no_such_highs_option"):
+        solve_milp(_knapsack())
 
 
 def test_solve_emits_no_warning():

@@ -14,7 +14,11 @@ within the metric's bound of the parent's (for a lower-is-better metric,
 at most ``1 + bound`` times it). Where the parent's own quartile spread,
 ``(q3 - q1) / median``, is wider than the bound, a median cannot show
 that, and the line reads ``unresolved`` with the spread, unless every
-change run reads better than every parent run.
+change run reads better than every parent run. Each line ends with the
+gain rule's verdict, which a claimed speed-up must meet: the change won
+at least 9 of every 10 pairs (a tie counts for neither side), and its
+median is better than the parent's by more than the parent's quartile
+spread ``q3 - q1``.
 """
 
 from __future__ import annotations
@@ -70,6 +74,9 @@ def compare(metrics: list[dict], parent: list[dict], change: list[dict]) -> list
         won = sum((b < a) if lower else (b > a) for a, b in zip(before, after))
         within = median <= mid * (1 + bound) if lower else median >= mid * (1 - bound)
         spread = (q3 - q1) / mid
+        needed = -(-9 * len(after) // 10)  # 9 of every 10 pairs, rounded up
+        gap = mid - median if lower else median - mid
+        gain = "yes" if won >= needed and gap > q3 - q1 else "no"
         better = max(after) < min(before) if lower else min(after) > max(before)
         if better:
             verdict = "yes"
@@ -80,7 +87,8 @@ def compare(metrics: list[dict], parent: list[dict], change: list[dict]) -> list
         lines.append(
             f"{name}: parent median {mid:.6g} {spec['unit']} (quartiles {q1:.6g}, {q3:.6g}), "
             f"change median {median:.6g}, change won {won} of {len(after)} pairs, "
-            f"within the {bound:g} bound: {verdict}"
+            f"within the {bound:g} bound: {verdict}; gain rule (won >= {needed}, median gap "
+            f"{gap:.6g} > parent quartile spread {q3 - q1:.6g}): {gain}"
         )
     return lines
 
